@@ -23,7 +23,7 @@ from .errors import (
 from .integrals import WeightSeries, toeplitz_symbol
 from .jets import FunctionJets, function_to_wick, weight_series
 from .series import WickSeries, mi_factorial, mi_zero
-from .wick import classical_exp, fock_act, wick_star
+from .wick import fock_act, wick_star
 
 __all__ = [
     "BTContext",
@@ -185,7 +185,6 @@ def vacuum_reduce(a: WickSeries, ctx: BTContext, target: int):
     else:  # pragma: no cover - termination is forced by the degree argument
         raise SolveError("vacuum reduction failed to clear the target window")
 
-    exp_pos = classical_exp(ctx.weight.body, divide_by_hbar=True)
-    exp_neg = classical_exp(-ctx.weight.body, divide_by_hbar=True)
+    exp_pos, exp_neg = ctx.weight.exponentials()
     f_series = wick_star(exp_pos, symbol) * exp_neg
     return FunctionJets.from_wick(f_series), Fraction(l2, 2)

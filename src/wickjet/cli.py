@@ -4,7 +4,8 @@ A job is one JSON object using the shared literal formats: series terms are
 records ``{"k2": int, "I": [...], "J": [...], "re": "p/q", "im": "p/q"}``
 and classical jets drop the ``k2`` field.  Reports are plain text assembled
 in canonical order with nothing time- or machine-dependent in them, so
-identical jobs produce byte-identical output; progress notes go to stderr.
+identical jobs produce byte-identical output; stdout carries only the
+report, and errors go to stderr.
 
 Exit codes: 0 success, 2 malformed job or usage error, 3 computation error,
 4 acceptance failure.
@@ -94,10 +95,6 @@ def _parse_series(data: dict, name: str, dim: int, trunc: int) -> WickSeries:
         series = WickSeries.from_records(dim, trunc, records)
     except (KeyError, TypeError, ValueError, WickjetError) as exc:
         raise JobError(f"field \"{name}\": bad series record: {exc}") from None
-    for (k2, I, J) in series.terms:
-        if len(I) != dim or len(J) != dim:
-            raise JobError(f"field \"{name}\": index length does not match "
-                           f"dim {dim}")
     return series
 
 
@@ -348,7 +345,7 @@ def _composition_csv(per_element: dict) -> str:
     return buffer.getvalue()
 
 
-def _run_cp1_verify(job: JobSpec, threads: int) -> tuple:
+def _run_cp1_verify(job: JobSpec) -> tuple:
     max_p = job.inputs["max_p"]
     max_order = job.inputs["max_order"]
     lines = [f"peak-section identity through order {max_order} "
@@ -366,7 +363,7 @@ def _run_cp1_verify(job: JobSpec, threads: int) -> tuple:
     if comp is not None:
         lines.append("composition decay:")
         fits = composition_fits(orders=comp["orders"], ms=comp["ms"],
-                                elements=comp["elements"], threads=threads)
+                                elements=comp["elements"])
         for order in comp["orders"]:
             per_element = fits[order]
             bound = -(order + 1) + 0.3
@@ -385,11 +382,10 @@ def _run_cp1_verify(job: JobSpec, threads: int) -> tuple:
     return lines, files, accepted
 
 
-def _run_suite(job: JobSpec, seed: int, threads: int) -> tuple:
+def _run_suite(job: JobSpec, seed: int) -> tuple:
     job_seed = job.inputs.get("seed")
     effective = seed if job_seed is None else job_seed
-    reports = run_suites(job.inputs.get("names"), seed=effective,
-                         threads=threads)
+    reports = run_suites(job.inputs.get("names"), seed=effective)
     lines = [f"seed: {effective}"]
     accepted = True
     for report in reports:
@@ -402,7 +398,7 @@ def _run_suite(job: JobSpec, seed: int, threads: int) -> tuple:
     return lines, {}, accepted
 
 
-def run(job: JobSpec, seed: int = 0, threads: int = 1) -> Report:
+def run(job: JobSpec, seed: int = 0) -> Report:
     """Execute a parsed job; the report text is canonical and reproducible."""
     header = ["wickjet report", f"mode: {job.mode}"]
     if job.mode not in ("cp1-verify", "suite"):
@@ -418,9 +414,9 @@ def run(job: JobSpec, seed: int = 0, threads: int = 1) -> Report:
     elif job.mode == "k-normalize":
         lines, files, accepted = _run_k_normalize(job)
     elif job.mode == "cp1-verify":
-        lines, files, accepted = _run_cp1_verify(job, threads)
+        lines, files, accepted = _run_cp1_verify(job)
     else:
-        lines, files, accepted = _run_suite(job, seed, threads)
+        lines, files, accepted = _run_suite(job, seed)
 
     status = "ok" if accepted else "acceptance-failure"
     text = "\n".join(header + lines + [f"status: {status}"]) + "\n"
@@ -452,14 +448,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="directory for report artifacts")
     parser.add_argument("--trunc-ceiling", type=int, default=16,
                         help="largest truncation a job may request")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent sub-jobs")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the randomized suites")
     args = parser.parse_args(argv)
 
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     if not args.job:
         parser.print_usage(sys.stderr)
         print("wickjet: error: no job given — pass --job <path>",
@@ -476,7 +468,7 @@ def main(argv=None) -> int:
         return PARSE_EXIT
 
     try:
-        report = run(job, seed=args.seed, threads=args.threads)
+        report = run(job, seed=args.seed)
     except WickjetError as exc:
         print(f"wickjet: computation error ({job.mode}): {exc}",
               file=sys.stderr)

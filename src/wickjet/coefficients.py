@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["ComplexRational", "Rat", "ZERO", "ONE", "I", "parse_rational", "format_rational"]
+__all__ = ["ComplexRational", "Rat", "I", "parse_rational", "format_rational"]
 
 Rat = Fraction  # short alias used throughout the package
 
@@ -18,8 +18,14 @@ _RatLike = (int, Fraction)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal of the form ``"p/q"`` or ``"p"``."""
-    return Fraction(text.strip())
+    """Parse a rational literal of the form ``"p/q"`` or ``"p"``.
+
+    Every malformed literal, a zero denominator included, is a ValueError.
+    """
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -162,6 +168,4 @@ class ComplexRational:
         return f"{format_rational(self.re)}{sign}{format_rational(abs(self.im))}i"
 
 
-ZERO = ComplexRational(0)
-ONE = ComplexRational(1)
 I = ComplexRational(0, 1)

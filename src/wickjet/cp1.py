@@ -21,7 +21,7 @@ import numpy as np
 from .coefficients import ComplexRational
 from .errors import PreconditionError
 from .jets import FunctionJets
-from .series import HbarSeries, WickSeries
+from .series import HbarSeries, WickSeries, accumulate
 
 __all__ = [
     "FactorialRational",
@@ -32,7 +32,6 @@ __all__ = [
     "cp1_toeplitz",
     "peak_section",
     "mobius_pullback",
-    "expand_at_infinity",
     "composition_residual",
     "symbol_jets",
     "fs_ratio_symbol",
@@ -149,11 +148,6 @@ class FactorialRational:
         den = block(self.den_shifts)
         text = f"{self.scalar}*{num}"
         return text + (f"/{den}" if den else "")
-
-
-def expand_at_infinity(x: FactorialRational, order: int) -> HbarSeries:
-    """Module-level spelling of :meth:`FactorialRational.expand_at_infinity`."""
-    return x.expand_at_infinity(order)
 
 
 def cp1_inner(p: int, q: int) -> FactorialRational:
@@ -409,18 +403,9 @@ def _binom_poly(constant: ComplexRational, linear: ComplexRational, n: int,
 
 
 def _poly_mul(left: dict, right: dict) -> dict:
-    out = {}
-    for (a1, b1), c1 in left.items():
-        for (a2, b2), c2 in right.items():
-            key = (a1 + a2, b1 + b2)
-            acc = out.get(key)
-            prod = c1 * c2
-            acc = prod if acc is None else acc + prod
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return out
+    return accumulate(((a1 + a2, b1 + b2), c1 * c2)
+                      for (a1, b1), c1 in left.items()
+                      for (a2, b2), c2 in right.items())
 
 
 def mobius_pullback(f: RationalSymbol, w) -> RationalSymbol:
@@ -444,13 +429,7 @@ def mobius_pullback(f: RationalSymbol, w) -> RationalSymbol:
         poly = _poly_mul(poly, _binom_poly(wb, one, b, False))
         poly = _poly_mul(poly, _binom_poly(one, -wb, d - a, True))
         poly = _poly_mul(poly, _binom_poly(one, -w, d - b, False))
-        for key, value in poly.items():
-            acc = total.get(key)
-            acc = value if acc is None else acc + value
-            if acc:
-                total[key] = acc
-            else:
-                total.pop(key, None)
+        accumulate(poly.items(), total)
     return RationalSymbol(total, d)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PreconditionError, SolveError, TruncationMismatch, DimensionMismatch
-from .series import HbarSeries, WickSeries, mi_factorial, mi_zero
+from .series import HbarSeries, WickSeries, accumulate, mi_factorial
 from .wick import classical_exp, fock_act, wick_star
 
 __all__ = [
@@ -44,9 +44,13 @@ class WeightSeries:
     - ``toeplitz_admissible``: every term contains at least one yb factor
       (required by the symbol solve);
     - ``refined``: the h^0 part has no terms with |I| = 1 or |J| = 1.
+
+    The factors ``e^(+-w/h)`` every symbol solve needs are built once, on
+    first use, by :meth:`exponentials`.
     """
 
-    __slots__ = ("body", "is_real", "toeplitz_admissible", "refined")
+    __slots__ = ("body", "is_real", "toeplitz_admissible", "refined",
+                 "_exponentials")
 
     def __init__(self, body: WickSeries):
         min_deg = body.min_degree()
@@ -60,6 +64,7 @@ class WeightSeries:
         object.__setattr__(self, "refined",
                            all(sum(I) != 1 and sum(J) != 1
                                for (k2, I, J) in body.terms if k2 == 0))
+        object.__setattr__(self, "_exponentials", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("WeightSeries is immutable")
@@ -78,6 +83,14 @@ class WeightSeries:
 
     def __bool__(self) -> bool:
         return bool(self.body)
+
+    def exponentials(self) -> tuple:
+        """The pair ``(e^(w/h), e^(-w/h))``, computed on the first call."""
+        if self._exponentials is None:
+            object.__setattr__(self, "_exponentials", (
+                classical_exp(self.body, divide_by_hbar=True),
+                classical_exp(-self.body, divide_by_hbar=True)))
+        return self._exponentials
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightSeries):
@@ -111,15 +124,9 @@ def gaussian_moment(I, J, k2: int = 0, *, trunc: int) -> HbarSeries:
 
 
 def _moments(h: WickSeries) -> HbarSeries:
-    terms: dict = {}
-    for (k2, I, J), coeff in h.terms.items():
-        if I != J:
-            continue
-        k2_out = k2 + 2 * sum(I)
-        value = coeff * mi_factorial(I)
-        prev = terms.get(k2_out)
-        terms[k2_out] = value if prev is None else prev + value
-    return HbarSeries(h.trunc, terms)
+    return HbarSeries(h.trunc, accumulate(
+        (k2 + 2 * sum(I), coeff * mi_factorial(I))
+        for (k2, I, J), coeff in h.terms.items() if I == J))
 
 
 def _check_weight(h: WickSeries, w: WeightSeries) -> None:
@@ -177,8 +184,7 @@ def toeplitz_symbol(f: WickSeries, w: WeightSeries) -> WickSeries:
             f"toeplitz_symbol input must have min degree >= 0, found {min_deg}")
     if not w:
         return f
-    exp_pos = classical_exp(w.body, divide_by_hbar=True)
-    exp_neg = classical_exp(-w.body, divide_by_hbar=True)
+    exp_pos, exp_neg = w.exponentials()
     symbol = f
     residual = f * exp_pos - wick_star(exp_pos, f)
     last_degree = -1

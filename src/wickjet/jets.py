@@ -24,7 +24,7 @@ from math import isqrt
 from .coefficients import ComplexRational
 from .errors import PreconditionError, SolveError
 from .integrals import WeightSeries
-from .series import WickSeries, mi_sub, mi_zero
+from .series import WickSeries, accumulate, mi_sub, mi_zero, read_record
 
 __all__ = [
     "PotentialJets",
@@ -715,13 +715,5 @@ def jets_to_records(jets: dict) -> list:
 
 
 def jets_from_records(records, dim: int, max_degree: int, what: str = "jet") -> dict:
-    from .coefficients import parse_rational
-
-    jets = {}
-    for rec in records:
-        I = tuple(int(v) for v in rec["I"])
-        J = tuple(int(v) for v in rec["J"])
-        coeff = ComplexRational(parse_rational(rec.get("re", "0")),
-                                parse_rational(rec.get("im", "0")))
-        jets[(I, J)] = jets.get((I, J), ComplexRational()) + coeff
+    jets = accumulate(read_record(rec, "I", "J") for rec in records)
     return _coerce_jets(jets, dim, max_degree, what)

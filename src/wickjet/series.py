@@ -33,6 +33,8 @@ __all__ = [
     "mi_leq",
     "mi_factorial",
     "total_degree",
+    "accumulate",
+    "read_record",
     "WickSeries",
     "HbarSeries",
 ]
@@ -74,8 +76,48 @@ def total_degree(k2: int, I: MultiIndex, J: MultiIndex) -> int:
     return k2 + sum(I) + sum(J)
 
 
-def _coerce_coefficient(value) -> ComplexRational:
-    return ComplexRational.coerce(value)
+def accumulate(pairs: Iterable, out: dict | None = None) -> dict:
+    """Sum ``(key, coefficient)`` pairs by key into ``out`` (a new dict by default).
+
+    Sums that cancel stay in place as zero entries; the series constructors
+    drop them, so no zero test runs per pair.
+    """
+    if out is None:
+        out = {}
+    get = out.get
+    for key, value in pairs:
+        prev = get(key)
+        out[key] = value if prev is None else prev + value
+    return out
+
+
+def _record_int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer index, got {value!r}")
+    return value
+
+
+def _record_rational(rec: dict, name: str) -> Fraction:
+    text = rec.get(name, "0")
+    if not isinstance(text, str):
+        raise ValueError(f"\"{name}\" must be a rational string, got {text!r}")
+    return parse_rational(text)
+
+
+def read_record(rec: dict, *fields: str) -> tuple:
+    """One term record as ``(key, coefficient)``; malformed ones raise ValueError.
+
+    ``"k2"`` is read as an integer and every other named field as a list of
+    integers; booleans and non-integral numbers are rejected.  One field
+    gives a bare key, several give a tuple.  ``re``/``im`` are rational
+    strings such as ``"-3/2"`` (missing means zero).
+    """
+    parts = tuple(_record_int(rec[name]) if name == "k2"
+                  else tuple(_record_int(e) for e in rec[name])
+                  for name in fields)
+    coeff = ComplexRational(_record_rational(rec, "re"),
+                            _record_rational(rec, "im"))
+    return (parts[0] if len(parts) == 1 else parts), coeff
 
 
 class WickSeries:
@@ -83,7 +125,7 @@ class WickSeries:
 
     __slots__ = ("dim", "trunc", "lower_bound", "terms")
 
-    def __init__(self, dim: int, trunc: int, terms: Mapping | Iterable | None = None,
+    def __init__(self, dim: int, trunc: int, terms: Mapping | None = None,
                  lower_bound: int = 0):
         if dim < 1:
             raise DimensionMismatch(f"dim must be >= 1, got {dim}")
@@ -94,8 +136,7 @@ class WickSeries:
         object.__setattr__(self, "lower_bound", lower_bound)
         clean: dict = {}
         if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for key, raw in items:
+            for key, raw in terms.items():
                 k2, I, J = key
                 I = tuple(I)
                 J = tuple(J)
@@ -104,7 +145,7 @@ class WickSeries:
                         f"multi-index length != dim={dim} in term {key}")
                 if any(e < 0 for e in I) or any(e < 0 for e in J):
                     raise ValueError(f"negative multi-index entry in term {key}")
-                coeff = _coerce_coefficient(raw)
+                coeff = ComplexRational.coerce(raw)
                 if not coeff:
                     continue
                 deg = k2 + sum(I) + sum(J)
@@ -113,15 +154,7 @@ class WickSeries:
                 if deg < lower_bound:
                     raise DegreeWindowError(
                         f"term {(k2, I, J)} has degree {deg} < lower bound {lower_bound}")
-                key = (k2, I, J)
-                if key in clean:
-                    merged = clean[key] + coeff
-                    if merged:
-                        clean[key] = merged
-                    else:
-                        del clean[key]
-                else:
-                    clean[key] = coeff
+                clean[(k2, I, J)] = coeff
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -147,10 +180,6 @@ class WickSeries:
         if lower_bound is None:
             lower_bound = min(0, deg)
         return cls(dim, trunc, {(k2, I, J): coeff}, lower_bound)
-
-    def replace_terms(self, terms, lower_bound: int | None = None) -> "WickSeries":
-        return WickSeries(self.dim, self.trunc, terms,
-                          self.lower_bound if lower_bound is None else lower_bound)
 
     # -- inspection -----------------------------------------------------
 
@@ -215,14 +244,7 @@ class WickSeries:
         if not isinstance(other, WickSeries):
             return NotImplemented
         self._check_compatible(other)
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = merged.get(key)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                merged[key] = acc
-            else:
-                merged.pop(key, None)
+        merged = accumulate(other.terms.items(), dict(self.terms))
         return WickSeries(self.dim, self.trunc, merged,
                           min(self.lower_bound, other.lower_bound))
 
@@ -243,7 +265,7 @@ class WickSeries:
         return WickSeries(self.dim, self.trunc, flipped, self.lower_bound)
 
     def scale(self, factor) -> "WickSeries":
-        factor = _coerce_coefficient(factor)
+        factor = ComplexRational.coerce(factor)
         if not factor:
             return WickSeries(self.dim, self.trunc, None, self.lower_bound)
         scaled = {key: coeff * factor for key, coeff in self.terms.items()}
@@ -256,22 +278,8 @@ class WickSeries:
         if not isinstance(other, WickSeries):
             return NotImplemented
         self._check_compatible(other)
-        trunc = self.trunc
-        out: dict = {}
-        for (k2f, If, Jf), cf in self.terms.items():
-            deg_f = k2f + sum(If) + sum(Jf)
-            for (k2g, Ig, Jg), cg in other.terms.items():
-                if deg_f + k2g + sum(Ig) + sum(Jg) > trunc:
-                    continue
-                key = (k2f + k2g, mi_add(If, Ig), mi_add(Jf, Jg))
-                prod = cf * cg
-                acc = out.get(key)
-                acc = prod if acc is None else acc + prod
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        return WickSeries(self.dim, self.trunc, out,
+        return WickSeries(self.dim, self.trunc,
+                          accumulate(_product_terms(self, other)),
                           self.lower_bound + other.lower_bound)
 
     def __rmul__(self, other):
@@ -281,17 +289,8 @@ class WickSeries:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, ComplexRational)):
-            return self.scale(ComplexRational(1) / _coerce_coefficient(other))
+            return self.scale(ComplexRational(1) / ComplexRational.coerce(other))
         return NotImplemented
-
-    def pow(self, exponent: int) -> "WickSeries":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined on WickSeries")
-        out = WickSeries.unit(self.dim, self.trunc)
-        base = self
-        for _ in range(exponent):
-            out = out * base
-        return out
 
     def conjugate(self) -> "WickSeries":
         """Swap y^I yb^J -> y^J yb^I and conjugate coefficients (h is real)."""
@@ -354,16 +353,19 @@ class WickSeries:
     @classmethod
     def from_records(cls, dim: int, trunc: int, records: Iterable[dict],
                      lower_bound: int = 0) -> "WickSeries":
-        terms = {}
-        for rec in records:
-            key = (int(rec["k2"]), tuple(int(e) for e in rec["I"]),
-                   tuple(int(e) for e in rec["J"]))
-            coeff = ComplexRational(parse_rational(str(rec.get("re", "0"))),
-                                    parse_rational(str(rec.get("im", "0"))))
-            if key in terms:
-                coeff = terms[key] + coeff
-            terms[key] = coeff
+        terms = accumulate(read_record(rec, "k2", "I", "J") for rec in records)
         return cls(dim, trunc, terms, lower_bound)
+
+
+def _product_terms(f: WickSeries, g: WickSeries) -> Iterator[tuple]:
+    """Pairs of the pointwise product, skipping those beyond the truncation."""
+    trunc = f.trunc
+    for (k2f, If, Jf), cf in f.terms.items():
+        deg_f = k2f + sum(If) + sum(Jf)
+        for (k2g, Ig, Jg), cg in g.terms.items():
+            if deg_f + k2g + sum(Ig) + sum(Jg) > trunc:
+                continue
+            yield (k2f + k2g, mi_add(If, Ig), mi_add(Jf, Jg)), cf * cg
 
 
 def _format_hbar(k2: int) -> str:
@@ -413,7 +415,7 @@ class HbarSeries:
         clean: dict = {}
         if terms:
             for k2, raw in terms.items():
-                coeff = _coerce_coefficient(raw)
+                coeff = ComplexRational.coerce(raw)
                 if not coeff or k2 > trunc:
                     continue
                 clean[k2] = coeff
@@ -459,15 +461,8 @@ class HbarSeries:
         if not isinstance(other, HbarSeries):
             return NotImplemented
         self._check(other)
-        merged = dict(self.terms)
-        for k2, coeff in other.terms.items():
-            acc = merged.get(k2)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                merged[k2] = acc
-            else:
-                merged.pop(k2, None)
-        return HbarSeries(self.trunc, merged)
+        return HbarSeries(self.trunc,
+                          accumulate(other.terms.items(), dict(self.terms)))
 
     __radd__ = __add__
 
@@ -486,26 +481,16 @@ class HbarSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ComplexRational)):
-            factor = _coerce_coefficient(other)
+            factor = ComplexRational.coerce(other)
             return HbarSeries(self.trunc,
                               {k: c * factor for k, c in self.terms.items()})
         if not isinstance(other, HbarSeries):
             return NotImplemented
         self._check(other)
-        out: dict = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                k = ka + kb
-                if k > self.trunc:
-                    continue
-                prod = ca * cb
-                acc = out.get(k)
-                acc = prod if acc is None else acc + prod
-                if acc:
-                    out[k] = acc
-                else:
-                    out.pop(k, None)
-        return HbarSeries(self.trunc, out)
+        trunc = self.trunc
+        return HbarSeries(trunc, accumulate(
+            (ka + kb, ca * cb) for ka, ca in self.terms.items()
+            for kb, cb in other.terms.items() if ka + kb <= trunc))
 
     __rmul__ = __mul__
 
@@ -578,13 +563,7 @@ class HbarSeries:
 
     @classmethod
     def from_records(cls, trunc: int, records: Iterable[dict]) -> "HbarSeries":
-        terms = {}
-        for rec in records:
-            k2 = int(rec["k2"])
-            coeff = ComplexRational(parse_rational(str(rec.get("re", "0"))),
-                                    parse_rational(str(rec.get("im", "0"))))
-            terms[k2] = terms.get(k2, ComplexRational(0)) + coeff
-        return cls(trunc, terms)
+        return cls(trunc, accumulate(read_record(rec, "k2") for rec in records))
 
 
 def iter_multi_indices(dim: int, max_abs: int) -> Iterator[MultiIndex]:

@@ -16,9 +16,8 @@ into the top coefficients.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .btrep import BTContext, bt_star_eval, rep_act, vacuum_reduce
 from .coefficients import ComplexRational
@@ -422,25 +421,18 @@ def engine_entry_series(elements, trunc: int = 10) -> dict:
 
 
 def composition_fits(orders=(0, 1, 2), ms=(32, 64, 128, 256, 512),
-                     elements=((0, 0), (1, 1)), threads: int = 1) -> dict:
+                     elements=((0, 0), (1, 1))) -> dict:
     """Residual fits per partial-sum order: {order: composition_residual map}."""
     predicted = engine_entry_series(tuple(elements))
     f = fs_ratio_symbol()
-
-    def job(order: int):
-        return order, composition_residual(f, f, ms, order, predicted)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = dict(pool.map(job, orders))
-        return {order: done[order] for order in orders}
-    return dict(job(order) for order in orders)
+    return {order: composition_residual(f, f, ms, order, predicted)
+            for order in orders}
 
 
-def composition_decay_suite(seed: int = 0, threads: int = 1) -> SuiteReport:
+def composition_decay_suite(seed: int = 0) -> SuiteReport:
     del seed  # deterministic
     orders = (0, 1, 2)
-    fits = composition_fits(orders=orders, threads=threads)
+    fits = composition_fits(orders=orders)
     failures: list = []
     cases = 0
     for order, per_element in fits.items():
@@ -555,17 +547,14 @@ SUITES: dict = {
 }
 
 
-def run_suite(name: str, seed: int = 0, threads: int = 1) -> SuiteReport:
-    runner: Callable = SUITES[name]
-    if name == "cp1-composition":
-        return runner(seed=seed, threads=threads)
-    return runner(seed=seed)
+def run_suite(name: str, seed: int = 0) -> SuiteReport:
+    return SUITES[name](seed=seed)
 
 
-def run_suites(names=None, seed: int = 0, threads: int = 1) -> list:
+def run_suites(names=None, seed: int = 0) -> list:
     if names is None:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise KeyError(f"unknown suite names: {', '.join(unknown)}")
-    return [run_suite(name, seed=seed, threads=threads) for name in names]
+    return [run_suite(name, seed=seed) for name in names]

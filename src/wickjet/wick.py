@@ -21,9 +21,8 @@ from fractions import Fraction
 from itertools import product as _cartesian
 from math import comb
 
-from .coefficients import ComplexRational
 from .errors import PreconditionError
-from .series import WickSeries, mi_add, mi_sub, total_degree
+from .series import WickSeries, accumulate, mi_add, mi_sub
 
 __all__ = [
     "wick_star",
@@ -46,9 +45,13 @@ def _falling(n: int, k: int) -> int:
 def wick_star(f: WickSeries, g: WickSeries) -> WickSeries:
     """The associative Wick product of two series (same dim and trunc)."""
     f._check_compatible(g)
+    return WickSeries(f.dim, f.trunc, accumulate(_star_terms(f, g)),
+                      f.lower_bound + g.lower_bound)
+
+
+def _star_terms(f: WickSeries, g: WickSeries):
     trunc = f.trunc
     dim = f.dim
-    out: dict = {}
     for (k2f, If, Jf), cf in f.terms.items():
         deg_f = k2f + sum(If) + sum(Jf)
         for (k2g, Ig, Jg), cg in g.terms.items():
@@ -68,14 +71,7 @@ def wick_star(f: WickSeries, g: WickSeries) -> WickSeries:
                 key = (k2f + k2g + 2 * total_a,
                        mi_add(mi_sub(If, alpha), Ig),
                        mi_add(Jf, mi_sub(Jg, alpha)))
-                contrib = base * scalar
-                acc = out.get(key)
-                acc = contrib if acc is None else acc + contrib
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-    return WickSeries(f.dim, trunc, out, f.lower_bound + g.lower_bound)
+                yield key, base * scalar
 
 
 def fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
@@ -83,8 +79,12 @@ def fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
     f._check_compatible(s)
     if not s.is_holomorphic():
         raise PreconditionError("fock_act target must be holomorphic (J = 0)")
+    return WickSeries(f.dim, f.trunc, accumulate(_fock_terms(f, s)),
+                      f.lower_bound + s.lower_bound)
+
+
+def _fock_terms(f: WickSeries, s: WickSeries):
     trunc = f.trunc
-    out: dict = {}
     zero = (0,) * f.dim
     for (k2, I, J), cf in f.terms.items():
         deg_f = k2 + sum(I) + sum(J)
@@ -99,14 +99,7 @@ def fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
                 if J[i]:
                     scalar *= _falling(top[i], J[i])
             key = (k2 + k2s + 2 * sum(J), mi_sub(top, J), zero)
-            contrib = (cf * cs) * scalar
-            acc = out.get(key)
-            acc = contrib if acc is None else acc + contrib
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return WickSeries(f.dim, trunc, out, f.lower_bound + s.lower_bound)
+            yield key, (cf * cs) * scalar
 
 
 def anti_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
@@ -114,8 +107,12 @@ def anti_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
     f._check_compatible(s)
     if not s.is_antiholomorphic():
         raise PreconditionError("anti_fock_act target must be anti-holomorphic (I = 0)")
+    return WickSeries(f.dim, f.trunc, accumulate(_anti_fock_terms(f, s)),
+                      f.lower_bound + s.lower_bound)
+
+
+def _anti_fock_terms(f: WickSeries, s: WickSeries):
     trunc = f.trunc
-    out: dict = {}
     zero = (0,) * f.dim
     for (k2, I, J), cf in f.terms.items():
         deg_f = k2 + sum(I) + sum(J)
@@ -131,14 +128,7 @@ def anti_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
             if sum(I) % 2:
                 scalar = -scalar
             key = (k2 + k2s + 2 * sum(I), zero, mi_add(mi_sub(Q, I), J))
-            contrib = (cf * cs) * scalar
-            acc = out.get(key)
-            acc = contrib if acc is None else acc + contrib
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return WickSeries(f.dim, trunc, out, f.lower_bound + s.lower_bound)
+            yield key, (cf * cs) * scalar
 
 
 def classical_exp(h: WickSeries, divide_by_hbar: bool = False) -> WickSeries:

@@ -84,7 +84,7 @@ def test_criterion_5_single_operator_matrix_elements():
 
 def test_criterion_6_composition_decay_rates():
     start = time.monotonic()
-    report = composition_decay_suite(seed=SEED, threads=1)
+    report = composition_decay_suite(seed=SEED)
     elapsed = time.monotonic() - start
     assert not report.failures, report.failures
     assert elapsed < 300.0

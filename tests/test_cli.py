@@ -1,10 +1,15 @@
 """Batch front-end: job parsing, wire formats, reports, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import wickjet
 from wickjet import cli
 from wickjet.cli import ACCEPT_EXIT, COMPUTE_EXIT, PARSE_EXIT, JobError, load_job, main
 from wickjet.coefficients import ComplexRational
@@ -280,11 +285,36 @@ def test_main_acceptance_failure_exit(tmp_path, capsys, monkeypatch):
     assert out.endswith("status: acceptance-failure\n")
 
 
-def test_main_threads_flag_keeps_reports_identical(tmp_path, capsys):
-    path = write_job(tmp_path, {
-        "mode": "cp1-verify", "max_p": 0, "max_order": 1,
-        "composition": {"orders": [0, 1], "ms": [16, 32],
-                        "elements": [[0, 0], [1, 1]]}})
-    single = run_main(capsys, "--job", path, "--threads", "1")
-    fanned = run_main(capsys, "--job", path, "--threads", "4")
-    assert single == fanned and single[0] == 0
+def test_main_rejects_removed_threads_flag(tmp_path):
+    path = write_job(tmp_path, {"mode": "cp1-verify", "max_p": 0,
+                                "max_order": 1})
+    with pytest.raises(SystemExit) as exc:
+        main(["--job", path, "--threads", "2"])
+    assert exc.value.code == PARSE_EXIT
+
+
+def _potential_job(jet):
+    return {"mode": "k-normalize", "dim": 1,
+            "potential": {"order": 4, "jets": [
+                jet, {"I": [1], "J": [1], "re": "1", "im": "0"}]}}
+
+
+@pytest.mark.parametrize("payload", [
+    {"mode": "wick-star", "dim": 1, "trunc": 6, "rhs": [YB_RECORD],
+     "lhs": [dict(Y_RECORD, re="1/0")]},
+    _potential_job({"I": [2], "J": [2], "re": 1, "im": "0"}),
+    {"mode": "wick-star", "dim": 1, "trunc": 6, "rhs": [YB_RECORD],
+     "lhs": [dict(Y_RECORD, I=[1.7])]},
+    {"mode": "wick-star", "dim": 1, "trunc": 6, "rhs": [YB_RECORD],
+     "lhs": [dict(Y_RECORD, k2=True)]},
+], ids=["zero-denominator", "numeric-jet-re", "float-index", "bool-k2"])
+def test_main_malformed_records_exit_cleanly(tmp_path, payload):
+    path = write_job(tmp_path, payload)
+    src = Path(wickjet.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "wickjet.cli", "--job", path],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == PARSE_EXIT
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("wickjet: bad job:")

@@ -14,7 +14,6 @@ from wickjet.cp1 import (
     cp1_gram,
     cp1_inner,
     cp1_toeplitz,
-    expand_at_infinity,
     fs_ratio_symbol,
     mobius_pullback,
     peak_section,
@@ -67,25 +66,25 @@ def test_factorial_rational_evaluate():
 
 
 def test_expand_at_infinity_frozen_series():
-    assert expand_at_infinity(cp1_inner(0, 0), 4) == \
+    assert cp1_inner(0, 0).expand_at_infinity(4) == \
         HbarSeries(8, {0: 1, 2: -1, 4: 1, 6: -1, 8: 1})
-    assert expand_at_infinity(cp1_inner(1, 1), 4) == \
+    assert cp1_inner(1, 1).expand_at_infinity(4) == \
         HbarSeries(8, {2: 1, 4: -1, 6: 1, 8: -1})
     # 2/(m^2 - 1) has only even orders
-    assert expand_at_infinity(cp1_inner(2, 2), 4) == \
+    assert cp1_inner(2, 2).expand_at_infinity(4) == \
         HbarSeries(8, {4: 2, 8: 2})
     constant = FactorialRational(Fraction(5, 7))
-    assert expand_at_infinity(constant, 3) == \
+    assert constant.expand_at_infinity(3) == \
         HbarSeries(6, {0: Fraction(5, 7)})
     # a net positive power of m sits at a negative h-power
     pure_m = FactorialRational(1, (0,), ())
-    assert expand_at_infinity(pure_m, 2) == HbarSeries(4, {-2: 1})
+    assert pure_m.expand_at_infinity(2) == HbarSeries(4, {-2: 1})
 
 
 def test_expansion_truncation_against_evaluation():
     # partial sums converge to the exact value at rate h^(order+1)
     x = cp1_inner(1, 1)
-    series = expand_at_infinity(x, 5)
+    series = x.expand_at_infinity(5)
     m = 40
     partial = sum((series.coefficient(2 * k).re / m ** k for k in range(6)),
                   Fraction(0))
@@ -140,7 +139,7 @@ def test_peak_section_norm_is_the_gram_diagonal():
         norm = cp1_gram(m, p)
         assert norm == cp1_inner(p, p).evaluate(m).re
         # leading behavior p!/m^p
-        lead = expand_at_infinity(cp1_inner(p, p), p)
+        lead = cp1_inner(p, p).expand_at_infinity(p)
         assert lead.coefficient(2 * p) == math.factorial(p)
 
 

@@ -51,6 +51,16 @@ def test_weight_degree_guard():
         WeightSeries(WickSeries(1, 8, {(0, (1,), (1,)): 1}))
 
 
+def test_weight_exponentials_are_built_once():
+    rng = random.Random(19)
+    for dim in (1, 2):
+        w = WeightSeries(random_weight_body(rng, dim, 7))
+        pair = w.exponentials()
+        assert w.exponentials() is pair
+        assert pair == (classical_exp(w.body, divide_by_hbar=True),
+                        classical_exp(-w.body, divide_by_hbar=True))
+
+
 # ---------------------------------------------------------------------------
 # moments and integrals
 

@@ -70,6 +70,22 @@ def test_addition_merges_and_cancels():
     assert a - a == WickSeries.zero(1, 4)
 
 
+def test_cancelling_sums_and_products_keep_no_zero_terms():
+    y = WickSeries.monomial(1, 4, 1, 0, (1,), (0,))
+    yb = WickSeries.monomial(1, 4, 1, 0, (0,), (1,))
+    total = (y + yb) + (yb - y)
+    assert total.terms == {(0, (0,), (1,)): 2}
+    # the cross terms y yb cancel inside one product
+    product = (y + yb) * (y - yb)
+    assert product.terms == {(0, (2,), (0,)): 1, (0, (0,), (2,)): -1}
+    a = HbarSeries(6, {0: 1, 2: 1})
+    b = HbarSeries(6, {0: 1, 2: -1})
+    assert (a + b).terms == {0: 2}
+    assert (a * b).terms == {0: 1, 4: -1}
+    for series in (total, product, a + b, a * b, y - y, a - a):
+        assert all(series.terms.values())
+
+
 def test_scalar_mixins():
     a = WickSeries.monomial(1, 4, 2, 0, (1,), (0,))
     assert (a + 1).coefficient(0, (0,), (0,)) == 1

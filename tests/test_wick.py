@@ -193,6 +193,25 @@ def test_anti_fock_act_basic():
     assert not anti_fock_act(yyb, one)
 
 
+def test_cancelling_contributions_leave_no_zero_terms():
+    one = WickSeries.unit(1, 4)
+    y = mono(1, 4, 1, 0, (1,), (0,))
+    yb = mono(1, 4, 1, 0, (0,), (1,))
+    h = mono(1, 4, 1, 2, (0,), (0,))
+    # y * yb = y yb - h and yb * y = y yb: the y yb terms cancel
+    star = wick_star(y + yb, y - yb)
+    assert star.terms == {(0, (2,), (0,)): 1, (2, (0,), (0,)): 1,
+                          (0, (0,), (2,)): -1}
+    # (y yb - h) . (1 + y) = (h + 2 h y) - (h + h y)
+    fock = fock_act(y * yb - h, one + y)
+    assert fock.terms == {(2, (1,), (0,)): 1}
+    # (y yb + h) . (1 + yb) = -h yb + (h + h yb)
+    anti = anti_fock_act(y * yb + h, one + yb)
+    assert anti.terms == {(2, (0,), (0,)): 1}
+    for series in (star, fock, anti):
+        assert all(series.terms.values())
+
+
 def test_anti_fock_act_is_left_module_action():
     rng = random.Random(103)
     for _ in range(60):
