@@ -36,7 +36,13 @@ from .jets import (
     random_real_analytic_potential,
 )
 from .series import WickSeries
-from .suites import SUITES, composition_fits, peak_section_rows, run_suites
+from .suites import (
+    ENGINE_TRUNC,
+    SUITES,
+    composition_fits,
+    peak_section_rows,
+    run_suites,
+)
 from .wick import wick_star
 
 __all__ = ["JobSpec", "JobError", "Report", "load_job", "run", "main"]
@@ -48,6 +54,13 @@ ACCEPT_EXIT = 4
 MODES = ("wick-star", "bt-eval", "k-normalize", "rep-act", "cp1-verify",
          "suite")
 GENERATORS = ("flat", "fubini-study", "random-real-analytic")
+
+# Largest tensor power a composition fit may request.  The banded CP^1
+# oracle builds each matrix in O(m) exact cells, so m = 2^14 stays cheap.
+MS_CEILING = 2 ** 14
+# Largest partial-sum order and monomial degree of a composition fit; past
+# it the engine's Gram norm of z^p truncates to zero.
+ENGINE_REACH = ENGINE_TRUNC // 2
 
 
 class JobError(Exception):
@@ -87,6 +100,43 @@ def _field(data: dict, name: str, kind, required: bool = True, default=None):
         raise JobError(f"field \"{name}\": expected {kind.__name__}, "
                        f"got {value!r}")
     return value
+
+
+def _integers(values: list, name: str, low: int, high: int) -> tuple:
+    """JSON integers within [low, high]; bools and floats are rejected."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise JobError(f"field \"{name}\": expected integers, got "
+                           f"{value!r}")
+        if not low <= value <= high:
+            raise JobError(f"field \"{name}\": {value} is outside "
+                           f"{low}..{high}")
+    return tuple(values)
+
+
+def _parse_composition(comp: dict) -> dict:
+    orders = _integers(
+        _field(comp, "orders", list, required=False, default=[0, 1, 2]),
+        "composition.orders", 0, ENGINE_REACH)
+    ms = _integers(
+        _field(comp, "ms", list, required=False,
+               default=[32, 64, 128, 256, 512]),
+        "composition.ms", 1, MS_CEILING)
+    if not ms:
+        raise JobError("field \"composition.ms\": need at least one tensor "
+                       "power")
+    elements = []
+    for pair in _field(comp, "elements", list, required=False,
+                       default=[[0, 0], [1, 1]]):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise JobError(f"field \"composition.elements\": expected "
+                           f"[p, q] pairs, got {pair!r}")
+        p, q = _integers(pair, "composition.elements", 0, ENGINE_REACH)
+        if max(p, q) > min(ms):
+            raise JobError(f"field \"composition.elements\": no z^{max(p, q)}"
+                           f" section exists at m = {min(ms)}")
+        elements.append((p, q))
+    return {"orders": orders, "ms": ms, "elements": tuple(elements)}
 
 
 def _parse_series(data: dict, name: str, dim: int, trunc: int) -> WickSeries:
@@ -202,20 +252,7 @@ def _load_job_data(data: dict, trunc_ceiling: int) -> JobSpec:
         inputs = {"max_p": max_p, "max_order": max_order}
         comp = _field(data, "composition", dict, required=False)
         if comp is not None:
-            orders = _field(comp, "orders", list, required=False,
-                            default=[0, 1, 2])
-            ms = _field(comp, "ms", list, required=False,
-                        default=[32, 64, 128, 256, 512])
-            elements = _field(comp, "elements", list, required=False,
-                              default=[[0, 0], [1, 1]])
-            try:
-                inputs["composition"] = {
-                    "orders": tuple(int(n) for n in orders),
-                    "ms": tuple(int(m) for m in ms),
-                    "elements": tuple((int(p), int(q)) for p, q in elements),
-                }
-            except (TypeError, ValueError) as exc:
-                raise JobError(f"field \"composition\": {exc}") from None
+            inputs["composition"] = _parse_composition(comp)
         return JobSpec(mode, 1, trunc, inputs, out)
 
     dim = _field(data, "dim", int)

@@ -10,20 +10,35 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["ComplexRational", "Rat", "I", "parse_rational", "format_rational"]
+__all__ = ["ComplexRational", "Rat", "I", "parse_rational", "format_rational",
+           "LITERAL_DIGITS"]
 
 Rat = Fraction  # short alias used throughout the package
 
 _RatLike = (int, Fraction)
 
+# Most digits a rational literal may carry before its exponent; the exponent
+# itself may have at most two digits.  Together they keep every parsed value
+# below 10^200, far inside what the reports can print.
+LITERAL_DIGITS = 100
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal of the form ``"p/q"`` or ``"p"``.
 
-    Every malformed literal, a zero denominator included, is a ValueError.
+    Decimal forms such as ``"1.5e-3"`` are read exactly.  Every malformed
+    literal, a zero denominator or an oversized literal included, is a
+    ValueError; the size bound is checked before any number is formed.
     """
+    text = text.strip()
+    mantissa, _, exponent = text.lower().partition("e")
+    if sum(map(str.isdigit, mantissa)) > LITERAL_DIGITS \
+            or sum(map(str.isdigit, exponent)) > 2:
+        raise ValueError(f"rational literal too large (at most "
+                         f"{LITERAL_DIGITS} digits and a two-digit exponent): "
+                         f"{text[:24]!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 

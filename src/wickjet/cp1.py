@@ -7,6 +7,11 @@ This gives an independent route against which the formal engine's h-series
 are checked coefficient by coefficient under the dictionary h <-> 1/m (the
 dictionary is applied in this module and nowhere else).
 
+Circle symmetry makes a symbol term z^a zbar^b move z^p to z^(p+a-b) only,
+so Toeplitz matrices are stored by diagonals d = q - p: building one costs
+O(terms * m) exact cells rather than (m+1)^2, and a composed entry sums over
+pairs of diagonals.
+
 Floating point appears only in the final convergence-rate regressions and in
 numeric spot checks; all matrix data is exact.
 """
@@ -36,6 +41,13 @@ __all__ = [
     "symbol_jets",
     "fs_ratio_symbol",
 ]
+
+_ZERO = ComplexRational(0)
+
+
+def _cells(d: int, size: int) -> range:
+    """Columns p where diagonal d = q - p lies inside a size x size matrix."""
+    return range(max(0, -d), min(size, size - d))
 
 
 class FactorialRational:
@@ -258,22 +270,38 @@ def symbol_jets(f: RationalSymbol, order: int) -> FunctionJets:
 class ToeplitzMatrix:
     """Exact operator matrix in the monomial basis at a numeric tensor power.
 
-    ``entries[q][p]`` is the z^q coefficient of the operator applied to z^p.
-    The Gram-weighted pairing is Hermitian for real symbols.
+    Entry (q, p) is the z^q coefficient of the operator applied to z^p.  The
+    matrix is stored by diagonals: ``bands[d][p]`` is entry (p + d, p), each
+    band has length m + 1 with zeros where p + d leaves the basis, and
+    all-zero bands are not stored.  The Gram-weighted pairing is Hermitian
+    for real symbols.
     """
 
-    __slots__ = ("m", "entries")
+    __slots__ = ("m", "bands")
 
-    def __init__(self, m: int, entries):
+    def __init__(self, m: int, bands):
         m = int(m)
         if m < 1:
             raise PreconditionError("tensor power must be at least 1")
-        rows = tuple(tuple(ComplexRational.coerce(v) for v in row)
-                     for row in entries)
-        if len(rows) != m + 1 or any(len(row) != m + 1 for row in rows):
-            raise PreconditionError(f"entries must form a {m + 1} x {m + 1} matrix")
+        size = m + 1
+        store = {}
+        for d, band in dict(bands).items():
+            d = int(d)
+            band = tuple(ComplexRational.coerce(v) for v in band)
+            if abs(d) > m:
+                raise PreconditionError(f"diagonal {d} lies outside a "
+                                        f"{size} x {size} matrix")
+            if len(band) != size:
+                raise PreconditionError(f"diagonal {d} must have {size} "
+                                        f"entries")
+            inside = _cells(d, size)
+            if any(band[:inside.start]) or any(band[inside.stop:]):
+                raise PreconditionError(f"diagonal {d} has entries outside "
+                                        f"the matrix")
+            if any(band):
+                store[d] = band
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "bands", store)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("ToeplitzMatrix is immutable")
@@ -281,55 +309,83 @@ class ToeplitzMatrix:
     def __eq__(self, other):
         if not isinstance(other, ToeplitzMatrix):
             return NotImplemented
-        return (self.m, self.entries) == (other.m, other.entries)
+        return (self.m, self.bands) == (other.m, other.bands)
+
+    def _check_cell(self, q: int, p: int) -> None:
+        if not (0 <= q <= self.m and 0 <= p <= self.m):
+            raise PreconditionError(f"entry ({q}, {p}) lies outside the "
+                                    f"matrix at tensor power {self.m}")
+
+    def entry(self, q: int, p: int) -> ComplexRational:
+        """The z^q coefficient of the operator applied to z^p."""
+        self._check_cell(q, p)
+        band = self.bands.get(q - p)
+        return band[p] if band else _ZERO
+
+    def _stored(self):
+        """(q, p, value) for every cell on a stored diagonal."""
+        size = self.m + 1
+        for d, band in self.bands.items():
+            for p in _cells(d, size):
+                yield p + d, p, band[p]
+
+    @property
+    def entries(self) -> tuple:
+        """Read-only dense view: ``entries[q][p]`` is ``entry(q, p)``."""
+        size = self.m + 1
+        rows = [[_ZERO] * size for _ in range(size)]
+        for q, p, c in self._stored():
+            rows[q][p] = c
+        return tuple(map(tuple, rows))
 
     def apply(self, vector) -> tuple:
         vec = [ComplexRational.coerce(v) for v in vector]
         if len(vec) != self.m + 1:
             raise PreconditionError("vector length must be m + 1")
-        out = []
-        for row in self.entries:
-            acc = ComplexRational(0)
-            for c, v in zip(row, vec):
-                if c and v:
-                    acc = acc + c * v
-            out.append(acc)
+        out = [_ZERO] * len(vec)
+        for q, p, c in self._stored():
+            if c and vec[p]:
+                out[q] = out[q] + c * vec[p]
         return tuple(out)
 
     def compose(self, other: "ToeplitzMatrix") -> "ToeplitzMatrix":
         if self.m != other.m:
             raise PreconditionError("tensor powers differ")
         size = self.m + 1
-        zero = ComplexRational(0)
-        rows = []
-        for q in range(size):
-            row = []
-            for p in range(size):
-                acc = zero
-                for r in range(size):
-                    a = self.entries[q][r]
-                    b = other.entries[r][p]
+        bands = {}
+        for d2, right in other.bands.items():
+            for d1, left in self.bands.items():
+                d = d1 + d2
+                if abs(d) > self.m:
+                    continue
+                band = bands.setdefault(d, [_ZERO] * size)
+                # cell (p + d, p) through the middle index r = p + d2
+                through, into = _cells(d2, size), _cells(d, size)
+                for p in range(max(through.start, into.start),
+                               min(through.stop, into.stop)):
+                    a, b = left[p + d2], right[p]
                     if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
-        return ToeplitzMatrix(self.m, rows)
+                        band[p] = band[p] + a * b
+        return ToeplitzMatrix(self.m, bands)
 
     def pairing(self, p: int, q: int) -> ComplexRational:
         """The inner product of the image of z^p against z^q."""
-        return self.entries[q][p] * cp1_gram(self.m, q)
+        return self.entry(q, p) * cp1_gram(self.m, q)
 
     def composition_entry(self, other: "ToeplitzMatrix", p: int,
                           q: int) -> ComplexRational:
         """Entry (q, p) of the composed matrix without a full compose."""
         if self.m != other.m:
             raise PreconditionError("tensor powers differ")
-        acc = ComplexRational(0)
-        for r in range(self.m + 1):
-            a = self.entries[q][r]
-            b = other.entries[r][p]
-            if a and b:
-                acc = acc + a * b
+        self._check_cell(q, p)
+        acc = _ZERO
+        for d1, left in self.bands.items():
+            r = q - d1
+            right = other.bands.get(r - p)
+            if right is not None and 0 <= r <= self.m:
+                a, b = left[r], right[p]
+                if a and b:
+                    acc = acc + a * b
         return acc
 
     def composition_pairing(self, other: "ToeplitzMatrix", p: int,
@@ -340,11 +396,9 @@ class ToeplitzMatrix:
     def to_float(self) -> np.ndarray:
         size = self.m + 1
         out = np.zeros((size, size), dtype=complex)
-        for q in range(size):
-            for p in range(size):
-                c = self.entries[q][p]
-                if c:
-                    out[q, p] = complex(float(c.re), float(c.im))
+        for q, p, c in self._stored():
+            if c:
+                out[q, p] = complex(float(c.re), float(c.im))
         return out
 
     def hermitized(self) -> np.ndarray:
@@ -359,25 +413,28 @@ class ToeplitzMatrix:
 def cp1_toeplitz(m: int, f: RationalSymbol) -> ToeplitzMatrix:
     """Exact Toeplitz matrix of the symbol at tensor power m.
 
-    Entry (q, p) collects the Beta-integral pairings of f z^p against z^q,
-    divided by the Gram diagonal; all factorial ratios are consecutive
-    products, never raw factorials.
+    A term c z^a zbar^b fills only the diagonal q - p = a - b.  Entry (q, p)
+    collects the Beta-integral pairings of f z^p against z^q, divided by the
+    Gram diagonal; all factorial ratios are consecutive products, never raw
+    factorials.
     """
     if m < 1:
         raise PreconditionError("tensor power must be at least 1")
     d = f.denom_power
     size = m + 1
     denom = math.prod(m + s for s in range(2, d + 2))
-    entries = [[ComplexRational(0)] * size for _ in range(size)]
+    bands: dict = {}
     for (a, b), c in f.num.items():
-        for p in range(size):
-            q = p + a - b
-            if not 0 <= q < size:
-                continue
+        shift = a - b
+        if abs(shift) > m:
+            continue
+        band = bands.setdefault(shift, [_ZERO] * size)
+        for p in _cells(shift, size):
+            q = p + shift
             top = math.prod(range(q + 1, q + b + 1))
             mid = math.prod(m - q + i for i in range(1, d - b + 1))
-            entries[q][p] = entries[q][p] + c * Fraction(top * mid, denom)
-    return ToeplitzMatrix(m, entries)
+            band[p] = band[p] + c * Fraction(top * mid, denom)
+    return ToeplitzMatrix(m, bands)
 
 
 def peak_section(m: int, p: int) -> tuple:
@@ -433,42 +490,55 @@ def mobius_pullback(f: RationalSymbol, w) -> RationalSymbol:
     return RationalSymbol(total, d)
 
 
-def composition_residual(f: RationalSymbol, g: RationalSymbol, ms, order: int,
+def composition_residual(f: RationalSymbol, g: RationalSymbol, ms, orders,
                          predicted) -> dict:
     """Residual decay of exact composed matrix entries against predictions.
 
     ``predicted`` maps (p, q) to the engine's h-series for the matrix entry
     of the composed operator — the pairing of T_f T_g z^p against z^q
-    divided by the Gram norm of z^q.  For each m the exact entry is computed
-    from the oracle matrices, the order-``order`` partial sum of the
-    prediction is subtracted, and the residuals are fitted with a log-log
-    slope.  Identically-zero residuals are reported with ``fitted = None``
-    and ``exact = True``.
+    divided by the Gram norm of z^q.  For each m the oracle matrices are
+    built once (one matrix when g == f) and each exact entry is computed
+    once; for every order in ``orders`` the partial sum of the prediction
+    through h^order is subtracted, and the residuals are fitted with a
+    log-log slope.  The result maps order -> (p, q) -> fit.
+    Identically-zero residuals are reported with ``fitted = None`` and
+    ``exact = True``.
     """
     ms = sorted(set(int(m) for m in ms))
     if not ms:
         raise PreconditionError("need at least one tensor power")
-    matrices = {m: (cp1_toeplitz(m, f), cp1_toeplitz(m, g)) for m in ms}
-    results = {}
-    for (p, q), series in sorted(predicted.items()):
-        rows = []
-        for m in ms:
-            mf, mg = matrices[m]
+    orders = tuple(dict.fromkeys(int(n) for n in orders))
+    if any(n < 0 for n in orders):
+        raise PreconditionError("partial-sum orders must be non-negative")
+    rows = {order: {} for order in orders}
+    for m in ms:
+        mf = cp1_toeplitz(m, f)
+        mg = mf if g == f else cp1_toeplitz(m, g)
+        for (p, q), series in sorted(predicted.items()):
             exact = mf.composition_entry(mg, p, q)
-            partial = ComplexRational(0)
-            for k in range(order + 1):
-                coeff = series.coefficient_at_power(k)
-                if coeff:
+            powers = [(k2 // 2, c) for k2, c in series.sorted_terms()
+                      if k2 >= 0 and not k2 % 2]
+            for order in orders:
+                partial = _ZERO
+                for k, coeff in powers:
+                    if k > order:
+                        break
                     partial = partial + coeff * Fraction(1, m ** k)
-            residual = exact - partial
-            rows.append((m, exact, partial,
-                         abs(complex(float(residual.re), float(residual.im)))))
-        nonzero = [(m, r) for (m, _, _, r) in rows if r > 0.0]
-        if not nonzero:
-            results[(p, q)] = {"rows": rows, "fitted": None, "exact": True}
-            continue
-        xs = np.log([m for m, _ in nonzero])
-        ys = np.log([r for _, r in nonzero])
-        slope = float(np.polyfit(xs, ys, 1)[0]) if len(nonzero) > 1 else None
-        results[(p, q)] = {"rows": rows, "fitted": slope, "exact": False}
-    return results
+                residual = exact - partial
+                rows[order].setdefault((p, q), []).append(
+                    (m, exact, partial,
+                     abs(complex(float(residual.re), float(residual.im)))))
+    return {order: {key: _fit(element_rows)
+                    for key, element_rows in per_element.items()}
+            for order, per_element in rows.items()}
+
+
+def _fit(rows: list) -> dict:
+    """Log-log slope of the nonzero residuals among (m, exact, partial, r)."""
+    nonzero = [(m, r) for (m, _, _, r) in rows if r > 0.0]
+    if not nonzero:
+        return {"rows": rows, "fitted": None, "exact": True}
+    xs = np.log([m for m, _ in nonzero])
+    ys = np.log([r for _, r in nonzero])
+    slope = float(np.polyfit(xs, ys, 1)[0]) if len(nonzero) > 1 else None
+    return {"rows": rows, "fitted": slope, "exact": False}

@@ -52,6 +52,7 @@ __all__ = [
     "peak_section_rows",
     "peak_section_suite",
     "single_operator_suite",
+    "ENGINE_TRUNC",
     "engine_entry_series",
     "composition_fits",
     "composition_decay_suite",
@@ -400,7 +401,12 @@ def single_operator_suite(seed: int = 0, max_pq: int = 2,
 # 6. composition decay rates
 
 
-def engine_entry_series(elements, trunc: int = 10) -> dict:
+# Truncation of the composition predictions.  It holds the Gram norm
+# p! h^p of z^p, and the prediction's terms, only through h^(trunc/2).
+ENGINE_TRUNC = 10
+
+
+def engine_entry_series(elements, trunc: int = ENGINE_TRUNC) -> dict:
     """Formal-engine h-series of composed-operator matrix entries.
 
     For each requested (p, q) the engine pairs the twice-applied standard
@@ -422,11 +428,10 @@ def engine_entry_series(elements, trunc: int = 10) -> dict:
 
 def composition_fits(orders=(0, 1, 2), ms=(32, 64, 128, 256, 512),
                      elements=((0, 0), (1, 1))) -> dict:
-    """Residual fits per partial-sum order: {order: composition_residual map}."""
+    """Residual fits per partial-sum order: {order: {(p, q): fit}}."""
     predicted = engine_entry_series(tuple(elements))
     f = fs_ratio_symbol()
-    return {order: composition_residual(f, f, ms, order, predicted)
-            for order in orders}
+    return composition_residual(f, f, ms, orders, predicted)
 
 
 def composition_decay_suite(seed: int = 0) -> SuiteReport:

@@ -2,12 +2,14 @@
 
 The oracles here deliberately avoid the package's own algorithms: star
 products and module actions are recomputed through sympy's symbolic
-differentiation, so a kernel bug cannot cancel against itself.
+differentiation, and CP^1 Toeplitz matrices are tabulated densely from the
+Beta integral, so a kernel bug cannot cancel against itself.
 """
 
 from __future__ import annotations
 
 import random
+from math import factorial
 from fractions import Fraction
 
 import sympy as sp
@@ -213,3 +215,38 @@ def oracle_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
                 acted = h * sp.diff(acted, ys[i])
         expr += c * h ** (k2 // 2) * acted
     return sympy_to_series(expr, dim, trunc)
+
+
+# ---------------------------------------------------------------------------
+# dense CP^1 Toeplitz oracle
+
+
+def dense_cp1_toeplitz(m: int, symbol) -> list:
+    """Every cell of the CP^1 Toeplitz matrix, straight from the Beta integral.
+
+    For a term c z^a zbar^b / (1+|z|^2)^d the pairing of f z^p against z^q is
+    nonzero only when n = p + a = q + b, and then equals
+    c m B(n+1, m+d+1-n) = c m n! (m+d-n)! / (m+d+1)!; dividing by the Gram
+    norm m q! (m-q)! / (m+1)! gives cell (q, p).  Returns rows[q][p].
+    """
+    d = symbol.denom_power
+    rows = [[ComplexRational(0)] * (m + 1) for _ in range(m + 1)]
+    for q in range(m + 1):
+        for p in range(m + 1):
+            for (a, b), c in symbol.num.items():
+                n = p + a
+                if n != q + b:
+                    continue
+                beta = Fraction(factorial(n) * factorial(m + d - n),
+                                factorial(m + d + 1))
+                gram = Fraction(factorial(q) * factorial(m - q),
+                                factorial(m + 1))
+                rows[q][p] = rows[q][p] + c * (beta / gram)
+    return rows
+
+
+def dense_matmul(left: list, right: list) -> list:
+    """Plain triple-loop product of two ComplexRational row-list matrices."""
+    zero = ComplexRational(0)
+    return [[sum((row[r] * right[r][p] for r in range(len(right))), zero)
+             for p in range(len(right[0]))] for row in left]

@@ -307,8 +307,15 @@ def _potential_job(jet):
      "lhs": [dict(Y_RECORD, I=[1.7])]},
     {"mode": "wick-star", "dim": 1, "trunc": 6, "rhs": [YB_RECORD],
      "lhs": [dict(Y_RECORD, k2=True)]},
-], ids=["zero-denominator", "numeric-jet-re", "float-index", "bool-k2"])
+    {"mode": "wick-star", "dim": 1, "trunc": 6, "rhs": [YB_RECORD],
+     "lhs": [dict(Y_RECORD, re="1e999999")]},
+], ids=["zero-denominator", "numeric-jet-re", "float-index", "bool-k2",
+        "huge-exponent"])
 def test_main_malformed_records_exit_cleanly(tmp_path, payload):
+    _assert_rejected_in_subprocess(tmp_path, payload)
+
+
+def _assert_rejected_in_subprocess(tmp_path, payload):
     path = write_job(tmp_path, payload)
     src = Path(wickjet.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -318,3 +325,24 @@ def test_main_malformed_records_exit_cleanly(tmp_path, payload):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("wickjet: bad job:")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("composition", [
+    {"elements": [[6, 6]]},
+    {"elements": [[-1, -1]]},
+    {"elements": [[3, 3]], "ms": [2, 4]},
+    {"elements": [[1]]},
+    {"orders": [-1]},
+    {"orders": [10 ** 30]},
+    {"ms": [True, 64]},
+    {"ms": [32.9, 64]},
+    {"ms": []},
+    {"ms": [32, cli.MS_CEILING + 1]},
+], ids=["element-beyond-engine", "negative-element", "element-beyond-m",
+        "element-not-a-pair", "negative-order", "huge-order", "bool-m",
+        "float-m", "no-m", "m-above-ceiling"])
+def test_main_cp1_composition_fields_are_strict(tmp_path, composition):
+    _assert_rejected_in_subprocess(tmp_path, {
+        "mode": "cp1-verify", "max_p": 1, "max_order": 1,
+        "composition": composition})

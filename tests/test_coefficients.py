@@ -2,7 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from wickjet.coefficients import ComplexRational, format_rational, parse_rational
+from wickjet.coefficients import (
+    LITERAL_DIGITS,
+    ComplexRational,
+    format_rational,
+    parse_rational,
+)
 
 
 def test_construction_and_equality():
@@ -54,6 +59,15 @@ def test_rational_string_round_trip():
         value = parse_rational(text)
         assert parse_rational(format_rational(value)) == value
     assert format_rational(Fraction(-4, 6)) == "-2/3"
+
+
+def test_rational_literal_size_is_bounded():
+    assert parse_rational("1" * LITERAL_DIGITS) == int("1" * LITERAL_DIGITS)
+    assert parse_rational("-1.5e-99") == Fraction(-15, 10 ** 100)
+    for text in ("1" * (LITERAL_DIGITS + 1), "1e100", "1e999999", "2/1e1_000",
+                 "1/" + "3" * LITERAL_DIGITS):
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
 
 def test_complex_helpers():

@@ -5,6 +5,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from support import dense_cp1_toeplitz, dense_matmul
+from wickjet import suites
 from wickjet.coefficients import ComplexRational
 from wickjet.cp1 import (
     FactorialRational,
@@ -149,8 +151,8 @@ def test_peak_section_norm_is_the_gram_diagonal():
 
 def test_toeplitz_constant_symbol_is_identity():
     T = cp1_toeplitz(6, RationalSymbol.constant(1))
-    ident = [[1 if p == q else 0 for p in range(7)] for q in range(7)]
-    assert T == ToeplitzMatrix(6, ident)
+    assert T == ToeplitzMatrix(6, {0: (1,) * 7})
+    assert T.entry(3, 3) == 1 and not T.entry(3, 2)
 
 
 def test_toeplitz_fs_ratio_diagonal():
@@ -199,6 +201,82 @@ def test_toeplitz_norm_bounded_by_symbol_sup():
                 assert abs(val.imag) < 1e-9  # real symbols stay real
                 sup = max(sup, abs(val.real))
         assert np.max(np.abs(eigs)) <= sup + 1e-9
+
+
+def test_toeplitz_matrix_validation():
+    with pytest.raises(PreconditionError):
+        ToeplitzMatrix(0, {0: (1,)})
+    with pytest.raises(PreconditionError):
+        ToeplitzMatrix(3, {0: (1, 1, 1)})  # band shorter than m + 1
+    with pytest.raises(PreconditionError):
+        ToeplitzMatrix(3, {4: (0, 0, 0, 0)})  # diagonal beyond the matrix
+    with pytest.raises(PreconditionError):
+        ToeplitzMatrix(3, {1: (0, 0, 0, 1)})  # cell (4, 3) does not exist
+    assert ToeplitzMatrix(3, {0: (1,) * 4, 2: (0,) * 4}).bands == \
+        {0: (1,) * 4}  # all-zero bands are dropped
+    with pytest.raises(PreconditionError):
+        cp1_toeplitz(3, fs_ratio_symbol()).entry(4, 0)
+
+
+def _oracle_symbols():
+    w = ComplexRational(Fraction(1, 3), Fraction(-2, 5))
+    skew = RationalSymbol({
+        (2, 0): ComplexRational(Fraction(1, 2), 3),
+        (0, 1): ComplexRational(0, Fraction(-2, 7)),
+        (1, 2): Fraction(5, 3),
+        (0, 0): -1,
+    }, 2)
+    return [fs_ratio_symbol(), hermitian_test_symbol(), skew,
+            mobius_pullback(fs_ratio_symbol(), w),
+            mobius_pullback(skew, w)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 9])
+def test_toeplitz_matches_dense_oracle(m):
+    for f in _oracle_symbols():
+        assert [list(row) for row in cp1_toeplitz(m, f).entries] == \
+            dense_cp1_toeplitz(m, f)
+
+
+def test_mobius_pullback_fills_every_diagonal():
+    m = 4
+    w = ComplexRational(Fraction(1, 3), Fraction(-2, 5))
+    T = cp1_toeplitz(m, mobius_pullback(fs_ratio_symbol(), w))
+    assert sorted(T.bands) == [-1, 0, 1]
+    T = cp1_toeplitz(m, mobius_pullback(_oracle_symbols()[2], w))
+    assert sorted(T.bands) == [-2, -1, 0, 1, 2]
+
+
+@pytest.mark.parametrize("m", [2, 5, 8])
+def test_banded_products_match_dense_products(m):
+    symbols = _oracle_symbols()
+    vector = [ComplexRational(Fraction(i + 1, 3), Fraction(-i, 2))
+              for i in range(m + 1)]
+    column = [[v] for v in vector]
+    for f, g in zip(symbols, symbols[1:] + symbols[:1]):
+        tf, tg = cp1_toeplitz(m, f), cp1_toeplitz(m, g)
+        dense_f, dense_g = dense_cp1_toeplitz(m, f), dense_cp1_toeplitz(m, g)
+        product = dense_matmul(dense_f, dense_g)
+        assert [list(row) for row in tf.compose(tg).entries] == product
+        for q in range(m + 1):
+            for p in range(m + 1):
+                assert tf.composition_entry(tg, p, q) == product[q][p]
+        assert [[v] for v in tf.apply(vector)] == \
+            dense_matmul(dense_f, column)
+
+
+def test_composition_fits_build_one_matrix_per_tensor_power(monkeypatch):
+    calls = []
+
+    def counted(m, f):
+        calls.append(m)
+        return cp1_toeplitz(m, f)
+
+    monkeypatch.setattr("wickjet.cp1.cp1_toeplitz", counted)
+    ms = (16, 32, 64)
+    fits = suites.composition_fits(orders=(0, 1, 2), ms=ms)
+    assert sorted(calls) == list(ms)
+    assert list(fits) == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +355,7 @@ def test_composition_residual_constant_symbols_are_exact():
     one = RationalSymbol.constant(1)
     predicted = {(0, 0): HbarSeries(8, {0: 1}),
                  (1, 1): HbarSeries(8, {0: 1})}
-    out = composition_residual(one, one, [4, 8, 16], 2, predicted)
+    out = composition_residual(one, one, [4, 8, 16], (2,), predicted)[2]
     assert out[(0, 0)]["exact"] and out[(0, 0)]["fitted"] is None
     assert out[(1, 1)]["exact"]
     for m, exact, partial, residual in out[(1, 1)]["rows"]:
@@ -290,14 +368,23 @@ def test_composition_residual_detects_decay_orders():
     f = fs_ratio_symbol()
     closed = HbarSeries(8, {4: 1, 6: -4, 8: 12})
     ms = [16, 32, 64, 128]
+    out = composition_residual(f, f, ms, (0, 1, 2, 4), {(0, 0): closed})
+    assert list(out) == [0, 1, 2, 4]
     for order, bound in ((0, -0.7), (1, -1.7), (2, -2.7)):
-        out = composition_residual(f, f, ms, order, {(0, 0): closed})
-        fit = out[(0, 0)]
+        fit = out[order][(0, 0)]
         assert not fit["exact"]
         assert fit["fitted"] <= bound
     # a fourth-order partial sum flips the sign structure but still decays
-    out = composition_residual(f, f, ms, 4, {(0, 0): closed})
-    assert out[(0, 0)]["fitted"] <= -4.7
+    assert out[4][(0, 0)]["fitted"] <= -4.7
+
+
+def test_composition_residual_of_two_symbols():
+    f, g = fs_ratio_symbol(), RationalSymbol.constant(2)
+    ms = [4, 8, 16]
+    out = composition_residual(f, g, ms, (0, 1), {(1, 1): HbarSeries(4, {})})
+    for order in (0, 1):
+        assert [row[1] for row in out[order][(1, 1)]["rows"]] == \
+            [Fraction(4, m + 2) for m in ms]
 
 
 def test_composition_residual_against_engine_predictions():
@@ -316,7 +403,7 @@ def test_composition_residual_against_engine_predictions():
                                 ymono(q), w)
         gram = inner_product(ymono(q), ymono(q), w)
         predicted[(p, q)] = pairing * gram.reciprocal()
-    out = composition_residual(f, f, [16, 32, 64, 128], 1, predicted)
+    out = composition_residual(f, f, [16, 32, 64, 128], (1,), predicted)[1]
     assert out[(0, 1)]["exact"]
     assert out[(0, 0)]["fitted"] <= -1.7
     assert out[(1, 1)]["fitted"] <= -1.7
@@ -324,4 +411,8 @@ def test_composition_residual_against_engine_predictions():
 
 def test_composition_residual_requires_tensor_powers():
     with pytest.raises(PreconditionError):
-        composition_residual(fs_ratio_symbol(), fs_ratio_symbol(), [], 1, {})
+        composition_residual(fs_ratio_symbol(), fs_ratio_symbol(), [], (1,),
+                             {})
+    with pytest.raises(PreconditionError):
+        composition_residual(fs_ratio_symbol(), fs_ratio_symbol(), [4], (-1,),
+                             {})
