@@ -58,6 +58,12 @@ GENERATORS = ("flat", "fubini-study", "random-real-analytic")
 # Largest tensor power a composition fit may request.  The banded CP^1
 # oracle builds each matrix in O(m) exact cells, so m = 2^14 stays cheap.
 MS_CEILING = 2 ** 14
+# Largest monomial exponent of the peak-section rows.  Their cost about
+# quadruples with each doubling: 0.8 s at 64 through order 4.
+MAX_P_CEILING = 64
+# Largest number of complex variables a job may request.  An order-6
+# Fubini-Study normal form with its round trip takes about 0.3 s at dim 8.
+DIM_CEILING = 8
 # Largest partial-sum order and monomial degree of a composition fit; past
 # it the engine's Gram norm of z^p truncates to zero.
 ENGINE_REACH = ENGINE_TRUNC // 2
@@ -97,7 +103,9 @@ def _field(data: dict, name: str, kind, required: bool = True, default=None):
                            f"got {value!r}")
         return value
     if not isinstance(value, kind):
-        raise JobError(f"field \"{name}\": expected {kind.__name__}, "
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        raise JobError(f"field \"{name}\": expected "
+                       f"{' or '.join(k.__name__ for k in kinds)}, "
                        f"got {value!r}")
     return value
 
@@ -160,11 +168,14 @@ def _parse_jets(data: dict, name: str, dim: int, default_order: int) -> Function
         raise JobError(f"field \"{name}\": bad jet record: {exc}") from None
 
 
-def _parse_potential(data: dict, name: str, dim: int,
-                     default_order: int) -> PotentialJets:
+def _parse_potential(data: dict, name: str, dim: int, default_order: int,
+                     trunc_ceiling: int) -> PotentialJets:
     spec = _field(data, name, dict)
     generator = _field(spec, "generator", str, required=False)
     order = _field(spec, "order", int, required=False, default=default_order)
+    if order > trunc_ceiling:
+        raise JobError(f"potential order {order} is above the ceiling "
+                       f"{trunc_ceiling}")
     if generator is not None:
         if generator not in GENERATORS:
             raise JobError(f"field \"{name}\": unknown generator "
@@ -231,7 +242,8 @@ def _load_job_data(data: dict, trunc_ceiling: int) -> JobSpec:
     if mode == "suite":
         names = _field(data, "names", list, required=False)
         if names is not None:
-            unknown = [n for n in names if n not in SUITES]
+            unknown = [n for n in names
+                       if not isinstance(n, str) or n not in SUITES]
             if unknown:
                 raise JobError(f"field \"names\": unknown suites "
                                f"{', '.join(map(str, unknown))} (choose from "
@@ -245,6 +257,9 @@ def _load_job_data(data: dict, trunc_ceiling: int) -> JobSpec:
         if max_p < 0 or max_order < 0:
             raise JobError("fields \"max_p\"/\"max_order\" must be "
                            "non-negative")
+        if max_p > MAX_P_CEILING:
+            raise JobError(f"max_p {max_p} is above the ceiling "
+                           f"{MAX_P_CEILING}")
         trunc = 2 * max_order + 2
         if trunc > trunc_ceiling:
             raise JobError(f"max_order {max_order} needs truncation {trunc}, "
@@ -258,12 +273,11 @@ def _load_job_data(data: dict, trunc_ceiling: int) -> JobSpec:
     dim = _field(data, "dim", int)
     if dim < 1:
         raise JobError("field \"dim\" must be at least 1")
+    if dim > DIM_CEILING:
+        raise JobError(f"dim {dim} is above the ceiling {DIM_CEILING}")
 
     if mode == "k-normalize":
-        potential = _parse_potential(data, "potential", dim, 6)
-        if potential.order > trunc_ceiling:
-            raise JobError(f"potential order {potential.order} is above the "
-                           f"ceiling {trunc_ceiling}")
+        potential = _parse_potential(data, "potential", dim, 6, trunc_ceiling)
         return JobSpec(mode, dim, potential.order,
                        {"potential": potential}, out)
 
@@ -277,11 +291,13 @@ def _load_job_data(data: dict, trunc_ceiling: int) -> JobSpec:
         inputs = {"lhs": _parse_series(data, "lhs", dim, trunc),
                   "rhs": _parse_series(data, "rhs", dim, trunc)}
     elif mode == "bt-eval":
-        inputs = {"potential": _parse_potential(data, "potential", dim, trunc),
+        inputs = {"potential": _parse_potential(data, "potential", dim, trunc,
+                                               trunc_ceiling),
                   "lhs": _parse_jets(data, "lhs", dim, trunc),
                   "rhs": _parse_jets(data, "rhs", dim, trunc)}
     else:  # rep-act
-        inputs = {"potential": _parse_potential(data, "potential", dim, trunc),
+        inputs = {"potential": _parse_potential(data, "potential", dim, trunc,
+                                               trunc_ceiling),
                   "function": _parse_jets(data, "function", dim, trunc),
                   "element": _parse_series(data, "element", dim, trunc)}
     return JobSpec(mode, dim, trunc, inputs, out)
@@ -375,7 +391,7 @@ def _composition_csv(per_element: dict) -> str:
     writer.writerow(["m", "p", "q", "exact_value", "predicted_partial_sum",
                      "residual_float", "fitted_order"])
     for (p, q), fit in sorted(per_element.items()):
-        fitted = "exact" if fit["fitted"] is None else repr(fit["fitted"])
+        fitted = "exact" if fit["exact"] else repr(fit["fitted"])
         for m, exact, partial, residual in fit["rows"]:
             writer.writerow([m, p, q, _csv_value(exact), _csv_value(partial),
                              repr(residual), fitted])
@@ -411,7 +427,9 @@ def _run_cp1_verify(job: JobSpec) -> tuple:
                     slope = fit["fitted"]
                     good = slope is not None and slope <= bound
                     accepted = accepted and good
-                    verdict = (f"slope {slope:.3f} vs bound {bound:.1f} "
+                    # one nonzero residual fits no slope
+                    shown = "undetermined" if slope is None else f"{slope:.3f}"
+                    verdict = (f"slope {shown} vs bound {bound:.1f} "
                                f"{'ok' if good else 'FAILED'}")
                 lines.append(f"  order {order}, element ({p}, {q}): {verdict}")
             files[f"composition-order{order}.csv"] = \

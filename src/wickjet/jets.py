@@ -7,7 +7,10 @@ potential into the normal form ``|z|^2 + sum a_{JK} z^J zbar^K`` (both
 holomorphic coordinate change, computed degree by degree.  The volume-log
 jets are the jets of ``log det(d^2 varphi / dz dzbar)``, normalized so the
 flat potential yields exactly zero; together they assemble the weight series
-consumed by the integration pipeline.
+consumed by the integration pipeline.  They come from Jacobi's identity
+``log det M = sum_k (-1)^(k+1) tr(X^k) / k`` with ``X = M(0)^-1 (M - M(0))``,
+which stops at ``k = order - 2``, so their cost is polynomial in dim
+(``order * dim^3`` series products) rather than a ``dim!`` determinant.
 
 All arithmetic is exact.  The quadratic diagonalization therefore requires
 the pivots of the Hermitian (1,1) block to be perfect rational squares; the
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import random as _random
 from fractions import Fraction
-from itertools import permutations
 from math import isqrt
 
 from .coefficients import ComplexRational
@@ -492,46 +494,95 @@ def apply_normalization(raw: PotentialJets, coord_change, frame_change) -> Poten
 # volume-log jets and derived data
 
 
+def _invert_constant(matrix: list, dim: int):
+    """Gauss-Jordan inverse and determinant of a constant matrix.
+
+    Returns ``(inverse, det)``; a singular matrix gives ``(None, 0)``.
+    """
+    rows = [list(matrix[i]) + [ComplexRational(1 if i == j else 0)
+                               for j in range(dim)] for i in range(dim)]
+    det = ComplexRational(1)
+    for col in range(dim):
+        pivot = next((r for r in range(col, dim) if rows[r][col]), None)
+        if pivot is None:
+            return None, ComplexRational()
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det = det * rows[col][col]
+        inv = ComplexRational(1) / rows[col][col]
+        rows[col] = [v * inv for v in rows[col]]
+        for r in range(dim):
+            factor = rows[r][col]
+            if r != col and factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [row[dim:] for row in rows], det
+
+
 def _volume_log_series(varphi: WickSeries) -> WickSeries:
+    """log det M by Jacobi's identity, M = (d^2 varphi / dz_i dzbar_j).
+
+    With A = M(0) of determinant 1 and X = A^-1 (M - A), log det M is
+    sum_k (-1)^(k+1) tr(X^k) / k.  X has no constant term, so X^k vanishes
+    once k times the least degree of X passes order - 2 (a normal form's X
+    starts in degree 2).  Full powers are formed up to half that k; each
+    later trace takes only the diagonal of a product of two of them.
+    """
     dim = varphi.dim
     r2 = max(varphi.trunc - 2, 0)
-    zero = mi_zero(dim)
-    metric = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            terms = {}
-            for (k2, I, J), c in varphi.terms.items():
-                if I[i] and J[j]:
-                    key = (0, mi_sub(I, _unit(dim, i)), mi_sub(J, _unit(dim, j)))
-                    if sum(key[1]) + sum(key[2]) <= r2:
-                        terms[key] = c * (I[i] * J[j])
-            row.append(WickSeries(dim, r2, terms))
-        metric.append(row)
-    det = WickSeries.zero(dim, r2)
-    for perm in permutations(range(dim)):
-        prod = WickSeries.unit(dim, r2)
+    constant = [[ComplexRational()] * dim for _ in range(dim)]
+    rest = [[{} for _ in range(dim)] for _ in range(dim)]
+    for (_, I, J), c in varphi.terms.items():
         for i in range(dim):
-            prod = prod * metric[i][perm[i]]
-        inversions = sum(1 for a in range(dim) for b in range(a + 1, dim)
-                         if perm[a] > perm[b])
-        det = det + (-prod if inversions % 2 else prod)
-    constant = det.coefficient(0, zero, zero)
-    if not constant:
+            if not I[i]:
+                continue
+            di = mi_sub(I, _unit(dim, i))
+            for j in range(dim):
+                if not J[j]:
+                    continue
+                dj = mi_sub(J, _unit(dim, j))
+                coeff = c * (I[i] * J[j])
+                if not (any(di) or any(dj)):
+                    constant[i][j] = coeff
+                elif sum(di) + sum(dj) <= r2:
+                    rest[i][j][(0, di, dj)] = coeff
+    inverse, det = _invert_constant(constant, dim)
+    if not det:
         raise PreconditionError("the metric is degenerate at the marked point")
-    if constant != 1:
+    if det != 1:
         raise PreconditionError(
             "volume-log jets need unit metric determinant at the point; "
             "normalize the potential first")
-    x = det - WickSeries.unit(dim, r2)
-    out = WickSeries.zero(dim, r2)
-    power = WickSeries.unit(dim, r2)
-    for k in range(1, r2 + 1):
-        power = power * x
-        if not power:
-            break
-        out = out + power.scale(Fraction((-1) ** (k + 1), k))
-    return out
+    x = [[WickSeries(dim, r2, accumulate(
+        (key, a * c) for a, terms in zip(inverse[i], column) if a
+        for key, c in terms.items()))
+        for column in zip(*rest)] for i in range(dim)]
+
+    def entry(row: list, right: list, j: int) -> dict:
+        """Entry j of the product of a row with the matrix ``right``."""
+        return accumulate(pair for l in range(dim) if row[l] and right[l][j]
+                          for pair in (row[l] * right[l][j]).terms.items())
+
+    # X^k has degree at least k times the least degree of X
+    lowest = min((s.min_degree() for row in x for s in row if s), default=r2 + 1)
+    last = r2 // lowest
+    # full powers up to X^half; tr(X^k) = tr(X^half X^(k - half)) beyond
+    half = (last + 1) // 2
+    powers = [x]
+    while len(powers) < half:
+        powers.append([[WickSeries(dim, r2, entry(row, x, j)) for j in range(dim)]
+                       for row in powers[-1]])
+    out: dict = {}
+    for k in range(1, last + 1):
+        if k <= half:
+            diagonal = [powers[k - 1][i][i].terms for i in range(dim)]
+        else:
+            diagonal = [entry(powers[half - 1][i], powers[k - half - 1], i)
+                        for i in range(dim)]
+        weight = Fraction((-1) ** (k + 1), k)
+        accumulate(((key, c * weight) for terms in diagonal
+                    for key, c in terms.items()), out)
+    return WickSeries(dim, r2, out)
 
 
 def volume_log_jets(p: PotentialJets) -> dict:

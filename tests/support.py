@@ -2,20 +2,22 @@
 
 The oracles here deliberately avoid the package's own algorithms: star
 products and module actions are recomputed through sympy's symbolic
-differentiation, and CP^1 Toeplitz matrices are tabulated densely from the
-Beta integral, so a kernel bug cannot cancel against itself.
+differentiation, CP^1 Toeplitz matrices are tabulated densely from the
+Beta integral, and volume-log jets expand the metric determinant over all
+permutations, so a kernel bug cannot cancel against itself.
 """
 
 from __future__ import annotations
 
 import random
-from math import factorial
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import sympy as sp
 
 from wickjet.coefficients import ComplexRational
-from wickjet.series import WickSeries, iter_multi_indices, mi_zero
+from wickjet.series import WickSeries, iter_multi_indices, mi_sub, mi_zero
 
 # ---------------------------------------------------------------------------
 # random generators
@@ -250,3 +252,41 @@ def dense_matmul(left: list, right: list) -> list:
     zero = ComplexRational(0)
     return [[sum((row[r] * right[r][p] for r in range(len(right))), zero)
              for p in range(len(right[0]))] for row in left]
+
+
+# ---------------------------------------------------------------------------
+# permutation-expansion volume-log oracle
+
+
+def permutation_volume_log(varphi: WickSeries) -> dict:
+    """Jets of log det(d^2 varphi / dz dzbar), det expanded over dim! permutations.
+
+    Needs unit determinant at the point; returns ``{(I, J): coefficient}``
+    up to degree ``trunc - 2``.
+    """
+    dim = varphi.dim
+    r2 = max(varphi.trunc - 2, 0)
+    zero = mi_zero(dim)
+    unit = [tuple(1 if k == i else 0 for k in range(dim)) for i in range(dim)]
+    metric = [[WickSeries(dim, r2, {
+        (0, mi_sub(I, unit[i]), mi_sub(J, unit[j])): c * (I[i] * J[j])
+        for (_, I, J), c in varphi.terms.items()
+        if I[i] and J[j] and sum(I) + sum(J) - 2 <= r2})
+        for j in range(dim)] for i in range(dim)]
+    det = WickSeries.zero(dim, r2)
+    for perm in permutations(range(dim)):
+        prod = WickSeries.unit(dim, r2)
+        for i in range(dim):
+            prod = prod * metric[i][perm[i]]
+        inversions = sum(1 for a in range(dim) for b in range(a + 1, dim)
+                         if perm[a] > perm[b])
+        det = det + (-prod if inversions % 2 else prod)
+    if det.coefficient(0, zero, zero) != 1:
+        raise ValueError("the oracle needs unit metric determinant")
+    x = det - WickSeries.unit(dim, r2)
+    out = WickSeries.zero(dim, r2)
+    power = WickSeries.unit(dim, r2)
+    for k in range(1, r2 + 1):
+        power = power * x
+        out = out + power.scale(Fraction((-1) ** (k + 1), k))
+    return {(I, J): c for (_, I, J), c in out.terms.items()}

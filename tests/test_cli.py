@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -346,3 +347,141 @@ def test_main_cp1_composition_fields_are_strict(tmp_path, composition):
     _assert_rejected_in_subprocess(tmp_path, {
         "mode": "cp1-verify", "max_p": 1, "max_order": 1,
         "composition": composition})
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"mode": "wick-star", "dim": cli.DIM_CEILING + 1, "trunc": 4,
+      "lhs": [], "rhs": []}, "dim 9 is above the ceiling 8"),
+    ({"mode": "k-normalize", "dim": 10 ** 6,
+      "potential": {"generator": "fubini-study"}}, "above the ceiling"),
+    ({"mode": "cp1-verify", "max_p": cli.MAX_P_CEILING + 1},
+     "max_p 65 is above the ceiling 64"),
+    ({"mode": "bt-eval", "dim": 1, "trunc": 4,
+      "potential": {"generator": "fubini-study", "order": 10 ** 9},
+      "lhs": [Y_RECORD], "rhs": [YB_RECORD]},
+     "potential order 1000000000 is above the ceiling 16"),
+    ({"mode": "suite", "names": [["flat-reduction"]]}, "unknown suites"),
+    ({"mode": "bt-eval", "dim": 1, "trunc": 4, "potential": "flat",
+      "lhs": [Y_RECORD], "rhs": None}, "expected dict, got 'flat'"),
+    ({"mode": "bt-eval", "dim": 1, "trunc": 4,
+      "potential": {"generator": "flat"},
+      "lhs": [Y_RECORD], "rhs": None}, "expected dict or list, got None"),
+], ids=["dim", "huge-dim", "max-p", "potential-order", "unhashable-suite",
+        "potential-not-a-table", "jets-not-a-table"])
+def test_ceilings_and_field_types_are_checked_before_computation(
+        tmp_path, payload, message):
+    with pytest.raises(JobError, match=message):
+        load_job(write_job(tmp_path, payload), 16)
+
+
+def test_max_p_ceiling_runs(tmp_path, capsys):
+    path = write_job(tmp_path, {"mode": "cp1-verify", "max_order": 0,
+                                "max_p": cli.MAX_P_CEILING})
+    code, out, _ = run_main(capsys, "--job", path)
+    assert code == 0
+    assert out.count("EXACT MATCH") == cli.MAX_P_CEILING + 1
+
+
+def test_single_tensor_power_fit_is_an_acceptance_failure(tmp_path, capsys):
+    out_dir = tmp_path / "artifacts"
+    path = write_job(tmp_path, {
+        "mode": "cp1-verify", "max_p": 0, "max_order": 1,
+        "composition": {"orders": [1], "ms": [32], "elements": [[1, 1]]}})
+    code, out, _ = run_main(capsys, "--job", path, "--out", str(out_dir))
+    assert code == ACCEPT_EXIT
+    assert "order 1, element (1, 1): slope undetermined vs bound -1.7 " \
+        "FAILED" in out
+    rows = (out_dir / "composition-order1.csv").read_text().splitlines()
+    assert rows[1].endswith(",None")
+
+
+# ---------------------------------------------------------------------------
+# mutation fuzz of the job contract
+
+FUZZ_BASE_JOBS = [
+    {"mode": "wick-star", "dim": 2, "trunc": 6,
+     "lhs": [{"k2": 0, "I": [1, 0], "J": [0, 1], "re": "2/3", "im": "-1"}],
+     "rhs": [{"k2": 2, "I": [0, 1], "J": [0, 0], "re": "1/2", "im": "0"}]},
+    {"mode": "bt-eval", "dim": 1, "trunc": 4,
+     "potential": {"generator": "fubini-study", "order": 4},
+     "lhs": {"order": 4, "records": [Y_RECORD]}, "rhs": [YB_RECORD]},
+    {"mode": "rep-act", "dim": 1, "trunc": 4,
+     "potential": {"generator": "random-real-analytic", "seed": 3},
+     "function": [YB_RECORD], "element": [Y_RECORD]},
+    {"mode": "k-normalize", "dim": 2,
+     "potential": {"order": 4, "jets": [
+         {"I": [1, 0], "J": [1, 0], "re": "1", "im": "0"},
+         {"I": [0, 1], "J": [0, 1], "re": "1", "im": "0"},
+         {"I": [1, 0], "J": [0, 0], "re": "1/2", "im": "1"},
+         {"I": [0, 0], "J": [1, 0], "re": "1/2", "im": "-1"}]}},
+    {"mode": "cp1-verify", "max_p": 2, "max_order": 1,
+     "composition": {"orders": [0, 1], "ms": [32, 64],
+                     "elements": [[0, 0], [1, 1]]},
+     "out": {"report": "r.txt"}},
+    {"mode": "suite", "names": ["cp1-peak-section"], "seed": 1},
+]
+
+SWAPPED_VALUES = [True, 1.5, "x", [], None, {}, [1.7], [[1]]]
+HUGE_INTEGERS = [10 ** 9, 10 ** 30, -1, -10 ** 9, 0]
+BAD_RATIONALS = ["1/0", "abc", "1e999999", "", "1/", "--1", "nan", "inf",
+                 "1_0", "0x10", "9" * 101, 7, None, ["1"]]
+
+
+def _paths(value, prefix=()):
+    """Every (path, value) below a JSON value, parents before children."""
+    yield prefix, value
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(value, list):
+        for index, child in enumerate(value):
+            yield from _paths(child, prefix + (index,))
+
+
+def _replace(job, path, value=None, drop=False):
+    out = json.loads(json.dumps(job))
+    parent = out
+    for step in path[:-1]:
+        parent = parent[step]
+    if drop:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return out
+
+
+def _mutants(rng, job, count):
+    spots = [(path, value) for path, value in _paths(job) if path]
+    out = []
+    while len(out) < count:
+        path, value = rng.choice(spots)
+        kind = rng.randrange(4)
+        if kind == 0:
+            # dropping the suite names would run all eight suites
+            if path == ("names",):
+                continue
+            out.append(_replace(job, path, drop=True))
+        elif kind == 1:
+            out.append(_replace(job, path, rng.choice(SWAPPED_VALUES)))
+        elif kind == 2 and isinstance(value, int):
+            out.append(_replace(job, path, rng.choice(HUGE_INTEGERS)))
+        elif kind == 3 and path[-1] in ("re", "im"):
+            out.append(_replace(job, path, rng.choice(BAD_RATIONALS)))
+    return out
+
+
+@pytest.mark.parametrize("base", FUZZ_BASE_JOBS,
+                         ids=[job["mode"] for job in FUZZ_BASE_JOBS])
+def test_mutated_jobs_keep_the_exit_contract(tmp_path, capsys, base):
+    rng = random.Random(20260818)
+    code, _, err = run_main(capsys, "--job", write_job(tmp_path, base),
+                            "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    for mutant in _mutants(rng, base, 40):
+        path = write_job(tmp_path, mutant)
+        code, _, err = run_main(capsys, "--job", path,
+                                "--out", str(tmp_path / "out"))
+        assert code in (0, PARSE_EXIT, COMPUTE_EXIT, ACCEPT_EXIT), mutant
+        assert "Traceback" not in err, mutant
+        if code in (PARSE_EXIT, COMPUTE_EXIT):
+            assert err.count("\n") == 1, (mutant, err)

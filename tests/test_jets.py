@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,12 @@ from wickjet.jets import (
 )
 from wickjet.series import WickSeries
 
-from support import _sympy_symbols, sympy_to_series
+from support import (
+    _sympy_symbols,
+    permutation_volume_log,
+    random_coefficient,
+    sympy_to_series,
+)
 
 
 def e(dim, i):
@@ -213,6 +219,74 @@ def test_volume_log_requires_unit_determinant():
         volume_log_jets(PotentialJets(1, 4, {((1,), (1,)): 2}))
     with pytest.raises(PreconditionError):
         volume_log_jets(PotentialJets(1, 4, {((2,), (2,)): 1}))
+
+
+def exact_multi_index(rng, dim, degree):
+    index = [0] * dim
+    for _ in range(degree):
+        index[rng.randrange(dim)] += 1
+    return tuple(index)
+
+
+def near_normal_potential(seed, dim, order, quadratic=None, n_terms=4):
+    """A given (identity by default) quadratic part plus random real jets."""
+    rng = random.Random(seed)
+    varphi = {}
+    for (i, j), c in (quadratic or {(i, i): 1 for i in range(dim)}).items():
+        varphi[(e(dim, j), e(dim, i))] = ComplexRational.coerce(c)
+    for _ in range(n_terms):
+        degree = rng.randint(3, order)
+        left = rng.randint(1, degree - 1)
+        I = exact_multi_index(rng, dim, left)
+        J = exact_multi_index(rng, dim, degree - left)
+        c = random_coefficient(rng)
+        for key, value in (((I, J), c), ((J, I), c.conjugate())):
+            varphi[key] = varphi.get(key, ComplexRational()) + value
+    return PotentialJets(dim, order, varphi)
+
+
+def test_volume_log_matches_permutation_expansion():
+    cases = [fubini_study_potential(dim, 6) for dim in range(1, 6)]
+    cases += [near_normal_potential(seed, dim, 6 if dim < 5 else 5)
+              for dim in (3, 4, 5) for seed in (1, 2)]
+    # non-identity metrics of unit determinant exercise the exact inverse
+    half = Fraction(1, 2)
+    cases += [near_normal_potential(3, 2, 6, {(0, 0): 2, (1, 1): half}),
+              near_normal_potential(4, 2, 6, {(0, 0): -1, (1, 1): -1}),
+              near_normal_potential(5, 2, 5, {(0, 0): 2, (0, 1): 1,
+                                              (1, 0): 1, (1, 1): 1}),
+              near_normal_potential(9, 2, 6, {
+                  (0, 0): 2, (0, 1): ComplexRational(0, 1),
+                  (1, 0): ComplexRational(0, -1), (1, 1): 1}),
+              # a zero leading pivot forces a row swap
+              near_normal_potential(6, 3, 5, {(0, 1): 1, (1, 0): 1,
+                                              (2, 2): -1})]
+    for p in cases:
+        assert volume_log_jets(p) == permutation_volume_log(p.varphi_series())
+
+
+def test_volume_log_rejects_non_unit_constant_metrics():
+    with pytest.raises(PreconditionError, match="unit metric determinant"):
+        volume_log_jets(near_normal_potential(7, 2, 5, {(0, 1): 1, (1, 0): 1}))
+    with pytest.raises(PreconditionError, match="degenerate"):
+        volume_log_jets(near_normal_potential(8, 2, 5, {
+            (0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}))
+
+
+def test_volume_log_series_products_are_polynomial_in_dim(monkeypatch):
+    dim, order = 6, 6
+    fs = fubini_study_potential(dim, order)
+    calls = []
+    real_mul = WickSeries.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(WickSeries, "__mul__", counted)
+    assert volume_log_jets(fs) == fs.psi
+    # a dim! determinant expansion makes dim! * dim = 4320 products here
+    assert 0 < len(calls) <= (order - 2) * dim ** 3
 
 
 # ---------------------------------------------------------------------------
