@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import sys
+from math import comb
 from pathlib import Path
 from typing import NamedTuple
 
@@ -64,6 +65,14 @@ MAX_P_CEILING = 64
 # Largest number of complex variables a job may request.  An order-6
 # Fubini-Study normal form with its round trip takes about 0.3 s at dim 8.
 DIM_CEILING = 8
+# Most terms a dense series in h, y and yb may hold at a bt-eval or rep-act
+# job's dim and trunc (see dense_terms): the count at dim 2, trunc 10.
+# Both modes build e^(w/h) and solve Toeplitz symbols whose size follows
+# this count.  Under the default truncation ceiling the slowest admitted
+# jobs (dense random potentials at dim 2, trunc 10 or dim 3, trunc 6) take
+# about 4 s; dim 1 reaches trunc 25 only when --trunc-ceiling is raised,
+# and such a job can take 20 s.
+TERMS_CEILING = 1792
 # Largest partial-sum order and monomial degree of a composition fit; past
 # it the engine's Gram norm of z^p truncates to zero.
 ENGINE_REACH = ENGINE_TRUNC // 2
@@ -89,6 +98,12 @@ class Report(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # job parsing
+
+
+def dense_terms(dim: int, trunc: int) -> int:
+    """Terms h^k y^I yb^J, k >= 0, of degree 2k + |I| + |J| <= trunc in dim variables."""
+    return sum(comb(trunc - 2 * k + 2 * dim, 2 * dim)
+               for k in range(trunc // 2 + 1))
 
 
 def _field(data: dict, name: str, kind, required: bool = True, default=None):
@@ -286,6 +301,11 @@ def _load_job_data(data: dict, trunc_ceiling: int) -> JobSpec:
         raise JobError("field \"trunc\" must be non-negative")
     if trunc > trunc_ceiling:
         raise JobError(f"trunc {trunc} is above the ceiling {trunc_ceiling}")
+    if mode in ("bt-eval", "rep-act") \
+            and dense_terms(dim, trunc) > TERMS_CEILING:
+        raise JobError(f"dim {dim} with trunc {trunc} allows "
+                       f"{dense_terms(dim, trunc)} series terms, above the "
+                       f"ceiling {TERMS_CEILING}")
 
     if mode == "wick-star":
         inputs = {"lhs": _parse_series(data, "lhs", dim, trunc),

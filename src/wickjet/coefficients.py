@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 __all__ = ["ComplexRational", "Rat", "I", "parse_rational", "format_rational",
-           "LITERAL_DIGITS"]
+           "LITERAL_DIGITS", "random_rational", "random_coefficient"]
 
 Rat = Fraction  # short alias used throughout the package
 
@@ -62,8 +62,10 @@ class ComplexRational:
     im: Fraction
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # A part that is exactly a Fraction is kept as it is; any other
+        # value goes through Fraction().
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("ComplexRational is immutable")
@@ -184,3 +186,24 @@ class ComplexRational:
 
 
 I = ComplexRational(0, 1)
+
+
+def random_rational(rng, bound: int = 6, max_den: int = 4) -> Fraction:
+    """A numerator in [-bound, bound], then a denominator in [1, max_den]."""
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, max_den))
+
+
+def random_coefficient(rng, bound: int = 6, max_den: int = 4,
+                       complex_share: float = 0.5) -> ComplexRational:
+    """A nonzero random coefficient for seeded inputs.
+
+    Each attempt draws the real part, then ``rng.random()``, then the
+    imaginary part only when that draw is below ``complex_share``; the
+    draw order is fixed, so seeded inputs repeat exactly.
+    """
+    while True:
+        re = random_rational(rng, bound, max_den)
+        im = random_rational(rng, bound, max_den) \
+            if rng.random() < complex_share else 0
+        if re or im:
+            return ComplexRational(re, im)

@@ -23,7 +23,7 @@ import random as _random
 from fractions import Fraction
 from math import isqrt
 
-from .coefficients import ComplexRational
+from .coefficients import ComplexRational, random_coefficient, random_rational
 from .errors import PreconditionError, SolveError
 from .integrals import WeightSeries
 from .series import WickSeries, accumulate, mi_sub, mi_zero, read_record
@@ -680,19 +680,6 @@ def fubini_study_potential(dim: int, order: int) -> PotentialJets:
     return base.with_psi(volume_log_jets(base))
 
 
-def _random_fraction(rng: _random.Random, lo: int = -4, hi: int = 4,
-                     max_den: int = 3) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
-
-
-def _random_coefficient(rng: _random.Random) -> ComplexRational:
-    while True:
-        c = ComplexRational(_random_fraction(rng),
-                            _random_fraction(rng) if rng.random() < 0.6 else 0)
-        if c:
-            return c
-
-
 def random_real_analytic_potential(seed: int, dim: int, order: int,
                                    n_terms: int = 6) -> PotentialJets:
     """A random raw potential whose normalization succeeds in exact arithmetic.
@@ -716,8 +703,8 @@ def random_real_analytic_potential(seed: int, dim: int, order: int,
     for i in range(dim):
         for j in range(i):
             if rng.random() < 0.7:
-                lower[i][j] = ComplexRational(_random_fraction(rng, -2, 2, 2),
-                                              _random_fraction(rng, -2, 2, 2))
+                lower[i][j] = ComplexRational(random_rational(rng, 2, 2),
+                                              random_rational(rng, 2, 2))
     roots = [Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(dim)]
     for i in range(dim):
         for j in range(dim):
@@ -727,10 +714,10 @@ def random_real_analytic_potential(seed: int, dim: int, order: int,
             if acc:
                 add(_unit(dim, j), _unit(dim, i), acc)
 
-    add(mi_zero(dim), mi_zero(dim), _random_fraction(rng))
+    add(mi_zero(dim), mi_zero(dim), random_rational(rng, 4, 3))
     for i in range(dim):
         if rng.random() < 0.8:
-            c = _random_coefficient(rng)
+            c = random_coefficient(rng, 4, 3, 0.6)
             add(_unit(dim, i), mi_zero(dim), c)
             add(mi_zero(dim), _unit(dim, i), c.conjugate())
 
@@ -742,7 +729,7 @@ def random_real_analytic_potential(seed: int, dim: int, order: int,
             total = sum(I) + sum(J)
             if total < 2 or total > order or (sum(I) == 1 and sum(J) == 1):
                 continue
-            c = _random_coefficient(rng) * half
+            c = random_coefficient(rng, 4, 3, 0.6) * half
             add(I, J, c)
             add(J, I, c.conjugate())
             break

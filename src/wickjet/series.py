@@ -19,6 +19,8 @@ is structural on ``(dim, trunc, terms)``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .coefficients import ComplexRational, format_rational, parse_rational
@@ -34,6 +36,8 @@ __all__ = [
     "mi_factorial",
     "total_degree",
     "accumulate",
+    "integer_rows",
+    "rational_terms",
     "read_record",
     "WickSeries",
     "HbarSeries",
@@ -88,6 +92,45 @@ def accumulate(pairs: Iterable, out: dict | None = None) -> dict:
     for key, value in pairs:
         prev = get(key)
         out[key] = value if prev is None else prev + value
+    return out
+
+
+# The exact kernel.  Inner loops of products and actions run on Gaussian
+# integers: a series becomes integer numerator pairs over the lcm of its
+# coefficient denominators, sums of pair products stay integers over the
+# product of the two denominators, and each output term is normalised once.
+
+_ZERO = Fraction(0)
+
+
+def integer_rows(series: "WickSeries") -> tuple:
+    """``(D, rows)``: one ``(degree, key, a, b)`` row per term, coefficient (a + bi)/D.
+
+    D is the lcm of the coefficient denominators; rows are sorted by degree,
+    so a loop bounded by the truncation can stop at the first row past it.
+    """
+    terms = series.terms
+    dens = {c.re.denominator for c in terms.values()}
+    dens.update(c.im.denominator for c in terms.values())
+    D = lcm(*dens)
+    rows = [(k2 + sum(I) + sum(J), (k2, I, J),
+             c.re.numerator * (D // c.re.denominator),
+             c.im.numerator * (D // c.im.denominator))
+            for (k2, I, J), c in terms.items()]
+    rows.sort(key=itemgetter(0))
+    return D, rows
+
+
+def rational_terms(sums: dict, denominator: int) -> dict:
+    """``{key: [a, b]}`` integer sums over ``denominator`` as exact coefficients.
+
+    One Fraction is formed per nonzero part; sums that cancel are dropped.
+    """
+    out = {}
+    for key, (a, b) in sums.items():
+        if a or b:
+            out[key] = ComplexRational(Fraction(a, denominator) if a else _ZERO,
+                                       Fraction(b, denominator) if b else _ZERO)
     return out
 
 
@@ -278,8 +321,7 @@ class WickSeries:
         if not isinstance(other, WickSeries):
             return NotImplemented
         self._check_compatible(other)
-        return WickSeries(self.dim, self.trunc,
-                          accumulate(_product_terms(self, other)),
+        return WickSeries(self.dim, self.trunc, _product_terms(self, other),
                           self.lower_bound + other.lower_bound)
 
     def __rmul__(self, other):
@@ -357,15 +399,26 @@ class WickSeries:
         return cls(dim, trunc, terms, lower_bound)
 
 
-def _product_terms(f: WickSeries, g: WickSeries) -> Iterator[tuple]:
-    """Pairs of the pointwise product, skipping those beyond the truncation."""
+def _product_terms(f: WickSeries, g: WickSeries) -> dict:
+    """Terms of the pointwise product, pairs beyond the truncation never visited."""
+    df, rows_f = integer_rows(f)
+    dg, rows_g = integer_rows(g)
     trunc = f.trunc
-    for (k2f, If, Jf), cf in f.terms.items():
-        deg_f = k2f + sum(If) + sum(Jf)
-        for (k2g, Ig, Jg), cg in g.terms.items():
-            if deg_f + k2g + sum(Ig) + sum(Jg) > trunc:
-                continue
-            yield (k2f + k2g, mi_add(If, Ig), mi_add(Jf, Jg)), cf * cg
+    sums: dict = {}
+    get = sums.get
+    for deg_f, (k2f, If, Jf), a, b in rows_f:
+        room = trunc - deg_f
+        for deg_g, (k2g, Ig, Jg), c, d in rows_g:
+            if deg_g > room:
+                break
+            key = (k2f + k2g, tuple(map(add, If, Ig)), tuple(map(add, Jf, Jg)))
+            acc = get(key)
+            if acc is None:
+                sums[key] = [a * c - b * d, a * d + b * c]
+            else:
+                acc[0] += a * c - b * d
+                acc[1] += a * d + b * c
+    return rational_terms(sums, df * dg)
 
 
 def _format_hbar(k2: int) -> str:

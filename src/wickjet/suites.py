@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .btrep import BTContext, bt_star_eval, rep_act, vacuum_reduce
-from .coefficients import ComplexRational
+from .coefficients import ComplexRational, random_coefficient
 from .cp1 import (
     FactorialRational,
     composition_residual,
@@ -75,18 +75,6 @@ class SuiteReport(NamedTuple):
 # random inputs (self-contained so the front-end needs no test scaffolding)
 
 
-def _fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-
-
-def _coefficient(rng: random.Random) -> ComplexRational:
-    while True:
-        re = _fraction(rng)
-        im = _fraction(rng) if rng.random() < 0.5 else Fraction(0)
-        if re or im:
-            return ComplexRational(re, im)
-
-
 def _multi_index(rng: random.Random, dim: int, max_abs: int) -> tuple:
     index = [0] * dim
     for _ in range(rng.randint(0, max_abs)):
@@ -108,7 +96,7 @@ def _series(rng: random.Random, dim: int, trunc: int, n_terms: int = 3,
             if low > high:
                 continue
             k2 = 2 * rng.randint(low // 2, high // 2)
-            terms[(k2, I, J)] = _coefficient(rng)
+            terms[(k2, I, J)] = random_coefficient(rng)
             break
     return WickSeries(dim, trunc, terms)
 
@@ -123,7 +111,7 @@ def _holomorphic(rng: random.Random, dim: int, trunc: int,
     for _ in range(n_terms):
         I = _multi_index(rng, dim, trunc)
         k2 = 2 * rng.randint(0, (trunc - sum(I)) // 2)
-        terms[(k2, I, mi_zero(dim))] = _coefficient(rng)
+        terms[(k2, I, mi_zero(dim))] = random_coefficient(rng)
     return WickSeries(dim, trunc, terms)
 
 
@@ -136,7 +124,7 @@ def _jets(rng: random.Random, dim: int, order: int, n_terms: int = 3,
             J = _multi_index(rng, dim, 3)
             if sum(I) + sum(J) > order:
                 continue
-            terms[(0, I, J)] = _coefficient(rng)
+            terms[(0, I, J)] = random_coefficient(rng)
             break
     body = WickSeries(dim, order, terms)
     if real:
@@ -159,7 +147,7 @@ def _weight(rng: random.Random, dim: int, trunc: int, n_terms: int = 3,
             k2 = rng.choice((0, 2))
             if not 3 <= k2 + sum(I) + sum(J) <= 5:
                 continue
-            terms[(k2, I, J)] = _coefficient(rng)
+            terms[(k2, I, J)] = random_coefficient(rng)
             break
     body = WickSeries(dim, trunc, terms)
     return WeightSeries((body + body.conjugate()).scale(Fraction(1, 2)))
@@ -492,11 +480,11 @@ def _representation_contexts(trunc: int) -> list:
 def _random_fock(rng: random.Random, dim: int, trunc: int) -> WickSeries:
     """Nonzero model-space element whose leading term stays reducible."""
     terms = {(2 * rng.randint(0, 1), _multi_index(rng, dim, 1),
-              mi_zero(dim)): _coefficient(rng)}
+              mi_zero(dim)): random_coefficient(rng)}
     for _ in range(2):
         I = _multi_index(rng, dim, trunc)
         k2 = 2 * rng.randint(0, (trunc - sum(I)) // 2)
-        terms[(k2, I, mi_zero(dim))] = _coefficient(rng)
+        terms[(k2, I, mi_zero(dim))] = random_coefficient(rng)
     return WickSeries(dim, trunc, terms)
 
 

@@ -20,9 +20,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as _cartesian
 from math import comb
+from operator import add, sub
 
 from .errors import PreconditionError
-from .series import WickSeries, accumulate, mi_add, mi_sub
+from .series import WickSeries, integer_rows, rational_terms
 
 __all__ = [
     "wick_star",
@@ -45,33 +46,66 @@ def _falling(n: int, k: int) -> int:
 def wick_star(f: WickSeries, g: WickSeries) -> WickSeries:
     """The associative Wick product of two series (same dim and trunc)."""
     f._check_compatible(g)
-    return WickSeries(f.dim, f.trunc, accumulate(_star_terms(f, g)),
+    return WickSeries(f.dim, f.trunc, _star_terms(f, g),
                       f.lower_bound + g.lower_bound)
 
 
-def _star_terms(f: WickSeries, g: WickSeries):
+def _contractions(I: tuple, J: tuple) -> list:
+    """``(2|a|, I - a, J - a, scalar)`` for every multi-index a <= min(I, J).
+
+    The scalar (-1)^|a| prod comb(I_i, a_i) (J_i)_(a_i) is the coefficient
+    of h^|a| y^(I-a) yb^(J-a) in (-h)^|a| / a! d_y^a(y^I) d_yb^a(yb^J).
+    """
+    out = []
+    for alpha in _cartesian(*[range(min(i, j) + 1) for i, j in zip(I, J)]):
+        scalar = 1
+        for i, j, a in zip(I, J, alpha):
+            if a:
+                scalar *= comb(i, a) * _falling(j, a)
+        total = sum(alpha)
+        out.append((2 * total, tuple(map(sub, I, alpha)),
+                    tuple(map(sub, J, alpha)),
+                    -scalar if total % 2 else scalar))
+    return out
+
+
+def _star_terms(f: WickSeries, g: WickSeries) -> dict:
+    df, rows_f = integer_rows(f)
+    dg, rows_g = integer_rows(g)
     trunc = f.trunc
-    dim = f.dim
-    for (k2f, If, Jf), cf in f.terms.items():
-        deg_f = k2f + sum(If) + sum(Jf)
-        for (k2g, Ig, Jg), cg in g.terms.items():
-            if deg_f + k2g + sum(Ig) + sum(Jg) > trunc:
-                continue
-            base = cf * cg
-            ranges = [range(min(If[i], Jg[i]) + 1) for i in range(dim)]
-            for alpha in _cartesian(*ranges):
-                scalar = 1
-                for i in range(dim):
-                    a = alpha[i]
-                    if a:
-                        scalar *= comb(If[i], a) * _falling(Jg[i], a)
-                total_a = sum(alpha)
-                if total_a % 2:
-                    scalar = -scalar
-                key = (k2f + k2g + 2 * total_a,
-                       mi_add(mi_sub(If, alpha), Ig),
-                       mi_add(Jf, mi_sub(Jg, alpha)))
-                yield key, base * scalar
+    sums: dict = {}
+    get = sums.get
+    ways: dict = {}  # contractions per (I_f, J_g); the same pair recurs often
+    for deg_f, (k2f, If, Jf), a, b in rows_f:
+        room = trunc - deg_f
+        for deg_g, (k2g, Ig, Jg), c, d in rows_g:
+            if deg_g > room:
+                break
+            re = a * c - b * d
+            im = a * d + b * c
+            k2 = k2f + k2g
+            contractions = ways.get((If, Jg))
+            if contractions is None:
+                contractions = ways[If, Jg] = _contractions(If, Jg)
+            for t2, Ia, Ja, scalar in contractions:
+                key = (k2 + t2, tuple(map(add, Ia, Ig)),
+                       tuple(map(add, Jf, Ja)))
+                acc = get(key)
+                if acc is None:
+                    sums[key] = [re * scalar, im * scalar]
+                else:
+                    acc[0] += re * scalar
+                    acc[1] += im * scalar
+    return rational_terms(sums, df * dg)
+
+
+def _falling_product(top: tuple, lower: tuple) -> int:
+    """prod (top_i)_(lower_i); zero exactly when some top_i < lower_i."""
+    scalar = 1
+    for t, j in zip(top, lower):
+        if j:
+            scalar *= _falling(t, j)
+    return scalar
 
 
 def fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
@@ -79,27 +113,37 @@ def fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
     f._check_compatible(s)
     if not s.is_holomorphic():
         raise PreconditionError("fock_act target must be holomorphic (J = 0)")
-    return WickSeries(f.dim, f.trunc, accumulate(_fock_terms(f, s)),
+    return WickSeries(f.dim, f.trunc, _fock_terms(f, s),
                       f.lower_bound + s.lower_bound)
 
 
-def _fock_terms(f: WickSeries, s: WickSeries):
+def _fock_terms(f: WickSeries, s: WickSeries) -> dict:
+    df, rows_f = integer_rows(f)
+    ds, rows_s = integer_rows(s)
     trunc = f.trunc
     zero = (0,) * f.dim
-    for (k2, I, J), cf in f.terms.items():
-        deg_f = k2 + sum(I) + sum(J)
-        for (k2s, P, _), cs in s.terms.items():
-            if deg_f + k2s + sum(P) > trunc:
+    sums: dict = {}
+    get = sums.get
+    for deg_f, (k2, I, J), a, b in rows_f:
+        room = trunc - deg_f
+        k2 += 2 * sum(J)
+        for deg_s, (k2s, P, _), c, d in rows_s:
+            if deg_s > room:
+                break
+            top = tuple(map(add, I, P))
+            scalar = _falling_product(top, J)
+            if not scalar:
                 continue
-            top = mi_add(I, P)
-            if not all(top[i] >= J[i] for i in range(f.dim)):
-                continue
-            scalar = 1
-            for i in range(f.dim):
-                if J[i]:
-                    scalar *= _falling(top[i], J[i])
-            key = (k2 + k2s + 2 * sum(J), mi_sub(top, J), zero)
-            yield key, (cf * cs) * scalar
+            key = (k2 + k2s, tuple(map(sub, top, J)), zero)
+            re = (a * c - b * d) * scalar
+            im = (a * d + b * c) * scalar
+            acc = get(key)
+            if acc is None:
+                sums[key] = [re, im]
+            else:
+                acc[0] += re
+                acc[1] += im
+    return rational_terms(sums, df * ds)
 
 
 def anti_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
@@ -107,28 +151,37 @@ def anti_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
     f._check_compatible(s)
     if not s.is_antiholomorphic():
         raise PreconditionError("anti_fock_act target must be anti-holomorphic (I = 0)")
-    return WickSeries(f.dim, f.trunc, accumulate(_anti_fock_terms(f, s)),
+    return WickSeries(f.dim, f.trunc, _anti_fock_terms(f, s),
                       f.lower_bound + s.lower_bound)
 
 
-def _anti_fock_terms(f: WickSeries, s: WickSeries):
+def _anti_fock_terms(f: WickSeries, s: WickSeries) -> dict:
+    df, rows_f = integer_rows(f)
+    ds, rows_s = integer_rows(s)
     trunc = f.trunc
     zero = (0,) * f.dim
-    for (k2, I, J), cf in f.terms.items():
-        deg_f = k2 + sum(I) + sum(J)
-        for (k2s, _, Q), cs in s.terms.items():
-            if deg_f + k2s + sum(Q) > trunc:
+    sums: dict = {}
+    get = sums.get
+    for deg_f, (k2, I, J), a, b in rows_f:
+        room = trunc - deg_f
+        sign = -1 if sum(I) % 2 else 1
+        k2 += 2 * sum(I)
+        for deg_s, (k2s, _, Q), c, d in rows_s:
+            if deg_s > room:
+                break
+            scalar = sign * _falling_product(Q, I)
+            if not scalar:
                 continue
-            if not all(Q[i] >= I[i] for i in range(f.dim)):
-                continue
-            scalar = 1
-            for i in range(f.dim):
-                if I[i]:
-                    scalar *= _falling(Q[i], I[i])
-            if sum(I) % 2:
-                scalar = -scalar
-            key = (k2 + k2s + 2 * sum(I), zero, mi_add(mi_sub(Q, I), J))
-            yield key, (cf * cs) * scalar
+            key = (k2 + k2s, zero, tuple(map(add, map(sub, Q, I), J)))
+            re = (a * c - b * d) * scalar
+            im = (a * d + b * c) * scalar
+            acc = get(key)
+            if acc is None:
+                sums[key] = [re, im]
+            else:
+                acc[0] += re
+                acc[1] += im
+    return rational_terms(sums, df * ds)
 
 
 def classical_exp(h: WickSeries, divide_by_hbar: bool = False) -> WickSeries:

@@ -4,20 +4,30 @@ The oracles here deliberately avoid the package's own algorithms: star
 products and module actions are recomputed through sympy's symbolic
 differentiation, CP^1 Toeplitz matrices are tabulated densely from the
 Beta integral, and volume-log jets expand the metric determinant over all
-permutations, so a kernel bug cannot cancel against itself.
+permutations, so a kernel bug cannot cancel against itself.  The reference
+products and actions below visit every pair of terms in plain
+ComplexRational arithmetic, with none of the integer kernel's common
+denominators or degree-sorted early exits.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
+from itertools import permutations, product
+from math import comb, factorial
 
 import sympy as sp
 
 from wickjet.coefficients import ComplexRational
-from wickjet.series import WickSeries, iter_multi_indices, mi_sub, mi_zero
+from wickjet.series import (
+    WickSeries,
+    accumulate,
+    iter_multi_indices,
+    mi_add,
+    mi_sub,
+    mi_zero,
+)
 
 # ---------------------------------------------------------------------------
 # random generators
@@ -290,3 +300,81 @@ def permutation_volume_log(varphi: WickSeries) -> dict:
         power = power * x
         out = out + power.scale(Fraction((-1) ** (k + 1), k))
     return {(I, J): c for (_, I, J), c in out.terms.items()}
+
+
+# ---------------------------------------------------------------------------
+# plain ComplexRational references for the integer kernel
+
+
+def _falling(n: int, k: int) -> int:
+    out = 1
+    for i in range(k):
+        out *= n - i
+    return out
+
+
+def _within(f: WickSeries, g: WickSeries):
+    """Every pair of terms whose degrees sum to at most the truncation."""
+    for (k2f, If, Jf), cf in f.terms.items():
+        for (k2g, Ig, Jg), cg in g.terms.items():
+            if k2f + sum(If) + sum(Jf) + k2g + sum(Ig) + sum(Jg) <= f.trunc:
+                yield (k2f, If, Jf), cf, (k2g, Ig, Jg), cg
+
+
+def _series(f: WickSeries, g: WickSeries, pairs) -> WickSeries:
+    return WickSeries(f.dim, f.trunc, accumulate(pairs),
+                      f.lower_bound + g.lower_bound)
+
+
+def reference_product(f: WickSeries, g: WickSeries) -> WickSeries:
+    """Pointwise product, one ComplexRational product per pair of terms."""
+    return _series(f, g, (
+        ((k2f + k2g, mi_add(If, Ig), mi_add(Jf, Jg)), cf * cg)
+        for (k2f, If, Jf), cf, (k2g, Ig, Jg), cg in _within(f, g)))
+
+
+def reference_star(f: WickSeries, g: WickSeries) -> WickSeries:
+    """Wick product: every contraction alpha <= min(I_f, J_g) of every pair."""
+    def pairs():
+        for (k2f, If, Jf), cf, (k2g, Ig, Jg), cg in _within(f, g):
+            ranges = [range(min(i, j) + 1) for i, j in zip(If, Jg)]
+            for alpha in product(*ranges):
+                scalar = (-1) ** sum(alpha)
+                for i, j, a in zip(If, Jg, alpha):
+                    scalar *= comb(i, a) * _falling(j, a)
+                key = (k2f + k2g + 2 * sum(alpha),
+                       mi_add(mi_sub(If, alpha), Ig),
+                       mi_add(Jf, mi_sub(Jg, alpha)))
+                yield key, cf * cg * scalar
+    return _series(f, g, pairs())
+
+
+def reference_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
+    """y^I yb^J acting on holomorphic s as (h d_y)^J after multiplying by y^I."""
+    zero = mi_zero(f.dim)
+
+    def pairs():
+        for (k2, I, J), cf, (k2s, P, _), cs in _within(f, s):
+            top = mi_add(I, P)
+            if all(t >= j for t, j in zip(top, J)):
+                scalar = 1
+                for t, j in zip(top, J):
+                    scalar *= _falling(t, j)
+                yield ((k2 + k2s + 2 * sum(J), mi_sub(top, J), zero),
+                       cf * cs * scalar)
+    return _series(f, s, pairs())
+
+
+def reference_anti_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
+    """y^I yb^J acting on anti-holomorphic s as yb^J after (-h d_yb)^I."""
+    zero = mi_zero(f.dim)
+
+    def pairs():
+        for (k2, I, J), cf, (k2s, _, Q), cs in _within(f, s):
+            if all(q >= i for q, i in zip(Q, I)):
+                scalar = (-1) ** sum(I)
+                for q, i in zip(Q, I):
+                    scalar *= _falling(q, i)
+                yield ((k2 + k2s + 2 * sum(I), zero, mi_add(mi_sub(Q, I), J)),
+                       cf * cs * scalar)
+    return _series(f, s, pairs())

@@ -15,7 +15,7 @@ from wickjet import cli
 from wickjet.cli import ACCEPT_EXIT, COMPUTE_EXIT, PARSE_EXIT, JobError, load_job, main
 from wickjet.coefficients import ComplexRational
 from wickjet.jets import FunctionJets, jets_from_records, jets_to_records
-from wickjet.series import WickSeries
+from wickjet.series import WickSeries, iter_multi_indices
 
 
 def write_job(tmp_path, payload, name="job.json"):
@@ -372,6 +372,73 @@ def test_ceilings_and_field_types_are_checked_before_computation(
         tmp_path, payload, message):
     with pytest.raises(JobError, match=message):
         load_job(write_job(tmp_path, payload), 16)
+
+
+def _curved_job(mode, dim, trunc, generator="fubini-study"):
+    zero = [0] * dim
+    y = {"k2": 0, "I": [1] + zero[1:], "J": zero, "re": "1", "im": "0"}
+    yb = {"k2": 0, "I": zero, "J": [1] + zero[1:], "re": "1", "im": "0"}
+    job = {"mode": mode, "dim": dim, "trunc": trunc,
+           "potential": {"generator": generator, "seed": 3}}
+    if mode == "bt-eval":
+        job.update(lhs={"order": trunc, "records": [y]},
+                   rhs={"order": trunc, "records": [yb]})
+    else:
+        job.update(function={"order": trunc, "records": [yb]}, element=[y])
+    return job
+
+
+def test_dense_terms_counts_every_plain_monomial():
+    for dim in (1, 2, 3):
+        for trunc in range(7):
+            count = sum(1 for I in iter_multi_indices(2 * dim, trunc)
+                        for k in range((trunc - sum(I)) // 2 + 1))
+            assert cli.dense_terms(dim, trunc) == count
+    assert cli.dense_terms(2, 10) == cli.TERMS_CEILING
+
+
+@pytest.mark.parametrize("mode, dim, trunc", [
+    ("bt-eval", 8, 16), ("rep-act", 8, 16), ("bt-eval", 4, 10),
+    ("rep-act", 3, 7), ("bt-eval", 2, 11), ("bt-eval", 4, 6),
+])
+def test_joint_dim_trunc_ceiling_rejects_before_computation(
+        tmp_path, monkeypatch, mode, dim, trunc):
+    def refuse(*args):
+        raise AssertionError("a potential was generated")
+    monkeypatch.setattr(cli, "fubini_study_potential", refuse)
+    message = (f"dim {dim} with trunc {trunc} allows "
+               f"{cli.dense_terms(dim, trunc)} series terms, above the "
+               f"ceiling {cli.TERMS_CEILING}")
+    with pytest.raises(JobError, match=message):
+        load_job(write_job(tmp_path, _curved_job(mode, dim, trunc)), 16)
+
+
+@pytest.mark.parametrize("mode, dim, trunc", [
+    ("bt-eval", 1, 16), ("rep-act", 1, 16), ("bt-eval", 2, 10),
+    ("rep-act", 2, 10), ("bt-eval", 3, 6), ("rep-act", 4, 5),
+    ("bt-eval", 8, 3),
+])
+def test_joint_ceiling_admits_windows_up_to_dim_2_trunc_10(tmp_path, mode,
+                                                            dim, trunc):
+    job = load_job(write_job(tmp_path, _curved_job(mode, dim, trunc)), 16)
+    assert (job.dim, job.trunc) == (dim, trunc)
+
+
+def test_largest_fixture_window_runs(tmp_path, capsys):
+    code, out, err = run_main(capsys, "--job", write_job(
+        tmp_path, _curved_job("bt-eval", 2, 10)))
+    assert code == 0, err
+    assert "status: ok" in out
+    code, _, err = run_main(capsys, "--job", write_job(
+        tmp_path, _curved_job("rep-act", 2, 11)))
+    assert code == PARSE_EXIT
+    assert err.count("\n") == 1 and "above the ceiling 1792" in err
+
+
+def test_wick_star_jobs_have_no_joint_ceiling(tmp_path):
+    job = load_job(write_job(tmp_path, {
+        "mode": "wick-star", "dim": 8, "trunc": 16, "lhs": [], "rhs": []}), 16)
+    assert (job.dim, job.trunc) == (8, 16)
 
 
 def test_max_p_ceiling_runs(tmp_path, capsys):

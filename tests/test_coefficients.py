@@ -19,6 +19,22 @@ def test_construction_and_equality():
     assert ComplexRational(1, 1) != 1
 
 
+def test_exact_fraction_parts_are_kept_and_others_converted():
+    third = Fraction(1, 3)
+    a = ComplexRational(third, third)
+    assert a.re is third and a.im is third
+
+    class Tagged(Fraction):
+        pass
+
+    b = ComplexRational(Tagged(2, 4), True)
+    assert type(b.re) is Fraction and b.re == Fraction(1, 2)
+    assert type(b.im) is Fraction and b.im == 1
+    assert ComplexRational("-3/6", 2).re == Fraction(-1, 2)
+    with pytest.raises(TypeError):
+        ComplexRational(1j)
+
+
 def test_ring_operations():
     a = ComplexRational(1, 2)
     b = ComplexRational(Fraction(1, 3), -1)
