@@ -1,13 +1,14 @@
 """Pointwise Berezin-Toeplitz evaluation and the model-space representation.
 
 A :class:`BTContext` fixes the weight series of a marked point.  Function
-jets act through their Toeplitz symbols: ``bt_star_eval`` multiplies two
-symbols in the Wick algebra and collects the constant terms (the value of
-the deformed product at the point), while ``rep_act`` applies a symbol to a
-holomorphic model-space element.  ``vacuum_reduce`` constructs, for any
-nonzero model-space element, an extended function whose action maps it to a
-pure power of h up to terms beyond the requested degree — the constructive
-step behind irreducibility of the representation.
+jets are :class:`WickSeries` whose ``trunc`` is the jet order; they act
+through their Toeplitz symbols: ``bt_star_eval`` multiplies two symbols in
+the Wick algebra and collects the constant terms (the value of the deformed
+product at the point), while ``rep_act`` applies a symbol to a holomorphic
+model-space element.  ``vacuum_reduce`` constructs, for any nonzero
+model-space element, an extended function whose action maps it to a pure
+power of h up to terms beyond the requested degree — the constructive step
+behind irreducibility of the representation.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     TruncationMismatch,
 )
 from .integrals import WeightSeries, toeplitz_symbol
-from .jets import FunctionJets, function_to_wick, weight_series
+from .jets import weight_series
 from .series import WickSeries, mi_factorial, mi_zero
 from .wick import fock_act, wick_star
 
@@ -71,14 +72,14 @@ class BTContext:
         return f"BTContext(dim={self.dim}, trunc={self.trunc})"
 
 
-def _to_algebra(f: FunctionJets, ctx: BTContext) -> WickSeries:
-    """Transcribe jets into the context window; data beyond it is irrelevant."""
+def _to_algebra(f: WickSeries, ctx: BTContext) -> WickSeries:
+    """Move jets into the context window; data beyond it is irrelevant."""
     if f.dim != ctx.dim:
         raise DimensionMismatch(f"jets dim {f.dim} != context dim {ctx.dim}")
-    if f.order < ctx.trunc:
+    if f.trunc < ctx.trunc:
         raise PreconditionError(
-            f"jets supplied to order {f.order}, context needs {ctx.trunc}")
-    return function_to_wick(f).retruncate(ctx.trunc)
+            f"jets supplied to order {f.trunc}, context needs {ctx.trunc}")
+    return f.retruncate(ctx.trunc)
 
 
 def _check_fock(alpha: WickSeries, ctx: BTContext) -> None:
@@ -89,7 +90,7 @@ def _check_fock(alpha: WickSeries, ctx: BTContext) -> None:
             f"element trunc {alpha.trunc} != context trunc {ctx.trunc}")
 
 
-def bt_star_eval(f: FunctionJets, g: FunctionJets, ctx: BTContext):
+def bt_star_eval(f: WickSeries, g: WickSeries, ctx: BTContext):
     """Value of the deformed product of f and g at the marked point.
 
     Multiplies the two Toeplitz symbols in the Wick algebra and returns the
@@ -100,7 +101,7 @@ def bt_star_eval(f: FunctionJets, g: FunctionJets, ctx: BTContext):
     return wick_star(left, right).constant_part()
 
 
-def bt_coefficient(f: FunctionJets, g: FunctionJets, ctx: BTContext, k: int):
+def bt_coefficient(f: WickSeries, g: WickSeries, ctx: BTContext, k: int):
     """The k-th h-coefficient of the deformed product at the point."""
     if k < 0 or 2 * k > ctx.trunc:
         raise PreconditionError(
@@ -108,14 +109,14 @@ def bt_coefficient(f: FunctionJets, g: FunctionJets, ctx: BTContext, k: int):
     return bt_star_eval(f, g, ctx).coefficient(2 * k)
 
 
-def rep_act(f: FunctionJets, alpha: WickSeries, ctx: BTContext) -> WickSeries:
+def rep_act(f: WickSeries, alpha: WickSeries, ctx: BTContext) -> WickSeries:
     """Act on a holomorphic model-space element through the Toeplitz symbol."""
     _check_fock(alpha, ctx)
     symbol = toeplitz_symbol(_to_algebra(f, ctx), ctx.weight)
     return fock_act(symbol, alpha)
 
 
-def local_asymptotic_coeffs(f: FunctionJets, s: FunctionJets, ctx: BTContext,
+def local_asymptotic_coeffs(f: WickSeries, s: WickSeries, ctx: BTContext,
                             r: int) -> dict:
     """Asymptotic coefficients a[(k, I)] of the action on holomorphic jets.
 
@@ -140,7 +141,8 @@ def local_asymptotic_coeffs(f: FunctionJets, s: FunctionJets, ctx: BTContext,
 def vacuum_reduce(a: WickSeries, ctx: BTContext, target: int):
     """Reduce a model-space element to a pure h-power below the target degree.
 
-    Returns ``(f, l)``: extended function jets and a half-integer l with
+    Returns ``(f, l)``: extended function jets (a series that may carry
+    inverse h-powers) and a half-integer l with
     ``rep_act(f, a, ctx) == h^l`` up to terms of degree beyond ``target``.
     The construction kills the leading term with a conjugate-monomial symbol
     and then repairs the remainder degree by degree with holomorphic
@@ -186,5 +188,4 @@ def vacuum_reduce(a: WickSeries, ctx: BTContext, target: int):
         raise SolveError("vacuum reduction failed to clear the target window")
 
     exp_pos, exp_neg = ctx.weight.exponentials()
-    f_series = wick_star(exp_pos, symbol) * exp_neg
-    return FunctionJets.from_wick(f_series), Fraction(l2, 2)
+    return wick_star(exp_pos, symbol) * exp_neg, Fraction(l2, 2)

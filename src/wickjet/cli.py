@@ -26,7 +26,6 @@ from .btrep import BTContext, bt_star_eval, rep_act
 from .coefficients import format_rational
 from .errors import WickjetError
 from .jets import (
-    FunctionJets,
     PotentialJets,
     apply_normalization,
     flat_potential,
@@ -171,14 +170,14 @@ def _parse_series(data: dict, name: str, dim: int, trunc: int) -> WickSeries:
     return series
 
 
-def _parse_jets(data: dict, name: str, dim: int, default_order: int) -> FunctionJets:
+def _parse_jets(data: dict, name: str, dim: int, default_order: int) -> WickSeries:
     spec = _field(data, name, (dict, list))
     if isinstance(spec, list):
         spec = {"records": spec}
     order = _field(spec, "order", int, required=False, default=default_order)
     records = _field(spec, "records", list)
     try:
-        return FunctionJets.from_records(dim, order, records)
+        return WickSeries.from_records(dim, order, records)
     except (KeyError, TypeError, ValueError, WickjetError) as exc:
         raise JobError(f"field \"{name}\": bad jet record: {exc}") from None
 

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["ComplexRational", "Rat", "I", "parse_rational", "format_rational",
+__all__ = ["ComplexRational", "I", "parse_rational", "format_rational",
            "LITERAL_DIGITS", "random_rational", "random_coefficient"]
-
-Rat = Fraction  # short alias used throughout the package
 
 _RatLike = (int, Fraction)
 

@@ -19,13 +19,11 @@ numeric spot checks; all matrix data is exact.
 from __future__ import annotations
 
 import math
+import statistics
 from fractions import Fraction
-
-import numpy as np
 
 from .coefficients import ComplexRational
 from .errors import PreconditionError
-from .jets import FunctionJets
 from .series import HbarSeries, WickSeries, accumulate
 
 __all__ = [
@@ -251,7 +249,7 @@ def fs_ratio_symbol() -> RationalSymbol:
     return RationalSymbol({(1, 1): 1}, 1)
 
 
-def symbol_jets(f: RationalSymbol, order: int) -> FunctionJets:
+def symbol_jets(f: RationalSymbol, order: int) -> WickSeries:
     """Taylor jets of the symbol at the origin, for the formal engine."""
     t = WickSeries.monomial(1, order, 1, 0, (1,), (1,))
     geometric = WickSeries.unit(1, order)
@@ -264,7 +262,7 @@ def symbol_jets(f: RationalSymbol, order: int) -> FunctionJets:
     numerator = WickSeries(1, order, {
         (0, (a,), (b,)): c for (a, b), c in f.num.items()
         if a + b <= order})
-    return FunctionJets.from_wick(numerator * geometric)
+    return numerator * geometric
 
 
 class ToeplitzMatrix:
@@ -392,22 +390,6 @@ class ToeplitzMatrix:
                             q: int) -> ComplexRational:
         """Pairing of self(other(z^p)) against z^q without a full compose."""
         return self.composition_entry(other, p, q) * cp1_gram(self.m, q)
-
-    def to_float(self) -> np.ndarray:
-        size = self.m + 1
-        out = np.zeros((size, size), dtype=complex)
-        for q, p, c in self._stored():
-            if c:
-                out[q, p] = complex(float(c.re), float(c.im))
-        return out
-
-    def hermitized(self) -> np.ndarray:
-        """Similar Hermitian float matrix D^(1/2) M D^(-1/2), D the Gram."""
-        size = self.m + 1
-        gram = [float(cp1_gram(self.m, p)) for p in range(size)]
-        mat = self.to_float()
-        scale = np.sqrt(np.array(gram))
-        return (scale[:, None] * mat) / scale[None, :]
 
 
 def cp1_toeplitz(m: int, f: RationalSymbol) -> ToeplitzMatrix:
@@ -538,7 +520,9 @@ def _fit(rows: list) -> dict:
     nonzero = [(m, r) for (m, _, _, r) in rows if r > 0.0]
     if not nonzero:
         return {"rows": rows, "fitted": None, "exact": True}
-    xs = np.log([m for m, _ in nonzero])
-    ys = np.log([r for _, r in nonzero])
-    slope = float(np.polyfit(xs, ys, 1)[0]) if len(nonzero) > 1 else None
+    slope = None
+    if len(nonzero) > 1:
+        slope = statistics.linear_regression(
+            [math.log(m) for m, _ in nonzero],
+            [math.log(r) for _, r in nonzero]).slope
     return {"rows": rows, "fitted": slope, "exact": False}

@@ -30,13 +30,11 @@ from .series import WickSeries, accumulate, mi_sub, mi_zero, read_record
 
 __all__ = [
     "PotentialJets",
-    "FunctionJets",
     "CurvatureTensor",
     "k_normalize",
     "apply_normalization",
     "volume_log_jets",
     "weight_series",
-    "function_to_wick",
     "curvature",
     "flat_potential",
     "fubini_study_potential",
@@ -225,63 +223,6 @@ class PotentialJets:
     def __repr__(self) -> str:
         return (f"PotentialJets(dim={self.dim}, order={self.order}, "
                 f"terms={len(self.varphi)}, normalized={self.normalized})")
-
-
-class FunctionJets:
-    """Jets of a function at the marked point, with optional h-weights.
-
-    Terms are keyed ``(k2, I, J)`` exactly like the Wick algebra; negative
-    ``k2`` is allowed through ``lower_bound`` for the extended setting where
-    each h-order carries its own jet.
-    """
-
-    __slots__ = ("dim", "order", "terms", "lower_bound")
-
-    def __init__(self, dim: int, order: int, terms, lower_bound: int = 0):
-        series = WickSeries(dim, order, terms, lower_bound)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", series.terms)
-        object.__setattr__(self, "lower_bound", series.lower_bound)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("FunctionJets is immutable")
-
-    @classmethod
-    def from_wick(cls, series: WickSeries) -> "FunctionJets":
-        return cls(series.dim, series.trunc, series.terms, series.lower_bound)
-
-    @classmethod
-    def constant(cls, dim: int, order: int, value) -> "FunctionJets":
-        zero = mi_zero(dim)
-        return cls(dim, order, {(0, zero, zero): value})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FunctionJets):
-            return NotImplemented
-        return (self.dim, self.order, self.terms) == \
-            (other.dim, other.order, other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.order, frozenset(self.terms.items())))
-
-    def to_records(self) -> list:
-        return function_to_wick(self).to_records()
-
-    @classmethod
-    def from_records(cls, dim: int, order: int, records, lower_bound: int = 0):
-        series = WickSeries.from_records(dim, order, records, lower_bound)
-        return cls.from_wick(series)
-
-    def __repr__(self) -> str:
-        return (f"FunctionJets(dim={self.dim}, order={self.order}, "
-                f"terms={len(self.terms)})")
-
-    def __str__(self) -> str:
-        return str(function_to_wick(self))
 
 
 class CurvatureTensor:
@@ -617,11 +558,6 @@ def weight_series(p: PotentialJets, trunc: int) -> WeightSeries:
     if not (weight.is_real and weight.toeplitz_admissible and weight.refined):
         raise SolveError("normalized potential produced an inadmissible weight")
     return weight
-
-
-def function_to_wick(f: FunctionJets) -> WickSeries:
-    """Transcribe function jets into the Wick algebra, coefficient by coefficient."""
-    return WickSeries(f.dim, f.order, f.terms, f.lower_bound)
 
 
 def _index_pair(I):

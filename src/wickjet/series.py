@@ -29,10 +29,8 @@ from .errors import DegreeWindowError, DimensionMismatch, TruncationMismatch
 __all__ = [
     "MultiIndex",
     "mi_zero",
-    "mi_abs",
     "mi_add",
     "mi_sub",
-    "mi_leq",
     "mi_factorial",
     "total_degree",
     "accumulate",
@@ -50,21 +48,12 @@ def mi_zero(dim: int) -> MultiIndex:
     return (0,) * dim
 
 
-def mi_abs(index: MultiIndex) -> int:
-    return sum(index)
-
-
 def mi_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     return tuple(x + y for x, y in zip(a, b))
 
 
 def mi_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def mi_leq(a: MultiIndex, b: MultiIndex) -> bool:
-    """Componentwise a <= b."""
-    return all(x <= y for x, y in zip(a, b))
 
 
 def mi_factorial(index: MultiIndex) -> int:

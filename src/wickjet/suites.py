@@ -30,10 +30,8 @@ from .cp1 import (
 )
 from .integrals import WeightSeries, inner_product, toeplitz_apply, toeplitz_symbol
 from .jets import (
-    FunctionJets,
     apply_normalization,
     fubini_study_potential,
-    function_to_wick,
     k_normalize,
     random_real_analytic_potential,
     weight_series,
@@ -69,6 +67,22 @@ class SuiteReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return not self.failures
+
+
+class _Checks:
+    """A suite's check count and its "<label> failed at case <i>" failures."""
+
+    def __init__(self):
+        self.count = 0
+        self.failures: list = []
+
+    def __call__(self, ok: bool, label: str, case: int) -> None:
+        self.count += 1
+        if not ok:
+            self.failures.append(f"{label} failed at case {case}")
+
+    def report(self, name: str) -> SuiteReport:
+        return SuiteReport(name, self.count, tuple(self.failures))
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +130,7 @@ def _holomorphic(rng: random.Random, dim: int, trunc: int,
 
 
 def _jets(rng: random.Random, dim: int, order: int, n_terms: int = 3,
-          real: bool = False) -> FunctionJets:
+          real: bool = False) -> WickSeries:
     terms = {}
     for _ in range(n_terms):
         for _attempt in range(40):
@@ -129,7 +143,7 @@ def _jets(rng: random.Random, dim: int, order: int, n_terms: int = 3,
     body = WickSeries(dim, order, terms)
     if real:
         body = (body + body.conjugate()).scale(Fraction(1, 2))
-    return FunctionJets.from_wick(body)
+    return body
 
 
 def _weight(rng: random.Random, dim: int, trunc: int, n_terms: int = 3,
@@ -164,15 +178,7 @@ def _ymono(trunc: int, p: int) -> WickSeries:
 def wick_core_suite(seed: int = 0, cases: int = 200) -> SuiteReport:
     """Associativity, grading, module action, conjugation, exp/log round-trips."""
     rng = random.Random(seed)
-    failures: list = []
-    checks = 0
-
-    def check(ok: bool, label: str, case: int) -> None:
-        nonlocal checks
-        checks += 1
-        if not ok:
-            failures.append(f"{label} failed at case {case}")
-
+    check = _Checks()
     for i in range(cases):
         dim = rng.randint(1, 2)
         trunc = rng.choice((6, 7, 8))
@@ -209,7 +215,7 @@ def wick_core_suite(seed: int = 0, cases: int = 200) -> SuiteReport:
         check(star_log(u) == x and star_exp(star_log(u)) == u,
               "exp/log round-trip", i)
 
-    return SuiteReport("wick-core", checks, tuple(failures))
+    return check.report("wick-core")
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +224,7 @@ def wick_core_suite(seed: int = 0, cases: int = 200) -> SuiteReport:
 
 def formal_integral_suite(seed: int = 0, cases: int = 30) -> SuiteReport:
     rng = random.Random(seed)
-    failures: list = []
-    checks = 0
-
-    def check(ok: bool, label: str, case: int) -> None:
-        nonlocal checks
-        checks += 1
-        if not ok:
-            failures.append(f"{label} failed at case {case}")
-
+    check = _Checks()
     for i in range(cases):
         dim = rng.randint(1, 2)
         trunc = rng.choice((7, 8))
@@ -279,7 +277,7 @@ def formal_integral_suite(seed: int = 0, cases: int = 30) -> SuiteReport:
               == inner_product(s1, toeplitz_apply(f.conjugate(), s2, w), w),
               "adjoint law", i)
 
-    return SuiteReport("formal-integral", checks, tuple(failures))
+    return check.report("formal-integral")
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +285,7 @@ def formal_integral_suite(seed: int = 0, cases: int = 30) -> SuiteReport:
 
 
 def k_jet_suite(seed: int = 0, cases: int = 50) -> SuiteReport:
-    failures: list = []
-    checks = 0
-
-    def check(ok: bool, label: str, case: int) -> None:
-        nonlocal checks
-        checks += 1
-        if not ok:
-            failures.append(f"{label} failed at case {case}")
-
+    check = _Checks()
     for i in range(cases):
         dim = 1 + i % 2
         raw = random_real_analytic_potential(seed * 1009 + i, dim, 6)
@@ -315,7 +305,7 @@ def k_jet_suite(seed: int = 0, cases: int = 50) -> SuiteReport:
         check(w.is_real and w.toeplitz_admissible and w.refined,
               "weight flags", i)
 
-    return SuiteReport("k-jet", checks, tuple(failures))
+    return check.report("k-jet")
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +352,7 @@ def single_operator_suite(seed: int = 0, max_pq: int = 2,
     del seed  # deterministic
     trunc = 2 * max_order + 2
     w = weight_series(fubini_study_potential(1, trunc), trunc)
-    symbol = toeplitz_symbol(
-        function_to_wick(symbol_jets(fs_ratio_symbol(), trunc)), w)
+    symbol = toeplitz_symbol(symbol_jets(fs_ratio_symbol(), trunc), w)
     failures: list = []
     cases = 0
     for p in range(max_pq + 1):
@@ -402,8 +391,7 @@ def engine_entry_series(elements, trunc: int = ENGINE_TRUNC) -> dict:
     exactly the quantity the closed-form matrices tabulate per tensor power.
     """
     w = weight_series(fubini_study_potential(1, trunc), trunc)
-    symbol = toeplitz_symbol(
-        function_to_wick(symbol_jets(fs_ratio_symbol(), trunc)), w)
+    symbol = toeplitz_symbol(symbol_jets(fs_ratio_symbol(), trunc), w)
     out = {}
     for p, q in elements:
         pairing = inner_product(
@@ -455,7 +443,7 @@ def flat_reduction_suite(seed: int = 0, cases: int = 100) -> SuiteReport:
         dim = 1 + i % 2
         f = _jets(rng, dim, trunc)
         g = _jets(rng, dim, trunc)
-        direct = wick_star(function_to_wick(f), function_to_wick(g))
+        direct = wick_star(f, g)
         if bt_star_eval(f, g, contexts[dim]) != direct.constant_part():
             failures.append(f"flat evaluation differs from the plain star "
                             f"product at case {i}")

@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial
 
+import numpy as np
 import sympy as sp
 
 from wickjet.coefficients import ComplexRational
@@ -262,6 +263,20 @@ def dense_matmul(left: list, right: list) -> list:
     zero = ComplexRational(0)
     return [[sum((row[r] * right[r][p] for r in range(len(right))), zero)
              for p in range(len(right[0]))] for row in left]
+
+
+def hermitized(matrix) -> np.ndarray:
+    """Similar Hermitian float matrix D^(1/2) M D^(-1/2) of a CP^1 Toeplitz matrix.
+
+    D is the Gram diagonal m q! (m-q)! / (m+1)!, so the eigenvalues of the
+    result are those of the operator.
+    """
+    m = matrix.m
+    dense = np.array([[complex(float(c.re), float(c.im)) for c in row]
+                      for row in matrix.entries])
+    scale = np.sqrt([float(Fraction(m * factorial(q) * factorial(m - q),
+                                    factorial(m + 1))) for q in range(m + 1)])
+    return (scale[:, None] * dense) / scale[None, :]
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,7 @@ from wickjet.errors import (
 )
 from wickjet.integrals import WeightSeries, inner_product, toeplitz_symbol
 from wickjet.jets import (
-    FunctionJets,
     fubini_study_potential,
-    function_to_wick,
     k_normalize,
     random_real_analytic_potential,
 )
@@ -34,16 +32,12 @@ from support import random_coefficient, random_multi_index
 TRUNC = 6
 
 
-def jets(dim, order, mapping):
-    return FunctionJets(dim, order, mapping)
-
-
 def z_jets(order=TRUNC):
-    return jets(1, order, {(0, (1,), (0,)): 1})
+    return WickSeries(1, order, {(0, (1,), (0,)): 1})
 
 
 def zbar_jets(order=TRUNC):
-    return jets(1, order, {(0, (0,), (1,)): 1})
+    return WickSeries(1, order, {(0, (0,), (1,)): 1})
 
 
 def ymono(trunc, p, dim=1, k2=0):
@@ -63,7 +57,7 @@ def random_function_jets(rng, dim, order, n_terms=4, real=False):
     series = WickSeries(dim, order, {k: v for k, v in terms.items() if v})
     if real:
         series = (series + series.conjugate()).scale(Fraction(1, 2))
-    return FunctionJets.from_wick(series)
+    return series
 
 
 def random_fock(rng, dim, trunc, n_terms=3):
@@ -151,26 +145,26 @@ def test_constant_right_factor_scales_the_value():
     for ctx in (flat_ctx(), fs_ctx(), quartic_ctx()):
         f = random_function_jets(rng, 1, TRUNC)
         c = random_coefficient(rng)
-        g = FunctionJets.constant(1, TRUNC, c)
-        value = function_to_wick(f).coefficient(0, (0,), (0,)) * c
+        g = WickSeries.monomial(1, TRUNC, c)
+        value = f.coefficient(0, (0,), (0,)) * c
         expected = HbarSeries(TRUNC, {0: value})
         assert bt_star_eval(f, g, ctx) == expected
 
 
 def test_unit_factor_gives_exact_value_series():
     rng = random.Random(11)
-    one = FunctionJets.constant(1, TRUNC, 1)
+    one = WickSeries.unit(1, TRUNC)
     for ctx in (flat_ctx(), fs_ctx(), quartic_ctx()):
         for _ in range(4):
             g = random_function_jets(rng, 1, TRUNC)
-            g0 = function_to_wick(g).coefficient(0, (0,), (0,))
+            g0 = g.coefficient(0, (0,), (0,))
             expected = HbarSeries(TRUNC, {0: g0})
             assert bt_star_eval(one, g, ctx) == expected
             assert bt_star_eval(g, one, ctx) == expected
     two = random_ctx(3)
-    one2 = FunctionJets.constant(2, TRUNC, 1)
+    one2 = WickSeries.unit(2, TRUNC)
     g = random_function_jets(rng, 2, TRUNC)
-    g0 = function_to_wick(g).coefficient(0, (0, 0), (0, 0))
+    g0 = g.coefficient(0, (0, 0), (0, 0))
     assert bt_star_eval(one2, g, two) == HbarSeries(TRUNC, {0: g0})
     assert bt_star_eval(g, one2, two) == HbarSeries(TRUNC, {0: g0})
 
@@ -191,8 +185,8 @@ def test_zeroth_coefficient_is_the_pointwise_product():
         for _ in range(4):
             f = random_function_jets(rng, 1, TRUNC)
             g = random_function_jets(rng, 1, TRUNC)
-            f0 = function_to_wick(f).coefficient(0, (0,), (0,))
-            g0 = function_to_wick(g).coefficient(0, (0,), (0,))
+            f0 = f.coefficient(0, (0,), (0,))
+            g0 = g.coefficient(0, (0,), (0,))
             assert bt_coefficient(f, g, ctx, 0) == f0 * g0
 
 
@@ -206,9 +200,7 @@ def test_pointwise_associativity_through_symbols():
         for _ in range(3):
             symbols = [
                 toeplitz_symbol(
-                    function_to_wick(
-                        random_function_jets(rng, ctx.dim, ctx.trunc)),
-                    ctx.weight)
+                    random_function_jets(rng, ctx.dim, ctx.trunc), ctx.weight)
                 for _ in range(3)
             ]
             a, b, c = symbols
@@ -222,11 +214,9 @@ def test_holomorphic_right_factor_multiplies_pointwise():
     for ctx in (fs_ctx(), quartic_ctx(), random_ctx(9)):
         for _ in range(4):
             g = random_function_jets(rng, ctx.dim, ctx.trunc)
-            holo = random_function_jets(rng, ctx.dim, ctx.trunc)
-            holo = FunctionJets.from_wick(
-                function_to_wick(holo).holomorphic_part())
-            symbol_g = toeplitz_symbol(function_to_wick(g), ctx.weight)
-            jf = function_to_wick(holo)
+            jf = random_function_jets(
+                rng, ctx.dim, ctx.trunc).holomorphic_part()
+            symbol_g = toeplitz_symbol(g, ctx.weight)
             assert wick_star(symbol_g, jf) == symbol_g * jf
             # a holomorphic function is its own symbol, so the deformed
             # product against it reduces to pointwise multiplication
@@ -240,8 +230,7 @@ def test_flat_reduction_matches_plain_wick_star():
         for _ in range(10):
             f = random_function_jets(rng, dim, TRUNC)
             g = random_function_jets(rng, dim, TRUNC)
-            expected = wick_star(function_to_wick(f),
-                                 function_to_wick(g)).constant_part()
+            expected = wick_star(f, g).constant_part()
             assert bt_star_eval(f, g, ctx) == expected
 
 
@@ -249,11 +238,11 @@ def test_locality_ignores_beyond_order_jets():
     rng = random.Random(43)
     ctx = fs_ctx()
     base = random_function_jets(rng, 1, TRUNC)
-    padded = dict(function_to_wick(base).terms)
+    padded = dict(base.terms)
     padded[(0, (4,), (3,))] = ComplexRational(Fraction(9, 7))
     padded[(2, (3,), (3,))] = ComplexRational(0, Fraction(-5, 3))
-    wide = FunctionJets(1, TRUNC + 2, padded)
-    narrow = FunctionJets(1, TRUNC + 2, function_to_wick(base).terms)
+    wide = WickSeries(1, TRUNC + 2, padded)
+    narrow = base.retruncate(TRUNC + 2)
     g = random_function_jets(rng, 1, TRUNC)
     assert bt_star_eval(wide, g, ctx) == bt_star_eval(narrow, g, ctx)
     alpha = ymono(TRUNC, 2)
@@ -288,10 +277,9 @@ def test_rep_act_flat_examples():
 def test_rep_act_holomorphic_is_multiplication_everywhere():
     rng = random.Random(53)
     for ctx in (fs_ctx(), random_ctx(13)):
-        holo = random_function_jets(rng, ctx.dim, ctx.trunc)
-        holo = FunctionJets.from_wick(function_to_wick(holo).holomorphic_part())
+        holo = random_function_jets(rng, ctx.dim, ctx.trunc).holomorphic_part()
         alpha = random_fock(rng, ctx.dim, ctx.trunc)
-        assert rep_act(holo, alpha, ctx) == function_to_wick(holo) * alpha
+        assert rep_act(holo, alpha, ctx) == holo * alpha
 
 
 def test_rep_act_validates_inputs():
@@ -299,7 +287,8 @@ def test_rep_act_validates_inputs():
     with pytest.raises(PreconditionError):
         rep_act(zbar_jets(order=4), ymono(TRUNC, 1), ctx)
     with pytest.raises(DimensionMismatch):
-        rep_act(jets(2, TRUNC, {(0, (0, 1), (0, 0)): 1}), ymono(TRUNC, 1), ctx)
+        rep_act(WickSeries(2, TRUNC, {(0, (0, 1), (0, 0)): 1}),
+                ymono(TRUNC, 1), ctx)
     with pytest.raises(TruncationMismatch):
         rep_act(zbar_jets(), ymono(TRUNC + 2, 1), ctx)
     with pytest.raises(PreconditionError):
@@ -319,7 +308,7 @@ def test_asymptotics_flat_lowering():
 
 def test_asymptotics_constant_section():
     ctx = fs_ctx()
-    one = FunctionJets.constant(1, TRUNC, 1)
+    one = WickSeries.unit(1, TRUNC)
     coeffs = local_asymptotic_coeffs(one, one, ctx, TRUNC)
     assert coeffs == {(0, (0,)): ComplexRational(1)}
 
@@ -334,7 +323,7 @@ def test_asymptotics_fs_lowering_is_exact():
 
 def test_asymptotics_corrections_start_at_degree_four():
     ctx = fs_ctx()
-    quad = jets(1, TRUNC, {(0, (2,), (0,)): 1})
+    quad = WickSeries(1, TRUNC, {(0, (2,), (0,)): 1})
     coeffs = local_asymptotic_coeffs(zbar_jets(), quad, ctx, TRUNC)
     assert coeffs[(1, (1,))] == ComplexRational(2)
     others = {key for key in coeffs if key != (1, (1,))}
@@ -368,7 +357,7 @@ def test_asymptotics_windows_and_preconditions():
 def test_vacuum_reduce_unit_element():
     for ctx in (flat_ctx(), fs_ctx(), quartic_ctx()):
         f, level = vacuum_reduce(WickSeries.unit(1, TRUNC), ctx, TRUNC)
-        assert f == FunctionJets.constant(1, TRUNC, 1)
+        assert f == WickSeries.unit(1, TRUNC)
         assert level == 0
 
 

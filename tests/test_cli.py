@@ -14,7 +14,7 @@ import wickjet
 from wickjet import cli
 from wickjet.cli import ACCEPT_EXIT, COMPUTE_EXIT, PARSE_EXIT, JobError, load_job, main
 from wickjet.coefficients import ComplexRational
-from wickjet.jets import FunctionJets, jets_from_records, jets_to_records
+from wickjet.jets import jets_from_records, jets_to_records
 from wickjet.series import WickSeries, iter_multi_indices
 
 
@@ -60,7 +60,7 @@ def test_jet_records_round_trip():
     records = jets_to_records(jets)
     assert records == [{"I": [2], "J": [1], "re": "1/3", "im": "4"}]
     assert jets_from_records(records, 1, 6) == jets
-    f = FunctionJets.from_records(1, 6, [Y_RECORD])
+    f = WickSeries.from_records(1, 6, [Y_RECORD])
     assert f.to_records() == [Y_RECORD]
 
 
@@ -327,6 +327,16 @@ def _assert_rejected_in_subprocess(tmp_path, payload):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("wickjet: bad job:")
     assert proc.stderr.count("\n") == 1
+
+
+def test_cli_import_leaves_numpy_out():
+    src = Path(wickjet.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, wickjet.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("composition", [

@@ -5,13 +5,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from support import dense_cp1_toeplitz, dense_matmul
+from support import dense_cp1_toeplitz, dense_matmul, hermitized
 from wickjet import suites
 from wickjet.coefficients import ComplexRational
 from wickjet.cp1 import (
     FactorialRational,
     RationalSymbol,
     ToeplitzMatrix,
+    _fit,
     composition_residual,
     cp1_gram,
     cp1_inner,
@@ -23,12 +24,7 @@ from wickjet.cp1 import (
 )
 from wickjet.errors import PreconditionError
 from wickjet.integrals import inner_product, toeplitz_symbol
-from wickjet.jets import (
-    FunctionJets,
-    fubini_study_potential,
-    function_to_wick,
-    weight_series,
-)
+from wickjet.jets import fubini_study_potential, weight_series
 from wickjet.series import HbarSeries, WickSeries
 from wickjet.wick import fock_act
 
@@ -193,7 +189,7 @@ def test_toeplitz_norm_bounded_by_symbol_sup():
     m = 12
     for f in (fs_ratio_symbol(), hermitian_test_symbol()):
         T = cp1_toeplitz(m, f)
-        eigs = np.linalg.eigvalsh(T.hermitized())
+        eigs = np.linalg.eigvalsh(hermitized(T))
         sup = 0.0
         for r in np.linspace(0.0, 60.0, 241):
             for theta in np.linspace(0.0, 2 * np.pi, 32, endpoint=False):
@@ -279,6 +275,35 @@ def test_composition_fits_build_one_matrix_per_tensor_power(monkeypatch):
     assert list(fits) == [0, 1, 2]
 
 
+def test_fit_recovers_exact_power_law_slopes():
+    for k in range(1, 5):
+        for ms in ((32, 64, 128, 256, 512, 1024), (4096, 8192, 16384)):
+            fit = _fit([(m, None, None, 3.7 * m ** -k) for m in ms])
+            assert not fit["exact"]
+            assert abs(fit["fitted"] + k) <= 1e-12
+    assert _fit([(m, None, None, 0.0) for m in (32, 64)]) == {
+        "rows": [(32, None, None, 0.0), (64, None, None, 0.0)],
+        "fitted": None, "exact": True}
+    single = _fit([(32, None, None, 0.0), (64, None, None, 1e-3)])
+    assert single["fitted"] is None and not single["exact"]
+
+
+def test_fit_agrees_with_numpy_polyfit():
+    fits = suites.composition_fits(orders=(0, 1, 2, 3, 4),
+                                   elements=((0, 0), (1, 1), (2, 2)))
+    compared = 0
+    for per_element in fits.values():
+        for fit in per_element.values():
+            nonzero = [(m, r) for m, _, _, r in fit["rows"] if r > 0.0]
+            if len(nonzero) < 2:
+                continue
+            expected = np.polyfit(np.log([m for m, _ in nonzero]),
+                                  np.log([r for _, r in nonzero]), 1)[0]
+            assert fit["fitted"] == pytest.approx(expected, rel=1e-12)
+            compared += 1
+    assert compared == 15
+
+
 # ---------------------------------------------------------------------------
 # isometry pullbacks
 
@@ -312,9 +337,9 @@ def test_mobius_preserves_toeplitz_spectrum():
     m = 8
     w = ComplexRational(Fraction(1, 3), Fraction(-2, 5))
     for f in (fs_ratio_symbol(), hermitian_test_symbol()):
-        base = np.sort(np.linalg.eigvalsh(cp1_toeplitz(m, f).hermitized()))
+        base = np.sort(np.linalg.eigvalsh(hermitized(cp1_toeplitz(m, f))))
         moved = np.sort(np.linalg.eigvalsh(
-            cp1_toeplitz(m, mobius_pullback(f, w)).hermitized()))
+            hermitized(cp1_toeplitz(m, mobius_pullback(f, w)))))
         assert np.allclose(base, moved, atol=1e-9)
 
 
@@ -323,15 +348,15 @@ def test_mobius_preserves_toeplitz_spectrum():
 
 
 def test_symbol_jets_frozen():
-    assert symbol_jets(fs_ratio_symbol(), 6) == FunctionJets(1, 6, {
+    assert symbol_jets(fs_ratio_symbol(), 6) == WickSeries(1, 6, {
         (0, (1,), (1,)): 1,
         (0, (2,), (2,)): -1,
         (0, (3,), (3,)): 1,
     })
     assert symbol_jets(RationalSymbol.constant(Fraction(2, 3)), 4) == \
-        FunctionJets.constant(1, 4, Fraction(2, 3))
+        WickSeries.monomial(1, 4, Fraction(2, 3))
     height = RationalSymbol({(1, 0): 1}, 1)  # z/(1+|z|^2)
-    assert symbol_jets(height, 4) == FunctionJets(1, 4, {
+    assert symbol_jets(height, 4) == WickSeries(1, 4, {
         (0, (1,), (0,)): 1,
         (0, (2,), (1,)): -1,
     })
@@ -392,7 +417,7 @@ def test_composition_residual_against_engine_predictions():
     fs = fubini_study_potential(1, trunc)
     w = weight_series(fs, trunc)
     f = fs_ratio_symbol()
-    symbol = toeplitz_symbol(function_to_wick(symbol_jets(f, trunc)), w)
+    symbol = toeplitz_symbol(symbol_jets(f, trunc), w)
 
     def ymono(p):
         return WickSeries.monomial(1, trunc, 1, 0, (p,), (0,))

@@ -5,16 +5,14 @@ import pytest
 import sympy as sp
 
 from wickjet.coefficients import ComplexRational
-from wickjet.errors import PreconditionError
+from wickjet.errors import DegreeWindowError, PreconditionError
 from wickjet.jets import (
     CurvatureTensor,
-    FunctionJets,
     PotentialJets,
     apply_normalization,
     curvature,
     flat_potential,
     fubini_study_potential,
-    function_to_wick,
     jets_from_records,
     jets_to_records,
     k_normalize,
@@ -320,29 +318,16 @@ def test_weight_series_preconditions():
 # function jets
 
 
-def test_function_to_wick_examples():
-    const = FunctionJets.constant(1, 4, 5)
-    assert function_to_wick(const) == WickSeries(1, 4, {(0, (0,), (0,)): 5})
-    re_z = FunctionJets(1, 4, {(0, (1,), (0,)): Fraction(1, 2),
-                               (0, (0,), (1,)): Fraction(1, 2)})
-    assert function_to_wick(re_z) == WickSeries(1, 4, {
-        (0, (1,), (0,)): Fraction(1, 2), (0, (0,), (1,)): Fraction(1, 2)})
-    geom = FunctionJets(1, 6, {(0, (k,), (k,)): (-1) ** (k + 1)
-                               for k in range(1, 4)})
-    series = function_to_wick(geom)
-    assert series.coefficient(0, (1,), (1,)) == 1
-    assert series.coefficient(0, (2,), (2,)) == -1
-    assert series.coefficient(0, (3,), (3,)) == 1
-
-
 def test_function_jets_extended_round_trip():
-    f = FunctionJets(1, 4, {(-2, (1,), (0,)): 3, (0, (1,), (1,)): 1},
-                     lower_bound=-2)
-    series = function_to_wick(f)
-    assert series.lower_bound == -2
-    assert FunctionJets.from_wick(series) == f
+    # extended function jets carry inverse h-powers under a negative bound
+    f = WickSeries(1, 4, {(-2, (1,), (0,)): 3, (0, (1,), (1,)): 1},
+                   lower_bound=-2)
     records = f.to_records()
-    assert FunctionJets.from_records(1, 4, records, lower_bound=-2) == f
+    assert records[0] == {"k2": -2, "I": [1], "J": [0], "re": "3", "im": "0"}
+    back = WickSeries.from_records(1, 4, records, lower_bound=-2)
+    assert back == f and back.lower_bound == -2
+    with pytest.raises(DegreeWindowError):
+        WickSeries.from_records(1, 4, records)
 
 
 # ---------------------------------------------------------------------------
