@@ -30,8 +30,6 @@ from .jets import (
     apply_normalization,
     flat_potential,
     fubini_study_potential,
-    jets_from_records,
-    jets_to_records,
     k_normalize,
     random_real_analytic_potential,
 )
@@ -206,8 +204,7 @@ def _parse_potential(data: dict, name: str, dim: int, default_order: int,
             raise JobError(f"field \"{name}\": {exc}") from None
     records = _field(spec, "jets", list)
     try:
-        jets = jets_from_records(records, dim, order, what=name)
-        return PotentialJets(dim, order, jets)
+        return PotentialJets.from_records(dim, order, records)
     except (KeyError, TypeError, ValueError, WickjetError) as exc:
         raise JobError(f"field \"{name}\": {exc}") from None
 
@@ -374,10 +371,11 @@ def _run_rep_act(job: JobSpec) -> tuple:
     return lines, {}, True
 
 
-def _holo_map_records(mapping) -> list:
-    return [{"I": list(I), "re": format_rational(c.re),
-             "im": format_rational(c.im)}
-            for I, c in sorted(mapping.items())]
+def _jet_records(series: WickSeries, *dropped: str) -> list:
+    """Records of a classical series, with "k2" and the ``dropped`` fields left out."""
+    return [{key: value for key, value in rec.items()
+             if key != "k2" and key not in dropped}
+            for rec in series.to_records()]
 
 
 def _run_k_normalize(job: JobSpec) -> tuple:
@@ -385,14 +383,14 @@ def _run_k_normalize(job: JobSpec) -> tuple:
     normalized, coords, frame = k_normalize(raw)
     round_trip = apply_normalization(raw, coords, frame) == normalized
     lines = [f"normalized potential (order {normalized.order}):"]
-    lines += _record_lines(jets_to_records(normalized.varphi))
+    lines += _record_lines(_jet_records(normalized.varphi))
     lines.append("volume-log jets:")
-    lines += _record_lines(jets_to_records(normalized.psi or {}))
-    for i, mapping in enumerate(coords):
+    lines += _record_lines(_jet_records(normalized.psi))
+    for i, series in enumerate(coords):
         lines.append(f"coordinate change (component {i + 1}):")
-        lines += _record_lines(_holo_map_records(mapping))
+        lines += _record_lines(_jet_records(series, "J"))
     lines.append("frame change:")
-    lines += _record_lines(_holo_map_records(frame))
+    lines += _record_lines(_jet_records(frame, "J"))
     lines.append(f"round-trip: {'ok' if round_trip else 'FAILED'}")
     return lines, {}, round_trip
 

@@ -1,12 +1,13 @@
 """Jet-level Kahler geometry at a marked point.
 
-Potentials are finite jets: maps ``(I, J) -> coefficient`` giving the Taylor
-coefficient of ``z^I zbar^J`` of a real potential.  ``k_normalize`` brings a
-potential into the normal form ``|z|^2 + sum a_{JK} z^J zbar^K`` (both
-``|J| >= 2`` and ``|K| >= 2``) through a holomorphic frame rescale plus a
-holomorphic coordinate change, computed degree by degree.  The volume-log
-jets are the jets of ``log det(d^2 varphi / dz dzbar)``, normalized so the
-flat potential yields exactly zero; together they assemble the weight series
+Every jet here is a classical ``WickSeries`` (no h-powers) whose ``trunc`` is
+the jet order: the coefficient of ``y^I yb^J`` is the Taylor coefficient of
+``z^I zbar^J``.  ``k_normalize`` brings a real potential into the normal form
+``|z|^2 + sum a_{JK} z^J zbar^K`` (both ``|J| >= 2`` and ``|K| >= 2``) through
+a holomorphic frame rescale plus a holomorphic coordinate change, computed
+degree by degree; both changes are holomorphic series.  The volume-log jets
+are the jets of ``log det(d^2 varphi / dz dzbar)``, normalized so the flat
+potential yields exactly zero; together they assemble the weight series
 consumed by the integration pipeline.  They come from Jacobi's identity
 ``log det M = sum_k (-1)^(k+1) tr(X^k) / k`` with ``X = M(0)^-1 (M - M(0))``,
 which stops at ``k = order - 2``, so their cost is polynomial in dim
@@ -39,73 +40,31 @@ __all__ = [
     "flat_potential",
     "fubini_study_potential",
     "random_real_analytic_potential",
-    "jets_to_records",
-    "jets_from_records",
 ]
 
 
 # ---------------------------------------------------------------------------
-# jet-map plumbing (classical jets ride on WickSeries with zero h-exponent)
+# series plumbing
 
 
 def _unit(dim: int, i: int) -> tuple:
     return tuple(1 if k == i else 0 for k in range(dim))
 
 
-def _coerce_jets(mapping, dim: int, max_degree: int, what: str) -> dict:
-    out = {}
-    for key, value in dict(mapping).items():
-        I, J = key
-        I = tuple(int(v) for v in I)
-        J = tuple(int(v) for v in J)
-        if len(I) != dim or len(J) != dim or min(I + J, default=0) < 0:
-            raise PreconditionError(f"bad {what} multi-index {key!r} for dim {dim}")
-        if sum(I) + sum(J) > max_degree:
-            raise PreconditionError(
-                f"{what} jet {key!r} exceeds the order-{max_degree} window")
-        coeff = ComplexRational.coerce(value)
-        if coeff:
-            out[(I, J)] = coeff
-    return out
+def _is_classical(series) -> bool:
+    return isinstance(series, WickSeries) and not any(k2 for k2, _, _ in series.terms)
 
 
-def _check_real_jets(jets: dict, what: str) -> None:
-    for (I, J), c in jets.items():
-        if jets.get((J, I), ComplexRational()) != c.conjugate():
-            raise PreconditionError(
-                f"{what} jets must be real: ({I}, {J}) breaks conjugate symmetry")
+def _norm_squared(dim: int, trunc: int) -> WickSeries:
+    """The flat potential |z|^2 = sum_i y_i yb_i."""
+    return WickSeries(dim, trunc, {(0, _unit(dim, i), _unit(dim, i)): 1
+                                   for i in range(dim)})
 
 
-def _jets_series(jets: dict, dim: int, trunc: int) -> WickSeries:
-    return WickSeries(dim, trunc, {(0, I, J): c for (I, J), c in jets.items()})
-
-
-def _series_to_jets(series: WickSeries) -> dict:
-    out = {}
-    for (k2, I, J), c in series.terms.items():
-        if k2:
-            raise SolveError("classical jets acquired an h-power")
-        out[(I, J)] = c
-    return out
-
-
-def _series_to_holo_map(series: WickSeries) -> dict:
-    out = {}
-    for (k2, I, J), c in series.terms.items():
-        if k2 or any(J):
-            raise SolveError("expected a holomorphic classical jet")
-        out[I] = c
-    return out
-
-
-def _holo_map_to_series(mapping, dim: int, trunc: int, what: str) -> WickSeries:
-    terms = {}
-    for I, value in dict(mapping).items():
-        I = tuple(int(v) for v in I)
-        if len(I) != dim or min(I, default=0) < 0 or sum(I) > trunc:
-            raise PreconditionError(f"bad {what} multi-index {I!r}")
-        terms[(0, I, mi_zero(dim))] = value
-    return WickSeries(dim, trunc, terms)
+def _identity_coords(dim: int, trunc: int) -> list:
+    zero = mi_zero(dim)
+    return [WickSeries.monomial(dim, trunc, 1, 0, _unit(dim, i), zero)
+            for i in range(dim)]
 
 
 def _power_table(s: WickSeries, top: int) -> list:
@@ -145,19 +104,10 @@ def _substitute(series: WickSeries, subs: list) -> WickSeries:
     return out
 
 
-def _is_normal_form(jets: dict, dim: int) -> bool:
-    for (I, J), c in jets.items():
-        si, sj = sum(I), sum(J)
-        if si >= 2 and sj >= 2:
-            continue
-        if si == 1 and sj == 1 and I == J and c == 1:
-            continue
-        return False
-    return all(jets.get((_unit(dim, i), _unit(dim, i))) == 1 for i in range(dim))
-
-
-def _psi_keys_admissible(psi: dict) -> bool:
-    return all(any(I) and any(J) for (I, J) in psi)
+def _is_normal_form(varphi: WickSeries) -> bool:
+    """|z|^2 plus jets of bidegree at least (2, 2)."""
+    rest = varphi - _norm_squared(varphi.dim, varphi.trunc)
+    return all(sum(I) >= 2 and sum(J) >= 2 for (_, I, J) in rest.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -165,60 +115,67 @@ def _psi_keys_admissible(psi: dict) -> bool:
 
 
 class PotentialJets:
-    """Real potential jets at a marked point, with optional volume-log jets.
+    """Real potential jets at a marked point.
 
-    ``varphi`` maps ``(I, J)`` to the Taylor coefficient of ``z^I zbar^J`` up
-    to total degree ``order``; ``psi`` (when present) holds the volume-log
-    jets up to degree ``order - 2``.  ``psi`` is derived data and is excluded
-    from equality.  With ``normalized=True`` the normal form is verified at
-    construction, so the flag can be trusted downstream.
+    ``varphi`` is a classical ``WickSeries`` whose ``trunc`` is the jet order.
+    With ``normalized=True`` the normal form is verified at construction, so
+    the flag can be trusted downstream, and ``psi`` holds the volume-log jets
+    (``trunc = max(order - 2, 0)``), computed once; otherwise ``psi`` is None.
+    ``psi`` is derived data and is excluded from equality.
     """
 
-    __slots__ = ("dim", "order", "varphi", "psi", "normalized")
+    __slots__ = ("varphi", "psi", "normalized")
 
-    def __init__(self, dim: int, order: int, varphi, psi=None, normalized: bool = False):
-        if dim < 1 or order < 0:
-            raise PreconditionError("need dim >= 1 and order >= 0")
-        varphi = _coerce_jets(varphi, dim, order, "potential")
-        _check_real_jets(varphi, "potential")
-        if psi is not None:
-            psi = _coerce_jets(psi, dim, max(order - 2, 0), "volume-log")
-            _check_real_jets(psi, "volume-log")
-        if normalized:
-            if not _is_normal_form(varphi, dim):
-                raise PreconditionError(
-                    "normalized flag set, but the jets are not in normal form")
-            if psi is not None and not _psi_keys_admissible(psi):
-                raise PreconditionError(
-                    "volume-log jets of a normalized potential cannot have "
-                    "purely (anti-)holomorphic entries")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "order", order)
+    def __init__(self, varphi: WickSeries, normalized: bool = False):
+        if not _is_classical(varphi):
+            raise PreconditionError(
+                "potential jets must be a WickSeries without h-powers")
+        if varphi.conjugate() != varphi:
+            raise PreconditionError(
+                "potential jets must be real: the series differs from its conjugate")
+        if normalized and not _is_normal_form(varphi):
+            raise PreconditionError(
+                "normalized flag set, but the jets are not in normal form")
         object.__setattr__(self, "varphi", varphi)
-        object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "normalized", bool(normalized))
+        object.__setattr__(self, "psi", volume_log_jets(self) if normalized else None)
+
+    @classmethod
+    def from_records(cls, dim: int, order: int, records) -> "PotentialJets":
+        """Raw jets from ``{"I", "J", "re", "im"}`` records; duplicates add up.
+
+        A jet above the order window raises instead of being truncated away.
+        """
+        terms = {}
+        jets = accumulate(read_record(rec, "I", "J") for rec in records)
+        for (I, J), c in jets.items():
+            if len(I) != dim or len(J) != dim or min(I + J, default=0) < 0:
+                raise PreconditionError(
+                    f"bad potential multi-index {(I, J)!r} for dim {dim}")
+            if sum(I) + sum(J) > order:
+                raise PreconditionError(
+                    f"potential jet {(I, J)!r} exceeds the order-{order} window")
+            terms[(0, I, J)] = c
+        return cls(WickSeries(dim, order, terms))
+
+    @property
+    def dim(self) -> int:
+        return self.varphi.dim
+
+    @property
+    def order(self) -> int:
+        return self.varphi.trunc
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("PotentialJets is immutable")
 
-    def coefficient(self, I, J) -> ComplexRational:
-        return self.varphi.get((tuple(I), tuple(J)), ComplexRational())
-
-    def varphi_series(self) -> WickSeries:
-        return _jets_series(self.varphi, self.dim, self.order)
-
-    def with_psi(self, psi) -> "PotentialJets":
-        return PotentialJets(self.dim, self.order, self.varphi, psi, self.normalized)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PotentialJets):
             return NotImplemented
-        return (self.dim, self.order, self.varphi, self.normalized) == \
-            (other.dim, other.order, other.varphi, other.normalized)
+        return (self.varphi, self.normalized) == (other.varphi, other.normalized)
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.order, frozenset(self.varphi.items()),
-                     self.normalized))
+        return hash((self.varphi, self.normalized))
 
     def __repr__(self) -> str:
         return (f"PotentialJets(dim={self.dim}, order={self.order}, "
@@ -354,17 +311,16 @@ def k_normalize(raw: PotentialJets):
     """Normal-form coordinates and frame at the marked point.
 
     Returns ``(normalized, coord_change, frame_change)``: the normalized
-    potential (volume-log jets attached), the holomorphic jet maps expressing
-    the original coordinates in the new ones, and the holomorphic frame jet
-    G with ``raw o coord_change - G - conj(G) == normalized``.
+    potential (volume-log jets attached), a tuple of holomorphic series
+    expressing the original coordinates in the new ones, and the holomorphic
+    frame series G with ``raw o coord_change - G - conj(G) == normalized``.
     """
     if raw.order < 2:
         raise PreconditionError("normalization needs jets at least to order 2")
     dim, order = raw.dim, raw.order
     zero = mi_zero(dim)
-    current = raw.varphi_series()
-    coords = [WickSeries.monomial(dim, order, 1, 0, _unit(dim, i), zero)
-              for i in range(dim)]
+    current = raw.varphi
+    coords = _identity_coords(dim, order)
     frame = WickSeries.zero(dim, order)
 
     def substitute_all(subs):
@@ -402,33 +358,26 @@ def k_normalize(raw: PotentialJets):
                         terms[(0, I, zero)] = -c
                 hs.append(WickSeries(dim, order, terms))
             if any(hs):
-                subs = [coords_unit + h for coords_unit, h in
-                        zip((WickSeries.monomial(dim, order, 1, 0, _unit(dim, i), zero)
-                             for i in range(dim)), hs)]
+                subs = [unit + h for unit, h in zip(_identity_coords(dim, order), hs)]
                 substitute_all(subs)
 
-    jets = _series_to_jets(current)
-    psi = _series_to_jets(_volume_log_series(current))
-    normalized = PotentialJets(dim, order, jets, psi=psi, normalized=True)
-    coord_change = tuple(_series_to_holo_map(c) for c in coords)
-    frame_change = _series_to_holo_map(frame)
-    return normalized, coord_change, frame_change
+    return PotentialJets(current, normalized=True), tuple(coords), frame
 
 
 def apply_normalization(raw: PotentialJets, coord_change, frame_change) -> PotentialJets:
     """Replay a coordinate/frame change on raw jets (round-trip check)."""
     dim, order = raw.dim, raw.order
-    subs = [_holo_map_to_series(m, dim, order, "coordinate change")
-            for m in coord_change]
-    if len(subs) != dim:
-        raise PreconditionError("need one coordinate jet map per variable")
-    g = _holo_map_to_series(frame_change, dim, order, "frame change")
-    result = _substitute(raw.varphi_series(), subs) - g - g.conjugate()
-    jets = _series_to_jets(result)
-    if _is_normal_form(jets, dim):
-        psi = _series_to_jets(_volume_log_series(result))
-        return PotentialJets(dim, order, jets, psi=psi, normalized=True)
-    return PotentialJets(dim, order, jets)
+    if len(coord_change) != dim:
+        raise PreconditionError("need one coordinate series per variable")
+    for s in (*coord_change, frame_change):
+        if not (_is_classical(s) and s.is_holomorphic()
+                and (s.dim, s.trunc) == (dim, order)):
+            raise PreconditionError(
+                "coordinate and frame changes must be holomorphic series "
+                f"without h-powers, of dim {dim} and trunc {order}")
+    result = _substitute(raw.varphi, list(coord_change)) \
+        - frame_change - frame_change.conjugate()
+    return PotentialJets(result, normalized=_is_normal_form(result))
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +409,10 @@ def _invert_constant(matrix: list, dim: int):
     return [row[dim:] for row in rows], det
 
 
-def _volume_log_series(varphi: WickSeries) -> WickSeries:
-    """log det M by Jacobi's identity, M = (d^2 varphi / dz_i dzbar_j).
+def volume_log_jets(p: PotentialJets) -> WickSeries:
+    """Jets of the log-determinant of the metric, zero for the flat potential.
+
+    This is log det M by Jacobi's identity, M = (d^2 varphi / dz_i dzbar_j).
 
     With A = M(0) of determinant 1 and X = A^-1 (M - A), log det M is
     sum_k (-1)^(k+1) tr(X^k) / k.  X has no constant term, so X^k vanishes
@@ -469,6 +420,7 @@ def _volume_log_series(varphi: WickSeries) -> WickSeries:
     starts in degree 2).  Full powers are formed up to half that k; each
     later trace takes only the diagonal of a product of two of them.
     """
+    varphi = p.varphi
     dim = varphi.dim
     r2 = max(varphi.trunc - 2, 0)
     constant = [[ComplexRational()] * dim for _ in range(dim)]
@@ -526,11 +478,6 @@ def _volume_log_series(varphi: WickSeries) -> WickSeries:
     return WickSeries(dim, r2, out)
 
 
-def volume_log_jets(p: PotentialJets) -> dict:
-    """Jets of the log-determinant of the metric, zero for the flat potential."""
-    return _series_to_jets(_volume_log_series(p.varphi_series()))
-
-
 def weight_series(p: PotentialJets, trunc: int) -> WeightSeries:
     """Assemble the integration weight of a normalized potential.
 
@@ -544,17 +491,8 @@ def weight_series(p: PotentialJets, trunc: int) -> WeightSeries:
     if p.order < trunc:
         raise PreconditionError(
             f"potential order {p.order} is below the requested trunc {trunc}")
-    psi = p.psi if p.psi is not None else volume_log_jets(p)
-    terms = {}
-    for (I, J), c in p.varphi.items():
-        if sum(I) == 1 and sum(J) == 1:
-            continue
-        if sum(I) + sum(J) <= trunc:
-            terms[(0, I, J)] = -c
-    for (I, J), c in psi.items():
-        if 2 + sum(I) + sum(J) <= trunc:
-            terms[(2, I, J)] = c
-    weight = WeightSeries(WickSeries(p.dim, trunc, terms))
+    weight = WeightSeries(_norm_squared(p.dim, trunc) - p.varphi.retruncate(trunc)
+                          + p.psi.retruncate(trunc).hbar_shift(2))
     if not (weight.is_real and weight.toeplitz_admissible and weight.refined):
         raise SolveError("normalized potential produced an inadmissible weight")
     return weight
@@ -574,7 +512,7 @@ def curvature(p: PotentialJets) -> CurvatureTensor:
     if p.order < 4:
         raise PreconditionError("curvature needs jets at least to order 4")
     entries = {}
-    for (I, J), c in p.varphi.items():
+    for (_, I, J), c in p.varphi.terms.items():
         if sum(I) != 2 or sum(J) != 2:
             continue
         (i, k), mult_i = _index_pair(I)
@@ -594,16 +532,14 @@ def flat_potential(dim: int, order: int) -> PotentialJets:
     """The flat potential |z|^2; its volume-log jets vanish identically."""
     if order < 2:
         raise PreconditionError("the flat potential needs order >= 2")
-    varphi = {(_unit(dim, i), _unit(dim, i)): 1 for i in range(dim)}
-    return PotentialJets(dim, order, varphi, psi={}, normalized=True)
+    return PotentialJets(_norm_squared(dim, order), normalized=True)
 
 
 def fubini_study_potential(dim: int, order: int) -> PotentialJets:
     """Jets of log(1 + |z|^2); already in normal form."""
     if order < 2:
         raise PreconditionError("the Fubini-Study potential needs order >= 2")
-    t = WickSeries(dim, order, {(0, _unit(dim, i), _unit(dim, i)): 1
-                                for i in range(dim)})
+    t = _norm_squared(dim, order)
     acc = WickSeries.zero(dim, order)
     power = WickSeries.unit(dim, order)
     for k in range(1, order // 2 + 1):
@@ -611,9 +547,7 @@ def fubini_study_potential(dim: int, order: int) -> PotentialJets:
         if not power:
             break
         acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
-    jets = _series_to_jets(acc)
-    base = PotentialJets(dim, order, jets, normalized=True)
-    return base.with_psi(volume_log_jets(base))
+    return PotentialJets(acc, normalized=True)
 
 
 def random_real_analytic_potential(seed: int, dim: int, order: int,
@@ -631,7 +565,7 @@ def random_real_analytic_potential(seed: int, dim: int, order: int,
     varphi: dict = {}
 
     def add(I, J, c):
-        key = (tuple(I), tuple(J))
+        key = (0, tuple(I), tuple(J))
         varphi[key] = varphi.get(key, ComplexRational()) + ComplexRational.coerce(c)
 
     lower = [[ComplexRational(1 if i == j else 0) for j in range(dim)]
@@ -670,24 +604,5 @@ def random_real_analytic_potential(seed: int, dim: int, order: int,
             add(J, I, c.conjugate())
             break
 
-    return PotentialJets(dim, order, varphi)
+    return PotentialJets(WickSeries(dim, order, varphi))
 
-
-# ---------------------------------------------------------------------------
-# record serialization for jet maps
-
-
-def jets_to_records(jets: dict) -> list:
-    from .coefficients import format_rational
-
-    out = []
-    for (I, J) in sorted(jets):
-        c = jets[(I, J)]
-        out.append({"I": list(I), "J": list(J),
-                    "re": format_rational(c.re), "im": format_rational(c.im)})
-    return out
-
-
-def jets_from_records(records, dim: int, max_degree: int, what: str = "jet") -> dict:
-    jets = accumulate(read_record(rec, "I", "J") for rec in records)
-    return _coerce_jets(jets, dim, max_degree, what)

@@ -283,10 +283,10 @@ def hermitized(matrix) -> np.ndarray:
 # permutation-expansion volume-log oracle
 
 
-def permutation_volume_log(varphi: WickSeries) -> dict:
+def permutation_volume_log(varphi: WickSeries) -> WickSeries:
     """Jets of log det(d^2 varphi / dz dzbar), det expanded over dim! permutations.
 
-    Needs unit determinant at the point; returns ``{(I, J): coefficient}``
+    Needs unit determinant at the point; returns the classical series
     up to degree ``trunc - 2``.
     """
     dim = varphi.dim
@@ -314,7 +314,7 @@ def permutation_volume_log(varphi: WickSeries) -> dict:
     for k in range(1, r2 + 1):
         power = power * x
         out = out + power.scale(Fraction((-1) ** (k + 1), k))
-    return {(I, J): c for (_, I, J), c in out.terms.items()}
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import wickjet
 from wickjet import cli
 from wickjet.cli import ACCEPT_EXIT, COMPUTE_EXIT, PARSE_EXIT, JobError, load_job, main
 from wickjet.coefficients import ComplexRational
-from wickjet.jets import jets_from_records, jets_to_records
+from wickjet.jets import PotentialJets
 from wickjet.series import WickSeries, iter_multi_indices
 
 
@@ -56,10 +56,15 @@ def test_series_records_round_trip():
 
 
 def test_jet_records_round_trip():
-    jets = {((2,), (1,)): ComplexRational(Fraction(1, 3), Fraction(4))}
-    records = jets_to_records(jets)
-    assert records == [{"I": [2], "J": [1], "re": "1/3", "im": "4"}]
-    assert jets_from_records(records, 1, 6) == jets
+    c = ComplexRational(Fraction(1, 3), Fraction(4))
+    varphi = WickSeries(1, 6, {(0, (2,), (1,)): c, (0, (1,), (2,)): c.conjugate()})
+    records = cli._jet_records(varphi)
+    assert records == [{"I": [1], "J": [2], "re": "1/3", "im": "-4"},
+                       {"I": [2], "J": [1], "re": "1/3", "im": "4"}]
+    assert PotentialJets.from_records(1, 6, records).varphi == varphi
+    holomorphic = WickSeries(1, 6, {(0, (2,), (0,)): c})
+    assert cli._jet_records(holomorphic, "J") == [
+        {"I": [2], "re": "1/3", "im": "4"}]
     f = WickSeries.from_records(1, 6, [Y_RECORD])
     assert f.to_records() == [Y_RECORD]
 
@@ -310,8 +315,14 @@ def _potential_job(jet):
      "lhs": [dict(Y_RECORD, k2=True)]},
     {"mode": "wick-star", "dim": 1, "trunc": 6, "rhs": [YB_RECORD],
      "lhs": [dict(Y_RECORD, re="1e999999")]},
+    _potential_job({"I": [3], "J": [2], "re": "1", "im": "0"}),
+    _potential_job({"I": [2], "J": [0], "re": "1", "im": "0"}),
+    _potential_job({"I": [0], "J": [0], "re": "1", "im": "1"}),
+    _potential_job({"I": [1, 0], "J": [1], "re": "1", "im": "0"}),
+    _potential_job({"I": [-1], "J": [2], "re": "1", "im": "0"}),
 ], ids=["zero-denominator", "numeric-jet-re", "float-index", "bool-k2",
-        "huge-exponent"])
+        "huge-exponent", "jet-above-order", "jet-without-conjugate",
+        "complex-constant", "index-wrong-length", "negative-index"])
 def test_main_malformed_records_exit_cleanly(tmp_path, payload):
     _assert_rejected_in_subprocess(tmp_path, payload)
 

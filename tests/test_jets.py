@@ -13,8 +13,6 @@ from wickjet.jets import (
     curvature,
     flat_potential,
     fubini_study_potential,
-    jets_from_records,
-    jets_to_records,
     k_normalize,
     random_real_analytic_potential,
     volume_log_jets,
@@ -34,8 +32,21 @@ def e(dim, i):
     return tuple(1 if k == i else 0 for k in range(dim))
 
 
-def identity_coords(dim):
-    return tuple({e(dim, i): ComplexRational(1)} for i in range(dim))
+def jets(dim, order, mapping):
+    """A classical series from ``{(I, J): coefficient}``."""
+    return WickSeries(dim, order, {(0, I, J): c for (I, J), c in mapping.items()})
+
+
+def potential(dim, order, mapping, normalized=False):
+    return PotentialJets(jets(dim, order, mapping), normalized)
+
+
+def holomorphic(dim, order, mapping):
+    return WickSeries(dim, order, {(0, I, (0,) * dim): c for I, c in mapping.items()})
+
+
+def identity_coords(dim, order):
+    return tuple(holomorphic(dim, order, {e(dim, i): 1}) for i in range(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -44,28 +55,31 @@ def identity_coords(dim):
 
 def test_potential_reality_enforced():
     with pytest.raises(PreconditionError):
-        PotentialJets(1, 4, {((2,), (0,)): 1})  # missing conjugate partner
-    p = PotentialJets(1, 4, {((2,), (0,)): ComplexRational(0, 1),
-                             ((0,), (2,)): ComplexRational(0, -1)})
-    assert p.coefficient((2,), (0,)) == ComplexRational(0, 1)
+        potential(1, 4, {((2,), (0,)): 1})  # missing conjugate partner
+    p = potential(1, 4, {((2,), (0,)): ComplexRational(0, 1),
+                         ((0,), (2,)): ComplexRational(0, -1)})
+    assert p.varphi.coefficient(0, (2,), (0,)) == ComplexRational(0, 1)
+    with pytest.raises(PreconditionError):
+        PotentialJets(WickSeries(1, 4, {(2, (1,), (1,)): 1}))  # an h-power
 
 
 def test_potential_window_and_flag_validation():
+    with pytest.raises(PreconditionError, match="order-3 window"):
+        PotentialJets.from_records(1, 3, [{"I": [2], "J": [2], "re": "1"}])
+    with pytest.raises(PreconditionError, match="multi-index"):
+        PotentialJets.from_records(1, 3, [{"I": [1, 0], "J": [1], "re": "1"}])
     with pytest.raises(PreconditionError):
-        PotentialJets(1, 3, {((2,), (2,)): 1})
+        potential(1, 4, {((1,), (1,)): 2}, normalized=True)
     with pytest.raises(PreconditionError):
-        PotentialJets(1, 4, {((1,), (1,)): 2}, normalized=True)
-    with pytest.raises(PreconditionError):
-        PotentialJets(2, 4, {(e(2, 0), e(2, 0)): 1, (e(2, 1), e(2, 1)): 1,
-                             (e(2, 0), e(2, 1)): Fraction(1, 2),
-                             (e(2, 1), e(2, 0)): Fraction(1, 2)}, normalized=True)
-    with pytest.raises(PreconditionError):
-        flat_potential(1, 6).with_psi({((1,), (0,)): 1, ((0,), (1,)): 1})
+        potential(2, 4, {(e(2, 0), e(2, 0)): 1, (e(2, 1), e(2, 1)): 1,
+                         (e(2, 0), e(2, 1)): Fraction(1, 2),
+                         (e(2, 1), e(2, 0)): Fraction(1, 2)}, normalized=True)
 
 
 def test_psi_excluded_from_equality():
-    assert flat_potential(1, 6) == PotentialJets(
-        1, 6, {((1,), (1,)): 1}, normalized=True)
+    assert flat_potential(1, 6) == potential(1, 6, {((1,), (1,)): 1},
+                                             normalized=True)
+    assert potential(1, 6, {((1,), (1,)): 1}).psi is None
 
 
 # ---------------------------------------------------------------------------
@@ -75,25 +89,24 @@ def test_psi_excluded_from_equality():
 def test_fubini_study_frozen_jets():
     fs = fubini_study_potential(1, 6)
     assert fs.normalized
-    assert fs.varphi == {((1,), (1,)): ComplexRational(1),
-                         ((2,), (2,)): ComplexRational(Fraction(-1, 2)),
-                         ((3,), (3,)): ComplexRational(Fraction(1, 3))}
-    assert fs.psi == {((1,), (1,)): ComplexRational(-2),
-                      ((2,), (2,)): ComplexRational(1)}
+    assert fs.varphi == jets(1, 6, {((1,), (1,)): 1,
+                                    ((2,), (2,)): Fraction(-1, 2),
+                                    ((3,), (3,)): Fraction(1, 3)})
+    assert fs.psi == jets(1, 4, {((1,), (1,)): -2, ((2,), (2,)): 1})
 
 
 def test_flat_potential_volume_log_is_zero():
-    assert volume_log_jets(flat_potential(2, 6)) == {}
-    assert flat_potential(2, 6).psi == {}
+    assert volume_log_jets(flat_potential(2, 6)) == WickSeries.zero(2, 4)
+    assert flat_potential(2, 6).psi == WickSeries.zero(2, 4)
 
 
 def test_fubini_study_n2_volume_log():
     psi = volume_log_jets(fubini_study_potential(2, 6))
-    assert psi == {(e(2, 0), e(2, 0)): ComplexRational(-3),
-                   (e(2, 1), e(2, 1)): ComplexRational(-3),
-                   ((2, 0), (2, 0)): ComplexRational(Fraction(3, 2)),
-                   ((1, 1), (1, 1)): ComplexRational(3),
-                   ((0, 2), (0, 2)): ComplexRational(Fraction(3, 2))}
+    assert psi == jets(2, 4, {(e(2, 0), e(2, 0)): -3,
+                              (e(2, 1), e(2, 1)): -3,
+                              ((2, 0), (2, 0)): Fraction(3, 2),
+                              ((1, 1), (1, 1)): 3,
+                              ((0, 2), (0, 2)): Fraction(3, 2)})
 
 
 # ---------------------------------------------------------------------------
@@ -104,53 +117,72 @@ def test_normalize_is_identity_on_normal_form():
     fs = fubini_study_potential(1, 6)
     normalized, coords, frame = k_normalize(fs)
     assert normalized == fs
-    assert coords == identity_coords(1)
-    assert frame == {}
+    assert coords == identity_coords(1, 6)
+    assert not frame
 
 
 def test_normalize_removes_linear_by_frame():
-    raw = PotentialJets(1, 4, {((1,), (1,)): 1, ((1,), (0,)): 1, ((0,), (1,)): 1})
+    raw = potential(1, 4, {((1,), (1,)): 1, ((1,), (0,)): 1, ((0,), (1,)): 1})
     normalized, coords, frame = k_normalize(raw)
     assert normalized == flat_potential(1, 4)
-    assert coords == identity_coords(1)
-    assert frame == {(1,): ComplexRational(1)}
+    assert coords == identity_coords(1, 4)
+    assert frame == holomorphic(1, 4, {(1,): 1})
 
 
 def test_normalize_cubic_coordinate_change():
-    raw = PotentialJets(1, 3, {((1,), (1,)): 1, ((2,), (1,)): 1, ((1,), (2,)): 1})
+    raw = potential(1, 3, {((1,), (1,)): 1, ((2,), (1,)): 1, ((1,), (2,)): 1})
     normalized, coords, frame = k_normalize(raw)
-    assert normalized.varphi == {((1,), (1,)): ComplexRational(1)}
-    assert coords == ({(1,): ComplexRational(1), (2,): ComplexRational(-1)},)
-    assert frame == {}
+    assert normalized.varphi == jets(1, 3, {((1,), (1,)): 1})
+    assert coords == (holomorphic(1, 3, {(1,): 1, (2,): -1}),)
+    assert not frame
 
 
 def test_normalize_rescales_quadratic_part():
-    raw = PotentialJets(1, 4, {((1,), (1,)): 4})
+    raw = potential(1, 4, {((1,), (1,)): 4})
     normalized, coords, frame = k_normalize(raw)
     assert normalized == flat_potential(1, 4)
-    assert coords == ({(1,): ComplexRational(Fraction(1, 2))},)
+    assert coords == (holomorphic(1, 4, {(1,): Fraction(1, 2)}),)
 
 
 def test_normalize_mixed_quadratic_n2():
     c = Fraction(3, 5)
-    raw = PotentialJets(2, 4, {(e(2, 0), e(2, 0)): 1, (e(2, 1), e(2, 1)): 1,
-                               (e(2, 0), e(2, 1)): c, (e(2, 1), e(2, 0)): c})
+    raw = potential(2, 4, {(e(2, 0), e(2, 0)): 1, (e(2, 1), e(2, 1)): 1,
+                           (e(2, 0), e(2, 1)): c, (e(2, 1), e(2, 0)): c})
     normalized, coords, frame = k_normalize(raw)
     assert normalized == flat_potential(2, 4)
-    assert frame == {}
+    assert not frame
     assert apply_normalization(raw, coords, frame) == normalized
+
+
+def test_apply_normalization_checks_its_series():
+    raw = potential(2, 4, {(e(2, 0), e(2, 0)): 1, (e(2, 1), e(2, 1)): 1})
+    coords = identity_coords(2, 4)
+    frame = WickSeries.zero(2, 4)
+    assert apply_normalization(raw, coords, frame) == flat_potential(2, 4)
+    y1_yb2 = jets(2, 4, {(e(2, 0), e(2, 1)): 1})
+    h_y1 = WickSeries(2, 4, {(2, e(2, 0), (0, 0)): 1})
+    for bad_coords, bad_frame in [
+            (coords[:1], frame),                          # one series short
+            ((coords[0] + y1_yb2, coords[1]), frame),     # not holomorphic
+            (coords, y1_yb2),                             # frame not holomorphic
+            ((coords[0] + h_y1, coords[1]), frame),       # an h-power
+            (coords, h_y1),
+            (identity_coords(1, 4) * 2, frame),           # dim mismatch
+            (coords, WickSeries.zero(3, 4))]:
+        with pytest.raises(PreconditionError):
+            apply_normalization(raw, bad_coords, bad_frame)
 
 
 def test_normalize_rejects_bad_quadratic_parts():
     with pytest.raises(PreconditionError):
-        k_normalize(PotentialJets(1, 4, {((1,), (1,)): 3}))  # pivot not a square
+        k_normalize(potential(1, 4, {((1,), (1,)): 3}))  # pivot not a square
     with pytest.raises(PreconditionError):
-        k_normalize(PotentialJets(1, 4, {((1,), (1,)): -1}))
+        k_normalize(potential(1, 4, {((1,), (1,)): -1}))
     with pytest.raises(PreconditionError):
-        k_normalize(PotentialJets(2, 4, {(e(2, 0), e(2, 0)): 1,
-                                         (e(2, 1), e(2, 1)): -1}))
+        k_normalize(potential(2, 4, {(e(2, 0), e(2, 0)): 1,
+                                     (e(2, 1), e(2, 1)): -1}))
     with pytest.raises(PreconditionError):
-        k_normalize(PotentialJets(1, 4, {((2,), (2,)): 1}))  # degenerate
+        k_normalize(potential(1, 4, {((2,), (2,)): 1}))  # degenerate
 
 
 def test_normalize_random_round_trips():
@@ -163,8 +195,8 @@ def test_normalize_random_round_trips():
         assert apply_normalization(raw, coords, frame) == normalized
         again, coords2, frame2 = k_normalize(normalized)
         assert again == normalized
-        assert coords2 == identity_coords(dim)
-        assert frame2 == {}
+        assert coords2 == identity_coords(dim, order)
+        assert not frame2
         # the weight assembled from the result is admissible by construction
         w = weight_series(normalized, order)
         assert w.is_real and w.toeplitz_admissible and w.refined
@@ -175,7 +207,7 @@ def test_normalized_volume_log_never_purely_holomorphic():
         dim = 1 + seed % 2
         normalized, _, _ = k_normalize(
             random_real_analytic_potential(100 + seed, dim, 6))
-        for (I, J) in normalized.psi:
+        for (_, I, J) in normalized.psi.terms:
             assert any(I) and any(J), (seed, I, J)
 
 
@@ -187,7 +219,7 @@ def sympy_volume_log(p: PotentialJets) -> WickSeries:
     dim, order = p.dim, p.order
     ys, bs, _ = _sympy_symbols(dim)
     phi = sp.Integer(0)
-    for (I, J), c in p.varphi.items():
+    for (_, I, J), c in p.varphi.terms.items():
         term = sp.Rational(c.re.numerator, c.re.denominator) \
             + sp.I * sp.Rational(c.im.numerator, c.im.denominator)
         for i in range(dim):
@@ -207,16 +239,14 @@ def test_volume_log_matches_sympy():
         cases.append(k_normalize(random_real_analytic_potential(seed, 1, 6))[0])
     cases.append(k_normalize(random_real_analytic_potential(11, 2, 5))[0])
     for p in cases:
-        mine = WickSeries(p.dim, max(p.order - 2, 0),
-                          {(0, I, J): c for (I, J), c in volume_log_jets(p).items()})
-        assert mine == sympy_volume_log(p)
+        assert volume_log_jets(p) == sympy_volume_log(p)
 
 
 def test_volume_log_requires_unit_determinant():
     with pytest.raises(PreconditionError):
-        volume_log_jets(PotentialJets(1, 4, {((1,), (1,)): 2}))
+        volume_log_jets(potential(1, 4, {((1,), (1,)): 2}))
     with pytest.raises(PreconditionError):
-        volume_log_jets(PotentialJets(1, 4, {((2,), (2,)): 1}))
+        volume_log_jets(potential(1, 4, {((2,), (2,)): 1}))
 
 
 def exact_multi_index(rng, dim, degree):
@@ -240,7 +270,7 @@ def near_normal_potential(seed, dim, order, quadratic=None, n_terms=4):
         c = random_coefficient(rng)
         for key, value in (((I, J), c), ((J, I), c.conjugate())):
             varphi[key] = varphi.get(key, ComplexRational()) + value
-    return PotentialJets(dim, order, varphi)
+    return potential(dim, order, varphi)
 
 
 def test_volume_log_matches_permutation_expansion():
@@ -260,7 +290,7 @@ def test_volume_log_matches_permutation_expansion():
               near_normal_potential(6, 3, 5, {(0, 1): 1, (1, 0): 1,
                                               (2, 2): -1})]
     for p in cases:
-        assert volume_log_jets(p) == permutation_volume_log(p.varphi_series())
+        assert volume_log_jets(p) == permutation_volume_log(p.varphi)
 
 
 def test_volume_log_rejects_non_unit_constant_metrics():
@@ -350,8 +380,8 @@ def test_curvature_scales_linearly():
     lam = Fraction(3)
     base = {((1,), (1,)): 1, ((2,), (2,)): Fraction(1, 5)}
     scaled = {((1,), (1,)): 1, ((2,), (2,)): lam * Fraction(1, 5)}
-    t1 = curvature(PotentialJets(1, 4, base, normalized=True))
-    t2 = curvature(PotentialJets(1, 4, scaled, normalized=True))
+    t1 = curvature(potential(1, 4, base, normalized=True))
+    t2 = curvature(potential(1, 4, scaled, normalized=True))
     assert t2.entry(0, 0, 0, 0) == lam * t1.entry(0, 0, 0, 0)
 
 
@@ -372,6 +402,7 @@ def test_curvature_validation():
 
 def test_jet_records_round_trip():
     fs = fubini_study_potential(1, 6)
-    records = jets_to_records(fs.varphi)
+    records = [{k: v for k, v in rec.items() if k != "k2"}
+               for rec in fs.varphi.to_records()]
     assert records[0] == {"I": [1], "J": [1], "re": "1", "im": "0"}
-    assert jets_from_records(records, 1, 6, "potential") == fs.varphi
+    assert PotentialJets.from_records(1, 6, records).varphi == fs.varphi
