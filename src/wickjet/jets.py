@@ -375,7 +375,7 @@ def apply_normalization(raw: PotentialJets, coord_change, frame_change) -> Poten
             raise PreconditionError(
                 "coordinate and frame changes must be holomorphic series "
                 f"without h-powers, of dim {dim} and trunc {order}")
-    result = _substitute(raw.varphi, list(coord_change)) \
+    result = _substitute(raw.varphi, coord_change) \
         - frame_change - frame_change.conjugate()
     return PotentialJets(result, normalized=_is_normal_form(result))
 
