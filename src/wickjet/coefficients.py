@@ -78,10 +78,6 @@ class ComplexRational:
             return cls(value, 0)
         raise TypeError(f"cannot coerce {type(value).__name__} to ComplexRational")
 
-    @classmethod
-    def from_strings(cls, re: str, im: str = "0") -> "ComplexRational":
-        return cls(parse_rational(re), parse_rational(im))
-
     # -- predicates ----------------------------------------------------
 
     def __bool__(self) -> bool:

@@ -220,9 +220,6 @@ class RationalSymbol:
         return all(self.num.get((b, a), ComplexRational(0)) == c.conjugate()
                    for (a, b), c in self.num.items())
 
-    def value_at_zero(self) -> ComplexRational:
-        return self.num.get((0, 0), ComplexRational(0))
-
     def evaluate(self, z: complex) -> complex:
         """Floating-point evaluation (used only for numeric spot checks)."""
         zb = z.conjugate()
@@ -385,11 +382,6 @@ class ToeplitzMatrix:
                 if a and b:
                     acc = acc + a * b
         return acc
-
-    def composition_pairing(self, other: "ToeplitzMatrix", p: int,
-                            q: int) -> ComplexRational:
-        """Pairing of self(other(z^p)) against z^q without a full compose."""
-        return self.composition_entry(other, p, q) * cp1_gram(self.m, q)
 
 
 def cp1_toeplitz(m: int, f: RationalSymbol) -> ToeplitzMatrix:

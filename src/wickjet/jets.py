@@ -77,8 +77,9 @@ def _power_table(s: WickSeries, top: int) -> list:
 def _substitute(series: WickSeries, subs: list) -> WickSeries:
     """Formal composition: replace z_i by subs[i] (and zbar_i by its conjugate)."""
     dim, trunc = series.dim, series.trunc
+    zero = mi_zero(dim)
     for s in subs:
-        if s.coefficient(0, mi_zero(dim), mi_zero(dim)):
+        if s.coefficient(0, zero, zero):
             raise PreconditionError("coordinate changes must fix the marked point")
     conj = [s.conjugate() for s in subs]
     max_i = [0] * dim
@@ -91,17 +92,18 @@ def _substitute(series: WickSeries, subs: list) -> WickSeries:
             max_j[i] = max(max_j[i], J[i])
     pows = [_power_table(subs[i], max_i[i]) for i in range(dim)]
     cpows = [_power_table(conj[i], max_j[i]) for i in range(dim)]
-    out = WickSeries.zero(dim, trunc)
-    for (k2, I, J), c in series.terms.items():
+    out: dict = {}
+    for (_, I, J), c in series.terms.items():
         acc = None
         for i in range(dim):
             for table, p in ((pows[i], I[i]), (cpows[i], J[i])):
                 if p:
                     acc = table[p] if acc is None else acc * table[p]
-        term = WickSeries(dim, trunc, {(0, mi_zero(dim), mi_zero(dim)): c}) \
-            if acc is None else acc.scale(c)
-        out = out + term
-    return out
+        if acc is None:
+            accumulate((((0, zero, zero), c),), out)
+        else:
+            accumulate(((key, v * c) for key, v in acc.terms.items()), out)
+    return WickSeries(dim, trunc, out)
 
 
 def _is_normal_form(varphi: WickSeries) -> bool:

@@ -34,6 +34,7 @@ __all__ = [
     "mi_factorial",
     "total_degree",
     "accumulate",
+    "bilinear_terms",
     "integer_rows",
     "rational_terms",
     "read_record",
@@ -84,10 +85,14 @@ def accumulate(pairs: Iterable, out: dict | None = None) -> dict:
     return out
 
 
-# The exact kernel.  Inner loops of products and actions run on Gaussian
-# integers: a series becomes integer numerator pairs over the lcm of its
-# coefficient denominators, sums of pair products stay integers over the
-# product of the two denominators, and each output term is normalised once.
+# The exact kernel.  Every bilinear operation (the pointwise product,
+# wick_star, fock_act, anti_fock_act) runs through ``bilinear_terms`` and
+# differs only in its expansion rule: which output monomials, with which
+# integer scalars, a pair of input terms gives.  Inside the kernel a series
+# is Gaussian-integer numerator pairs over the lcm of its coefficient
+# denominators, sums of pair products stay integers over the product of the
+# two denominators, and each output term is normalised once.  This layout is
+# private to this module; rules see only monomial keys and integer scalars.
 
 _ZERO = Fraction(0)
 
@@ -121,6 +126,36 @@ def rational_terms(sums: dict, denominator: int) -> dict:
             out[key] = ComplexRational(Fraction(a, denominator) if a else _ZERO,
                                        Fraction(b, denominator) if b else _ZERO)
     return out
+
+
+def bilinear_terms(f: "WickSeries", g: "WickSeries", expand) -> dict:
+    """Exact terms of a bilinear operation, pairs beyond f's truncation never visited.
+
+    ``expand(key_f, key_g)`` returns ``(key, scalar)`` pairs with integer
+    scalars: the terms c_f x^key_f of f and c_g x^key_g of g contribute
+    ``scalar * c_f * c_g`` to ``key``.  Every output key must have degree
+    deg(key_f) + deg(key_g), so stopping at the truncation loses nothing.
+    """
+    df, rows_f = integer_rows(f)
+    dg, rows_g = integer_rows(g)
+    trunc = f.trunc
+    sums: dict = {}
+    get = sums.get
+    for deg_f, key_f, a, b in rows_f:
+        room = trunc - deg_f
+        for deg_g, key_g, c, d in rows_g:
+            if deg_g > room:
+                break
+            re = a * c - b * d
+            im = a * d + b * c
+            for key, scalar in expand(key_f, key_g):
+                acc = get(key)
+                if acc is None:
+                    sums[key] = [re * scalar, im * scalar]
+                else:
+                    acc[0] += re * scalar
+                    acc[1] += im * scalar
+    return rational_terms(sums, df * dg)
 
 
 def _record_int(value) -> int:
@@ -250,9 +285,6 @@ class WickSeries:
     def is_antiholomorphic(self) -> bool:
         return all(not any(I) for (_, I, _) in self.terms)
 
-    def has_integer_h_powers(self) -> bool:
-        return all(k2 % 2 == 0 for (k2, _, _) in self.terms)
-
     # -- window management -----------------------------------------------
 
     def with_lower_bound(self, lower_bound: int) -> "WickSeries":
@@ -310,7 +342,8 @@ class WickSeries:
         if not isinstance(other, WickSeries):
             return NotImplemented
         self._check_compatible(other)
-        return WickSeries(self.dim, self.trunc, _product_terms(self, other),
+        return WickSeries(self.dim, self.trunc,
+                          bilinear_terms(self, other, _pointwise),
                           self.lower_bound + other.lower_bound)
 
     def __rmul__(self, other):
@@ -388,26 +421,10 @@ class WickSeries:
         return cls(dim, trunc, terms, lower_bound)
 
 
-def _product_terms(f: WickSeries, g: WickSeries) -> dict:
-    """Terms of the pointwise product, pairs beyond the truncation never visited."""
-    df, rows_f = integer_rows(f)
-    dg, rows_g = integer_rows(g)
-    trunc = f.trunc
-    sums: dict = {}
-    get = sums.get
-    for deg_f, (k2f, If, Jf), a, b in rows_f:
-        room = trunc - deg_f
-        for deg_g, (k2g, Ig, Jg), c, d in rows_g:
-            if deg_g > room:
-                break
-            key = (k2f + k2g, tuple(map(add, If, Ig)), tuple(map(add, Jf, Jg)))
-            acc = get(key)
-            if acc is None:
-                sums[key] = [a * c - b * d, a * d + b * c]
-            else:
-                acc[0] += a * c - b * d
-                acc[1] += a * d + b * c
-    return rational_terms(sums, df * dg)
+def _pointwise(key_f, key_g) -> list:
+    """The pointwise product rule: exponents add, scalar 1."""
+    (k2f, If, Jf), (k2g, Ig, Jg) = key_f, key_g
+    return [((k2f + k2g, tuple(map(add, If, Ig)), tuple(map(add, Jf, Jg))), 1)]
 
 
 def _format_hbar(k2: int) -> str:
@@ -479,13 +496,6 @@ class HbarSeries:
 
     def coefficient(self, k2: int) -> ComplexRational:
         return self.terms.get(k2, ComplexRational(0))
-
-    def coefficient_at_power(self, k: Fraction | int) -> ComplexRational:
-        """Coefficient of h^k for integer or half-integer k."""
-        k2 = Fraction(k) * 2
-        if k2.denominator != 1:
-            raise ValueError(f"h-power {k} is not a half-integer")
-        return self.coefficient(int(k2))
 
     def min_k2(self) -> int | None:
         return min(self.terms) if self.terms else None

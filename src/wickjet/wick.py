@@ -23,7 +23,7 @@ from math import comb
 from operator import add, sub
 
 from .errors import PreconditionError
-from .series import WickSeries, integer_rows, rational_terms
+from .series import WickSeries, bilinear_terms
 
 __all__ = [
     "wick_star",
@@ -46,7 +46,19 @@ def _falling(n: int, k: int) -> int:
 def wick_star(f: WickSeries, g: WickSeries) -> WickSeries:
     """The associative Wick product of two series (same dim and trunc)."""
     f._check_compatible(g)
-    return WickSeries(f.dim, f.trunc, _star_terms(f, g),
+    ways: dict = {}  # contractions per (I_f, J_g); the same pair recurs often
+
+    def expand(key_f, key_g):
+        k2f, If, Jf = key_f
+        k2g, Ig, Jg = key_g
+        contractions = ways.get((If, Jg))
+        if contractions is None:
+            contractions = ways[If, Jg] = _contractions(If, Jg)
+        k2 = k2f + k2g
+        return [((k2 + t2, tuple(map(add, Ia, Ig)), tuple(map(add, Jf, Ja))),
+                 scalar) for t2, Ia, Ja, scalar in contractions]
+
+    return WickSeries(f.dim, f.trunc, bilinear_terms(f, g, expand),
                       f.lower_bound + g.lower_bound)
 
 
@@ -69,36 +81,6 @@ def _contractions(I: tuple, J: tuple) -> list:
     return out
 
 
-def _star_terms(f: WickSeries, g: WickSeries) -> dict:
-    df, rows_f = integer_rows(f)
-    dg, rows_g = integer_rows(g)
-    trunc = f.trunc
-    sums: dict = {}
-    get = sums.get
-    ways: dict = {}  # contractions per (I_f, J_g); the same pair recurs often
-    for deg_f, (k2f, If, Jf), a, b in rows_f:
-        room = trunc - deg_f
-        for deg_g, (k2g, Ig, Jg), c, d in rows_g:
-            if deg_g > room:
-                break
-            re = a * c - b * d
-            im = a * d + b * c
-            k2 = k2f + k2g
-            contractions = ways.get((If, Jg))
-            if contractions is None:
-                contractions = ways[If, Jg] = _contractions(If, Jg)
-            for t2, Ia, Ja, scalar in contractions:
-                key = (k2 + t2, tuple(map(add, Ia, Ig)),
-                       tuple(map(add, Jf, Ja)))
-                acc = get(key)
-                if acc is None:
-                    sums[key] = [re * scalar, im * scalar]
-                else:
-                    acc[0] += re * scalar
-                    acc[1] += im * scalar
-    return rational_terms(sums, df * dg)
-
-
 def _falling_product(top: tuple, lower: tuple) -> int:
     """prod (top_i)_(lower_i); zero exactly when some top_i < lower_i."""
     scalar = 1
@@ -113,37 +95,20 @@ def fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
     f._check_compatible(s)
     if not s.is_holomorphic():
         raise PreconditionError("fock_act target must be holomorphic (J = 0)")
-    return WickSeries(f.dim, f.trunc, _fock_terms(f, s),
-                      f.lower_bound + s.lower_bound)
-
-
-def _fock_terms(f: WickSeries, s: WickSeries) -> dict:
-    df, rows_f = integer_rows(f)
-    ds, rows_s = integer_rows(s)
-    trunc = f.trunc
     zero = (0,) * f.dim
-    sums: dict = {}
-    get = sums.get
-    for deg_f, (k2, I, J), a, b in rows_f:
-        room = trunc - deg_f
-        k2 += 2 * sum(J)
-        for deg_s, (k2s, P, _), c, d in rows_s:
-            if deg_s > room:
-                break
-            top = tuple(map(add, I, P))
-            scalar = _falling_product(top, J)
-            if not scalar:
-                continue
-            key = (k2 + k2s, tuple(map(sub, top, J)), zero)
-            re = (a * c - b * d) * scalar
-            im = (a * d + b * c) * scalar
-            acc = get(key)
-            if acc is None:
-                sums[key] = [re, im]
-            else:
-                acc[0] += re
-                acc[1] += im
-    return rational_terms(sums, df * ds)
+
+    def expand(key_f, key_s):
+        k2, I, J = key_f
+        k2s, P, _ = key_s
+        top = tuple(map(add, I, P))
+        scalar = _falling_product(top, J)
+        if not scalar:
+            return ()
+        return [((k2 + k2s + 2 * sum(J), tuple(map(sub, top, J)), zero),
+                 scalar)]
+
+    return WickSeries(f.dim, f.trunc, bilinear_terms(f, s, expand),
+                      f.lower_bound + s.lower_bound)
 
 
 def anti_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
@@ -151,37 +116,20 @@ def anti_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
     f._check_compatible(s)
     if not s.is_antiholomorphic():
         raise PreconditionError("anti_fock_act target must be anti-holomorphic (I = 0)")
-    return WickSeries(f.dim, f.trunc, _anti_fock_terms(f, s),
-                      f.lower_bound + s.lower_bound)
-
-
-def _anti_fock_terms(f: WickSeries, s: WickSeries) -> dict:
-    df, rows_f = integer_rows(f)
-    ds, rows_s = integer_rows(s)
-    trunc = f.trunc
     zero = (0,) * f.dim
-    sums: dict = {}
-    get = sums.get
-    for deg_f, (k2, I, J), a, b in rows_f:
-        room = trunc - deg_f
-        sign = -1 if sum(I) % 2 else 1
-        k2 += 2 * sum(I)
-        for deg_s, (k2s, _, Q), c, d in rows_s:
-            if deg_s > room:
-                break
-            scalar = sign * _falling_product(Q, I)
-            if not scalar:
-                continue
-            key = (k2 + k2s, zero, tuple(map(add, map(sub, Q, I), J)))
-            re = (a * c - b * d) * scalar
-            im = (a * d + b * c) * scalar
-            acc = get(key)
-            if acc is None:
-                sums[key] = [re, im]
-            else:
-                acc[0] += re
-                acc[1] += im
-    return rational_terms(sums, df * ds)
+
+    def expand(key_f, key_s):
+        k2, I, J = key_f
+        k2s, _, Q = key_s
+        scalar = _falling_product(Q, I)
+        if not scalar:
+            return ()
+        order = sum(I)
+        return [((k2 + k2s + 2 * order, zero, tuple(map(add, map(sub, Q, I), J))),
+                 -scalar if order % 2 else scalar)]
+
+    return WickSeries(f.dim, f.trunc, bilinear_terms(f, s, expand),
+                      f.lower_bound + s.lower_bound)
 
 
 def classical_exp(h: WickSeries, divide_by_hbar: bool = False) -> WickSeries:

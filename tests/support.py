@@ -7,7 +7,8 @@ Beta integral, and volume-log jets expand the metric determinant over all
 permutations, so a kernel bug cannot cancel against itself.  The reference
 products and actions below visit every pair of terms in plain
 ComplexRational arithmetic, with none of the integer kernel's common
-denominators or degree-sorted early exits.
+denominators or degree-sorted early exits.  The reference substitution
+adds up one scaled series per term of the substituted series.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 import sympy as sp
 
 from wickjet.coefficients import ComplexRational
+from wickjet.errors import PreconditionError
 from wickjet.series import (
     WickSeries,
     accumulate,
@@ -393,3 +395,44 @@ def reference_anti_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
                 yield ((k2 + k2s + 2 * sum(I), zero, mi_add(mi_sub(Q, I), J)),
                        cf * cs * scalar)
     return _series(f, s, pairs())
+
+
+# ---------------------------------------------------------------------------
+# per-term reference for the substitution in jets
+
+
+def _power_table(s: WickSeries, top: int) -> list:
+    table = [WickSeries.unit(s.dim, s.trunc)]
+    for _ in range(top):
+        table.append(table[-1] * s)
+    return table
+
+
+def reference_substitute(series: WickSeries, subs: list) -> WickSeries:
+    """Formal composition: replace z_i by subs[i] (and zbar_i by its conjugate)."""
+    dim, trunc = series.dim, series.trunc
+    for s in subs:
+        if s.coefficient(0, mi_zero(dim), mi_zero(dim)):
+            raise PreconditionError("coordinate changes must fix the marked point")
+    conj = [s.conjugate() for s in subs]
+    max_i = [0] * dim
+    max_j = [0] * dim
+    for (k2, I, J) in series.terms:
+        if k2:
+            raise PreconditionError("substitution is defined for classical jets only")
+        for i in range(dim):
+            max_i[i] = max(max_i[i], I[i])
+            max_j[i] = max(max_j[i], J[i])
+    pows = [_power_table(subs[i], max_i[i]) for i in range(dim)]
+    cpows = [_power_table(conj[i], max_j[i]) for i in range(dim)]
+    out = WickSeries.zero(dim, trunc)
+    for (k2, I, J), c in series.terms.items():
+        acc = None
+        for i in range(dim):
+            for table, p in ((pows[i], I[i]), (cpows[i], J[i])):
+                if p:
+                    acc = table[p] if acc is None else acc * table[p]
+        term = WickSeries(dim, trunc, {(0, mi_zero(dim), mi_zero(dim)): c}) \
+            if acc is None else acc.scale(c)
+        out = out + term
+    return out

@@ -87,8 +87,6 @@ def test_rational_literal_size_is_bounded():
 
 
 def test_complex_helpers():
-    a = ComplexRational.from_strings("1/2", "-3")
-    assert a == ComplexRational(Fraction(1, 2), -3)
     assert complex(ComplexRational(1, -2)) == 1 - 2j
     assert str(ComplexRational(Fraction(1, 2))) == "1/2"
     assert str(ComplexRational(0, Fraction(-2, 3))) == "-2/3i"

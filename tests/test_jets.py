@@ -7,6 +7,7 @@ import sympy as sp
 from wickjet.coefficients import ComplexRational
 from wickjet.errors import DegreeWindowError, PreconditionError
 from wickjet.jets import (
+    _substitute,
     CurvatureTensor,
     PotentialJets,
     apply_normalization,
@@ -18,12 +19,14 @@ from wickjet.jets import (
     volume_log_jets,
     weight_series,
 )
-from wickjet.series import WickSeries
+from wickjet.series import WickSeries, mi_zero
 
 from support import (
     _sympy_symbols,
     permutation_volume_log,
     random_coefficient,
+    random_multi_index,
+    reference_substitute,
     sympy_to_series,
 )
 
@@ -394,6 +397,57 @@ def test_curvature_validation():
         CurvatureTensor(1, {(0, 0, 0, 0): ComplexRational(0, 1)})
     with pytest.raises(PreconditionError):
         CurvatureTensor(2, {(0, 0, 1, 1): 1})
+
+
+def _random_coordinates(rng, dim, trunc, top):
+    """Holomorphic series without constant terms, of degrees 1 to ``top``."""
+    subs = []
+    for _ in range(dim):
+        terms = {(0, e(dim, j), mi_zero(dim)): random_coefficient(rng)
+                 for j in range(dim) if rng.random() < 0.8}
+        for _ in range(rng.randint(0, 3) if top > 1 else 0):
+            I = random_multi_index(rng, dim, top)
+            if sum(I) >= 2:
+                terms[(0, I, mi_zero(dim))] = random_coefficient(rng)
+        subs.append(WickSeries(dim, trunc, terms))
+    return subs
+
+
+def test_substitute_matches_reference():
+    rng = random.Random(41)
+    linear = higher = 0
+    for dim in (1, 2, 3):
+        zero = mi_zero(dim)
+        for _ in range(8):
+            trunc = rng.randint(3, 7 - dim)
+            only_j = random_multi_index(rng, dim, 2)
+            if not any(only_j):
+                only_j = e(dim, rng.randrange(dim))
+            terms = {(0, zero, zero): random_coefficient(rng),
+                     (0, zero, only_j): random_coefficient(rng)}
+            for _ in range(rng.randint(1, 5)):
+                I = random_multi_index(rng, dim, trunc)
+                J = random_multi_index(rng, dim, trunc - sum(I))
+                terms[(0, I, J)] = random_coefficient(rng)
+            series = WickSeries(dim, trunc, terms)
+            top = rng.choice([1, trunc])
+            subs = _random_coordinates(rng, dim, trunc, top)
+            linear += top == 1
+            higher += any(sum(I) >= 2 for s in subs for _, I, _ in s.terms)
+            got = _substitute(series, subs)
+            assert got == reference_substitute(series, subs)
+            assert got.lower_bound == 0 and all(got.terms.values())
+    assert linear and higher
+
+    coords = [WickSeries.monomial(2, 4, 1, 0, e(2, i), mi_zero(2))
+              for i in range(2)]
+    plain = jets(2, 4, {((1, 0), (0, 1)): 1})
+    moved = [coords[0] + 1, coords[1]]
+    with pytest.raises(PreconditionError, match="marked point"):
+        _substitute(plain, moved)
+    quantum = plain + WickSeries.monomial(2, 4, 1, 2)
+    with pytest.raises(PreconditionError, match="classical jets"):
+        _substitute(quantum, coords)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """The Gaussian-integer kernel against plain ComplexRational references.
 
-Products and actions run on integer numerators over one common denominator
-(``series.integer_rows`` / ``series.rational_terms``); the references in
-``support`` visit every pair of terms in ComplexRational arithmetic.  The
-inputs stress what the integer layout could get wrong: pairwise-coprime
-denominators up to 97 (so the common denominator is large), purely
-imaginary and complex coefficients, odd and negative h-powers under a
-negative lower bound, sums that cancel exactly, and terms whose degrees sum
-to exactly the truncation.
+Products and actions run through ``series.bilinear_terms``, on integer
+numerators over one common denominator (``series.integer_rows`` /
+``series.rational_terms``); the references in ``support`` visit every pair
+of terms in ComplexRational arithmetic.  The inputs stress what the integer
+layout could get wrong: pairwise-coprime denominators up to 97 (so the
+common denominator is large), purely imaginary and complex coefficients,
+odd and negative h-powers under a negative lower bound, sums that cancel
+exactly, and terms whose degrees sum to exactly the truncation.
 """
 
 import random

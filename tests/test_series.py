@@ -154,8 +154,6 @@ def test_predicates():
     assert hol.is_plain()
     ext = WickSeries(1, 5, {(-2, (3,), (0,)): 1}, lower_bound=-1)
     assert not ext.is_plain()
-    odd = WickSeries(1, 5, {(1, (1,), (0,)): 1})
-    assert not odd.has_integer_h_powers()
 
 
 def test_records_round_trip():
@@ -185,8 +183,6 @@ def test_hbar_series_arithmetic():
     assert (a * b).coefficient(6) == -Fraction(1, 2)
     assert (a * b).coefficient(8) == 0  # beyond trunc
     assert a.shift(2).coefficient(4) == -1
-    assert a.coefficient_at_power(1) == -1
-    assert a.coefficient_at_power(Fraction(1, 2)) == 0
     assert HbarSeries.one(4) == 1
     with pytest.raises(TruncationMismatch):
         a + HbarSeries(4)
