@@ -162,7 +162,7 @@ def vacuum_reduce(a: WickSeries, ctx: BTContext, target: int):
     zero = mi_zero(dim)
 
     lead = a.min_degree()
-    k2_0, head = min((k2, I) for (k2, I, _) in a.terms if k2 + sum(I) == lead)
+    k2_0, head = min((k2, I) for (k2, I, _) in a.num if k2 + sum(I) == lead)
     coeff = a.coefficient(k2_0, head, zero)
     l2 = k2_0 + 2 * sum(head)
     if l2 > trunc:

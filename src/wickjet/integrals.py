@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .coefficients import ComplexRational
 from .errors import PreconditionError, SolveError, TruncationMismatch, DimensionMismatch
 from .series import HbarSeries, WickSeries, accumulate, mi_factorial
 from .wick import classical_exp, fock_act, wick_star
@@ -60,10 +61,10 @@ class WeightSeries:
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "is_real", body.conjugate() == body)
         object.__setattr__(self, "toeplitz_admissible",
-                           all(any(J) for (_, _, J) in body.terms))
+                           all(any(J) for (_, _, J) in body.num))
         object.__setattr__(self, "refined",
                            all(sum(I) != 1 and sum(J) != 1
-                               for (k2, I, J) in body.terms if k2 == 0))
+                               for (k2, I, J) in body.num if k2 == 0))
         object.__setattr__(self, "_exponentials", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -124,9 +125,12 @@ def gaussian_moment(I, J, k2: int = 0, *, trunc: int) -> HbarSeries:
 
 
 def _moments(h: WickSeries) -> HbarSeries:
-    return HbarSeries(h.trunc, accumulate(
-        (k2 + 2 * sum(I), coeff * mi_factorial(I))
-        for (k2, I, J), coeff in h.terms.items() if I == J))
+    diagonal = [(k2 + 2 * sum(I), mi_factorial(I), a, b)
+                for (k2, I, J), (a, b) in h.num.items() if I == J]
+    re = accumulate((k, w * a) for k, w, a, _ in diagonal)
+    im = accumulate((k, w * b) for k, w, _, b in diagonal)
+    return HbarSeries(h.trunc, {k: ComplexRational(Fraction(re[k], h.den),
+                                                   Fraction(im[k], h.den)) for k in re})
 
 
 def _check_weight(h: WickSeries, w: WeightSeries) -> None:

@@ -52,7 +52,7 @@ def _unit(dim: int, i: int) -> tuple:
 
 
 def _is_classical(series) -> bool:
-    return isinstance(series, WickSeries) and not any(k2 for k2, _, _ in series.terms)
+    return isinstance(series, WickSeries) and not any(k2 for k2, _, _ in series.num)
 
 
 def _norm_squared(dim: int, trunc: int) -> WickSeries:
@@ -79,12 +79,12 @@ def _substitute(series: WickSeries, subs: list) -> WickSeries:
     dim, trunc = series.dim, series.trunc
     zero = mi_zero(dim)
     for s in subs:
-        if s.coefficient(0, zero, zero):
+        if (0, zero, zero) in s.num:
             raise PreconditionError("coordinate changes must fix the marked point")
     conj = [s.conjugate() for s in subs]
     max_i = [0] * dim
     max_j = [0] * dim
-    for (k2, I, J) in series.terms:
+    for (k2, I, J) in series.num:
         if k2:
             raise PreconditionError("substitution is defined for classical jets only")
         for i in range(dim):
@@ -92,24 +92,28 @@ def _substitute(series: WickSeries, subs: list) -> WickSeries:
             max_j[i] = max(max_j[i], J[i])
     pows = [_power_table(subs[i], max_i[i]) for i in range(dim)]
     cpows = [_power_table(conj[i], max_j[i]) for i in range(dim)]
-    out: dict = {}
-    for (_, I, J), c in series.terms.items():
-        acc = None
+    unit = WickSeries.unit(dim, trunc)
+    groups: dict = {}  # images scaled by their term's numerators, by denominator
+    for (_, I, J), (a, b) in series.num.items():
+        acc = unit
         for i in range(dim):
             for table, p in ((pows[i], I[i]), (cpows[i], J[i])):
                 if p:
-                    acc = table[p] if acc is None else acc * table[p]
-        if acc is None:
-            accumulate((((0, zero, zero), c),), out)
-        else:
-            accumulate(((key, v * c) for key, v in acc.terms.items()), out)
-    return WickSeries(dim, trunc, out)
+                    acc = table[p] if acc is unit else acc * table[p]
+        out = groups.setdefault(acc.den, {})
+        get = out.get
+        for key, (c, d) in acc.num.items():
+            re, im = a * c - b * d, a * d + b * c
+            prev = get(key)
+            out[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+    return sum((unit._build(out, series.den * den, 0) for den, out in groups.items()),
+               WickSeries.zero(dim, trunc))
 
 
 def _is_normal_form(varphi: WickSeries) -> bool:
     """|z|^2 plus jets of bidegree at least (2, 2)."""
     rest = varphi - _norm_squared(varphi.dim, varphi.trunc)
-    return all(sum(I) >= 2 and sum(J) >= 2 for (_, I, J) in rest.terms)
+    return all(sum(I) >= 2 and sum(J) >= 2 for (_, I, J) in rest.num)
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +306,9 @@ def _diagonalizing_change(matrix: list, dim: int):
 
 
 def _holo_slice(series: WickSeries, degree: int) -> WickSeries:
-    terms = {}
-    for (k2, I, J), c in series.terms.items():
-        if k2 == 0 and not any(J) and sum(I) == degree:
-            terms[(k2, I, J)] = c
-    return WickSeries(series.dim, series.trunc, terms)
+    picked = {(k2, I, J): pair for (k2, I, J), pair in series.num.items()
+              if k2 == 0 and not any(J) and sum(I) == degree}
+    return series._build(picked, series.den, 0)
 
 
 def k_normalize(raw: PotentialJets):
@@ -354,11 +356,10 @@ def k_normalize(raw: PotentialJets):
             hs = []
             for j in range(dim):
                 ej = _unit(dim, j)
-                terms = {}
-                for (k2, I, J), c in current.terms.items():
-                    if k2 == 0 and J == ej and sum(I) == d - 1:
-                        terms[(0, I, zero)] = -c
-                hs.append(WickSeries(dim, order, terms))
+                picked = {(0, I, zero): (-a, -b)
+                          for (k2, I, J), (a, b) in current.num.items()
+                          if k2 == 0 and J == ej and sum(I) == d - 1}
+                hs.append(current._build(picked, current.den, 0))
             if any(hs):
                 subs = [unit + h for unit, h in zip(_identity_coords(dim, order), hs)]
                 substitute_all(subs)
@@ -425,9 +426,10 @@ def volume_log_jets(p: PotentialJets) -> WickSeries:
     varphi = p.varphi
     dim = varphi.dim
     r2 = max(varphi.trunc - 2, 0)
-    constant = [[ComplexRational()] * dim for _ in range(dim)]
+    constant = [[varphi.coefficient(0, _unit(dim, i), _unit(dim, j))
+                 for j in range(dim)] for i in range(dim)]
     rest = [[{} for _ in range(dim)] for _ in range(dim)]
-    for (_, I, J), c in varphi.terms.items():
+    for (_, I, J), (a, b) in varphi.num.items():
         for i in range(dim):
             if not I[i]:
                 continue
@@ -436,11 +438,8 @@ def volume_log_jets(p: PotentialJets) -> WickSeries:
                 if not J[j]:
                     continue
                 dj = mi_sub(J, _unit(dim, j))
-                coeff = c * (I[i] * J[j])
-                if not (any(di) or any(dj)):
-                    constant[i][j] = coeff
-                elif sum(di) + sum(dj) <= r2:
-                    rest[i][j][(0, di, dj)] = coeff
+                if (any(di) or any(dj)) and sum(di) + sum(dj) <= r2:
+                    rest[i][j][(0, di, dj)] = (a * I[i] * J[j], b * I[i] * J[j])
     inverse, det = _invert_constant(constant, dim)
     if not det:
         raise PreconditionError("the metric is degenerate at the marked point")
@@ -448,15 +447,15 @@ def volume_log_jets(p: PotentialJets) -> WickSeries:
         raise PreconditionError(
             "volume-log jets need unit metric determinant at the point; "
             "normalize the potential first")
-    x = [[WickSeries(dim, r2, accumulate(
-        (key, a * c) for a, terms in zip(inverse[i], column) if a
-        for key, c in terms.items()))
-        for column in zip(*rest)] for i in range(dim)]
+    zero = WickSeries.zero(dim, r2)
+    blocks = [[zero._build(terms, varphi.den, 0) for terms in row] for row in rest]
+    x = [[sum((block.scale(a) for a, block in zip(inverse[i], column) if a), zero)
+          for column in zip(*blocks)] for i in range(dim)]
 
-    def entry(row: list, right: list, j: int) -> dict:
+    def entry(row: list, right: list, j: int) -> WickSeries:
         """Entry j of the product of a row with the matrix ``right``."""
-        return accumulate(pair for l in range(dim) if row[l] and right[l][j]
-                          for pair in (row[l] * right[l][j]).terms.items())
+        return sum((row[l] * right[l][j] for l in range(dim)
+                    if row[l] and right[l][j]), zero)
 
     # X^k has degree at least k times the least degree of X
     lowest = min((s.min_degree() for row in x for s in row if s), default=r2 + 1)
@@ -465,19 +464,17 @@ def volume_log_jets(p: PotentialJets) -> WickSeries:
     half = (last + 1) // 2
     powers = [x]
     while len(powers) < half:
-        powers.append([[WickSeries(dim, r2, entry(row, x, j)) for j in range(dim)]
+        powers.append([[entry(row, x, j) for j in range(dim)]
                        for row in powers[-1]])
-    out: dict = {}
+    out = zero
     for k in range(1, last + 1):
         if k <= half:
-            diagonal = [powers[k - 1][i][i].terms for i in range(dim)]
+            trace = sum((powers[k - 1][i][i] for i in range(dim)), zero)
         else:
-            diagonal = [entry(powers[half - 1][i], powers[k - half - 1], i)
-                        for i in range(dim)]
-        weight = Fraction((-1) ** (k + 1), k)
-        accumulate(((key, c * weight) for terms in diagonal
-                    for key, c in terms.items()), out)
-    return WickSeries(dim, r2, out)
+            trace = sum((entry(powers[half - 1][i], powers[k - half - 1], i)
+                         for i in range(dim)), zero)
+        out = out + trace.scale(Fraction((-1) ** (k + 1), k))
+    return out
 
 
 def weight_series(p: PotentialJets, trunc: int) -> WeightSeries:

@@ -13,14 +13,15 @@ Every series carries a truncation degree ``trunc`` (terms above it are
 discarded — the grading makes this lossless for products) and a
 ``lower_bound`` on allowed term degrees (negative bounds admit the extended
 algebra with inverse powers of h).  Zero is the empty term map and equality
-is structural on ``(dim, trunc, terms)``.
+is structural on the canonical integer layout ``(dim, trunc, den, num)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, itemgetter
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .coefficients import ComplexRational, format_rational, parse_rational
@@ -35,14 +36,13 @@ __all__ = [
     "total_degree",
     "accumulate",
     "bilinear_terms",
-    "integer_rows",
-    "rational_terms",
     "read_record",
     "WickSeries",
     "HbarSeries",
 ]
 
 MultiIndex = tuple  # tuple[int, ...], length == dim
+_ZERO = Fraction(0)
 
 
 def mi_zero(dim: int) -> MultiIndex:
@@ -88,60 +88,25 @@ def accumulate(pairs: Iterable, out: dict | None = None) -> dict:
 # The exact kernel.  Every bilinear operation (the pointwise product,
 # wick_star, fock_act, anti_fock_act) runs through ``bilinear_terms`` and
 # differs only in its expansion rule: which output monomials, with which
-# integer scalars, a pair of input terms gives.  Inside the kernel a series
-# is Gaussian-integer numerator pairs over the lcm of its coefficient
-# denominators, sums of pair products stay integers over the product of the
-# two denominators, and each output term is normalised once.  This layout is
-# private to this module; rules see only monomial keys and integer scalars.
-
-_ZERO = Fraction(0)
+# integer scalars, a pair of input terms gives.  It reads both factors'
+# stored integer numerators; sums of pair products stay integers over the
+# product of the two denominators, reduced once when the result is built.
 
 
-def integer_rows(series: "WickSeries") -> tuple:
-    """``(D, rows)``: one ``(degree, key, a, b)`` row per term, coefficient (a + bi)/D.
-
-    D is the lcm of the coefficient denominators; rows are sorted by degree,
-    so a loop bounded by the truncation can stop at the first row past it.
-    """
-    terms = series.terms
-    dens = {c.re.denominator for c in terms.values()}
-    dens.update(c.im.denominator for c in terms.values())
-    D = lcm(*dens)
-    rows = [(k2 + sum(I) + sum(J), (k2, I, J),
-             c.re.numerator * (D // c.re.denominator),
-             c.im.numerator * (D // c.im.denominator))
-            for (k2, I, J), c in terms.items()]
-    rows.sort(key=itemgetter(0))
-    return D, rows
-
-
-def rational_terms(sums: dict, denominator: int) -> dict:
-    """``{key: [a, b]}`` integer sums over ``denominator`` as exact coefficients.
-
-    One Fraction is formed per nonzero part; sums that cancel are dropped.
-    """
-    out = {}
-    for key, (a, b) in sums.items():
-        if a or b:
-            out[key] = ComplexRational(Fraction(a, denominator) if a else _ZERO,
-                                       Fraction(b, denominator) if b else _ZERO)
-    return out
-
-
-def bilinear_terms(f: "WickSeries", g: "WickSeries", expand) -> dict:
-    """Exact terms of a bilinear operation, pairs beyond f's truncation never visited.
+def bilinear_terms(f: "WickSeries", g: "WickSeries", expand) -> tuple:
+    """A bilinear operation as integer pairs ``{key: [a, b]}`` over a denominator.
 
     ``expand(key_f, key_g)`` returns ``(key, scalar)`` pairs with integer
     scalars: the terms c_f x^key_f of f and c_g x^key_g of g contribute
     ``scalar * c_f * c_g`` to ``key``.  Every output key must have degree
-    deg(key_f) + deg(key_g), so stopping at the truncation loses nothing.
+    deg(key_f) + deg(key_g), so pairs beyond f's truncation, never visited,
+    lose nothing.  Returns ``(sums, den)``; sums that cancel stay as [0, 0].
     """
-    df, rows_f = integer_rows(f)
-    dg, rows_g = integer_rows(g)
+    rows_g = g._sorted_rows()
     trunc = f.trunc
     sums: dict = {}
     get = sums.get
-    for deg_f, key_f, a, b in rows_f:
+    for deg_f, key_f, a, b in f._sorted_rows():
         room = trunc - deg_f
         for deg_g, key_g, c, d in rows_g:
             if deg_g > room:
@@ -155,7 +120,7 @@ def bilinear_terms(f: "WickSeries", g: "WickSeries", expand) -> dict:
                 else:
                     acc[0] += re * scalar
                     acc[1] += im * scalar
-    return rational_terms(sums, df * dg)
+    return sums, f.den * g.den
 
 
 def _record_int(value) -> int:
@@ -188,41 +153,61 @@ def read_record(rec: dict, *fields: str) -> tuple:
 
 
 class WickSeries:
-    """A sparse, truncated element of the (extended) Wick algebra."""
+    """A sparse, truncated element of the (extended) Wick algebra.
 
-    __slots__ = ("dim", "trunc", "lower_bound", "terms")
+    The coefficient of ``key`` is (a + bi) / den for ``num[key] == (a, b)``,
+    kept canonical: den > 0, no (0, 0) pair, no term past ``trunc``, and
+    gcd(den, every a, every b) == 1.  ``num`` must not be mutated.
+    """
+
+    __slots__ = ("dim", "trunc", "lower_bound", "den", "num", "_rows", "_terms")
 
     def __init__(self, dim: int, trunc: int, terms: Mapping | None = None,
                  lower_bound: int = 0):
+        coeffs = {(k2, tuple(I), tuple(J)): ComplexRational.coerce(c)
+                  for (k2, I, J), c in (terms or {}).items()}
+        den = lcm(*(x.denominator for c in coeffs.values() for x in (c.re, c.im)))
+        self._fill(dim, trunc, {key: (c.re.numerator * (den // c.re.denominator),
+                                      c.im.numerator * (den // c.im.denominator))
+                                for key, c in coeffs.items()}, den, lower_bound)
+
+    def _fill(self, dim: int, trunc: int, num: Mapping, den: int,
+              lower_bound: int) -> None:
+        """The one constructor: checks ``num`` over ``den`` and stores it canonically."""
         if dim < 1:
             raise DimensionMismatch(f"dim must be >= 1, got {dim}")
         if trunc < 0:
             raise ValueError(f"trunc must be >= 0, got {trunc}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "lower_bound", lower_bound)
-        clean: dict = {}
-        if terms:
-            for key, raw in terms.items():
-                k2, I, J = key
-                I = tuple(I)
-                J = tuple(J)
-                if len(I) != dim or len(J) != dim:
-                    raise DimensionMismatch(
-                        f"multi-index length != dim={dim} in term {key}")
-                if any(e < 0 for e in I) or any(e < 0 for e in J):
-                    raise ValueError(f"negative multi-index entry in term {key}")
-                coeff = ComplexRational.coerce(raw)
-                if not coeff:
-                    continue
-                deg = k2 + sum(I) + sum(J)
-                if deg > trunc:
-                    continue
-                if deg < lower_bound:
-                    raise DegreeWindowError(
-                        f"term {(k2, I, J)} has degree {deg} < lower bound {lower_bound}")
-                clean[(k2, I, J)] = coeff
-        object.__setattr__(self, "terms", clean)
+        kept: dict = {}
+        common = den
+        for key, (a, b) in num.items():
+            k2, I, J = key
+            if len(I) != dim or len(J) != dim:
+                raise DimensionMismatch(
+                    f"multi-index length != dim={dim} in term {key}")
+            if min(I) < 0 or min(J) < 0:
+                raise ValueError(f"negative multi-index entry in term {key}")
+            deg = k2 + sum(I) + sum(J)
+            if deg > trunc or not (a or b):
+                continue
+            if deg < lower_bound:
+                raise DegreeWindowError(
+                    f"term {key} has degree {deg} < lower bound {lower_bound}")
+            if common != 1:
+                common = gcd(common, a, b)
+            kept[key] = (a, b)
+        if common != 1:
+            den //= common
+            kept = {key: (a // common, b // common) for key, (a, b) in kept.items()}
+        for name, value in zip(self.__slots__,
+                               (dim, trunc, lower_bound, den, kept, None, None)):
+            object.__setattr__(self, name, value)
+
+    def _build(self, num: Mapping, den: int, lower_bound: int) -> "WickSeries":
+        """A series of this one's dim and trunc, through ``_fill``."""
+        series = object.__new__(WickSeries)
+        series._fill(self.dim, self.trunc, num, den, lower_bound)
+        return series
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("WickSeries is immutable")
@@ -251,13 +236,32 @@ class WickSeries:
     # -- inspection -----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.num)
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """Read-only ``{(k2, I, J): ComplexRational}`` view, built on first use."""
+        if self._terms is None:
+            den = self.den
+            object.__setattr__(self, "_terms", MappingProxyType({
+                key: ComplexRational(Fraction(a, den), Fraction(b, den) if b else _ZERO)
+                for key, (a, b) in self.num.items()}))
+        return self._terms
+
+    def _sorted_rows(self) -> list:
+        """``(degree, key, a, b)`` per term by degree, kept for the next product."""
+        if self._rows is None:
+            object.__setattr__(self, "_rows", sorted(
+                ((k2 + sum(I) + sum(J), (k2, I, J), a, b)
+                 for (k2, I, J), (a, b) in self.num.items()), key=itemgetter(0)))
+        return self._rows
 
     def coefficient(self, k2: int, I: MultiIndex, J: MultiIndex) -> ComplexRational:
-        return self.terms.get((k2, tuple(I), tuple(J)), ComplexRational(0))
+        a, b = self.num.get((k2, tuple(I), tuple(J)), (0, 0))
+        return ComplexRational(Fraction(a, self.den), Fraction(b, self.den))
 
     def sorted_terms(self) -> list:
         """Terms in canonical (k2, I, J) lexicographic order."""
@@ -265,34 +269,36 @@ class WickSeries:
 
     def min_degree(self) -> int | None:
         """Least term degree, or None for the zero series."""
-        if not self.terms:
+        if not self.num:
             return None
-        return min(total_degree(*key) for key in self.terms)
+        return min(total_degree(*key) for key in self.num)
 
     def degree_slice(self, degree: int) -> "WickSeries":
         """The homogeneous part of the given total degree."""
-        picked = {k: c for k, c in self.terms.items() if total_degree(*k) == degree}
-        return WickSeries(self.dim, self.trunc, picked, min(self.lower_bound, degree))
+        picked = {k: v for k, v in self.num.items() if total_degree(*k) == degree}
+        return self._build(picked, self.den, min(self.lower_bound, degree))
 
     def is_plain(self) -> bool:
         """No inverse powers of h and a non-negative degree window."""
-        return self.lower_bound >= 0 and all(k2 >= 0 for (k2, _, _) in self.terms)
+        return self.lower_bound >= 0 and all(k2 >= 0 for (k2, _, _) in self.num)
 
     def is_holomorphic(self) -> bool:
         """Only y generators (J = 0 throughout)."""
-        return all(not any(J) for (_, _, J) in self.terms)
+        return all(not any(J) for (_, _, J) in self.num)
 
     def is_antiholomorphic(self) -> bool:
-        return all(not any(I) for (_, I, _) in self.terms)
+        return all(not any(I) for (_, I, _) in self.num)
 
     # -- window management -----------------------------------------------
 
     def with_lower_bound(self, lower_bound: int) -> "WickSeries":
-        return WickSeries(self.dim, self.trunc, self.terms, lower_bound)
+        return self._build(self.num, self.den, lower_bound)
 
     def retruncate(self, trunc: int) -> "WickSeries":
         """Explicitly move to a different truncation degree (never implicit)."""
-        return WickSeries(self.dim, trunc, self.terms, self.lower_bound)
+        series = object.__new__(WickSeries)
+        series._fill(self.dim, trunc, self.num, self.den, self.lower_bound)
+        return series
 
     # -- ring operations ---------------------------------------------------
 
@@ -302,38 +308,43 @@ class WickSeries:
         if self.trunc != other.trunc:
             raise TruncationMismatch(f"trunc {self.trunc} != {other.trunc}")
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
+        """``self + sign * other``, over the lcm of the two denominators."""
         if isinstance(other, (int, Fraction, ComplexRational)):
             other = WickSeries.monomial(self.dim, self.trunc, other)
         if not isinstance(other, WickSeries):
             return NotImplemented
         self._check_compatible(other)
-        merged = accumulate(other.terms.items(), dict(self.terms))
-        return WickSeries(self.dim, self.trunc, merged,
-                          min(self.lower_bound, other.lower_bound))
+        den = lcm(self.den, other.den)
+        mine, theirs = den // self.den, sign * (den // other.den)
+        sums = dict(self.num) if mine == 1 else \
+            {key: (a * mine, b * mine) for key, (a, b) in self.num.items()}
+        get = sums.get
+        for key, (c, d) in other.num.items():
+            prev = get(key)
+            sums[key] = (c * theirs, d * theirs) if prev is None \
+                else (prev[0] + c * theirs, prev[1] + d * theirs)
+        return self._build(sums, den, min(self.lower_bound, other.lower_bound))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            other = WickSeries.monomial(self.dim, self.trunc, other)
-        if not isinstance(other, WickSeries):
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        flipped = {key: -coeff for key, coeff in self.terms.items()}
-        return WickSeries(self.dim, self.trunc, flipped, self.lower_bound)
+        flipped = {key: (-a, -b) for key, (a, b) in self.num.items()}
+        return self._build(flipped, self.den, self.lower_bound)
 
     def scale(self, factor) -> "WickSeries":
         factor = ComplexRational.coerce(factor)
-        if not factor:
-            return WickSeries(self.dim, self.trunc, None, self.lower_bound)
-        scaled = {key: coeff * factor for key, coeff in self.terms.items()}
-        return WickSeries(self.dim, self.trunc, scaled, self.lower_bound)
+        den = lcm(factor.re.denominator, factor.im.denominator)
+        p, q = int(factor.re * den), int(factor.im * den)
+        scaled = {key: (a * p - b * q, a * q + b * p)
+                  for key, (a, b) in self.num.items()}
+        return self._build(scaled, self.den * den, self.lower_bound)
 
     def __mul__(self, other):
         """Pointwise (commutative) product, truncated by total degree."""
@@ -342,9 +353,8 @@ class WickSeries:
         if not isinstance(other, WickSeries):
             return NotImplemented
         self._check_compatible(other)
-        return WickSeries(self.dim, self.trunc,
-                          bilinear_terms(self, other, _pointwise),
-                          self.lower_bound + other.lower_bound)
+        return self._build(*bilinear_terms(self, other, _pointwise),
+                           self.lower_bound + other.lower_bound)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, ComplexRational)):
@@ -358,26 +368,26 @@ class WickSeries:
 
     def conjugate(self) -> "WickSeries":
         """Swap y^I yb^J -> y^J yb^I and conjugate coefficients (h is real)."""
-        flipped = {(k2, J, I): coeff.conjugate() for (k2, I, J), coeff in self.terms.items()}
-        return WickSeries(self.dim, self.trunc, flipped, self.lower_bound)
+        flipped = {(k2, J, I): (a, -b) for (k2, I, J), (a, b) in self.num.items()}
+        return self._build(flipped, self.den, self.lower_bound)
 
     def hbar_shift(self, dk2: int) -> "WickSeries":
         """Multiply by h^(dk2/2); dk2 may be negative or odd."""
-        shifted = {(k2 + dk2, I, J): coeff for (k2, I, J), coeff in self.terms.items()}
-        return WickSeries(self.dim, self.trunc, shifted, self.lower_bound + dk2)
+        shifted = {(k2 + dk2, I, J): pair for (k2, I, J), pair in self.num.items()}
+        return self._build(shifted, self.den, self.lower_bound + dk2)
 
     # -- slices -------------------------------------------------------------
 
     def constant_part(self) -> "HbarSeries":
         """The (I, J) = (0, 0) terms, as a series in h alone."""
-        dim0 = mi_zero(self.dim)
-        picked = {k2: coeff for (k2, I, J), coeff in self.terms.items()
-                  if I == dim0 and J == dim0}
-        return HbarSeries(self.trunc, picked)
+        dim0, den = mi_zero(self.dim), self.den
+        return HbarSeries(self.trunc, {
+            k2: ComplexRational(Fraction(a, den), Fraction(b, den))
+            for (k2, I, J), (a, b) in self.num.items() if I == dim0 and J == dim0})
 
     def holomorphic_part(self) -> "WickSeries":
-        picked = {key: c for key, c in self.terms.items() if not any(key[2])}
-        return WickSeries(self.dim, self.trunc, picked, self.lower_bound)
+        picked = {key: v for key, v in self.num.items() if not any(key[2])}
+        return self._build(picked, self.den, self.lower_bound)
 
     # -- equality / display ---------------------------------------------------
 
@@ -385,17 +395,17 @@ class WickSeries:
         if not isinstance(other, WickSeries):
             return NotImplemented
         return (self.dim == other.dim and self.trunc == other.trunc
-                and self.terms == other.terms)
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.trunc, frozenset(self.terms.items())))
+        return hash((self.dim, self.trunc, self.den, frozenset(self.num.items())))
 
     def __repr__(self) -> str:
         return (f"WickSeries(dim={self.dim}, trunc={self.trunc}, "
-                f"lower_bound={self.lower_bound}, terms={len(self.terms)})")
+                f"lower_bound={self.lower_bound}, terms={len(self.num)})")
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         return " + ".join(_format_term(self.dim, key, coeff)
                           for key, coeff in self.sorted_terms()).replace("+ -", "- ")
@@ -403,16 +413,8 @@ class WickSeries:
     # -- serialization ---------------------------------------------------------
 
     def to_records(self) -> list[dict]:
-        out = []
-        for (k2, I, J), coeff in self.sorted_terms():
-            out.append({
-                "k2": k2,
-                "I": list(I),
-                "J": list(J),
-                "re": format_rational(coeff.re),
-                "im": format_rational(coeff.im),
-            })
-        return out
+        return [{"k2": k2, "I": list(I), "J": list(J), "re": format_rational(c.re),
+                 "im": format_rational(c.im)} for (k2, I, J), c in self.sorted_terms()]
 
     @classmethod
     def from_records(cls, dim: int, trunc: int, records: Iterable[dict],

@@ -197,7 +197,7 @@ def wick_core_suite(seed: int = 0, cases: int = 200) -> SuiteReport:
                 graded = not product
             else:
                 graded = bool(product) and all(
-                    total_degree(*key) == expected for key in product.terms)
+                    total_degree(*key) == expected for key in product.num)
             check(graded, "graded product", i)
         else:  # zero factors multiply to zero trivially
             check(not wick_star(a, b), "graded product", i)
@@ -301,7 +301,7 @@ def k_jet_suite(seed: int = 0, cases: int = 50) -> SuiteReport:
             for j in range(dim))
         check(again == normalized and coords2 == identity and not frame2,
               "idempotence", i)
-        check(all(any(I) and any(J) for (_, I, J) in normalized.psi.terms),
+        check(all(any(I) and any(J) for (_, I, J) in normalized.psi.num),
               "volume-log vanishing", i)
         w = weight_series(normalized, 6)
         check(w.is_real and w.toeplitz_admissible and w.refined,

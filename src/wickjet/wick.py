@@ -58,8 +58,7 @@ def wick_star(f: WickSeries, g: WickSeries) -> WickSeries:
         return [((k2 + t2, tuple(map(add, Ia, Ig)), tuple(map(add, Jf, Ja))),
                  scalar) for t2, Ia, Ja, scalar in contractions]
 
-    return WickSeries(f.dim, f.trunc, bilinear_terms(f, g, expand),
-                      f.lower_bound + g.lower_bound)
+    return f._build(*bilinear_terms(f, g, expand), f.lower_bound + g.lower_bound)
 
 
 def _contractions(I: tuple, J: tuple) -> list:
@@ -107,8 +106,7 @@ def fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
         return [((k2 + k2s + 2 * sum(J), tuple(map(sub, top, J)), zero),
                  scalar)]
 
-    return WickSeries(f.dim, f.trunc, bilinear_terms(f, s, expand),
-                      f.lower_bound + s.lower_bound)
+    return f._build(*bilinear_terms(f, s, expand), f.lower_bound + s.lower_bound)
 
 
 def anti_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
@@ -128,8 +126,7 @@ def anti_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
         return [((k2 + k2s + 2 * order, zero, tuple(map(add, map(sub, Q, I), J))),
                  -scalar if order % 2 else scalar)]
 
-    return WickSeries(f.dim, f.trunc, bilinear_terms(f, s, expand),
-                      f.lower_bound + s.lower_bound)
+    return f._build(*bilinear_terms(f, s, expand), f.lower_bound + s.lower_bound)
 
 
 def classical_exp(h: WickSeries, divide_by_hbar: bool = False) -> WickSeries:

@@ -1,9 +1,9 @@
 """The Gaussian-integer kernel against plain ComplexRational references.
 
-Products and actions run through ``series.bilinear_terms``, on integer
-numerators over one common denominator (``series.integer_rows`` /
-``series.rational_terms``); the references in ``support`` visit every pair
-of terms in ComplexRational arithmetic.  The inputs stress what the integer
+Products and actions run through ``series.bilinear_terms``, on the integer
+numerators over one common denominator that every series stores; the
+references in ``support`` visit every pair of terms in ComplexRational
+arithmetic.  The inputs stress what the integer
 layout could get wrong: pairwise-coprime denominators up to 97 (so the
 common denominator is large), purely imaginary and complex coefficients,
 odd and negative h-powers under a negative lower bound, sums that cancel
@@ -12,11 +12,13 @@ exactly, and terms whose degrees sum to exactly the truncation.
 
 import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
 
 from wickjet.coefficients import ComplexRational
-from wickjet.series import WickSeries, integer_rows, mi_add, rational_terms
+from wickjet.series import WickSeries, accumulate, mi_add, total_degree
 from wickjet.wick import anti_fock_act, fock_act, wick_star
 
 from support import (
@@ -68,7 +70,17 @@ OPERATIONS = [
 ]
 
 
+def _assert_canonical(s):
+    """The stored layout is canonical: equal values can only be stored one way."""
+    assert s.den > 0
+    assert gcd(s.den, *(x for pair in s.num.values() for x in pair)) == 1
+    assert all(a or b for a, b in s.num.values())
+    assert all(s.lower_bound <= k2 + sum(I) + sum(J) <= s.trunc
+               for k2, I, J in s.num)
+
+
 def _assert_same(got, want):
+    _assert_canonical(got)
     assert got == want
     assert got.lower_bound == want.lower_bound
     assert all(got.terms.values())
@@ -91,25 +103,68 @@ def test_kernel_matches_reference_on_coprime_denominators(name, op, reference,
     assert odd and negative
 
 
-def test_integer_rows_and_rational_terms_round_trip():
+def _expected(pairs, trunc):
+    """ComplexRational sums by key, zeros and terms past ``trunc`` dropped."""
+    return {key: c for key, c in accumulate(pairs).items()
+            if c and total_degree(*key) <= trunc}
+
+
+SCALAR = ComplexRational(Fraction(6, 35), Fraction(-10, 77))
+
+LINEAR = [
+    ("add", lambda f, g: f + g,
+     lambda f, g: chain(f.terms.items(), g.terms.items())),
+    ("sub", lambda f, g: f - g,
+     lambda f, g: chain(f.terms.items(), ((k, -c) for k, c in g.terms.items()))),
+    ("neg", lambda f, g: -f, lambda f, g: ((k, -c) for k, c in f.terms.items())),
+    ("scale", lambda f, g: f.scale(SCALAR),
+     lambda f, g: ((k, c * SCALAR) for k, c in f.terms.items())),
+    ("scale-by-denominator", lambda f, g: f.scale(f.den),
+     lambda f, g: ((k, c * f.den) for k, c in f.terms.items())),
+    ("conjugate", lambda f, g: f.conjugate(),
+     lambda f, g: (((k2, J, I), c.conjugate())
+                   for (k2, I, J), c in f.terms.items())),
+    ("hbar-shift", lambda f, g: f.hbar_shift(3),
+     lambda f, g: (((k2 + 3, I, J), c) for (k2, I, J), c in f.terms.items())),
+    ("retruncate", lambda f, g: f.retruncate(f.trunc - 1),
+     lambda f, g: f.terms.items()),
+    ("with-lower-bound", lambda f, g: f.with_lower_bound(f.lower_bound - 1),
+     lambda f, g: f.terms.items()),
+    ("degree-slice", lambda f, g: f.degree_slice(2),
+     lambda f, g: ((k, c) for k, c in f.terms.items()
+                   if total_degree(*k) == 2)),
+    ("holomorphic-part", lambda f, g: f.holomorphic_part(),
+     lambda f, g: ((k, c) for k, c in f.terms.items() if not any(k[2]))),
+]
+
+
+def test_every_operation_keeps_the_canonical_form():
     rng = random.Random(97)
-    for _ in range(20):
-        f = coprime_series(rng, 2, 6, 8)
-        D, rows = integer_rows(f)
-        dens = {c.re.denominator for c in f.terms.values()} \
-            | {c.im.denominator for c in f.terms.values()}
-        expected = 1
-        for den in dens:
-            expected *= den  # pairwise coprime: the lcm is the product
-        assert D == expected
-        assert [r[0] for r in rows] == sorted(r[0] for r in rows)
-        assert all(isinstance(a, int) and isinstance(b, int)
-                   for _, _, a, b in rows)
-        sums = {key: [a, b] for _, key, a, b in rows}
-        assert rational_terms(sums, D) == f.terms
-    assert integer_rows(WickSeries.zero(1, 4)) == (1, [])
-    assert rational_terms({(0, (0,), (0,)): [0, 0], (2, (0,), (0,)): [0, 6]},
-                          4) == {(2, (0,), (0,)): ComplexRational(0, Fraction(3, 2))}
+    for _ in range(25):
+        dim = rng.randint(1, 2)
+        trunc = rng.randint(3, 7)
+        f = coprime_series(rng, dim, trunc, rng.randint(1, 8))
+        g = coprime_series(rng, dim, trunc, rng.randint(1, 8))
+        _assert_canonical(f)
+        for name, op, pairs in LINEAR:
+            got = op(f, g)
+            _assert_canonical(got)
+            assert got.terms == _expected(pairs(f, g), got.trunc), name
+        for name, op, reference, side in OPERATIONS:
+            s = coprime_series(rng, dim, trunc, rng.randint(1, 8), side)
+            got = op(f, s)
+            _assert_canonical(got)
+            assert got.terms == reference(f, s).terms, name
+        # equal values reached along different paths are stored identically
+        zero = WickSeries.zero(dim, trunc)
+        for left, right in [((f + g) - g, f), (f - f, zero), (-(-f), f),
+                            (f.scale(SCALAR).scale(1 / SCALAR), f),
+                            (f.conjugate().conjugate(), f), (f * g, g * f),
+                            (f.hbar_shift(-3).hbar_shift(3), f),
+                            (WickSeries(dim, trunc, f.terms, f.lower_bound), f)]:
+            assert left == right
+            assert hash(left) == hash(right)
+            assert (left.den, left.num) == (right.den, right.num)
 
 
 def test_designed_cancellations_leave_no_zero_terms():

@@ -51,6 +51,65 @@ def test_constructor_rejects_bad_indices():
         WickSeries(1, 4, {(0, (-1,), (0,)): 1})
 
 
+BAD_INPUTS = {
+    # name: (error, WickSeries(...) terms, monomial arguments, one record)
+    "index-wrong-length": (DimensionMismatch, {(0, (1,), (0, 0)): 1},
+                           (1, 0, (1,), (0, 0)),
+                           {"k2": 0, "I": [1], "J": [0, 0], "re": "1"}),
+    "negative-index": (ValueError, {(0, (-1,), (0,)): 1}, (1, 0, (-1,), (0,)),
+                       {"k2": 0, "I": [-1], "J": [0], "re": "1"}),
+    "below-lower-bound": (DegreeWindowError, {(-2, (0,), (0,)): 1},
+                          (1, -2, (0,), (0,), 0),
+                          {"k2": -2, "I": [0], "J": [0], "re": "1"}),
+    "non-rational": ((TypeError, ValueError), {(0, (1,), (0,)): 0.5}, (0.5,),
+                     {"k2": 0, "I": [1], "J": [0], "re": 0.5}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_public_constructors_validate_their_input(case):
+    error, terms, monomial_args, record = BAD_INPUTS[case]
+    dim = len(next(iter(terms))[2])
+    with pytest.raises(error):
+        WickSeries(dim, 4, terms)
+    with pytest.raises(error):
+        WickSeries.monomial(dim, 4, *monomial_args)
+    with pytest.raises(error):
+        WickSeries.from_records(dim, 4, [record])
+
+
+def test_terms_is_a_read_only_view():
+    key = (0, (1,), (1,))
+    s = WickSeries(1, 4, {key: Fraction(1, 2), (2, (0,), (0,)): ComplexRational(0, 3)})
+    view = s.terms
+    with pytest.raises(TypeError):
+        view[key] = 1
+    with pytest.raises(TypeError):
+        view[(0, (0,), (0,))] = 1
+    with pytest.raises(TypeError):
+        del view[key]
+    assert s.terms is view
+    assert view == {key: Fraction(1, 2), (2, (0,), (0,)): ComplexRational(0, 3)}
+    # the readers the benchmark tracer relies on
+    assert len(view) == 2 and sorted(view) == [key, (2, (0,), (0,))]
+    assert frozenset(view.items()) == frozenset(dict(view).items())
+    assert s.coefficient(*key) == Fraction(1, 2)
+
+
+def test_every_exported_name_exists():
+    """Each module's ``__all__`` names only what the module defines."""
+    import importlib
+    import pkgutil
+
+    import wickjet
+
+    assert all(hasattr(wickjet, name) for name in wickjet.__all__)
+    for info in pkgutil.iter_modules(wickjet.__path__):
+        module = importlib.import_module(f"wickjet.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, (info.name, missing)
+
+
 def test_zero_is_empty_and_equality_structural():
     z = WickSeries.zero(1, 5)
     assert not z
