@@ -2,10 +2,11 @@
 
 A job is one JSON object using the shared literal formats: series terms are
 records ``{"k2": int, "I": [...], "J": [...], "re": "p/q", "im": "p/q"}``
-and classical jets drop the ``k2`` field.  Reports are plain text assembled
-in canonical order with nothing time- or machine-dependent in them, so
-identical jobs produce byte-identical output; stdout carries only the
-report, and errors go to stderr.
+and jets drop the ``k2`` field (function jets may keep it; a missing one
+reads as 0).  Reports are plain text assembled in canonical order with
+nothing time- or machine-dependent in them, so identical jobs produce
+byte-identical output; stdout carries only the report, and errors go to
+stderr.
 
 Exit codes: 0 success, 2 malformed job or usage error, 3 computation error,
 4 acceptance failure.
@@ -38,8 +39,10 @@ from .suites import (
     ENGINE_TRUNC,
     SUITES,
     composition_fits,
+    decays,
     peak_section_rows,
     run_suites,
+    slope_bound,
 )
 from .wick import wick_star
 
@@ -55,6 +58,8 @@ GENERATORS = ("flat", "fubini-study", "random-real-analytic")
 
 # Largest tensor power a composition fit may request.  The banded CP^1
 # oracle builds each matrix in O(m) exact cells, so m = 2^14 stays cheap.
+# A fit's cost follows the sum of its distinct tensor powers, which may be
+# at most twice this.
 MS_CEILING = 2 ** 14
 # Largest monomial exponent of the peak-section rows.  Their cost about
 # quadruples with each doubling: 0.8 s at 64 through order 4.
@@ -145,6 +150,9 @@ def _parse_composition(comp: dict) -> dict:
     if not ms:
         raise JobError("field \"composition.ms\": need at least one tensor "
                        "power")
+    if sum(set(ms)) > 2 * MS_CEILING:
+        raise JobError(f"field \"composition.ms\": the tensor powers sum to "
+                       f"{sum(set(ms))}, above the ceiling {2 * MS_CEILING}")
     elements = []
     for pair in _field(comp, "elements", list, required=False,
                        default=[[0, 0], [1, 1]]):
@@ -175,7 +183,8 @@ def _parse_jets(data: dict, name: str, dim: int, default_order: int) -> WickSeri
     order = _field(spec, "order", int, required=False, default=default_order)
     records = _field(spec, "records", list)
     try:
-        return WickSeries.from_records(dim, order, records)
+        return WickSeries.from_records(dim, order,
+                                       ({"k2": 0, **rec} for rec in records))
     except (KeyError, TypeError, ValueError, WickjetError) as exc:
         raise JobError(f"field \"{name}\": bad jet record: {exc}") from None
 
@@ -259,6 +268,10 @@ def _load_job_data(data: dict, trunc_ceiling: int) -> JobSpec:
                 raise JobError(f"field \"names\": unknown suites "
                                f"{', '.join(map(str, unknown))} (choose from "
                                f"{', '.join(SUITES)})")
+            repeated = sorted({n for n in names if names.count(n) > 1})
+            if repeated:
+                raise JobError(f"field \"names\": repeated suites "
+                               f"{', '.join(repeated)}")
         seed = _field(data, "seed", int, required=False)
         return JobSpec(mode, 0, 0, {"names": names, "seed": seed}, out)
 
@@ -436,13 +449,13 @@ def _run_cp1_verify(job: JobSpec) -> tuple:
                                 elements=comp["elements"])
         for order in comp["orders"]:
             per_element = fits[order]
-            bound = -(order + 1) + 0.3
+            bound = slope_bound(order)
             for (p, q), fit in sorted(per_element.items()):
                 if fit["exact"]:
                     verdict = "exact"
                 else:
                     slope = fit["fitted"]
-                    good = slope is not None and slope <= bound
+                    good = decays(fit, order)
                     accepted = accepted and good
                     # one nonzero residual fits no slope
                     shown = "undetermined" if slope is None else f"{slope:.3f}"

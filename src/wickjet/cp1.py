@@ -21,10 +21,11 @@ from __future__ import annotations
 import math
 import statistics
 from fractions import Fraction
+from operator import mul
 
 from .coefficients import ComplexRational
 from .errors import PreconditionError
-from .series import HbarSeries, WickSeries, accumulate
+from .series import HbarSeries, WickSeries, accumulate, power_terms
 
 __all__ = [
     "FactorialRational",
@@ -250,12 +251,9 @@ def symbol_jets(f: RationalSymbol, order: int) -> WickSeries:
     """Taylor jets of the symbol at the origin, for the formal engine."""
     t = WickSeries.monomial(1, order, 1, 0, (1,), (1,))
     geometric = WickSeries.unit(1, order)
-    power = WickSeries.unit(1, order)
-    for k in range(1, order // 2 + 1):
-        power = power * t
-        sign = -1 if k % 2 else 1
+    for k, power in enumerate(power_terms(t, t, mul), 1):
         geometric = geometric + power.scale(
-            sign * math.comb(f.denom_power + k - 1, k))
+            (-1) ** k * math.comb(f.denom_power + k - 1, k))
     numerator = WickSeries(1, order, {
         (0, (a,), (b,)): c for (a, b), c in f.num.items()
         if a + b <= order})

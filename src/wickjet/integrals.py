@@ -17,10 +17,12 @@ holomorphic part.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
+from operator import mul
 
 from .coefficients import ComplexRational
 from .errors import PreconditionError, SolveError, TruncationMismatch, DimensionMismatch
-from .series import HbarSeries, WickSeries, accumulate, mi_factorial
+from .series import HbarSeries, WickSeries, accumulate, mi_factorial, power_terms
 from .wick import classical_exp, fock_act, wick_star
 
 __all__ = [
@@ -144,21 +146,14 @@ def formal_integral(h: WickSeries, w: WeightSeries) -> HbarSeries:
     """Integral of h against the weighted Gaussian, as a series in h.
 
     Computed as ``sum_j (1/j!) moments(h * (w/h)^j)``; the sum is finite
-    because every ``w/h`` term has degree >= 1.
+    because every ``w/h`` term has degree >= 1, so it ends within
+    ``trunc + |lower_bound| + 1`` terms.
     """
     _check_weight(h, w)
-    out = _moments(h)
-    if not w:
-        return out
-    factor = w.body.hbar_shift(-2)
-    partial = h
-    budget = 2 * h.trunc + abs(h.lower_bound) + 2
-    for j in range(1, budget + 1):
-        partial = (partial * factor).scale(Fraction(1, j))
-        if not partial:
-            return out
-        out = out + _moments(partial)
-    raise SolveError("formal_integral failed to terminate within degree budget")
+    out = HbarSeries.zero(h.trunc)
+    for j, term in enumerate(power_terms(h, w.body.hbar_shift(-2), mul)):
+        out = out + _moments(term.scale(Fraction(1, factorial(j))))
+    return out
 
 
 def inner_product(f: WickSeries, g: WickSeries, w: WeightSeries) -> HbarSeries:

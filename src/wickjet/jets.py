@@ -23,11 +23,12 @@ from __future__ import annotations
 import random as _random
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 
 from .coefficients import ComplexRational, random_coefficient, random_rational
 from .errors import PreconditionError, SolveError
 from .integrals import WeightSeries
-from .series import WickSeries, accumulate, mi_sub, mi_zero, read_record
+from .series import WickSeries, accumulate, mi_sub, mi_zero, power_terms, read_record
 
 __all__ = [
     "PotentialJets",
@@ -292,15 +293,8 @@ def _diagonalizing_change(matrix: list, dim: int):
                 f"quadratic pivot {pivot} is not a perfect rational square; "
                 "the (1,1) part cannot be diagonalized exactly")
         roots.append(root)
-    # invert the unit upper-triangular L^dagger by back substitution
-    U = [[L[j][i].conjugate() for j in range(dim)] for i in range(dim)]
-    X = [[ComplexRational(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
-    for j in range(dim):
-        for i in range(j - 1, -1, -1):
-            acc = ComplexRational()
-            for k in range(i + 1, j + 1):
-                acc = acc + U[i][k] * X[k][j]
-            X[i][j] = -acc
+    X, _ = _invert_constant([[L[j][i].conjugate() for j in range(dim)]
+                             for i in range(dim)], dim)
     return [[X[i][j] * (Fraction(1) / roots[j]) for j in range(dim)]
             for i in range(dim)]
 
@@ -540,12 +534,8 @@ def fubini_study_potential(dim: int, order: int) -> PotentialJets:
         raise PreconditionError("the Fubini-Study potential needs order >= 2")
     t = _norm_squared(dim, order)
     acc = WickSeries.zero(dim, order)
-    power = WickSeries.unit(dim, order)
-    for k in range(1, order // 2 + 1):
-        power = power * t
-        if not power:
-            break
-        acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
+    for k, power in enumerate(power_terms(t, t, mul), 1):
+        acc = acc + power.scale(Fraction(1 if k % 2 else -1, k))
     return PotentialJets(acc, normalized=True)
 
 

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .coefficients import ComplexRational, format_rational, parse_rational
-from .errors import DegreeWindowError, DimensionMismatch, TruncationMismatch
+from .errors import DegreeWindowError, DimensionMismatch, PreconditionError, TruncationMismatch
 
 __all__ = [
     "MultiIndex",
@@ -35,6 +35,7 @@ __all__ = [
     "mi_factorial",
     "total_degree",
     "accumulate",
+    "power_terms",
     "bilinear_terms",
     "read_record",
     "WickSeries",
@@ -83,6 +84,26 @@ def accumulate(pairs: Iterable, out: dict | None = None) -> dict:
         prev = get(key)
         out[key] = value if prev is None else prev + value
     return out
+
+
+def power_terms(first, x, product) -> Iterator:
+    """``first``, ``first x``, ``first x x``, ... under ``product``, up to the first zero.
+
+    Every term of x must have positive degree, so each factor of a graded
+    product raises the least degree by at least one and the terms vanish
+    past the truncation within ``trunc - min_degree(first) + 1`` steps.  A
+    zero x ends the run after ``first`` without forming a product.
+    """
+    low = x.min_degree()
+    if low is not None and low < 1:
+        raise PreconditionError(
+            f"a power series needs every term of degree >= 1, found {low}")
+    term = first
+    while term:
+        yield term
+        if not x:
+            return
+        term = product(term, x)
 
 
 # The exact kernel.  Every bilinear operation (the pointwise product,
@@ -340,6 +361,8 @@ class WickSeries:
 
     def scale(self, factor) -> "WickSeries":
         factor = ComplexRational.coerce(factor)
+        if factor == 1:
+            return self
         den = lcm(factor.re.denominator, factor.im.denominator)
         p, q = int(factor.re * den), int(factor.im * den)
         scaled = {key: (a * p - b * q, a * q + b * p)
@@ -499,7 +522,8 @@ class HbarSeries:
     def coefficient(self, k2: int) -> ComplexRational:
         return self.terms.get(k2, ComplexRational(0))
 
-    def min_k2(self) -> int | None:
+    def min_degree(self) -> int | None:
+        """Least term degree (k2, as h has degree 2), or None for the zero series."""
         return min(self.terms) if self.terms else None
 
     def sorted_terms(self) -> list:
@@ -556,22 +580,15 @@ class HbarSeries:
 
         The lowest power is peeled off and the rest inverted geometrically,
         so the result may carry negative powers; coefficients are exact
-        through ``trunc - 2 * min_k2`` and the caller slices as needed.
+        through ``trunc - 2 * min_degree`` and the caller slices as needed.
         """
-        low = self.min_k2()
+        low = self.min_degree()
         if low is None:
             raise ZeroDivisionError("reciprocal of the zero series")
-        lead = self.terms[low]
-        tail = self.shift(-low) - lead  # strictly positive powers
-        ratio = tail * lead.inverse()
-        acc = HbarSeries.one(self.trunc)
-        power = HbarSeries.one(self.trunc)
-        while True:
-            power = -1 * (power * ratio)
-            if not power:
-                break
-            acc = acc + power
-        return (acc * lead.inverse()).shift(-low)
+        inverse = self.terms[low].inverse()
+        ratio = (self.shift(-low) - self.terms[low]) * -inverse  # positive powers
+        acc = sum(power_terms(ratio, ratio, mul), HbarSeries.one(self.trunc))
+        return (acc * inverse).shift(-low)
 
     def truncate_k2(self, k2_max: int) -> "HbarSeries":
         return HbarSeries(self.trunc, {k: c for k, c in self.terms.items() if k <= k2_max})

@@ -53,6 +53,8 @@ __all__ = [
     "ENGINE_TRUNC",
     "engine_entry_series",
     "composition_fits",
+    "slope_bound",
+    "decays",
     "composition_decay_suite",
     "flat_reduction_suite",
     "representation_suite",
@@ -239,7 +241,7 @@ def formal_integral_suite(seed: int = 0, cases: int = 30) -> SuiteReport:
         shifted = _series(rng, dim, trunc, min_degree=rng.randint(0, 3))
         out = inner_product(shifted, WickSeries.unit(dim, trunc), w)
         check(not (out and shifted)
-              or out.min_k2() >= shifted.min_degree(),
+              or out.min_degree() >= shifted.min_degree(),
               "filtration preservation", i)
 
         I = _multi_index(rng, dim, 3)
@@ -412,6 +414,17 @@ def composition_fits(orders=(0, 1, 2), ms=(32, 64, 128, 256, 512),
     return composition_residual(f, f, ms, orders, predicted)
 
 
+def slope_bound(order: int) -> float:
+    """Largest log-log slope of an order-``order`` residual, with 0.3 of slack."""
+    return -(order + 1) + 0.3
+
+
+def decays(fit: dict, order: int) -> bool:
+    """Whether an order-``order`` residual fit is exact or within the slope bound."""
+    return fit["exact"] or (fit["fitted"] is not None
+                            and fit["fitted"] <= slope_bound(order))
+
+
 def composition_decay_suite(seed: int = 0) -> SuiteReport:
     del seed  # deterministic
     orders = (0, 1, 2)
@@ -419,16 +432,12 @@ def composition_decay_suite(seed: int = 0) -> SuiteReport:
     failures: list = []
     cases = 0
     for order, per_element in fits.items():
-        bound = -(order + 1) + 0.3
         for (p, q), fit in per_element.items():
             cases += 1
-            if fit["exact"]:
-                continue
-            slope = fit["fitted"]
-            if slope is None or slope > bound:
+            if not decays(fit, order):
                 failures.append(
                     f"order-{order} residual at element ({p}, {q}) decays "
-                    f"with slope {slope}, bound {bound}")
+                    f"with slope {fit['fitted']}, bound {slope_bound(order)}")
     return SuiteReport("cp1-composition", cases, tuple(failures))
 
 

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _cartesian
-from math import comb
-from operator import add, sub
+from math import comb, factorial
+from operator import add, mul, sub
 
 from .errors import PreconditionError
-from .series import WickSeries, bilinear_terms
+from .series import WickSeries, bilinear_terms, power_terms
 
 __all__ = [
     "wick_star",
@@ -132,69 +132,39 @@ def anti_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
 def classical_exp(h: WickSeries, divide_by_hbar: bool = False) -> WickSeries:
     """Pointwise exponential series of h (optionally of h/hbar).
 
-    With ``divide_by_hbar`` every term of h must have degree >= 3 so that the
-    summand degrees strictly increase; without it degree >= 1 suffices.
+    Every term of the exponent must have positive degree, so with
+    ``divide_by_hbar`` every term of h must have degree >= 3.
     """
-    x = h.hbar_shift(-2) if divide_by_hbar else h
-    floor = 3 if divide_by_hbar else 1
-    min_deg = h.min_degree()
-    if min_deg is not None and min_deg < floor:
-        raise PreconditionError(
-            f"classical_exp needs every term of degree >= {floor}, found {min_deg}")
-    return _exp_series(x, star=False)
+    return _exp_series(h.hbar_shift(-2) if divide_by_hbar else h, mul)
 
 
 def star_exp(x: WickSeries) -> WickSeries:
     """Exponential with respect to the star product; needs min degree >= 1."""
-    min_deg = x.min_degree()
-    if min_deg is not None and min_deg < 1:
-        raise PreconditionError(
-            f"star_exp needs every term of degree >= 1, found {min_deg}")
-    return _exp_series(x, star=True)
+    return _exp_series(x, wick_star)
 
 
-def _exp_series(x: WickSeries, star: bool) -> WickSeries:
-    out = WickSeries.unit(x.dim, x.trunc) + x
-    power = x
-    j = 1
-    while power:
-        j += 1
-        if j > x.trunc + 1:
-            break
-        power = wick_star(power, x) if star else power * x
-        power = power.scale(Fraction(1, j))
-        if power:
-            out = out + power
+def _exp_series(x: WickSeries, product) -> WickSeries:
+    out = WickSeries.unit(x.dim, x.trunc)
+    for j, power in enumerate(power_terms(x, x, product), 1):
+        out = out + power.scale(Fraction(1, factorial(j)))
     return out
 
 
 def _check_unital(u: WickSeries, what: str) -> WickSeries:
-    """Verify constant term 1 and everything else of degree >= 1; return u - 1."""
+    """u - 1, after checking that the constant term of u is exactly 1."""
     zero = (0,) * u.dim
     if u.coefficient(0, zero, zero) != 1:
         raise PreconditionError(f"{what} needs constant term exactly 1")
-    rest = u - WickSeries.unit(u.dim, u.trunc)
-    min_deg = rest.min_degree()
-    if min_deg is not None and min_deg < 1:
-        raise PreconditionError(
-            f"{what} needs all non-constant terms of degree >= 1, found {min_deg}")
-    return rest
+    return u - WickSeries.unit(u.dim, u.trunc)
 
 
 def star_log(u: WickSeries) -> WickSeries:
     """Star-logarithm: L with star_exp(L) = u, for u = 1 + (degree >= 1)."""
     a = _check_unital(u, "star_log")
-    out = a
-    power = a
-    k = 1
-    while power:
-        k += 1
-        if k > u.trunc + 1:
-            break
-        power = wick_star(power, a)
-        if power:
-            sign = 1 if k % 2 else -1
-            out = out + power.scale(Fraction(sign, k))
+    powers = power_terms(a, a, wick_star)
+    out = next(powers, a)  # the first power is a itself
+    for k, power in enumerate(powers, 2):
+        out = out + power.scale(Fraction(1 if k % 2 else -1, k))
     return out
 
 
@@ -205,14 +175,6 @@ def star_inverse(u: WickSeries) -> WickSeries:
     H, whose inverse equals star_exp(-star_log(u)); that identity is kept as
     an independent cross-check in the test suite.
     """
-    a = _check_unital(u, "star_inverse")
-    out = WickSeries.unit(u.dim, u.trunc) - a
-    power = a
-    sign = -1
-    for _ in range(u.trunc + 1):
-        power = wick_star(power, a)
-        if not power:
-            break
-        sign = -sign
-        out = out + (power if sign > 0 else -power)
-    return out
+    minus_a = -_check_unital(u, "star_inverse")
+    return sum(power_terms(minus_a, minus_a, wick_star),
+               WickSeries.unit(u.dim, u.trunc))

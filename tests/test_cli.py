@@ -361,13 +361,21 @@ def test_cli_import_leaves_numpy_out():
     {"ms": [32.9, 64]},
     {"ms": []},
     {"ms": [32, cli.MS_CEILING + 1]},
+    {"ms": [cli.MS_CEILING, cli.MS_CEILING - 1, 2]},
 ], ids=["element-beyond-engine", "negative-element", "element-beyond-m",
         "element-not-a-pair", "negative-order", "huge-order", "bool-m",
-        "float-m", "no-m", "m-above-ceiling"])
+        "float-m", "no-m", "m-above-ceiling", "m-sum-above-ceiling"])
 def test_main_cp1_composition_fields_are_strict(tmp_path, composition):
     _assert_rejected_in_subprocess(tmp_path, {
         "mode": "cp1-verify", "max_p": 1, "max_order": 1,
         "composition": composition})
+
+
+def test_composition_ms_bound_admits_the_largest_powers(tmp_path):
+    ms = [cli.MS_CEILING // 4, cli.MS_CEILING // 2, cli.MS_CEILING, 4096]
+    job = load_job(write_job(tmp_path, {
+        "mode": "cp1-verify", "composition": {"ms": ms}}), 16)
+    assert job.inputs["composition"]["ms"] == tuple(ms)
 
 
 @pytest.mark.parametrize("payload, message", [
@@ -382,13 +390,15 @@ def test_main_cp1_composition_fields_are_strict(tmp_path, composition):
       "lhs": [Y_RECORD], "rhs": [YB_RECORD]},
      "potential order 1000000000 is above the ceiling 16"),
     ({"mode": "suite", "names": [["flat-reduction"]]}, "unknown suites"),
+    ({"mode": "suite", "names": ["cp1-peak-section"] * 3 + ["k-jet"]},
+     "repeated suites cp1-peak-section$"),
     ({"mode": "bt-eval", "dim": 1, "trunc": 4, "potential": "flat",
       "lhs": [Y_RECORD], "rhs": None}, "expected dict, got 'flat'"),
     ({"mode": "bt-eval", "dim": 1, "trunc": 4,
       "potential": {"generator": "flat"},
       "lhs": [Y_RECORD], "rhs": None}, "expected dict or list, got None"),
 ], ids=["dim", "huge-dim", "max-p", "potential-order", "unhashable-suite",
-        "potential-not-a-table", "jets-not-a-table"])
+        "repeated-suite", "potential-not-a-table", "jets-not-a-table"])
 def test_ceilings_and_field_types_are_checked_before_computation(
         tmp_path, payload, message):
     with pytest.raises(JobError, match=message):
@@ -443,6 +453,19 @@ def test_joint_ceiling_admits_windows_up_to_dim_2_trunc_10(tmp_path, mode,
                                                             dim, trunc):
     job = load_job(write_job(tmp_path, _curved_job(mode, dim, trunc)), 16)
     assert (job.dim, job.trunc) == (dim, trunc)
+
+
+@pytest.mark.parametrize("mode", ["bt-eval", "rep-act"])
+def test_function_jets_may_leave_out_k2(tmp_path, capsys, mode):
+    with_k2 = _curved_job(mode, 2, 6)
+    without_k2 = json.loads(json.dumps(with_k2))
+    for name in ("lhs", "rhs", "function"):
+        for rec in without_k2.get(name, {"records": []})["records"]:
+            del rec["k2"]
+    first, second = (run_main(capsys, "--job", write_job(tmp_path, job))
+                     for job in (with_k2, without_k2))
+    assert first[0] == 0, first[2]
+    assert first == second
 
 
 def test_largest_fixture_window_runs(tmp_path, capsys):

@@ -4,12 +4,20 @@ from fractions import Fraction
 import pytest
 
 from wickjet.coefficients import ComplexRational
-from wickjet.errors import DegreeWindowError, DimensionMismatch, TruncationMismatch
+from operator import mul
+
+from wickjet.errors import (
+    DegreeWindowError,
+    DimensionMismatch,
+    PreconditionError,
+    TruncationMismatch,
+)
 from wickjet.series import (
     HbarSeries,
     WickSeries,
     iter_multi_indices,
     mi_factorial,
+    power_terms,
     total_degree,
 )
 
@@ -245,6 +253,37 @@ def test_hbar_series_arithmetic():
     assert HbarSeries.one(4) == 1
     with pytest.raises(TruncationMismatch):
         a + HbarSeries(4)
+
+
+def test_power_terms_stop_at_the_first_zero_term():
+    t = WickSeries.monomial(1, 6, 1, 0, (1,), (1,))
+    products = []
+
+    def product(a, b):
+        products.append(a)
+        return a * b
+
+    terms = list(power_terms(t, t, product))
+    assert terms == [WickSeries.monomial(1, 6, 1, 0, (k,), (k,)) for k in (1, 2, 3)]
+    assert products == terms  # t^4 was formed once, found zero, and not yielded
+    assert list(power_terms(WickSeries.zero(1, 6), t, product)) == []
+    # a zero x ends the run after the first term, without a product
+    assert list(power_terms(t, WickSeries.zero(1, 6), product)) == [t]
+    assert len(products) == 3
+    h = HbarSeries(6, {2: 1})
+    assert list(power_terms(h, h, mul)) == [HbarSeries(6, {k: 1}) for k in (2, 4, 6)]
+
+
+def test_power_terms_need_positive_degrees():
+    unit = WickSeries.unit(1, 6)
+    degree_zero = [unit,
+                   WickSeries.monomial(1, 6, 1, -2, (1,), (1,), lower_bound=-2),
+                   WickSeries.monomial(1, 6, 1, 0, (1,), (0,)) + 1]
+    for x in degree_zero:
+        with pytest.raises(PreconditionError, match="found 0"):
+            next(power_terms(unit, x, mul))
+    with pytest.raises(PreconditionError, match="found 0"):
+        next(power_terms(HbarSeries.one(6), HbarSeries(6, {0: 1, 2: 1}), mul))
 
 
 def test_hbar_series_records_and_str():
