@@ -94,7 +94,7 @@ def bt_star_eval(f: WickSeries, g: WickSeries, ctx: BTContext):
     """Value of the deformed product of f and g at the marked point.
 
     Multiplies the two Toeplitz symbols in the Wick algebra and returns the
-    constant terms as a series in h.
+    constant terms as a series in h alone (dim 0).
     """
     left = toeplitz_symbol(_to_algebra(f, ctx), ctx.weight)
     right = toeplitz_symbol(_to_algebra(g, ctx), ctx.weight)

@@ -25,7 +25,7 @@ from operator import mul
 
 from .coefficients import ComplexRational
 from .errors import PreconditionError
-from .series import HbarSeries, WickSeries, accumulate, power_terms
+from .series import WickSeries, accumulate, power_terms
 
 __all__ = [
     "FactorialRational",
@@ -130,27 +130,23 @@ class FactorialRational:
             value = value * Fraction(1, m + s)
         return value
 
-    def expand_at_infinity(self, order: int) -> HbarSeries:
+    def expand_at_infinity(self, order: int) -> WickSeries:
         """Exact coefficients of the expansion in 1/m, with 1/m recorded as h.
 
-        The result is an h-series with entries at k <= order; a net positive
-        power of m appears as a negative h-power.
+        The result is an h-series (dim 0) with entries at k <= order; a net
+        positive power of m appears as a negative h-power.
         """
         if order < 0:
             raise PreconditionError("expansion order must be non-negative")
         net = len(self.num_shifts) - len(self.den_shifts)
         budget = 2 * order + 2 * max(0, net)
-        series = HbarSeries(budget, {0: self.scalar})
-        for a in self.num_shifts:
-            series = series * HbarSeries(budget, {0: 1, 2: a})
-        for b in self.den_shifts:
-            inverse = {2 * k: ComplexRational((-Fraction(b)) ** k)
-                       for k in range(budget // 2 + 1)}
-            series = series * HbarSeries(budget, inverse)
-        series = series.shift(-2 * net)
-        return HbarSeries(2 * order,
-                          {k: c for k, c in series.terms.items()
-                           if k <= 2 * order})
+        series = WickSeries.monomial(0, budget, self.scalar)
+        for a in self.num_shifts:  # (m + a) h = 1 + a h
+            series = series * WickSeries(0, budget, {(0, (), ()): 1, (2, (), ()): a})
+        for b in self.den_shifts:  # 1 / ((m + b) h) = sum_k (-b h)^k
+            series = series * WickSeries(0, budget, {
+                (2 * k, (), ()): (-Fraction(b)) ** k for k in range(budget // 2 + 1)})
+        return series.hbar_shift(-2 * net).retruncate(2 * order)
 
     def __repr__(self):
         def block(shifts):
@@ -488,7 +484,7 @@ def composition_residual(f: RationalSymbol, g: RationalSymbol, ms, orders,
         mg = mf if g == f else cp1_toeplitz(m, g)
         for (p, q), series in sorted(predicted.items()):
             exact = mf.composition_entry(mg, p, q)
-            powers = [(k2 // 2, c) for k2, c in series.sorted_terms()
+            powers = [(k2 // 2, c) for (k2, _, _), c in series.sorted_terms()
                       if k2 >= 0 and not k2 % 2]
             for order in orders:
                 partial = _ZERO

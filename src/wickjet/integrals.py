@@ -20,9 +20,8 @@ from fractions import Fraction
 from math import factorial
 from operator import mul
 
-from .coefficients import ComplexRational
 from .errors import PreconditionError, SolveError, TruncationMismatch, DimensionMismatch
-from .series import HbarSeries, WickSeries, accumulate, mi_factorial, power_terms
+from .series import WickSeries, mi_factorial, power_terms
 from .wick import classical_exp, fock_act, wick_star
 
 __all__ = [
@@ -114,7 +113,7 @@ class WeightSeries:
         return f"WeightSeries({self.body!r}, flags={'|'.join(flags) or '-'})"
 
 
-def gaussian_moment(I, J, k2: int = 0, *, trunc: int) -> HbarSeries:
+def gaussian_moment(I, J, k2: int = 0, *, trunc: int) -> WickSeries:
     """Moment of h^(k2/2) y^I yb^J against the reference Gaussian.
 
     Equals ``I! h^(k2/2 + |I|)`` when I == J and zero otherwise.
@@ -122,17 +121,19 @@ def gaussian_moment(I, J, k2: int = 0, *, trunc: int) -> HbarSeries:
     I = tuple(I)
     J = tuple(J)
     if I != J:
-        return HbarSeries.zero(trunc)
-    return HbarSeries(trunc, {k2 + 2 * sum(I): mi_factorial(I)})
+        return WickSeries.zero(0, trunc)
+    return WickSeries.monomial(0, trunc, mi_factorial(I), k2 + 2 * sum(I))
 
 
-def _moments(h: WickSeries) -> HbarSeries:
-    diagonal = [(k2 + 2 * sum(I), mi_factorial(I), a, b)
-                for (k2, I, J), (a, b) in h.num.items() if I == J]
-    re = accumulate((k, w * a) for k, w, a, _ in diagonal)
-    im = accumulate((k, w * b) for k, w, _, b in diagonal)
-    return HbarSeries(h.trunc, {k: ComplexRational(Fraction(re[k], h.den),
-                                                   Fraction(im[k], h.den)) for k in re})
+def _moments(h: WickSeries) -> WickSeries:
+    """The moments of h's terms, summed as integers over h's denominator."""
+    sums: dict = {}
+    for (k2, I, J), (a, b) in h.num.items():
+        if I == J:
+            key, weight = (k2 + 2 * sum(I), (), ()), mi_factorial(I)
+            c, d = sums.get(key, (0, 0))
+            sums[key] = (c + weight * a, d + weight * b)
+    return h._build(sums, h.den, min([0, *(k2 for k2, _, _ in sums)]), dim=0)
 
 
 def _check_weight(h: WickSeries, w: WeightSeries) -> None:
@@ -142,21 +143,21 @@ def _check_weight(h: WickSeries, w: WeightSeries) -> None:
         raise TruncationMismatch(f"trunc {h.trunc} != weight trunc {w.trunc}")
 
 
-def formal_integral(h: WickSeries, w: WeightSeries) -> HbarSeries:
-    """Integral of h against the weighted Gaussian, as a series in h.
+def formal_integral(h: WickSeries, w: WeightSeries) -> WickSeries:
+    """Integral of h against the weighted Gaussian, as a series in h (dim 0).
 
     Computed as ``sum_j (1/j!) moments(h * (w/h)^j)``; the sum is finite
     because every ``w/h`` term has degree >= 1, so it ends within
     ``trunc + |lower_bound| + 1`` terms.
     """
     _check_weight(h, w)
-    out = HbarSeries.zero(h.trunc)
+    out = WickSeries.zero(0, h.trunc)
     for j, term in enumerate(power_terms(h, w.body.hbar_shift(-2), mul)):
         out = out + _moments(term.scale(Fraction(1, factorial(j))))
     return out
 
 
-def inner_product(f: WickSeries, g: WickSeries, w: WeightSeries) -> HbarSeries:
+def inner_product(f: WickSeries, g: WickSeries, w: WeightSeries) -> WickSeries:
     """Sesquilinear pairing: integral of f * conj(g) against the weight."""
     return formal_integral(f * g.conjugate(), w)
 

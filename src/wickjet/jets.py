@@ -151,11 +151,16 @@ class PotentialJets:
     def from_records(cls, dim: int, order: int, records) -> "PotentialJets":
         """Raw jets from ``{"I", "J", "re", "im"}`` records; duplicates add up.
 
-        A jet above the order window raises instead of being truncated away.
+        A jet above the order window raises instead of being truncated away,
+        and so does a jet with a nonzero ``"k2"``: potentials carry no h.
         """
         terms = {}
-        jets = accumulate(read_record(rec, "I", "J") for rec in records)
-        for (I, J), c in jets.items():
+        jets = accumulate(read_record({"k2": 0, **rec}, "k2", "I", "J")
+                          for rec in records)
+        for (k2, I, J), c in jets.items():
+            if k2:
+                raise PreconditionError(
+                    f"potential jet {(I, J)!r} has k2={k2}; potentials carry no h")
             if len(I) != dim or len(J) != dim or min(I + J, default=0) < 0:
                 raise PreconditionError(
                     f"bad potential multi-index {(I, J)!r} for dim {dim}")

@@ -249,17 +249,17 @@ def formal_integral_suite(seed: int = 0, cases: int = 30) -> SuiteReport:
         yI = WickSeries.monomial(dim, trunc, 1, 0, I, mi_zero(dim))
         yJ = WickSeries.monomial(dim, trunc, 1, 0, J, mi_zero(dim))
         pairing = inner_product(yI, yJ, w)
-        normalized = pairing.shift(-(sum(I) + sum(J)))
+        normalized = pairing.hbar_shift(-(sum(I) + sum(J)))
         check(all(I == J and k2 == 0 and c == mi_factorial(I)
-                  for k2, c in normalized.terms.items() if k2 <= 0),
+                  for (k2, _, _), c in normalized.terms.items() if k2 <= 0),
               "orthonormal modulo h", i)
 
         if I != J:
             floor = 2 * max(sum(I), sum(J))
             if refined:
-                leading = all(k2 > floor for k2 in pairing.terms)
+                leading = all(k2 > floor for k2, _, _ in pairing.num)
             else:
-                leading = all(k2 >= floor for k2 in pairing.terms)
+                leading = all(k2 >= floor for k2, _, _ in pairing.num)
             check(leading, "leading-term bound", i)
 
         symbol = toeplitz_symbol(f, w)
@@ -328,7 +328,7 @@ def peak_section_rows(max_p: int = 3, max_order: int = 4) -> list:
     rows = []
     for p in range(max_p + 1):
         engine = inner_product(_ymono(trunc, p), _ymono(trunc, p), w)
-        engine = engine.truncate_k2(2 * max_order)
+        engine = engine.retruncate(2 * max_order)
         closed = cp1_inner(p, p).expand_at_infinity(max_order)
         match = all(engine.coefficient(2 * k) == closed.coefficient(2 * k)
                     for k in range(max_order + 1))

@@ -152,8 +152,7 @@ def _exp_series(x: WickSeries, product) -> WickSeries:
 
 def _check_unital(u: WickSeries, what: str) -> WickSeries:
     """u - 1, after checking that the constant term of u is exactly 1."""
-    zero = (0,) * u.dim
-    if u.coefficient(0, zero, zero) != 1:
+    if u.coefficient(0) != 1:
         raise PreconditionError(f"{what} needs constant term exactly 1")
     return u - WickSeries.unit(u.dim, u.trunc)
 

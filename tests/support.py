@@ -32,6 +32,14 @@ from wickjet.series import (
     mi_zero,
 )
 
+
+def hseries(trunc: int, terms: dict | None = None) -> WickSeries:
+    """A series in h alone (dim 0) from ``{k2: coefficient}``."""
+    terms = terms or {}
+    return WickSeries(0, trunc, {(k2, (), ()): c for k2, c in terms.items()},
+                      lower_bound=min([0, *terms]))
+
+
 # ---------------------------------------------------------------------------
 # random generators
 

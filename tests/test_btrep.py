@@ -23,10 +23,10 @@ from wickjet.jets import (
     k_normalize,
     random_real_analytic_potential,
 )
-from wickjet.series import HbarSeries, WickSeries, mi_zero
+from wickjet.series import WickSeries, mi_zero
 from wickjet.wick import wick_star
 
-from support import random_coefficient, random_multi_index
+from support import hseries, random_coefficient, random_multi_index
 
 
 TRUNC = 6
@@ -132,12 +132,12 @@ def test_context_from_potential_matches_weight_series():
 
 def test_flat_zbar_star_z_vanishes():
     ctx = flat_ctx()
-    assert bt_star_eval(zbar_jets(), z_jets(), ctx) == HbarSeries(TRUNC, {})
+    assert bt_star_eval(zbar_jets(), z_jets(), ctx) == hseries(TRUNC, {})
 
 
 def test_flat_z_star_zbar_is_minus_h():
     ctx = flat_ctx()
-    assert bt_star_eval(z_jets(), zbar_jets(), ctx) == HbarSeries(TRUNC, {2: -1})
+    assert bt_star_eval(z_jets(), zbar_jets(), ctx) == hseries(TRUNC, {2: -1})
 
 
 def test_constant_right_factor_scales_the_value():
@@ -147,7 +147,7 @@ def test_constant_right_factor_scales_the_value():
         c = random_coefficient(rng)
         g = WickSeries.monomial(1, TRUNC, c)
         value = f.coefficient(0, (0,), (0,)) * c
-        expected = HbarSeries(TRUNC, {0: value})
+        expected = hseries(TRUNC, {0: value})
         assert bt_star_eval(f, g, ctx) == expected
 
 
@@ -158,15 +158,15 @@ def test_unit_factor_gives_exact_value_series():
         for _ in range(4):
             g = random_function_jets(rng, 1, TRUNC)
             g0 = g.coefficient(0, (0,), (0,))
-            expected = HbarSeries(TRUNC, {0: g0})
+            expected = hseries(TRUNC, {0: g0})
             assert bt_star_eval(one, g, ctx) == expected
             assert bt_star_eval(g, one, ctx) == expected
     two = random_ctx(3)
     one2 = WickSeries.unit(2, TRUNC)
     g = random_function_jets(rng, 2, TRUNC)
     g0 = g.coefficient(0, (0, 0), (0, 0))
-    assert bt_star_eval(one2, g, two) == HbarSeries(TRUNC, {0: g0})
-    assert bt_star_eval(g, one2, two) == HbarSeries(TRUNC, {0: g0})
+    assert bt_star_eval(one2, g, two) == hseries(TRUNC, {0: g0})
+    assert bt_star_eval(g, one2, two) == hseries(TRUNC, {0: g0})
 
 
 def test_bt_coefficient_window_and_values():

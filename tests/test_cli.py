@@ -175,6 +175,38 @@ def test_main_bt_eval_normalizes_raw_potentials(tmp_path, capsys):
     assert "value: -h\n" in out
 
 
+def _constant(re, im="0"):
+    return {"k2": 0, "I": [0], "J": [0], "re": re, "im": im}
+
+
+@pytest.mark.parametrize("lhs, rhs, printed", [
+    ([_constant("-1/2"), Y_RECORD], [_constant("1"), YB_RECORD],
+     ["lhs: -1/2 + y", "rhs: 1 + yb", "value: (-1/2) - h + 2 h^2",
+      "value records:",
+      '  {"k2": 0, "re": "-1/2", "im": "0"}',
+      '  {"k2": 2, "re": "-1", "im": "0"}',
+      '  {"k2": 4, "re": "2", "im": "0"}']),
+    ([_constant("-1/2", "1/3"), Y_RECORD],
+     [_constant("1"), dict(YB_RECORD, re="0", im="2")],
+     ["lhs: (-1/2+1/3i) + y", "rhs: 1 + (2i) yb",
+      "value: (-1/2+1/3i) + (-2i) h + (4i) h^2",
+      "value records:",
+      '  {"k2": 0, "re": "-1/2", "im": "1/3"}',
+      '  {"k2": 2, "re": "0", "im": "-2"}',
+      '  {"k2": 4, "re": "0", "im": "4"}']),
+], ids=["negative-constant", "complex-constant"])
+def test_main_bt_eval_prints_h_series_constants(tmp_path, capsys, lhs, rhs, printed):
+    """A value at the point brackets a negative or complex constant, and its
+    records carry no I/J; a function's negative constant stays bare."""
+    path = write_job(tmp_path, {
+        "mode": "bt-eval", "dim": 1, "trunc": 4,
+        "potential": {"generator": "fubini-study"}, "lhs": lhs, "rhs": rhs})
+    code, out, _ = run_main(capsys, "--job", path)
+    assert code == 0
+    assert out == "\n".join(["wickjet report", "mode: bt-eval", "dim: 1",
+                             "trunc: 4", *printed, "status: ok", ""])
+
+
 def test_main_rep_act_lowering(tmp_path, capsys):
     path = write_job(tmp_path, {
         "mode": "rep-act", "dim": 1, "trunc": 6,
@@ -320,9 +352,11 @@ def _potential_job(jet):
     _potential_job({"I": [0], "J": [0], "re": "1", "im": "1"}),
     _potential_job({"I": [1, 0], "J": [1], "re": "1", "im": "0"}),
     _potential_job({"I": [-1], "J": [2], "re": "1", "im": "0"}),
+    _potential_job({"k2": 2, "I": [2], "J": [2], "re": "1"}),
 ], ids=["zero-denominator", "numeric-jet-re", "float-index", "bool-k2",
         "huge-exponent", "jet-above-order", "jet-without-conjugate",
-        "complex-constant", "index-wrong-length", "negative-index"])
+        "complex-constant", "index-wrong-length", "negative-index",
+        "potential-k2"])
 def test_main_malformed_records_exit_cleanly(tmp_path, payload):
     _assert_rejected_in_subprocess(tmp_path, payload)
 

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from support import dense_cp1_toeplitz, dense_matmul, hermitized
+from support import dense_cp1_toeplitz, dense_matmul, hermitized, hseries
 from wickjet import suites
 from wickjet.coefficients import ComplexRational
 from wickjet.cp1 import (
@@ -25,7 +25,7 @@ from wickjet.cp1 import (
 from wickjet.errors import PreconditionError
 from wickjet.integrals import inner_product, toeplitz_symbol
 from wickjet.jets import fubini_study_potential, weight_series
-from wickjet.series import HbarSeries, WickSeries
+from wickjet.series import WickSeries
 from wickjet.wick import fock_act
 
 
@@ -65,18 +65,18 @@ def test_factorial_rational_evaluate():
 
 def test_expand_at_infinity_frozen_series():
     assert cp1_inner(0, 0).expand_at_infinity(4) == \
-        HbarSeries(8, {0: 1, 2: -1, 4: 1, 6: -1, 8: 1})
+        hseries(8, {0: 1, 2: -1, 4: 1, 6: -1, 8: 1})
     assert cp1_inner(1, 1).expand_at_infinity(4) == \
-        HbarSeries(8, {2: 1, 4: -1, 6: 1, 8: -1})
+        hseries(8, {2: 1, 4: -1, 6: 1, 8: -1})
     # 2/(m^2 - 1) has only even orders
     assert cp1_inner(2, 2).expand_at_infinity(4) == \
-        HbarSeries(8, {4: 2, 8: 2})
+        hseries(8, {4: 2, 8: 2})
     constant = FactorialRational(Fraction(5, 7))
     assert constant.expand_at_infinity(3) == \
-        HbarSeries(6, {0: Fraction(5, 7)})
+        hseries(6, {0: Fraction(5, 7)})
     # a net positive power of m sits at a negative h-power
     pure_m = FactorialRational(1, (0,), ())
-    assert pure_m.expand_at_infinity(2) == HbarSeries(4, {-2: 1})
+    assert pure_m.expand_at_infinity(2) == hseries(4, {-2: 1})
 
 
 def test_expansion_truncation_against_evaluation():
@@ -378,8 +378,8 @@ def test_symbol_validation():
 
 def test_composition_residual_constant_symbols_are_exact():
     one = RationalSymbol.constant(1)
-    predicted = {(0, 0): HbarSeries(8, {0: 1}),
-                 (1, 1): HbarSeries(8, {0: 1})}
+    predicted = {(0, 0): hseries(8, {0: 1}),
+                 (1, 1): hseries(8, {0: 1})}
     out = composition_residual(one, one, [4, 8, 16], (2,), predicted)[2]
     assert out[(0, 0)]["exact"] and out[(0, 0)]["fitted"] is None
     assert out[(1, 1)]["exact"]
@@ -391,7 +391,7 @@ def test_composition_residual_detects_decay_orders():
     # self-contained check of the fitting machinery: predictions taken from
     # the closed-form entry 1/(m+2)^2 = h^2 - 4 h^3 + 12 h^4 - ...
     f = fs_ratio_symbol()
-    closed = HbarSeries(8, {4: 1, 6: -4, 8: 12})
+    closed = hseries(8, {4: 1, 6: -4, 8: 12})
     ms = [16, 32, 64, 128]
     out = composition_residual(f, f, ms, (0, 1, 2, 4), {(0, 0): closed})
     assert list(out) == [0, 1, 2, 4]
@@ -406,7 +406,7 @@ def test_composition_residual_detects_decay_orders():
 def test_composition_residual_of_two_symbols():
     f, g = fs_ratio_symbol(), RationalSymbol.constant(2)
     ms = [4, 8, 16]
-    out = composition_residual(f, g, ms, (0, 1), {(1, 1): HbarSeries(4, {})})
+    out = composition_residual(f, g, ms, (0, 1), {(1, 1): hseries(4, {})})
     for order in (0, 1):
         assert [row[1] for row in out[order][(1, 1)]["rows"]] == \
             [Fraction(4, m + 2) for m in ms]

@@ -71,6 +71,8 @@ def test_potential_window_and_flag_validation():
         PotentialJets.from_records(1, 3, [{"I": [2], "J": [2], "re": "1"}])
     with pytest.raises(PreconditionError, match="multi-index"):
         PotentialJets.from_records(1, 3, [{"I": [1, 0], "J": [1], "re": "1"}])
+    with pytest.raises(PreconditionError, match="k2=2"):
+        PotentialJets.from_records(1, 3, [{"k2": 2, "I": [1], "J": [1], "re": "1"}])
     with pytest.raises(PreconditionError):
         potential(1, 4, {((1,), (1,)): 2}, normalized=True)
     with pytest.raises(PreconditionError):

@@ -53,8 +53,8 @@ def coprime_series(rng, dim, trunc, n_terms, side=None):
     zero = (0,) * dim
     terms = {}
     for t in range(n_terms):
-        I = zero if side == "anti" else random_multi_index(rng, dim, 3)
-        J = zero if side == "holomorphic" else random_multi_index(rng, dim, 3)
+        I = zero if side == "anti" or not dim else random_multi_index(rng, dim, 3)
+        J = zero if side == "holomorphic" or not dim else random_multi_index(rng, dim, 3)
         k2 = rng.randint(-3, max(-3, trunc - sum(I) - sum(J)))
         terms[(k2, I, J)] = _coefficient(rng, rng.choice(KINDS),
                                          primes[2 * t], primes[2 * t + 1])
@@ -71,7 +71,13 @@ OPERATIONS = [
 
 
 def _assert_canonical(s):
-    """The stored layout is canonical: equal values can only be stored one way."""
+    """The stored layout is canonical: equal values can only be stored one way.
+
+    Kernel output is stored without a per-term key check, so this is where
+    a faulty expansion rule's wrong-length or negative multi-index shows.
+    """
+    assert all(len(I) == len(J) == s.dim and min(I + J, default=0) >= 0
+               for _, I, J in s.num)
     assert s.den > 0
     assert gcd(s.den, *(x for pair in s.num.values() for x in pair)) == 1
     assert all(a or b for a, b in s.num.values())
@@ -141,7 +147,7 @@ LINEAR = [
 def test_every_operation_keeps_the_canonical_form():
     rng = random.Random(97)
     for _ in range(25):
-        dim = rng.randint(1, 2)
+        dim = rng.randint(0, 2)
         trunc = rng.randint(3, 7)
         f = coprime_series(rng, dim, trunc, rng.randint(1, 8))
         g = coprime_series(rng, dim, trunc, rng.randint(1, 8))

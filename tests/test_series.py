@@ -13,7 +13,6 @@ from wickjet.errors import (
     TruncationMismatch,
 )
 from wickjet.series import (
-    HbarSeries,
     WickSeries,
     iter_multi_indices,
     mi_factorial,
@@ -21,7 +20,7 @@ from wickjet.series import (
     total_degree,
 )
 
-from support import random_series
+from support import hseries, random_series
 
 
 def test_total_degree_rule():
@@ -145,10 +144,10 @@ def test_cancelling_sums_and_products_keep_no_zero_terms():
     # the cross terms y yb cancel inside one product
     product = (y + yb) * (y - yb)
     assert product.terms == {(0, (2,), (0,)): 1, (0, (0,), (2,)): -1}
-    a = HbarSeries(6, {0: 1, 2: 1})
-    b = HbarSeries(6, {0: 1, 2: -1})
-    assert (a + b).terms == {0: 2}
-    assert (a * b).terms == {0: 1, 4: -1}
+    a = hseries(6, {0: 1, 2: 1})
+    b = hseries(6, {0: 1, 2: -1})
+    assert (a + b) == hseries(6, {0: 2})
+    assert (a * b) == hseries(6, {0: 1, 4: -1})
     for series in (total, product, a + b, a * b, y - y, a - a):
         assert all(series.terms.values())
 
@@ -242,17 +241,41 @@ def test_str_formatting():
 
 
 def test_hbar_series_arithmetic():
-    a = HbarSeries(6, {0: 1, 2: -1})
-    b = HbarSeries(6, {2: 1, 4: Fraction(1, 2)})
+    a = hseries(6, {0: 1, 2: -1})
+    b = hseries(6, {2: 1, 4: Fraction(1, 2)})
     assert (a + b).coefficient(2) == 0
     assert (a * b).coefficient(2) == 1
     assert (a * b).coefficient(4) == Fraction(1, 2) - 1
     assert (a * b).coefficient(6) == -Fraction(1, 2)
     assert (a * b).coefficient(8) == 0  # beyond trunc
-    assert a.shift(2).coefficient(4) == -1
-    assert HbarSeries.one(4) == 1
+    assert a.hbar_shift(2).coefficient(4) == -1
+    assert WickSeries.unit(0, 4) == hseries(4, {0: 1})
     with pytest.raises(TruncationMismatch):
-        a + HbarSeries(4)
+        a + hseries(4)
+
+
+@pytest.mark.parametrize("terms", [
+    {-2: 3, 0: 1, 1: ComplexRational(0, 2), 4: Fraction(-1, 2)},
+    {0: ComplexRational(2, -1), 2: 1, 6: Fraction(5, 3)},
+    {2: Fraction(1, 3), 3: -1, 6: ComplexRational(1, 1)},
+], ids=["negative-low", "zero-low", "positive-low"])
+def test_reciprocal_of_a_series_in_h(terms):
+    trunc = 8
+    s = hseries(trunc, terms)
+    low = s.min_degree()
+    inverse = s.reciprocal()
+    assert inverse.min_degree() == -low
+    assert inverse.coefficient(-low) == 1 / ComplexRational.coerce(terms[low])
+    # the documented window: any series that agrees with s through trunc
+    # has an inverse that agrees with this one through trunc - 2 low
+    longer = hseries(trunc + 6, {**terms, trunc + 1: 5, trunc + 2: -7})
+    window = min(trunc, trunc - 2 * low)
+    assert longer.reciprocal().retruncate(window) == inverse.retruncate(window)
+    # the product also meets s's lowest power, so it is 1 through trunc - |low|
+    reach = trunc - abs(low)
+    assert (s * inverse).retruncate(reach) == WickSeries.unit(0, reach)
+    with pytest.raises(ZeroDivisionError):
+        hseries(trunc).reciprocal()
 
 
 def test_power_terms_stop_at_the_first_zero_term():
@@ -270,8 +293,8 @@ def test_power_terms_stop_at_the_first_zero_term():
     # a zero x ends the run after the first term, without a product
     assert list(power_terms(t, WickSeries.zero(1, 6), product)) == [t]
     assert len(products) == 3
-    h = HbarSeries(6, {2: 1})
-    assert list(power_terms(h, h, mul)) == [HbarSeries(6, {k: 1}) for k in (2, 4, 6)]
+    h = hseries(6, {2: 1})
+    assert list(power_terms(h, h, mul)) == [hseries(6, {k: 1}) for k in (2, 4, 6)]
 
 
 def test_power_terms_need_positive_degrees():
@@ -283,12 +306,14 @@ def test_power_terms_need_positive_degrees():
         with pytest.raises(PreconditionError, match="found 0"):
             next(power_terms(unit, x, mul))
     with pytest.raises(PreconditionError, match="found 0"):
-        next(power_terms(HbarSeries.one(6), HbarSeries(6, {0: 1, 2: 1}), mul))
+        next(power_terms(WickSeries.unit(0, 6), hseries(6, {0: 1, 2: 1}), mul))
 
 
 def test_hbar_series_records_and_str():
-    a = HbarSeries(6, {0: Fraction(1, 3), 3: -2})
-    back = HbarSeries.from_records(6, a.to_records())
+    a = hseries(6, {0: Fraction(1, 3), 3: -2})
+    assert a.to_records()[0] == {"k2": 0, "re": "1/3", "im": "0"}
+    back = WickSeries.from_records(0, 6, [dict(rec, I=[], J=[])
+                                          for rec in a.to_records()])
     assert back == a
     assert str(a) == "1/3 - 2 h^(3/2)"
 
@@ -296,7 +321,7 @@ def test_hbar_series_records_and_str():
 def test_constant_part_extraction():
     f = WickSeries(1, 6, {(0, (0,), (0,)): 2, (4, (0,), (0,)): -1, (2, (1,), (1,)): 9})
     c = f.constant_part()
-    assert c == HbarSeries(6, {0: 2, 4: -1})
+    assert c == hseries(6, {0: 2, 4: -1})
 
 
 def test_iter_multi_indices_and_factorial():
