@@ -311,51 +311,15 @@ class ToeplitzMatrix:
         band = self.bands.get(q - p)
         return band[p] if band else _ZERO
 
-    def _stored(self):
-        """(q, p, value) for every cell on a stored diagonal."""
-        size = self.m + 1
-        for d, band in self.bands.items():
-            for p in _cells(d, size):
-                yield p + d, p, band[p]
-
     @property
     def entries(self) -> tuple:
         """Read-only dense view: ``entries[q][p]`` is ``entry(q, p)``."""
         size = self.m + 1
         rows = [[_ZERO] * size for _ in range(size)]
-        for q, p, c in self._stored():
-            rows[q][p] = c
+        for d, band in self.bands.items():
+            for p in _cells(d, size):
+                rows[p + d][p] = band[p]
         return tuple(map(tuple, rows))
-
-    def apply(self, vector) -> tuple:
-        vec = [ComplexRational.coerce(v) for v in vector]
-        if len(vec) != self.m + 1:
-            raise PreconditionError("vector length must be m + 1")
-        out = [_ZERO] * len(vec)
-        for q, p, c in self._stored():
-            if c and vec[p]:
-                out[q] = out[q] + c * vec[p]
-        return tuple(out)
-
-    def compose(self, other: "ToeplitzMatrix") -> "ToeplitzMatrix":
-        if self.m != other.m:
-            raise PreconditionError("tensor powers differ")
-        size = self.m + 1
-        bands = {}
-        for d2, right in other.bands.items():
-            for d1, left in self.bands.items():
-                d = d1 + d2
-                if abs(d) > self.m:
-                    continue
-                band = bands.setdefault(d, [_ZERO] * size)
-                # cell (p + d, p) through the middle index r = p + d2
-                through, into = _cells(d2, size), _cells(d, size)
-                for p in range(max(through.start, into.start),
-                               min(through.stop, into.stop)):
-                    a, b = left[p + d2], right[p]
-                    if a and b:
-                        band[p] = band[p] + a * b
-        return ToeplitzMatrix(self.m, bands)
 
     def pairing(self, p: int, q: int) -> ComplexRational:
         """The inner product of the image of z^p against z^q."""
@@ -363,7 +327,7 @@ class ToeplitzMatrix:
 
     def composition_entry(self, other: "ToeplitzMatrix", p: int,
                           q: int) -> ComplexRational:
-        """Entry (q, p) of the composed matrix without a full compose."""
+        """Entry (q, p) of the composed matrix, summed over the middle index."""
         if self.m != other.m:
             raise PreconditionError("tensor powers differ")
         self._check_cell(q, p)

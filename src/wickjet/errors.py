@@ -23,7 +23,7 @@ class TruncationMismatch(WickjetError):
 
 
 class DegreeWindowError(WickjetError):
-    """A term fell below the declared lower degree bound of its series."""
+    """An input record's term lies below the degree window of its input."""
 
 
 class PreconditionError(WickjetError):

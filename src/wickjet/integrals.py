@@ -133,7 +133,7 @@ def _moments(h: WickSeries) -> WickSeries:
             key, weight = (k2 + 2 * sum(I), (), ()), mi_factorial(I)
             c, d = sums.get(key, (0, 0))
             sums[key] = (c + weight * a, d + weight * b)
-    return h._build(sums, h.den, min([0, *(k2 for k2, _, _ in sums)]), dim=0)
+    return h._build(sums, h.den, dim=0)
 
 
 def _check_weight(h: WickSeries, w: WeightSeries) -> None:
@@ -148,7 +148,7 @@ def formal_integral(h: WickSeries, w: WeightSeries) -> WickSeries:
 
     Computed as ``sum_j (1/j!) moments(h * (w/h)^j)``; the sum is finite
     because every ``w/h`` term has degree >= 1, so it ends within
-    ``trunc + |lower_bound| + 1`` terms.
+    ``trunc + |min_degree(h)| + 1`` terms.
     """
     _check_weight(h, w)
     out = WickSeries.zero(0, h.trunc)
@@ -190,10 +190,9 @@ def toeplitz_symbol(f: WickSeries, w: WeightSeries) -> WickSeries:
     last_degree = -1
     for _ in range(f.trunc + 2):
         if not residual:
-            tight = symbol.with_lower_bound(min(0, symbol.min_degree() or 0))
-            if f.is_plain() and not tight.is_plain():
+            if f.is_plain() and not symbol.is_plain():
                 raise SolveError("symbol left the plain algebra on plain input")
-            return tight
+            return symbol
         degree = residual.min_degree()
         if degree <= last_degree:
             raise SolveError(

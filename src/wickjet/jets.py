@@ -107,7 +107,7 @@ def _substitute(series: WickSeries, subs: list) -> WickSeries:
             re, im = a * c - b * d, a * d + b * c
             prev = get(key)
             out[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
-    return sum((unit._build(out, series.den * den, 0) for den, out in groups.items()),
+    return sum((unit._build(out, series.den * den) for den, out in groups.items()),
                WickSeries.zero(dim, trunc))
 
 
@@ -307,7 +307,7 @@ def _diagonalizing_change(matrix: list, dim: int):
 def _holo_slice(series: WickSeries, degree: int) -> WickSeries:
     picked = {(k2, I, J): pair for (k2, I, J), pair in series.num.items()
               if k2 == 0 and not any(J) and sum(I) == degree}
-    return series._build(picked, series.den, 0)
+    return series._build(picked, series.den)
 
 
 def k_normalize(raw: PotentialJets):
@@ -358,7 +358,7 @@ def k_normalize(raw: PotentialJets):
                 picked = {(0, I, zero): (-a, -b)
                           for (k2, I, J), (a, b) in current.num.items()
                           if k2 == 0 and J == ej and sum(I) == d - 1}
-                hs.append(current._build(picked, current.den, 0))
+                hs.append(current._build(picked, current.den))
             if any(hs):
                 subs = [unit + h for unit, h in zip(_identity_coords(dim, order), hs)]
                 substitute_all(subs)
@@ -447,7 +447,7 @@ def volume_log_jets(p: PotentialJets) -> WickSeries:
             "volume-log jets need unit metric determinant at the point; "
             "normalize the potential first")
     zero = WickSeries.zero(dim, r2)
-    blocks = [[zero._build(terms, varphi.den, 0) for terms in row] for row in rest]
+    blocks = [[zero._build(terms, varphi.den) for terms in row] for row in rest]
     x = [[sum((block.scale(a) for a, block in zip(inverse[i], column) if a), zero)
           for column in zip(*blocks)] for i in range(dim)]
 

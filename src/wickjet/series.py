@@ -9,11 +9,13 @@ bases) in integer arithmetic.  The total degree of a term is::
 
     degree(k2, I, J) = k2 + |I| + |J|        # h itself has degree 2
 
-Every series carries a truncation degree ``trunc`` (terms above it are
-discarded — the grading makes this lossless for products) and a
-``lower_bound`` on allowed term degrees (negative bounds admit the extended
-algebra with inverse powers of h).  Zero is the empty term map and equality
-is structural on the canonical integer layout ``(dim, trunc, den, num)``.
+Every series carries a truncation degree ``trunc``: terms above it are
+discarded, and the grading makes this lossless for products.  There is no
+lower window: negative k2 (inverse powers of h, the extended algebra) is
+allowed anywhere, and a series is exactly its terms.  Only
+``WickSeries.from_records`` bounds degrees from below, for outside input.
+Zero is the empty term map and equality is structural on the canonical
+integer layout ``(dim, trunc, den, num)``.
 
 A series of dim 0 has no generators: it is a series in h alone, the scalar
 ring in which pairings, values at a point and 1/m expansions live.
@@ -33,7 +35,6 @@ from .errors import DegreeWindowError, DimensionMismatch, PreconditionError, Tru
 __all__ = [
     "MultiIndex",
     "mi_zero",
-    "mi_add",
     "mi_sub",
     "mi_factorial",
     "total_degree",
@@ -50,10 +51,6 @@ _ZERO = Fraction(0)
 
 def mi_zero(dim: int) -> MultiIndex:
     return (0,) * dim
-
-
-def mi_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def mi_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
@@ -183,10 +180,9 @@ class WickSeries:
     gcd(den, every a, every b) == 1.  ``num`` must not be mutated.
     """
 
-    __slots__ = ("dim", "trunc", "lower_bound", "den", "num", "_rows", "_terms")
+    __slots__ = ("dim", "trunc", "den", "num", "_rows", "_terms")
 
-    def __init__(self, dim: int, trunc: int, terms: Mapping | None = None,
-                 lower_bound: int = 0):
+    def __init__(self, dim: int, trunc: int, terms: Mapping | None = None):
         coeffs = {(k2, tuple(I), tuple(J)): ComplexRational.coerce(c)
                   for (k2, I, J), c in (terms or {}).items()}
         if dim < 0:
@@ -200,11 +196,10 @@ class WickSeries:
         den = lcm(*(x.denominator for c in coeffs.values() for x in (c.re, c.im)))
         self._fill(dim, trunc, {key: (c.re.numerator * (den // c.re.denominator),
                                       c.im.numerator * (den // c.im.denominator))
-                                for key, c in coeffs.items()}, den, lower_bound)
+                                for key, c in coeffs.items()}, den)
 
-    def _fill(self, dim: int, trunc: int, num: Mapping, den: int,
-              lower_bound: int) -> None:
-        """Store ``num`` over ``den`` canonically, checking the degree window.
+    def _fill(self, dim: int, trunc: int, num: Mapping, den: int) -> None:
+        """Store ``num`` over ``den`` canonically, dropping terms past ``trunc``.
 
         The keys are trusted: ``__init__`` checks the multi-indices of
         outside input, and the kernel's expansion rules keep them in form.
@@ -215,12 +210,8 @@ class WickSeries:
         common = den
         for key, (a, b) in num.items():
             k2, I, J = key
-            deg = k2 + sum(I) + sum(J)
-            if deg > trunc or not (a or b):
+            if k2 + sum(I) + sum(J) > trunc or not (a or b):
                 continue
-            if deg < lower_bound:
-                raise DegreeWindowError(
-                    f"term {key} has degree {deg} < lower bound {lower_bound}")
             if common != 1:
                 common = gcd(common, a, b)
             kept[key] = (a, b)
@@ -228,15 +219,15 @@ class WickSeries:
             den //= common
             kept = {key: (a // common, b // common) for key, (a, b) in kept.items()}
         for name, value in zip(self.__slots__,
-                               (dim, trunc, lower_bound, den, kept, None, None)):
+                               (dim, trunc, den, kept, None, None)):
             object.__setattr__(self, name, value)
 
-    def _build(self, num: Mapping, den: int, lower_bound: int,
-               dim: int | None = None, trunc: int | None = None) -> "WickSeries":
+    def _build(self, num: Mapping, den: int, dim: int | None = None,
+               trunc: int | None = None) -> "WickSeries":
         """A series through ``_fill``, of this one's dim and trunc unless given."""
         series = object.__new__(WickSeries)
         series._fill(self.dim if dim is None else dim,
-                     self.trunc if trunc is None else trunc, num, den, lower_bound)
+                     self.trunc if trunc is None else trunc, num, den)
         return series
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -245,8 +236,8 @@ class WickSeries:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, dim: int, trunc: int, lower_bound: int = 0) -> "WickSeries":
-        return cls(dim, trunc, None, lower_bound)
+    def zero(cls, dim: int, trunc: int) -> "WickSeries":
+        return cls(dim, trunc)
 
     @classmethod
     def unit(cls, dim: int, trunc: int) -> "WickSeries":
@@ -254,14 +245,11 @@ class WickSeries:
 
     @classmethod
     def monomial(cls, dim: int, trunc: int, coeff, k2: int = 0,
-                 I: MultiIndex | None = None, J: MultiIndex | None = None,
-                 lower_bound: int | None = None) -> "WickSeries":
+                 I: MultiIndex | None = None,
+                 J: MultiIndex | None = None) -> "WickSeries":
         I = mi_zero(dim) if I is None else tuple(I)
         J = mi_zero(dim) if J is None else tuple(J)
-        deg = total_degree(k2, I, J)
-        if lower_bound is None:
-            lower_bound = min(0, deg)
-        return cls(dim, trunc, {(k2, I, J): coeff}, lower_bound)
+        return cls(dim, trunc, {(k2, I, J): coeff})
 
     # -- inspection -----------------------------------------------------
 
@@ -307,14 +295,20 @@ class WickSeries:
             return None
         return min(total_degree(*key) for key in self.num)
 
+    @property
+    def lower_bound(self) -> int:
+        # ``bench/tracer.py`` keys inputs by it; derived from the terms, never
+        # stored, and read nowhere else.  Goes when the benchmark drops it.
+        return min(0, self.min_degree() or 0)
+
     def degree_slice(self, degree: int) -> "WickSeries":
         """The homogeneous part of the given total degree."""
         picked = {k: v for k, v in self.num.items() if total_degree(*k) == degree}
-        return self._build(picked, self.den, min(self.lower_bound, degree))
+        return self._build(picked, self.den)
 
     def is_plain(self) -> bool:
-        """No inverse powers of h and a non-negative degree window."""
-        return self.lower_bound >= 0 and all(k2 >= 0 for (k2, _, _) in self.num)
+        """No inverse powers of h (no negative k2)."""
+        return all(k2 >= 0 for (k2, _, _) in self.num)
 
     def is_holomorphic(self) -> bool:
         """Only y generators (J = 0 throughout)."""
@@ -325,12 +319,9 @@ class WickSeries:
 
     # -- window management -----------------------------------------------
 
-    def with_lower_bound(self, lower_bound: int) -> "WickSeries":
-        return self._build(self.num, self.den, lower_bound)
-
     def retruncate(self, trunc: int) -> "WickSeries":
         """Explicitly move to a different truncation degree (never implicit)."""
-        return self._build(self.num, self.den, self.lower_bound, trunc=trunc)
+        return self._build(self.num, self.den, trunc=trunc)
 
     # -- ring operations ---------------------------------------------------
 
@@ -356,7 +347,7 @@ class WickSeries:
             prev = get(key)
             sums[key] = (c * theirs, d * theirs) if prev is None \
                 else (prev[0] + c * theirs, prev[1] + d * theirs)
-        return self._build(sums, den, min(self.lower_bound, other.lower_bound))
+        return self._build(sums, den)
 
     __radd__ = __add__
 
@@ -368,7 +359,7 @@ class WickSeries:
 
     def __neg__(self):
         flipped = {key: (-a, -b) for key, (a, b) in self.num.items()}
-        return self._build(flipped, self.den, self.lower_bound)
+        return self._build(flipped, self.den)
 
     def scale(self, factor) -> "WickSeries":
         factor = ComplexRational.coerce(factor)
@@ -378,7 +369,7 @@ class WickSeries:
         p, q = int(factor.re * den), int(factor.im * den)
         scaled = {key: (a * p - b * q, a * q + b * p)
                   for key, (a, b) in self.num.items()}
-        return self._build(scaled, self.den * den, self.lower_bound)
+        return self._build(scaled, self.den * den)
 
     def __mul__(self, other):
         """Pointwise (commutative) product, truncated by total degree."""
@@ -387,8 +378,7 @@ class WickSeries:
         if not isinstance(other, WickSeries):
             return NotImplemented
         self._check_compatible(other)
-        return self._build(*bilinear_terms(self, other, _pointwise),
-                           self.lower_bound + other.lower_bound)
+        return self._build(*bilinear_terms(self, other, _pointwise))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, ComplexRational)):
@@ -403,12 +393,12 @@ class WickSeries:
     def conjugate(self) -> "WickSeries":
         """Swap y^I yb^J -> y^J yb^I and conjugate coefficients (h is real)."""
         flipped = {(k2, J, I): (a, -b) for (k2, I, J), (a, b) in self.num.items()}
-        return self._build(flipped, self.den, self.lower_bound)
+        return self._build(flipped, self.den)
 
     def hbar_shift(self, dk2: int) -> "WickSeries":
         """Multiply by h^(dk2/2); dk2 may be negative or odd."""
         shifted = {(k2 + dk2, I, J): pair for (k2, I, J), pair in self.num.items()}
-        return self._build(shifted, self.den, self.lower_bound + dk2)
+        return self._build(shifted, self.den)
 
     def reciprocal(self) -> "WickSeries":
         """Multiplicative inverse; the least-degree part must be one power of h.
@@ -433,11 +423,11 @@ class WickSeries:
         zero = mi_zero(self.dim)
         picked = {(k2, (), ()): pair for (k2, I, J), pair in self.num.items()
                   if I == zero and J == zero}
-        return self._build(picked, self.den, self.lower_bound, dim=0)
+        return self._build(picked, self.den, dim=0)
 
     def holomorphic_part(self) -> "WickSeries":
         picked = {key: v for key, v in self.num.items() if not any(key[2])}
-        return self._build(picked, self.den, self.lower_bound)
+        return self._build(picked, self.den)
 
     # -- equality / display ---------------------------------------------------
 
@@ -451,8 +441,7 @@ class WickSeries:
         return hash((self.dim, self.trunc, self.den, frozenset(self.num.items())))
 
     def __repr__(self) -> str:
-        return (f"WickSeries(dim={self.dim}, trunc={self.trunc}, "
-                f"lower_bound={self.lower_bound}, terms={len(self.num)})")
+        return f"WickSeries(dim={self.dim}, trunc={self.trunc}, terms={len(self.num)})"
 
     def __str__(self) -> str:
         if not self.num:
@@ -471,8 +460,15 @@ class WickSeries:
     @classmethod
     def from_records(cls, dim: int, trunc: int, records: Iterable[dict],
                      lower_bound: int = 0) -> "WickSeries":
-        terms = accumulate(read_record(rec, "k2", "I", "J") for rec in records)
-        return cls(dim, trunc, terms, lower_bound)
+        """Read term records; a kept term of degree below ``lower_bound`` raises."""
+        series = cls(dim, trunc,
+                     accumulate(read_record(rec, "k2", "I", "J") for rec in records))
+        for key in series.num:
+            degree = total_degree(*key)
+            if degree < lower_bound:
+                raise DegreeWindowError(
+                    f"term {key} has degree {degree} < lower bound {lower_bound}")
+        return series
 
 
 def _pointwise(key_f, key_g) -> list:
@@ -521,13 +517,3 @@ def _format_term(dim: int, key, coeff: ComplexRational) -> str:
 # ``bench/tracer.py`` wraps ``HbarSeries.__mul__`` by name; the alias keeps
 # that target resolvable until the benchmark drops it.  Not exported.
 HbarSeries = WickSeries
-
-
-def iter_multi_indices(dim: int, max_abs: int) -> Iterator[MultiIndex]:
-    """All multi-indices of length dim with |I| <= max_abs, lexicographic."""
-    if dim == 0:
-        yield ()
-        return
-    for head in range(max_abs + 1):
-        for tail in iter_multi_indices(dim - 1, max_abs - head):
-            yield (head,) + tail

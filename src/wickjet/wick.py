@@ -58,7 +58,7 @@ def wick_star(f: WickSeries, g: WickSeries) -> WickSeries:
         return [((k2 + t2, tuple(map(add, Ia, Ig)), tuple(map(add, Jf, Ja))),
                  scalar) for t2, Ia, Ja, scalar in contractions]
 
-    return f._build(*bilinear_terms(f, g, expand), f.lower_bound + g.lower_bound)
+    return f._build(*bilinear_terms(f, g, expand))
 
 
 def _contractions(I: tuple, J: tuple) -> list:
@@ -106,7 +106,7 @@ def fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
         return [((k2 + k2s + 2 * sum(J), tuple(map(sub, top, J)), zero),
                  scalar)]
 
-    return f._build(*bilinear_terms(f, s, expand), f.lower_bound + s.lower_bound)
+    return f._build(*bilinear_terms(f, s, expand))
 
 
 def anti_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
@@ -126,7 +126,7 @@ def anti_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
         return [((k2 + k2s + 2 * order, zero, tuple(map(add, map(sub, Q, I), J))),
                  -scalar if order % 2 else scalar)]
 
-    return f._build(*bilinear_terms(f, s, expand), f.lower_bound + s.lower_bound)
+    return f._build(*bilinear_terms(f, s, expand))
 
 
 def classical_exp(h: WickSeries, divide_by_hbar: bool = False) -> WickSeries:

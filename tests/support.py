@@ -23,21 +23,26 @@ import sympy as sp
 
 from wickjet.coefficients import ComplexRational
 from wickjet.errors import PreconditionError
-from wickjet.series import (
-    WickSeries,
-    accumulate,
-    iter_multi_indices,
-    mi_add,
-    mi_sub,
-    mi_zero,
-)
+from wickjet.series import WickSeries, accumulate, mi_sub, mi_zero
 
 
 def hseries(trunc: int, terms: dict | None = None) -> WickSeries:
     """A series in h alone (dim 0) from ``{k2: coefficient}``."""
-    terms = terms or {}
-    return WickSeries(0, trunc, {(k2, (), ()): c for k2, c in terms.items()},
-                      lower_bound=min([0, *terms]))
+    return WickSeries(0, trunc, {(k2, (), ()): c for k2, c in (terms or {}).items()})
+
+
+def mi_add(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def iter_multi_indices(dim: int, max_abs: int):
+    """All multi-indices of length dim with |I| <= max_abs, lexicographic."""
+    if dim == 0:
+        yield ()
+        return
+    for head in range(max_abs + 1):
+        for tail in iter_multi_indices(dim - 1, max_abs - head):
+            yield (head,) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +92,7 @@ def random_series(rng: random.Random, dim: int, trunc: int, n_terms: int = 4,
                     continue
             terms[(k2, I, J)] = random_coefficient(rng, allow_complex)
             break
-    return WickSeries(dim, trunc, terms, lower_bound=min(min_degree, 0))
+    return WickSeries(dim, trunc, terms)
 
 
 def random_monomial(rng: random.Random, dim: int, trunc: int,
@@ -346,14 +351,13 @@ def _within(f: WickSeries, g: WickSeries):
                 yield (k2f, If, Jf), cf, (k2g, Ig, Jg), cg
 
 
-def _series(f: WickSeries, g: WickSeries, pairs) -> WickSeries:
-    return WickSeries(f.dim, f.trunc, accumulate(pairs),
-                      f.lower_bound + g.lower_bound)
+def _series(f: WickSeries, pairs) -> WickSeries:
+    return WickSeries(f.dim, f.trunc, accumulate(pairs))
 
 
 def reference_product(f: WickSeries, g: WickSeries) -> WickSeries:
     """Pointwise product, one ComplexRational product per pair of terms."""
-    return _series(f, g, (
+    return _series(f, (
         ((k2f + k2g, mi_add(If, Ig), mi_add(Jf, Jg)), cf * cg)
         for (k2f, If, Jf), cf, (k2g, Ig, Jg), cg in _within(f, g)))
 
@@ -371,7 +375,7 @@ def reference_star(f: WickSeries, g: WickSeries) -> WickSeries:
                        mi_add(mi_sub(If, alpha), Ig),
                        mi_add(Jf, mi_sub(Jg, alpha)))
                 yield key, cf * cg * scalar
-    return _series(f, g, pairs())
+    return _series(f, pairs())
 
 
 def reference_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
@@ -387,7 +391,7 @@ def reference_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
                     scalar *= _falling(t, j)
                 yield ((k2 + k2s + 2 * sum(J), mi_sub(top, J), zero),
                        cf * cs * scalar)
-    return _series(f, s, pairs())
+    return _series(f, pairs())
 
 
 def reference_anti_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
@@ -402,7 +406,7 @@ def reference_anti_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
                     scalar *= _falling(q, i)
                 yield ((k2 + k2s + 2 * sum(I), zero, mi_add(mi_sub(Q, I), J)),
                        cf * cs * scalar)
-    return _series(f, s, pairs())
+    return _series(f, pairs())
 
 
 # ---------------------------------------------------------------------------

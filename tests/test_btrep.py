@@ -431,3 +431,20 @@ def test_vacuum_reduce_preconditions():
         vacuum_reduce(ymono(TRUNC, 1), ctx, TRUNC + 1)
     with pytest.raises(PreconditionError):
         vacuum_reduce(ymono(TRUNC, TRUNC), ctx, TRUNC)  # leading term too deep
+
+
+def test_equal_series_behave_equally():
+    """A series is its terms: a detour through h^-1 and back changes nothing."""
+    trunc = 8
+    down = WickSeries.monomial(1, trunc, 1, -2)
+    up = WickSeries.monomial(1, trunc, 1, 2)
+    for ctx in (flat_ctx(trunc=trunc), fs_ctx(trunc), quartic_ctx(trunc)):
+        for a in (ymono(trunc, 1), ymono(trunc, 1) + ymono(trunc, 2, k2=2)):
+            detour = a * down * up
+            assert detour == a and hash(detour) == hash(a)
+            assert detour.is_plain() and a.is_plain()
+            assert vacuum_reduce(detour, ctx, 6) == vacuum_reduce(a, ctx, 6)
+            # toeplitz_symbol checks a plain input's symbol for plainness
+            f = a.conjugate() * a
+            symbol = toeplitz_symbol(f * down * up, ctx.weight)
+            assert symbol == toeplitz_symbol(f, ctx.weight) and symbol.is_plain()

@@ -15,7 +15,9 @@ from wickjet import cli
 from wickjet.cli import ACCEPT_EXIT, COMPUTE_EXIT, PARSE_EXIT, JobError, load_job, main
 from wickjet.coefficients import ComplexRational
 from wickjet.jets import PotentialJets
-from wickjet.series import WickSeries, iter_multi_indices
+from wickjet.series import WickSeries
+
+from support import iter_multi_indices
 
 
 def write_job(tmp_path, payload, name="job.json"):
@@ -353,10 +355,18 @@ def _potential_job(jet):
     _potential_job({"I": [1, 0], "J": [1], "re": "1", "im": "0"}),
     _potential_job({"I": [-1], "J": [2], "re": "1", "im": "0"}),
     _potential_job({"k2": 2, "I": [2], "J": [2], "re": "1"}),
+    {"mode": "wick-star", "dim": 1, "trunc": 6, "rhs": [YB_RECORD],
+     "lhs": [dict(Y_RECORD, k2=-2)]},
+    {"mode": "bt-eval", "dim": 1, "trunc": 6, "potential": {"generator": "flat"},
+     "lhs": [dict(Y_RECORD, k2=-2)], "rhs": [YB_RECORD]},
+    {"mode": "rep-act", "dim": 1, "trunc": 6,
+     "potential": {"generator": "fubini-study"}, "function": [YB_RECORD],
+     "element": [dict(Y_RECORD, k2=-2)]},
 ], ids=["zero-denominator", "numeric-jet-re", "float-index", "bool-k2",
         "huge-exponent", "jet-above-order", "jet-without-conjugate",
         "complex-constant", "index-wrong-length", "negative-index",
-        "potential-k2"])
+        "potential-k2", "negative-degree-term", "negative-degree-jet",
+        "negative-degree-element"])
 def test_main_malformed_records_exit_cleanly(tmp_path, payload):
     _assert_rejected_in_subprocess(tmp_path, payload)
 

@@ -175,14 +175,14 @@ def test_toeplitz_pairing_is_hermitian_for_real_symbols():
 def test_toeplitz_apply_and_compose():
     m = 5
     T = cp1_toeplitz(m, fs_ratio_symbol())
-    image = T.apply(peak_section(m, 2))
+    # the image of the peak section z^2 is column 2 of the matrix
+    image = [row[2] for row in T.entries]
     assert image[2] == Fraction(3, m + 2)
     assert all(not image[i] for i in range(m + 1) if i != 2)
-    square = T.compose(T)
     for p in range(m + 1):
-        assert square.entries[p][p] == Fraction(p + 1, m + 2) ** 2
+        assert T.composition_entry(T, p, p) == Fraction(p + 1, m + 2) ** 2
     assert T.composition_entry(T, 0, 0) * cp1_gram(m, 0) == \
-        square.pairing(0, 0) == Fraction(m, (m + 2) ** 2 * (m + 1))
+        Fraction(m, (m + 2) ** 2 * (m + 1))
 
 
 def test_toeplitz_norm_bounded_by_symbol_sup():
@@ -246,19 +246,12 @@ def test_mobius_pullback_fills_every_diagonal():
 @pytest.mark.parametrize("m", [2, 5, 8])
 def test_banded_products_match_dense_products(m):
     symbols = _oracle_symbols()
-    vector = [ComplexRational(Fraction(i + 1, 3), Fraction(-i, 2))
-              for i in range(m + 1)]
-    column = [[v] for v in vector]
     for f, g in zip(symbols, symbols[1:] + symbols[:1]):
         tf, tg = cp1_toeplitz(m, f), cp1_toeplitz(m, g)
-        dense_f, dense_g = dense_cp1_toeplitz(m, f), dense_cp1_toeplitz(m, g)
-        product = dense_matmul(dense_f, dense_g)
-        assert [list(row) for row in tf.compose(tg).entries] == product
+        product = dense_matmul(dense_cp1_toeplitz(m, f), dense_cp1_toeplitz(m, g))
         for q in range(m + 1):
             for p in range(m + 1):
                 assert tf.composition_entry(tg, p, q) == product[q][p]
-        assert [[v] for v in tf.apply(vector)] == \
-            dense_matmul(dense_f, column)
 
 
 def test_composition_fits_build_one_matrix_per_tensor_power(monkeypatch):

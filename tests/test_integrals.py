@@ -15,10 +15,16 @@ from wickjet.integrals import (
     toeplitz_apply,
     toeplitz_symbol,
 )
-from wickjet.series import WickSeries, iter_multi_indices, mi_factorial
+from wickjet.series import WickSeries, mi_factorial
 from wickjet.wick import classical_exp, fock_act, star_inverse, wick_star
 
-from support import hseries, random_holomorphic, random_series, random_weight_body
+from support import (
+    hseries,
+    iter_multi_indices,
+    random_holomorphic,
+    random_series,
+    random_weight_body,
+)
 
 
 def ymono(trunc, p, dim=1):

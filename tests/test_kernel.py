@@ -6,7 +6,7 @@ references in ``support`` visit every pair of terms in ComplexRational
 arithmetic.  The inputs stress what the integer
 layout could get wrong: pairwise-coprime denominators up to 97 (so the
 common denominator is large), purely imaginary and complex coefficients,
-odd and negative h-powers under a negative lower bound, sums that cancel
+odd and negative h-powers (negative degrees included), sums that cancel
 exactly, and terms whose degrees sum to exactly the truncation.
 """
 
@@ -18,10 +18,11 @@ from math import gcd
 import pytest
 
 from wickjet.coefficients import ComplexRational
-from wickjet.series import WickSeries, accumulate, mi_add, total_degree
+from wickjet.series import WickSeries, accumulate, total_degree
 from wickjet.wick import anti_fock_act, fock_act, wick_star
 
 from support import (
+    mi_add,
     random_multi_index,
     reference_anti_fock_act,
     reference_fock_act,
@@ -46,8 +47,7 @@ def _coefficient(rng, kind, den_re, den_im):
 def coprime_series(rng, dim, trunc, n_terms, side=None):
     """Random terms with odd or negative k2; no prime divides two denominators.
 
-    ``side`` "holomorphic" or "anti" zeroes J or I.  The lower bound is the
-    least degree present (negative when a term has negative degree).
+    ``side`` "holomorphic" or "anti" zeroes J or I.
     """
     primes = rng.sample(PRIMES, 2 * n_terms)
     zero = (0,) * dim
@@ -58,8 +58,7 @@ def coprime_series(rng, dim, trunc, n_terms, side=None):
         k2 = rng.randint(-3, max(-3, trunc - sum(I) - sum(J)))
         terms[(k2, I, J)] = _coefficient(rng, rng.choice(KINDS),
                                          primes[2 * t], primes[2 * t + 1])
-    low = min(k2 + sum(I) + sum(J) for k2, I, J in terms)
-    return WickSeries(dim, trunc, terms, lower_bound=min(low, 0))
+    return WickSeries(dim, trunc, terms)
 
 
 OPERATIONS = [
@@ -81,14 +80,12 @@ def _assert_canonical(s):
     assert s.den > 0
     assert gcd(s.den, *(x for pair in s.num.values() for x in pair)) == 1
     assert all(a or b for a, b in s.num.values())
-    assert all(s.lower_bound <= k2 + sum(I) + sum(J) <= s.trunc
-               for k2, I, J in s.num)
+    assert all(k2 + sum(I) + sum(J) <= s.trunc for k2, I, J in s.num)
 
 
 def _assert_same(got, want):
     _assert_canonical(got)
     assert got == want
-    assert got.lower_bound == want.lower_bound
     assert all(got.terms.values())
 
 
@@ -104,7 +101,7 @@ def test_kernel_matches_reference_on_coprime_denominators(name, op, reference,
         f = coprime_series(rng, dim, trunc, rng.randint(1, 6))
         g = coprime_series(rng, dim, trunc, rng.randint(1, 6), side)
         odd += any(k2 % 2 for k2, _, _ in f.terms)
-        negative += f.lower_bound < 0
+        negative += f.min_degree() < 0
         _assert_same(op(f, g), reference(f, g))
     assert odd and negative
 
@@ -133,8 +130,6 @@ LINEAR = [
     ("hbar-shift", lambda f, g: f.hbar_shift(3),
      lambda f, g: (((k2 + 3, I, J), c) for (k2, I, J), c in f.terms.items())),
     ("retruncate", lambda f, g: f.retruncate(f.trunc - 1),
-     lambda f, g: f.terms.items()),
-    ("with-lower-bound", lambda f, g: f.with_lower_bound(f.lower_bound - 1),
      lambda f, g: f.terms.items()),
     ("degree-slice", lambda f, g: f.degree_slice(2),
      lambda f, g: ((k, c) for k, c in f.terms.items()
@@ -167,7 +162,7 @@ def test_every_operation_keeps_the_canonical_form():
                             (f.scale(SCALAR).scale(1 / SCALAR), f),
                             (f.conjugate().conjugate(), f), (f * g, g * f),
                             (f.hbar_shift(-3).hbar_shift(3), f),
-                            (WickSeries(dim, trunc, f.terms, f.lower_bound), f)]:
+                            (WickSeries(dim, trunc, f.terms), f)]:
             assert left == right
             assert hash(left) == hash(right)
             assert (left.den, left.num) == (right.den, right.num)

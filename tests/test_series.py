@@ -12,15 +12,9 @@ from wickjet.errors import (
     PreconditionError,
     TruncationMismatch,
 )
-from wickjet.series import (
-    WickSeries,
-    iter_multi_indices,
-    mi_factorial,
-    power_terms,
-    total_degree,
-)
+from wickjet.series import WickSeries, mi_factorial, power_terms, total_degree
 
-from support import hseries, random_series
+from support import hseries, iter_multi_indices, random_series
 
 
 def test_total_degree_rule():
@@ -43,10 +37,12 @@ def test_constructor_canonicalizes():
 
 
 def test_constructor_rejects_window_violation():
+    records = [{"k2": -2, "I": [0], "J": [0], "re": "1"}]
     with pytest.raises(DegreeWindowError):
-        WickSeries(1, 4, {(-2, (0,), (0,)): 1}, lower_bound=0)
-    # fine with an extended window
-    s = WickSeries(1, 4, {(-2, (0,), (0,)): 1}, lower_bound=-2)
+        WickSeries.from_records(1, 4, records)
+    # fine with an extended window; the constructor itself has none
+    s = WickSeries.from_records(1, 4, records, lower_bound=-2)
+    assert s == WickSeries(1, 4, {(-2, (0,), (0,)): 1})
     assert s.min_degree() == -2
     assert not s.is_plain()
 
@@ -65,8 +61,8 @@ BAD_INPUTS = {
                            {"k2": 0, "I": [1], "J": [0, 0], "re": "1"}),
     "negative-index": (ValueError, {(0, (-1,), (0,)): 1}, (1, 0, (-1,), (0,)),
                        {"k2": 0, "I": [-1], "J": [0], "re": "1"}),
-    "below-lower-bound": (DegreeWindowError, {(-2, (0,), (0,)): 1},
-                          (1, -2, (0,), (0,), 0),
+    # only records carry a degree window: the constructors (None) take h^-1
+    "below-lower-bound": (DegreeWindowError, None, None,
                           {"k2": -2, "I": [0], "J": [0], "re": "1"}),
     "non-rational": ((TypeError, ValueError), {(0, (1,), (0,)): 0.5}, (0.5,),
                      {"k2": 0, "I": [1], "J": [0], "re": 0.5}),
@@ -76,11 +72,12 @@ BAD_INPUTS = {
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_public_constructors_validate_their_input(case):
     error, terms, monomial_args, record = BAD_INPUTS[case]
-    dim = len(next(iter(terms))[2])
-    with pytest.raises(error):
-        WickSeries(dim, 4, terms)
-    with pytest.raises(error):
-        WickSeries.monomial(dim, 4, *monomial_args)
+    dim = len(record["J"])
+    if terms is not None:
+        with pytest.raises(error):
+            WickSeries(dim, 4, terms)
+        with pytest.raises(error):
+            WickSeries.monomial(dim, 4, *monomial_args)
     with pytest.raises(error):
         WickSeries.from_records(dim, 4, [record])
 
@@ -121,8 +118,9 @@ def test_zero_is_empty_and_equality_structural():
     z = WickSeries.zero(1, 5)
     assert not z
     assert z == WickSeries(1, 5, {(0, (1,), (0,)): 0})
-    # lower_bound is a window marker, not part of the value
-    assert z == WickSeries.zero(1, 5, lower_bound=-3)
+    # a difference that passed through inverse powers of h is the same zero
+    inverse = WickSeries.monomial(1, 5, 1, -2)
+    assert z == inverse - inverse and hash(z) == hash(inverse - inverse)
     assert z != WickSeries.zero(1, 6)
 
 
@@ -198,7 +196,7 @@ def test_hbar_shift():
     assert up.coefficient(2, (2,), (1,)) == 1
     down = f.hbar_shift(-4)
     assert down.coefficient(-4, (2,), (1,)) == 1
-    assert down.lower_bound == -4 + min(0, 3)
+    assert down.min_degree() == -1 and not down.is_plain()
     # shifting up can push terms beyond trunc: they are dropped
     g = WickSeries.monomial(1, 4, 1, 0, (2,), (2,))
     assert not g.hbar_shift(2)
@@ -218,7 +216,7 @@ def test_predicates():
     assert hol.is_holomorphic()
     assert not hol.is_antiholomorphic()
     assert hol.is_plain()
-    ext = WickSeries(1, 5, {(-2, (3,), (0,)): 1}, lower_bound=-1)
+    ext = WickSeries(1, 5, {(-2, (3,), (0,)): 1})
     assert not ext.is_plain()
 
 
@@ -226,7 +224,7 @@ def test_records_round_trip():
     rng = random.Random(13)
     for _ in range(10):
         s = random_series(rng, 2, 6, n_terms=5)
-        back = WickSeries.from_records(2, 6, s.to_records(), lower_bound=s.lower_bound)
+        back = WickSeries.from_records(2, 6, s.to_records())
         assert back == s
 
 
@@ -300,7 +298,7 @@ def test_power_terms_stop_at_the_first_zero_term():
 def test_power_terms_need_positive_degrees():
     unit = WickSeries.unit(1, 6)
     degree_zero = [unit,
-                   WickSeries.monomial(1, 6, 1, -2, (1,), (1,), lower_bound=-2),
+                   WickSeries.monomial(1, 6, 1, -2, (1,), (1,)),
                    WickSeries.monomial(1, 6, 1, 0, (1,), (0,)) + 1]
     for x in degree_zero:
         with pytest.raises(PreconditionError, match="found 0"):

@@ -234,7 +234,7 @@ def test_classical_exp_cubic_example():
         (0, (0,), (0,)): 1,
         (-2, (2,), (1,)): 1,
         (-4, (4,), (2,)): Fraction(1, 2),
-    }, lower_bound=-4)
+    })
     assert u == expected
 
 
@@ -247,7 +247,7 @@ def test_classical_exp_quartic_keeps_degree_four_term():
         (0, (0,), (0,)): 1,
         (-2, (2,), (2,)): c,
         (-4, (4,), (4,)): c * c / 2,
-    }, lower_bound=-4)
+    })
     assert u == expected
 
 
