@@ -36,7 +36,6 @@ from .jets import (
 )
 from .series import WickSeries
 from .suites import (
-    ENGINE_TRUNC,
     SUITES,
     composition_fits,
     decays,
@@ -75,9 +74,10 @@ DIM_CEILING = 8
 # about 4 s; dim 1 reaches trunc 25 only when --trunc-ceiling is raised,
 # and such a job can take 20 s.
 TERMS_CEILING = 1792
-# Largest partial-sum order and monomial degree of a composition fit; past
-# it the engine's Gram norm of z^p truncates to zero.
-ENGINE_REACH = ENGINE_TRUNC // 2
+# Largest partial-sum order and monomial degree of a composition fit, a
+# cost ceiling.  The prediction's truncation follows from both (see
+# suites.engine_entry_series): 22 at 5 and 5, which takes under 0.1 s.
+ENGINE_REACH = 5
 
 
 class JobError(Exception):

@@ -25,7 +25,7 @@ from operator import mul
 
 from .coefficients import ComplexRational
 from .errors import PreconditionError
-from .series import WickSeries, accumulate, power_terms
+from .series import WickSeries, power_terms
 
 __all__ = [
     "FactorialRational",
@@ -34,7 +34,6 @@ __all__ = [
     "cp1_inner",
     "cp1_gram",
     "cp1_toeplitz",
-    "peak_section",
     "mobius_pullback",
     "composition_residual",
     "symbol_jets",
@@ -182,8 +181,10 @@ def cp1_gram(m: int, p: int) -> Fraction:
 class RationalSymbol:
     """Function on the line: num terms c_ab z^a zbar^b over (1+|z|^2)^d.
 
-    Every term must satisfy max(a, b) <= d, which keeps the symbol bounded
-    and keeps the class closed under the isometry pullbacks below.
+    ``num`` is a classical dim-1 series of trunc 2d whose term y^a yb^b
+    holds c_ab.  Every term must satisfy max(a, b) <= d, which keeps the
+    symbol bounded and keeps the class closed under the isometry pullbacks
+    below.
     """
 
     __slots__ = ("num", "denom_power")
@@ -192,18 +193,16 @@ class RationalSymbol:
         d = int(denom_power)
         if d < 0:
             raise PreconditionError("denominator power must be non-negative")
-        store = {}
-        for key, raw in dict(num).items():
+        terms = {}
+        for key, coeff in dict(num).items():
             a, b = (int(v) for v in key)
             if a < 0 or b < 0:
                 raise PreconditionError(f"negative exponent in term {key!r}")
             if max(a, b) > d:
                 raise PreconditionError(
                     f"term z^{a} zbar^{b} needs denominator power >= {max(a, b)}")
-            coeff = ComplexRational.coerce(raw)
-            if coeff:
-                store[(a, b)] = coeff
-        object.__setattr__(self, "num", store)
+            terms[(0, (a,), (b,))] = coeff
+        object.__setattr__(self, "num", WickSeries(1, 2 * d, terms))
         object.__setattr__(self, "denom_power", d)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -214,14 +213,13 @@ class RationalSymbol:
         return cls({(0, 0): value}, 0)
 
     def is_real(self) -> bool:
-        return all(self.num.get((b, a), ComplexRational(0)) == c.conjugate()
-                   for (a, b), c in self.num.items())
+        return self.num.conjugate() == self.num
 
     def evaluate(self, z: complex) -> complex:
         """Floating-point evaluation (used only for numeric spot checks)."""
         zb = z.conjugate()
         total = 0j
-        for (a, b), c in self.num.items():
+        for (_, (a,), (b,)), c in self.num.terms.items():
             total += complex(float(c.re), float(c.im)) * z ** a * zb ** b
         return total / (1.0 + (z * zb).real) ** self.denom_power
 
@@ -231,7 +229,7 @@ class RationalSymbol:
         return (self.num, self.denom_power) == (other.num, other.denom_power)
 
     def __hash__(self):
-        return hash((frozenset(self.num.items()), self.denom_power))
+        return hash((self.num, self.denom_power))
 
     def __repr__(self):
         return (f"RationalSymbol(terms={len(self.num)}, "
@@ -250,10 +248,7 @@ def symbol_jets(f: RationalSymbol, order: int) -> WickSeries:
     for k, power in enumerate(power_terms(t, t, mul), 1):
         geometric = geometric + power.scale(
             (-1) ** k * math.comb(f.denom_power + k - 1, k))
-    numerator = WickSeries(1, order, {
-        (0, (a,), (b,)): c for (a, b), c in f.num.items()
-        if a + b <= order})
-    return numerator * geometric
+    return f.num.retruncate(order) * geometric
 
 
 class ToeplitzMatrix:
@@ -262,8 +257,8 @@ class ToeplitzMatrix:
     Entry (q, p) is the z^q coefficient of the operator applied to z^p.  The
     matrix is stored by diagonals: ``bands[d][p]`` is entry (p + d, p), each
     band has length m + 1 with zeros where p + d leaves the basis, and
-    all-zero bands are not stored.  The Gram-weighted pairing is Hermitian
-    for real symbols.
+    all-zero bands are not stored.  The Gram-weighted pairing
+    ``entry(q, p) * cp1_gram(m, q)`` is Hermitian for real symbols.
     """
 
     __slots__ = ("m", "bands")
@@ -321,10 +316,6 @@ class ToeplitzMatrix:
                 rows[p + d][p] = band[p]
         return tuple(map(tuple, rows))
 
-    def pairing(self, p: int, q: int) -> ComplexRational:
-        """The inner product of the image of z^p against z^q."""
-        return self.entry(q, p) * cp1_gram(self.m, q)
-
     def composition_entry(self, other: "ToeplitzMatrix", p: int,
                           q: int) -> ComplexRational:
         """Entry (q, p) of the composed matrix, summed over the middle index."""
@@ -356,7 +347,7 @@ def cp1_toeplitz(m: int, f: RationalSymbol) -> ToeplitzMatrix:
     size = m + 1
     denom = math.prod(m + s for s in range(2, d + 2))
     bands: dict = {}
-    for (a, b), c in f.num.items():
+    for (_, (a,), (b,)), c in f.num.terms.items():
         shift = a - b
         if abs(shift) > m:
             continue
@@ -369,57 +360,30 @@ def cp1_toeplitz(m: int, f: RationalSymbol) -> ToeplitzMatrix:
     return ToeplitzMatrix(m, bands)
 
 
-def peak_section(m: int, p: int) -> tuple:
-    """Basis vector of the degree-p monomial section (already peaked at 0)."""
-    if m < 1:
-        raise PreconditionError("tensor power must be at least 1")
-    if not 0 <= p <= m:
-        raise PreconditionError(f"no degree-{p} section at tensor power {m}")
-    return tuple(Fraction(1) if i == p else Fraction(0) for i in range(m + 1))
-
-
-def _binom_poly(constant: ComplexRational, linear: ComplexRational, n: int,
-                holomorphic: bool) -> dict:
-    """(constant + linear * v)^n as numerator terms, v = z or zbar."""
-    out = {}
-    for k in range(n + 1):
-        coeff = ComplexRational.coerce(math.comb(n, k)) \
-            * constant ** (n - k) * linear ** k
-        if coeff:
-            key = (k, 0) if holomorphic else (0, k)
-            out[key] = coeff
-    return out
-
-
-def _poly_mul(left: dict, right: dict) -> dict:
-    return accumulate(((a1 + a2, b1 + b2), c1 * c2)
-                      for (a1, b1), c1 in left.items()
-                      for (a2, b2), c2 in right.items())
-
-
 def mobius_pullback(f: RationalSymbol, w) -> RationalSymbol:
     """Pull the symbol back under the isometry that moves w to the origin.
 
     The substitution z -> (z + w)/(1 - conj(w) z) preserves the class: the
     identity 1 + |T(z)|^2 = (1+|w|^2)(1+|z|^2)/|1 - conj(w) z|^2 clears all
-    denominators back into (1+|z|^2) powers.
+    denominators back into (1+|z|^2) powers, so a term z^a zbar^b becomes
+    (z + w)^a (zbar + conj(w))^b (1 - conj(w) z)^(d-a) (1 - w zbar)^(d-b)
+    over (1+|w|^2)^d.
     """
     w = ComplexRational.coerce(w)
     if not w:
         return f
     d = f.denom_power
-    wb = w.conjugate()
-    one = ComplexRational(1)
-    scale = (one + w * wb) ** d
-    total: dict = {}
-    for (a, b), c in f.num.items():
-        poly = {(0, 0): c / scale}
-        poly = _poly_mul(poly, _binom_poly(w, one, a, True))
-        poly = _poly_mul(poly, _binom_poly(wb, one, b, False))
-        poly = _poly_mul(poly, _binom_poly(one, -wb, d - a, True))
-        poly = _poly_mul(poly, _binom_poly(one, -w, d - b, False))
-        accumulate(poly.items(), total)
-    return RationalSymbol(total, d)
+    y = WickSeries.monomial(1, 2 * d, 1, 0, (1,), (0,))
+    up, down = [WickSeries.unit(1, 2 * d)], [WickSeries.unit(1, 2 * d)]
+    for _ in range(d):
+        up.append(up[-1] * (y + w))
+        down.append(down[-1] * (1 - y.scale(w.conjugate())))
+    total = WickSeries.zero(1, 2 * d)
+    for (_, (a,), (b,)), c in f.num.terms.items():
+        term = up[a] * up[b].conjugate() * down[d - a] * down[d - b].conjugate()
+        total = total + term.scale(c)
+    total = total.scale((1 + (w * w.conjugate()).re) ** -d)
+    return RationalSymbol({(a, b): c for (_, (a,), (b,)), c in total.terms.items()}, d)
 
 
 def composition_residual(f: RationalSymbol, g: RationalSymbol, ms, orders,

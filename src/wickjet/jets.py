@@ -4,14 +4,15 @@ Every jet here is a classical ``WickSeries`` (no h-powers) whose ``trunc`` is
 the jet order: the coefficient of ``y^I yb^J`` is the Taylor coefficient of
 ``z^I zbar^J``.  ``k_normalize`` brings a real potential into the normal form
 ``|z|^2 + sum a_{JK} z^J zbar^K`` (both ``|J| >= 2`` and ``|K| >= 2``) through
-a holomorphic frame rescale plus a holomorphic coordinate change, computed
-degree by degree; both changes are holomorphic series.  The volume-log jets
-are the jets of ``log det(d^2 varphi / dz dzbar)``, normalized so the flat
-potential yields exactly zero; together they assemble the weight series
-consumed by the integration pipeline.  They come from Jacobi's identity
-``log det M = sum_k (-1)^(k+1) tr(X^k) / k`` with ``X = M(0)^-1 (M - M(0))``,
-which stops at ``k = order - 2``, so their cost is polynomial in dim
-(``order * dim^3`` series products) rather than a ``dim!`` determinant.
+a holomorphic coordinate change, computed degree by degree, plus a
+holomorphic frame rescale read off at the end; both are holomorphic series.
+The volume-log jets are the jets of ``log det(d^2 varphi / dz dzbar)``,
+normalized so the flat potential yields exactly zero; together they assemble
+the weight series consumed by the integration pipeline.  They come from
+Jacobi's identity ``log det M = sum_k (-1)^(k+1) tr(X^k) / k`` with
+``X = M(0)^-1 (M - M(0))``, which stops at ``k = order - 2``, so their cost
+is polynomial in dim (``order * dim^3`` series products) rather than a
+``dim!`` determinant.
 
 All arithmetic is exact.  The quadratic diagonalization therefore requires
 the pivots of the Hermitian (1,1) block to be perfect rational squares; the
@@ -304,12 +305,6 @@ def _diagonalizing_change(matrix: list, dim: int):
             for i in range(dim)]
 
 
-def _holo_slice(series: WickSeries, degree: int) -> WickSeries:
-    picked = {(k2, I, J): pair for (k2, I, J), pair in series.num.items()
-              if k2 == 0 and not any(J) and sum(I) == degree}
-    return series._build(picked, series.den)
-
-
 def k_normalize(raw: PotentialJets):
     """Normal-form coordinates and frame at the marked point.
 
@@ -317,6 +312,10 @@ def k_normalize(raw: PotentialJets):
     potential (volume-log jets attached), a tuple of holomorphic series
     expressing the original coordinates in the new ones, and the holomorphic
     frame series G with ``raw o coord_change - G - conj(G) == normalized``.
+    The coordinate change is found degree by degree from the mixed terms.
+    A holomorphic change keeps pure (anti)holomorphic terms pure, so G is
+    read off once at the end: the holomorphic part of the substituted
+    potential, with its real constant halved.
     """
     if raw.order < 2:
         raise PreconditionError("normalization needs jets at least to order 2")
@@ -324,34 +323,14 @@ def k_normalize(raw: PotentialJets):
     zero = mi_zero(dim)
     current = raw.varphi
     coords = _identity_coords(dim, order)
-    frame = WickSeries.zero(dim, order)
-
-    def substitute_all(subs):
-        nonlocal current, frame, coords
-        current = _substitute(current, subs)
-        frame = _substitute(frame, subs)
-        coords = [_substitute(c, subs) for c in coords]
-
-    for d in range(order + 1):
-        g = _holo_slice(current, d)
-        if d == 0:
-            g = g.scale(Fraction(1, 2))
-        if g:
-            current = current - g - g.conjugate()
-            frame = frame + g
+    for d in range(2, order + 1):
         if d == 2:
             change = _diagonalizing_change(_one_one_matrix(current, dim), dim)
-            if change is not None:
-                subs = [WickSeries(dim, order,
-                                   {(0, _unit(dim, j), zero): change[i][j]
-                                    for j in range(dim)})
-                        for i in range(dim)]
-                substitute_all(subs)
-            after = _one_one_matrix(current, dim)
-            if any(after[i][j] != (1 if i == j else 0)
-                   for i in range(dim) for j in range(dim)):
-                raise SolveError("quadratic diagonalization failed")
-        elif d >= 3:
+            subs = None if change is None else [
+                WickSeries(dim, order, {(0, _unit(dim, j), zero): change[i][j]
+                                        for j in range(dim)})
+                for i in range(dim)]
+        else:
             hs = []
             for j in range(dim):
                 ej = _unit(dim, j)
@@ -359,11 +338,21 @@ def k_normalize(raw: PotentialJets):
                           for (k2, I, J), (a, b) in current.num.items()
                           if k2 == 0 and J == ej and sum(I) == d - 1}
                 hs.append(current._build(picked, current.den))
-            if any(hs):
-                subs = [unit + h for unit, h in zip(_identity_coords(dim, order), hs)]
-                substitute_all(subs)
-
-    return PotentialJets(current, normalized=True), tuple(coords), frame
+            subs = [unit + h for unit, h in zip(_identity_coords(dim, order), hs)] \
+                if any(hs) else None
+        if subs is not None:
+            current = _substitute(current, subs)
+            coords = [_substitute(c, subs) for c in coords]
+    # later changes are the identity to first order, so the (1,1) block
+    # stays as the degree-2 round left it
+    after = _one_one_matrix(current, dim)
+    if any(after[i][j] != (1 if i == j else 0)
+           for i in range(dim) for j in range(dim)):
+        raise SolveError("quadratic diagonalization failed")
+    holomorphic = current.holomorphic_part()
+    frame = holomorphic - holomorphic.coefficient(0) / 2
+    normalized = current - frame - frame.conjugate()
+    return PotentialJets(normalized, normalized=True), tuple(coords), frame
 
 
 def apply_normalization(raw: PotentialJets, coord_change, frame_change) -> PotentialJets:

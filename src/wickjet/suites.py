@@ -50,7 +50,6 @@ __all__ = [
     "peak_section_rows",
     "peak_section_suite",
     "single_operator_suite",
-    "ENGINE_TRUNC",
     "engine_entry_series",
     "composition_fits",
     "slope_bound",
@@ -382,18 +381,18 @@ def single_operator_suite(seed: int = 0, max_pq: int = 2,
 # 6. composition decay rates
 
 
-# Truncation of the composition predictions.  It holds the Gram norm
-# p! h^p of z^p, and the prediction's terms, only through h^(trunc/2).
-ENGINE_TRUNC = 10
-
-
-def engine_entry_series(elements, trunc: int = ENGINE_TRUNC) -> dict:
+def engine_entry_series(elements, max_order: int) -> dict:
     """Formal-engine h-series of composed-operator matrix entries.
 
     For each requested (p, q) the engine pairs the twice-applied standard
     symbol against the monomial basis and divides by the Gram norm, which is
     exactly the quantity the closed-form matrices tabulate per tensor power.
+    An entry's h^k coefficient is exact for k <= trunc/2 - max(p, q), so the
+    truncation holds every element through ``max_order`` with one order to
+    spare.
     """
+    reach = max((max(p, q) for p, q in elements), default=0)
+    trunc = 2 * (max_order + reach) + 2
     w = weight_series(fubini_study_potential(1, trunc), trunc)
     symbol = toeplitz_symbol(symbol_jets(fs_ratio_symbol(), trunc), w)
     out = {}
@@ -409,7 +408,7 @@ def engine_entry_series(elements, trunc: int = ENGINE_TRUNC) -> dict:
 def composition_fits(orders=(0, 1, 2), ms=(32, 64, 128, 256, 512),
                      elements=((0, 0), (1, 1))) -> dict:
     """Residual fits per partial-sum order: {order: {(p, q): fit}}."""
-    predicted = engine_entry_series(tuple(elements))
+    predicted = engine_entry_series(tuple(elements), max([0, *orders]))
     f = fs_ratio_symbol()
     return composition_residual(f, f, ms, orders, predicted)
 

@@ -8,7 +8,9 @@ permutations, so a kernel bug cannot cancel against itself.  The reference
 products and actions below visit every pair of terms in plain
 ComplexRational arithmetic, with none of the integer kernel's common
 denominators or degree-sorted early exits.  The reference substitution
-adds up one scaled series per term of the substituted series.
+adds up one scaled series per term of the substituted series, and the
+reference Mobius pullback expands plain coefficient dicts through the
+binomial theorem.
 """
 
 from __future__ import annotations
@@ -261,7 +263,7 @@ def dense_cp1_toeplitz(m: int, symbol) -> list:
     rows = [[ComplexRational(0)] * (m + 1) for _ in range(m + 1)]
     for q in range(m + 1):
         for p in range(m + 1):
-            for (a, b), c in symbol.num.items():
+            for (_, (a,), (b,)), c in symbol.num.terms.items():
                 n = p + a
                 if n != q + b:
                     continue
@@ -271,6 +273,44 @@ def dense_cp1_toeplitz(m: int, symbol) -> list:
                                 factorial(m + 1))
                 rows[q][p] = rows[q][p] + c * (beta / gram)
     return rows
+
+
+def _binom_poly(constant, linear, n: int, holomorphic: bool) -> dict:
+    """(constant + linear * v)^n as {(a, b): coefficient} terms, v = z or zbar."""
+    out = {}
+    for k in range(n + 1):
+        coeff = ComplexRational.coerce(comb(n, k)) * constant ** (n - k) * linear ** k
+        if coeff:
+            out[(k, 0) if holomorphic else (0, k)] = coeff
+    return out
+
+
+def _poly_mul(left: dict, right: dict) -> dict:
+    return accumulate(((a1 + a2, b1 + b2), c1 * c2)
+                      for (a1, b1), c1 in left.items()
+                      for (a2, b2), c2 in right.items())
+
+
+def reference_mobius_pullback(symbol, w) -> dict:
+    """Numerator terms {(a, b): c} of the pullback under z -> (z + w)/(1 - conj(w) z).
+
+    Plain dict expansion of each term c z^a zbar^b into
+    (z + w)^a (zbar + conj(w))^b (1 - conj(w) z)^(d-a) (1 - w zbar)^(d-b)
+    over (1+|w|^2)^d, term by term through the binomial theorem.
+    """
+    w = ComplexRational.coerce(w)
+    d = symbol.denom_power
+    wb, one = w.conjugate(), ComplexRational(1)
+    scale = (one + w * wb) ** d
+    total: dict = {}
+    for (_, (a,), (b,)), c in symbol.num.terms.items():
+        poly = {(0, 0): c / scale}
+        poly = _poly_mul(poly, _binom_poly(w, one, a, True))
+        poly = _poly_mul(poly, _binom_poly(wb, one, b, False))
+        poly = _poly_mul(poly, _binom_poly(one, -wb, d - a, True))
+        poly = _poly_mul(poly, _binom_poly(one, -w, d - b, False))
+        accumulate(poly.items(), total)
+    return {key: c for key, c in total.items() if c}
 
 
 def dense_matmul(left: list, right: list) -> list:

@@ -79,7 +79,8 @@ def test_criterion_5_single_operator_matrix_elements():
     matrix = cp1_toeplitz(m, fs_ratio_symbol())
     for p in range(3):
         assert matrix.entries[p][p] == Fraction(p + 1, m + 2)
-        assert matrix.pairing(p, p) == cp1_gram(m, p) * Fraction(p + 1, m + 2)
+        assert matrix.entry(p, p) * cp1_gram(m, p) == \
+            cp1_gram(m, p) * Fraction(p + 1, m + 2)
 
 
 def test_criterion_6_composition_decay_rates():

@@ -550,6 +550,22 @@ def test_single_tensor_power_fit_is_an_acceptance_failure(tmp_path, capsys):
     assert rows[1].endswith(",None")
 
 
+@pytest.mark.parametrize("composition", [
+    {"ms": [4096, 8192, 16384], "orders": [0, 1, 2, 3, 4],
+     "elements": [[0, 0], [1, 1], [0, 1], [2, 2]]},
+    {"ms": [4096, 8192, 16384], "orders": [0, 1, 2, 3, 4, 5],
+     "elements": [[3, 3], [5, 5], [2, 4]]},
+])
+def test_admitted_composition_orders_are_predicted_in_window(tmp_path, capsys,
+                                                              composition):
+    # the highest orders here need a prediction truncation above 10
+    path = write_job(tmp_path, {"mode": "cp1-verify", "max_p": 0,
+                                "max_order": 0, "composition": composition})
+    code, out, _ = run_main(capsys, "--job", path)
+    assert code == 0, out
+    assert "FAILED" not in out
+
+
 # ---------------------------------------------------------------------------
 # mutation fuzz of the job contract
 

@@ -5,7 +5,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from support import dense_cp1_toeplitz, dense_matmul, hermitized, hseries
+from support import (
+    dense_cp1_toeplitz,
+    dense_matmul,
+    hermitized,
+    hseries,
+    reference_mobius_pullback,
+)
 from wickjet import suites
 from wickjet.coefficients import ComplexRational
 from wickjet.cp1 import (
@@ -19,7 +25,6 @@ from wickjet.cp1 import (
     cp1_toeplitz,
     fs_ratio_symbol,
     mobius_pullback,
-    peak_section,
     symbol_jets,
 )
 from wickjet.errors import PreconditionError
@@ -122,16 +127,6 @@ def test_cp1_gram_numeric_edges():
 # peak sections
 
 
-def test_peak_section_vectors():
-    vec = peak_section(5, 2)
-    assert vec == (0, 0, 1, 0, 0, 0)
-    assert peak_section(3, 0) == (1, 0, 0, 0)
-    with pytest.raises(PreconditionError):
-        peak_section(3, 4)
-    with pytest.raises(PreconditionError):
-        peak_section(3, -1)
-
-
 def test_peak_section_norm_is_the_gram_diagonal():
     for m, p in ((6, 0), (6, 3), (12, 5)):
         norm = cp1_gram(m, p)
@@ -169,7 +164,8 @@ def test_toeplitz_pairing_is_hermitian_for_real_symbols():
     T = cp1_toeplitz(m, f)
     for p in range(m + 1):
         for q in range(m + 1):
-            assert T.pairing(p, q) == T.pairing(q, p).conjugate()
+            assert T.entry(q, p) * cp1_gram(m, q) == \
+                (T.entry(p, q) * cp1_gram(m, p)).conjugate()
 
 
 def test_toeplitz_apply_and_compose():
@@ -268,6 +264,32 @@ def test_composition_fits_build_one_matrix_per_tensor_power(monkeypatch):
     assert list(fits) == [0, 1, 2]
 
 
+@pytest.mark.parametrize("elements", [
+    ((0, 0), (1, 1), (0, 1), (3, 3), (1, 3)),
+    ((5, 5), (2, 4)),
+])
+def test_engine_entries_are_exact_through_the_requested_order(elements):
+    trunc = 24
+    w = weight_series(fubini_study_potential(1, trunc), trunc)
+    symbol = toeplitz_symbol(symbol_jets(fs_ratio_symbol(), trunc), w)
+
+    def ymono(p):
+        return WickSeries.monomial(1, trunc, 1, 0, (p,), (0,))
+
+    reference = {}
+    for p, q in elements:
+        pairing = inner_product(fock_act(symbol, fock_act(symbol, ymono(p))),
+                                ymono(q), w)
+        reference[(p, q)] = pairing * inner_product(ymono(q), ymono(q), w).reciprocal()
+    for max_order in range(6):
+        predicted = suites.engine_entry_series(elements, max_order)
+        assert list(predicted) == list(elements)
+        for key, series in predicted.items():
+            for k in range(max_order + 1):
+                assert series.coefficient(2 * k) == reference[key].coefficient(2 * k), \
+                    (key, max_order, k)
+
+
 def test_fit_recovers_exact_power_law_slopes():
     for k in range(1, 5):
         for ms in ((32, 64, 128, 256, 512, 1024), (4096, 8192, 16384)):
@@ -314,7 +336,7 @@ def test_mobius_moves_the_base_point():
     w = ComplexRational(Fraction(1, 3), Fraction(-2, 5))
     pulled = mobius_pullback(f, w)
     t = (w * w.conjugate()).re
-    assert pulled.num[(0, 0)] == Fraction(t, 1 + t)
+    assert pulled.num.coefficient(0) == Fraction(t, 1 + t)
     assert pulled.is_real()
     assert pulled.denom_power == f.denom_power
 
@@ -324,6 +346,23 @@ def test_mobius_round_trip_is_exact():
     for f in (fs_ratio_symbol(), hermitian_test_symbol()):
         pulled = mobius_pullback(f, w)
         assert mobius_pullback(pulled, -w) == f
+
+
+def test_mobius_pullback_matches_dict_expansion():
+    cubic = RationalSymbol({
+        (3, 1): ComplexRational(2, -1),
+        (0, 3): Fraction(1, 4),
+        (2, 2): -3,
+        (1, 0): ComplexRational(0, 1),
+    }, 3)
+    symbols = _oracle_symbols() + [cubic, RationalSymbol.constant(Fraction(-5, 2))]
+    for w in (Fraction(2, 3), ComplexRational(0, Fraction(-1, 2)),
+              ComplexRational(Fraction(1, 3), Fraction(3, 4))):
+        for f in symbols:
+            pulled = mobius_pullback(f, w)
+            assert pulled.denom_power == f.denom_power
+            assert {(I[0], J[0]): c for (_, I, J), c in pulled.num.terms.items()} \
+                == reference_mobius_pullback(f, w)
 
 
 def test_mobius_preserves_toeplitz_spectrum():
