@@ -55,10 +55,10 @@ MODES = ("wick-star", "bt-eval", "k-normalize", "rep-act", "cp1-verify",
          "suite")
 GENERATORS = ("flat", "fubini-study", "random-real-analytic")
 
-# Largest tensor power a composition fit may request.  The banded CP^1
-# oracle builds each matrix in O(m) exact cells, so m = 2^14 stays cheap.
-# A fit's cost follows the sum of its distinct tensor powers, which may be
-# at most twice this.
+# Largest tensor power a composition fit may request.  The CP^1 oracle
+# computes each requested entry from its closed form, so a tensor power costs
+# about the same at any m.  The distinct tensor powers may sum to at most
+# twice this, which mainly caps how many a fit lists: at most 255.
 MS_CEILING = 2 ** 14
 # Largest monomial exponent of the peak-section rows.  Their cost about
 # quadruples with each doubling: 0.8 s at 64 through order 4.

@@ -8,9 +8,9 @@ are checked coefficient by coefficient under the dictionary h <-> 1/m (the
 dictionary is applied in this module and nowhere else).
 
 Circle symmetry makes a symbol term z^a zbar^b move z^p to z^(p+a-b) only,
-so Toeplitz matrices are stored by diagonals d = q - p: building one costs
-O(terms * m) exact cells rather than (m+1)^2, and a composed entry sums over
-pairs of diagonals.
+and each entry has a closed form, so a Toeplitz matrix keeps just the tensor
+power and the symbol: an entry costs O(terms), and a composed entry sums
+over the middle indices that the right factor's terms reach.
 
 Floating point appears only in the final convergence-rate regressions and in
 numeric spot checks; all matrix data is exact.
@@ -41,11 +41,6 @@ __all__ = [
 ]
 
 _ZERO = ComplexRational(0)
-
-
-def _cells(d: int, size: int) -> range:
-    """Columns p where diagonal d = q - p lies inside a size x size matrix."""
-    return range(max(0, -d), min(size, size - d))
 
 
 class FactorialRational:
@@ -254,46 +249,29 @@ def symbol_jets(f: RationalSymbol, order: int) -> WickSeries:
 class ToeplitzMatrix:
     """Exact operator matrix in the monomial basis at a numeric tensor power.
 
-    Entry (q, p) is the z^q coefficient of the operator applied to z^p.  The
-    matrix is stored by diagonals: ``bands[d][p]`` is entry (p + d, p), each
-    band has length m + 1 with zeros where p + d leaves the basis, and
-    all-zero bands are not stored.  The Gram-weighted pairing
+    Entry (q, p) is the z^q coefficient of the operator applied to z^p.  No
+    cell is stored: a term c z^a zbar^b of the symbol fills only the diagonal
+    q - p = a - b, and each entry there is its Beta-integral pairing of
+    f z^p against z^q divided by the Gram diagonal, formed from consecutive
+    products, never raw factorials.  The Gram-weighted pairing
     ``entry(q, p) * cp1_gram(m, q)`` is Hermitian for real symbols.
     """
 
-    __slots__ = ("m", "bands")
+    __slots__ = ("m", "symbol")
 
-    def __init__(self, m: int, bands):
+    def __init__(self, m: int, symbol: RationalSymbol):
         m = int(m)
         if m < 1:
             raise PreconditionError("tensor power must be at least 1")
-        size = m + 1
-        store = {}
-        for d, band in dict(bands).items():
-            d = int(d)
-            band = tuple(ComplexRational.coerce(v) for v in band)
-            if abs(d) > m:
-                raise PreconditionError(f"diagonal {d} lies outside a "
-                                        f"{size} x {size} matrix")
-            if len(band) != size:
-                raise PreconditionError(f"diagonal {d} must have {size} "
-                                        f"entries")
-            inside = _cells(d, size)
-            if any(band[:inside.start]) or any(band[inside.stop:]):
-                raise PreconditionError(f"diagonal {d} has entries outside "
-                                        f"the matrix")
-            if any(band):
-                store[d] = band
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "bands", store)
+        object.__setattr__(self, "symbol", symbol)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("ToeplitzMatrix is immutable")
 
-    def __eq__(self, other):
-        if not isinstance(other, ToeplitzMatrix):
-            return NotImplemented
-        return (self.m, self.bands) == (other.m, other.bands)
+    def _shifts(self) -> set:
+        """Diagonals q - p that the symbol's terms fill."""
+        return {a - b for (_, (a,), (b,)) in self.symbol.num.terms}
 
     def _check_cell(self, q: int, p: int) -> None:
         if not (0 <= q <= self.m and 0 <= p <= self.m):
@@ -303,17 +281,24 @@ class ToeplitzMatrix:
     def entry(self, q: int, p: int) -> ComplexRational:
         """The z^q coefficient of the operator applied to z^p."""
         self._check_cell(q, p)
-        band = self.bands.get(q - p)
-        return band[p] if band else _ZERO
+        m, d = self.m, self.symbol.denom_power
+        denom = math.prod(m + s for s in range(2, d + 2))
+        acc = _ZERO
+        for (_, (a,), (b,)), c in self.symbol.num.terms.items():
+            if a - b == q - p:
+                top = math.prod(range(q + 1, q + b + 1))
+                mid = math.prod(m - q + i for i in range(1, d - b + 1))
+                acc = acc + c * Fraction(top * mid, denom)
+        return acc
 
     @property
     def entries(self) -> tuple:
         """Read-only dense view: ``entries[q][p]`` is ``entry(q, p)``."""
         size = self.m + 1
         rows = [[_ZERO] * size for _ in range(size)]
-        for d, band in self.bands.items():
-            for p in _cells(d, size):
-                rows[p + d][p] = band[p]
+        for s in self._shifts():
+            for p in range(max(0, -s), min(size, size - s)):
+                rows[p + s][p] = self.entry(p + s, p)
         return tuple(map(tuple, rows))
 
     def composition_entry(self, other: "ToeplitzMatrix", p: int,
@@ -323,41 +308,19 @@ class ToeplitzMatrix:
             raise PreconditionError("tensor powers differ")
         self._check_cell(q, p)
         acc = _ZERO
-        for d1, left in self.bands.items():
-            r = q - d1
-            right = other.bands.get(r - p)
-            if right is not None and 0 <= r <= self.m:
-                a, b = left[r], right[p]
-                if a and b:
-                    acc = acc + a * b
+        for s in other._shifts():
+            r = p + s
+            if 0 <= r <= self.m:
+                acc = acc + self.entry(q, r) * other.entry(r, p)
         return acc
 
 
 def cp1_toeplitz(m: int, f: RationalSymbol) -> ToeplitzMatrix:
     """Exact Toeplitz matrix of the symbol at tensor power m.
 
-    A term c z^a zbar^b fills only the diagonal q - p = a - b.  Entry (q, p)
-    collects the Beta-integral pairings of f z^p against z^q, divided by the
-    Gram diagonal; all factorial ratios are consecutive products, never raw
-    factorials.
+    Building it stores only m and f; entries are computed when asked for.
     """
-    if m < 1:
-        raise PreconditionError("tensor power must be at least 1")
-    d = f.denom_power
-    size = m + 1
-    denom = math.prod(m + s for s in range(2, d + 2))
-    bands: dict = {}
-    for (_, (a,), (b,)), c in f.num.terms.items():
-        shift = a - b
-        if abs(shift) > m:
-            continue
-        band = bands.setdefault(shift, [_ZERO] * size)
-        for p in _cells(shift, size):
-            q = p + shift
-            top = math.prod(range(q + 1, q + b + 1))
-            mid = math.prod(m - q + i for i in range(1, d - b + 1))
-            band[p] = band[p] + c * Fraction(top * mid, denom)
-    return ToeplitzMatrix(m, bands)
+    return ToeplitzMatrix(m, f)
 
 
 def mobius_pullback(f: RationalSymbol, w) -> RationalSymbol:
@@ -392,13 +355,12 @@ def composition_residual(f: RationalSymbol, g: RationalSymbol, ms, orders,
 
     ``predicted`` maps (p, q) to the engine's h-series for the matrix entry
     of the composed operator — the pairing of T_f T_g z^p against z^q
-    divided by the Gram norm of z^q.  For each m the oracle matrices are
-    built once (one matrix when g == f) and each exact entry is computed
-    once; for every order in ``orders`` the partial sum of the prediction
-    through h^order is subtracted, and the residuals are fitted with a
-    log-log slope.  The result maps order -> (p, q) -> fit.
-    Identically-zero residuals are reported with ``fitted = None`` and
-    ``exact = True``.
+    divided by the Gram norm of z^q.  For each m each exact entry is computed
+    once, over the few middle indices that g's terms reach; for every order
+    in ``orders`` the partial sum of the prediction through h^order is
+    subtracted, and the residuals are fitted with a log-log slope.  The
+    result maps order -> (p, q) -> fit.  Identically-zero residuals are
+    reported with ``fitted = None`` and ``exact = True``.
     """
     ms = sorted(set(int(m) for m in ms))
     if not ms:

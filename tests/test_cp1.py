@@ -142,7 +142,8 @@ def test_peak_section_norm_is_the_gram_diagonal():
 
 def test_toeplitz_constant_symbol_is_identity():
     T = cp1_toeplitz(6, RationalSymbol.constant(1))
-    assert T == ToeplitzMatrix(6, {0: (1,) * 7})
+    assert T.entries == tuple(tuple(int(p == q) for p in range(7))
+                              for q in range(7))
     assert T.entry(3, 3) == 1 and not T.entry(3, 2)
 
 
@@ -197,17 +198,22 @@ def test_toeplitz_norm_bounded_by_symbol_sup():
 
 def test_toeplitz_matrix_validation():
     with pytest.raises(PreconditionError):
-        ToeplitzMatrix(0, {0: (1,)})
-    with pytest.raises(PreconditionError):
-        ToeplitzMatrix(3, {0: (1, 1, 1)})  # band shorter than m + 1
-    with pytest.raises(PreconditionError):
-        ToeplitzMatrix(3, {4: (0, 0, 0, 0)})  # diagonal beyond the matrix
-    with pytest.raises(PreconditionError):
-        ToeplitzMatrix(3, {1: (0, 0, 0, 1)})  # cell (4, 3) does not exist
-    assert ToeplitzMatrix(3, {0: (1,) * 4, 2: (0,) * 4}).bands == \
-        {0: (1,) * 4}  # all-zero bands are dropped
+        ToeplitzMatrix(0, fs_ratio_symbol())
     with pytest.raises(PreconditionError):
         cp1_toeplitz(3, fs_ratio_symbol()).entry(4, 0)
+
+
+def test_toeplitz_entries_far_past_any_dense_size():
+    m = 10 ** 9  # a stored diagonal alone would hold 10^9 cells
+    T = cp1_toeplitz(m, fs_ratio_symbol())
+    for p in (0, 1, 7, m):
+        assert T.entry(p, p) == Fraction(p + 1, m + 2)
+        assert T.composition_entry(T, p, p) == Fraction(p + 1, m + 2) ** 2
+    H = cp1_toeplitz(m, hermitian_test_symbol())
+    for p in range(4):
+        for q in range(4):
+            assert H.entry(q, p) * cp1_gram(m, q) == \
+                (H.entry(p, q) * cp1_gram(m, p)).conjugate()
 
 
 def _oracle_symbols():
@@ -233,10 +239,11 @@ def test_toeplitz_matches_dense_oracle(m):
 def test_mobius_pullback_fills_every_diagonal():
     m = 4
     w = ComplexRational(Fraction(1, 3), Fraction(-2, 5))
-    T = cp1_toeplitz(m, mobius_pullback(fs_ratio_symbol(), w))
-    assert sorted(T.bands) == [-1, 0, 1]
-    T = cp1_toeplitz(m, mobius_pullback(_oracle_symbols()[2], w))
-    assert sorted(T.bands) == [-2, -1, 0, 1, 2]
+    for f, filled in ((fs_ratio_symbol(), [-1, 0, 1]),
+                      (_oracle_symbols()[2], [-2, -1, 0, 1, 2])):
+        rows = cp1_toeplitz(m, mobius_pullback(f, w)).entries
+        assert sorted({q - p for q, row in enumerate(rows)
+                       for p, c in enumerate(row) if c}) == filled
 
 
 @pytest.mark.parametrize("m", [2, 5, 8])
