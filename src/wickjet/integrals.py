@@ -4,9 +4,9 @@ All integrals here are formal: the reference Gaussian measure is normalized
 so that the moment of ``y^I yb^I`` is exactly ``I! h^|I|`` (mixed moments
 vanish), which absorbs every 2*pi volume factor once and for all.  A weight
 series w (real-analytic perturbation data of degree >= 3) deforms the
-measure through the factor ``e^(w/h)``; expanding that factor reduces every
-integral to finitely many moments because each ``w/h`` term has positive
-degree.
+measure through the factor ``e^(w/h)``, which the weight builds once; an
+integral is one kernel pass pairing the integrand with that factor under the
+moment rule, finite because both sides are truncated.
 
 ``toeplitz_symbol`` solves ``e^(w/h) * O = f e^(w/h)`` (star product on the
 left, pointwise product on the right) for the unique symbol O; composition
@@ -16,12 +16,10 @@ holomorphic part.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
-from operator import mul
+from operator import add
 
-from .errors import PreconditionError, SolveError, TruncationMismatch, DimensionMismatch
-from .series import WickSeries, mi_factorial, power_terms
+from .errors import PreconditionError, SolveError
+from .series import WickSeries, bilinear_terms, mi_factorial
 from .wick import classical_exp, fock_act, wick_star
 
 __all__ = [
@@ -118,43 +116,31 @@ def gaussian_moment(I, J, k2: int = 0, *, trunc: int) -> WickSeries:
 
     Equals ``I! h^(k2/2 + |I|)`` when I == J and zero otherwise.
     """
-    I = tuple(I)
-    J = tuple(J)
-    if I != J:
-        return WickSeries.zero(0, trunc)
-    return WickSeries.monomial(0, trunc, mi_factorial(I), k2 + 2 * sum(I))
+    dim = len(I)
+    return formal_integral(WickSeries.monomial(dim, trunc, 1, k2, I, J),
+                           WeightSeries.zero(dim, trunc))
 
 
-def _moments(h: WickSeries) -> WickSeries:
-    """The moments of h's terms, summed as integers over h's denominator."""
-    sums: dict = {}
-    for (k2, I, J), (a, b) in h.num.items():
-        if I == J:
-            key, weight = (k2 + 2 * sum(I), (), ()), mi_factorial(I)
-            c, d = sums.get(key, (0, 0))
-            sums[key] = (c + weight * a, d + weight * b)
-    return h._build(sums, h.den, dim=0)
-
-
-def _check_weight(h: WickSeries, w: WeightSeries) -> None:
-    if h.dim != w.dim:
-        raise DimensionMismatch(f"dim {h.dim} != weight dim {w.dim}")
-    if h.trunc != w.trunc:
-        raise TruncationMismatch(f"trunc {h.trunc} != weight trunc {w.trunc}")
+def _moment(key_h, key_e) -> list:
+    """The moment rule: the product of two terms integrates to I! h^|I| if I == J."""
+    (k2h, Ih, Jh), (k2e, Ie, Je) = key_h, key_e
+    I = tuple(map(add, Ih, Ie))
+    if I != tuple(map(add, Jh, Je)):
+        return ()
+    return [((k2h + k2e + 2 * sum(I), (), ()), mi_factorial(I))]
 
 
 def formal_integral(h: WickSeries, w: WeightSeries) -> WickSeries:
     """Integral of h against the weighted Gaussian, as a series in h (dim 0).
 
-    Computed as ``sum_j (1/j!) moments(h * (w/h)^j)``; the sum is finite
-    because every ``w/h`` term has degree >= 1, so it ends within
-    ``trunc + |min_degree(h)| + 1`` terms.
+    The moments of ``h e^(w/h)``, summed in one kernel pass over the
+    weight's cached ``e^(w/h)``.  Window: for plain h every kept coefficient
+    is exact for the given weight; for h of least degree -a only those
+    through ``trunc - a`` are, because the terms of ``e^(w/h)`` past
+    ``trunc``, which h's negative part would bring down, are not kept.
     """
-    _check_weight(h, w)
-    out = WickSeries.zero(0, h.trunc)
-    for j, term in enumerate(power_terms(h, w.body.hbar_shift(-2), mul)):
-        out = out + _moments(term.scale(Fraction(1, factorial(j))))
-    return out
+    h._check_compatible(w.body)
+    return h._build(*bilinear_terms(h, w.exponentials()[0], _moment), dim=0)
 
 
 def inner_product(f: WickSeries, g: WickSeries, w: WeightSeries) -> WickSeries:
@@ -172,7 +158,7 @@ def toeplitz_symbol(f: WickSeries, w: WeightSeries) -> WickSeries:
     the result is again of that form; inputs of non-negative minimum degree
     are accepted to support h-Laurent symbols.
     """
-    _check_weight(f, w)
+    f._check_compatible(w.body)
     if not w.toeplitz_admissible:
         raise PreconditionError(
             "toeplitz_symbol needs a weight with a yb factor in every term")

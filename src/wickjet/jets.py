@@ -29,7 +29,8 @@ from operator import mul
 from .coefficients import ComplexRational, random_coefficient, random_rational
 from .errors import PreconditionError, SolveError
 from .integrals import WeightSeries
-from .series import WickSeries, accumulate, mi_sub, mi_zero, power_terms, read_record
+from .series import WickSeries, accumulate, mi_sub, mi_zero, read_record
+from .wick import log_series
 
 __all__ = [
     "PotentialJets",
@@ -526,11 +527,7 @@ def fubini_study_potential(dim: int, order: int) -> PotentialJets:
     """Jets of log(1 + |z|^2); already in normal form."""
     if order < 2:
         raise PreconditionError("the Fubini-Study potential needs order >= 2")
-    t = _norm_squared(dim, order)
-    acc = WickSeries.zero(dim, order)
-    for k, power in enumerate(power_terms(t, t, mul), 1):
-        acc = acc + power.scale(Fraction(1 if k % 2 else -1, k))
-    return PotentialJets(acc, normalized=True)
+    return PotentialJets(log_series(_norm_squared(dim, order), mul), normalized=True)
 
 
 def random_real_analytic_potential(seed: int, dim: int, order: int,

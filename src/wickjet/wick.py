@@ -150,6 +150,18 @@ def _exp_series(x: WickSeries, product) -> WickSeries:
     return out
 
 
+def log_series(a: WickSeries, product) -> WickSeries:
+    """``log(1 + a) = sum_k (-1)^(k+1) a^k / k`` under ``product``.
+
+    Every term of a must have positive degree (see ``power_terms``).
+    """
+    powers = power_terms(a, a, product)
+    out = next(powers, a)  # the first power is a itself
+    for k, power in enumerate(powers, 2):
+        out = out + power.scale(Fraction(1 if k % 2 else -1, k))
+    return out
+
+
 def _check_unital(u: WickSeries, what: str) -> WickSeries:
     """u - 1, after checking that the constant term of u is exactly 1."""
     if u.coefficient(0) != 1:
@@ -159,12 +171,7 @@ def _check_unital(u: WickSeries, what: str) -> WickSeries:
 
 def star_log(u: WickSeries) -> WickSeries:
     """Star-logarithm: L with star_exp(L) = u, for u = 1 + (degree >= 1)."""
-    a = _check_unital(u, "star_log")
-    powers = power_terms(a, a, wick_star)
-    out = next(powers, a)  # the first power is a itself
-    for k, power in enumerate(powers, 2):
-        out = out + power.scale(Fraction(1 if k % 2 else -1, k))
-    return out
+    return log_series(_check_unital(u, "star_log"), wick_star)
 
 
 def star_inverse(u: WickSeries) -> WickSeries:

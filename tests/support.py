@@ -25,7 +25,7 @@ import sympy as sp
 
 from wickjet.coefficients import ComplexRational
 from wickjet.errors import PreconditionError
-from wickjet.series import WickSeries, accumulate, mi_sub, mi_zero
+from wickjet.series import WickSeries, accumulate, mi_factorial, mi_sub, mi_zero
 
 
 def hseries(trunc: int, terms: dict | None = None) -> WickSeries:
@@ -447,6 +447,32 @@ def reference_anti_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
                 yield ((k2 + k2s + 2 * sum(I), zero, mi_add(mi_sub(Q, I), J)),
                        cf * cs * scalar)
     return _series(f, pairs())
+
+
+def reference_moment(f: WickSeries, g: WickSeries) -> WickSeries:
+    """Gaussian moment of every pair: I! h^|I| when I = I_f + I_g == J_f + J_g."""
+    def pairs():
+        for (k2f, If, Jf), cf, (k2g, Ig, Jg), cg in _within(f, g):
+            I = mi_add(If, Ig)
+            if I == mi_add(Jf, Jg):
+                yield (k2f + k2g + 2 * sum(I), (), ()), cf * cg * mi_factorial(I)
+    return WickSeries(0, f.trunc, accumulate(pairs()))
+
+
+def reference_formal_integral(h: WickSeries, w) -> WickSeries:
+    """``sum_j (1/j!) moments(h (w/h)^j)``, one series product per power.
+
+    Every ``w/h`` term has degree >= 1, so the powers vanish past the
+    truncation within ``trunc - min_degree(h) + 1`` steps.
+    """
+    x = w.body.hbar_shift(-2)
+    unit = WickSeries.unit(h.dim, h.trunc)
+    out = hseries(h.trunc)
+    term, j = h, 0
+    while term:
+        out = out + reference_moment(term, unit).scale(Fraction(1, factorial(j)))
+        term, j = term * x, j + 1
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from wickjet import integrals, wick
 from wickjet.coefficients import ComplexRational
 from wickjet.errors import PreconditionError, TruncationMismatch
 from wickjet.integrals import (
@@ -15,6 +16,7 @@ from wickjet.integrals import (
     toeplitz_apply,
     toeplitz_symbol,
 )
+from wickjet.jets import fubini_study_potential, weight_series
 from wickjet.series import WickSeries, mi_factorial
 from wickjet.wick import classical_exp, fock_act, star_inverse, wick_star
 
@@ -24,6 +26,7 @@ from support import (
     random_holomorphic,
     random_series,
     random_weight_body,
+    reference_formal_integral,
 )
 
 
@@ -111,6 +114,53 @@ def test_formal_integral_with_inverse_hbar_powers():
         shifted = formal_integral(f.hbar_shift(-2), w)
         assert shifted.retruncate(trunc - 2) == \
             formal_integral(f, w).hbar_shift(-2).retruncate(trunc - 2)
+
+
+def _weights(rng):
+    """Random and Fubini-Study weights at dims 1 and 2."""
+    for dim in (1, 2):
+        for trunc in (5, 8):
+            yield WeightSeries(random_weight_body(rng, dim, trunc))
+            yield weight_series(fubini_study_potential(dim, trunc), trunc)
+
+
+def test_formal_integral_matches_the_power_route_on_plain_h():
+    rng = random.Random(31)
+    for w in _weights(rng):
+        for _ in range(3):
+            f = random_series(rng, w.dim, w.trunc)
+            assert formal_integral(f, w) == reference_formal_integral(f, w)
+
+
+def test_formal_integral_matches_the_power_route_within_the_laurent_window():
+    """For h of least degree -a the two routes agree through trunc - a."""
+    rng = random.Random(37)
+    for w in _weights(rng):
+        f = random_series(rng, w.dim, w.trunc, min_degree=rng.randint(0, 2))
+        for shift in (-1, -2, -4, -6):
+            h = f.hbar_shift(shift)
+            window = w.trunc + min(0, h.min_degree())
+            if window >= 0:
+                assert formal_integral(h, w).retruncate(window) == \
+                    reference_formal_integral(h, w).retruncate(window)
+
+
+def test_formal_integral_reads_the_cached_exponential(monkeypatch):
+    """Once e^(w/h) is built, an integral makes no series product and no exponential."""
+    rng = random.Random(41)
+    w = WeightSeries(random_weight_body(rng, 2, 7))
+    f = random_series(rng, 2, 7)
+    expected = reference_formal_integral(f, w)
+    w.exponentials()
+    calls = []
+    for owner, name in [(WickSeries, "__mul__"), (integrals, "classical_exp"),
+                        (wick, "classical_exp")]:
+        def counted(*args, _original=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counted)
+    assert formal_integral(f, w) == expected
+    assert calls == []
 
 
 def test_inner_product_quartic_weight_example():

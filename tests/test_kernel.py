@@ -1,7 +1,8 @@
 """The Gaussian-integer kernel against plain ComplexRational references.
 
-Products and actions run through ``series.bilinear_terms``, on the integer
-numerators over one common denominator that every series stores; the
+Products, actions and the moment rule of formal integrals run through
+``series.bilinear_terms``, on the integer numerators over one common
+denominator that every series stores; the
 references in ``support`` visit every pair of terms in ComplexRational
 arithmetic.  The inputs stress what the integer
 layout could get wrong: pairwise-coprime denominators up to 97 (so the
@@ -18,7 +19,8 @@ from math import gcd
 import pytest
 
 from wickjet.coefficients import ComplexRational
-from wickjet.series import WickSeries, accumulate, total_degree
+from wickjet.integrals import _moment
+from wickjet.series import WickSeries, accumulate, bilinear_terms, total_degree
 from wickjet.wick import anti_fock_act, fock_act, wick_star
 
 from support import (
@@ -26,6 +28,7 @@ from support import (
     random_multi_index,
     reference_anti_fock_act,
     reference_fock_act,
+    reference_moment,
     reference_product,
     reference_star,
 )
@@ -66,6 +69,8 @@ OPERATIONS = [
     ("star", wick_star, reference_star, None),
     ("fock", fock_act, reference_fock_act, "holomorphic"),
     ("anti-fock", anti_fock_act, reference_anti_fock_act, "anti"),
+    ("moment", lambda f, g: f._build(*bilinear_terms(f, g, _moment), dim=0),
+     reference_moment, None),
 ]
 
 
@@ -94,7 +99,7 @@ def _assert_same(got, want):
 def test_kernel_matches_reference_on_coprime_denominators(name, op, reference,
                                                           side):
     rng = random.Random(f"kernel-{name}")
-    odd = negative = 0
+    odd = negative = produced = 0
     for _ in range(40):
         dim = rng.randint(1, 3)
         trunc = rng.randint(2, 7)
@@ -102,8 +107,10 @@ def test_kernel_matches_reference_on_coprime_denominators(name, op, reference,
         g = coprime_series(rng, dim, trunc, rng.randint(1, 6), side)
         odd += any(k2 % 2 for k2, _, _ in f.terms)
         negative += f.min_degree() < 0
-        _assert_same(op(f, g), reference(f, g))
-    assert odd and negative
+        got = op(f, g)
+        produced += bool(got)
+        _assert_same(got, reference(f, g))
+    assert odd and negative and produced
 
 
 def _expected(pairs, trunc):
