@@ -25,9 +25,7 @@ from .jets import (
 from .integrals import (
     WeightSeries,
     formal_integral,
-    gaussian_moment,
     inner_product,
-    projection,
     toeplitz_apply,
     toeplitz_symbol,
 )
@@ -75,12 +73,10 @@ __all__ = [
     "star_log",
     "star_inverse",
     "WeightSeries",
-    "gaussian_moment",
     "formal_integral",
     "inner_product",
     "toeplitz_symbol",
     "toeplitz_apply",
-    "projection",
     "PotentialJets",
     "CurvatureTensor",
     "k_normalize",

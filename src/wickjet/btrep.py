@@ -94,11 +94,14 @@ def bt_star_eval(f: WickSeries, g: WickSeries, ctx: BTContext):
     """Value of the deformed product of f and g at the marked point.
 
     Multiplies the two Toeplitz symbols in the Wick algebra and returns the
-    constant terms as a series in h alone (dim 0).
+    constant terms as a series in h alone (dim 0).  Only the holomorphic
+    terms of the left symbol and the anti-holomorphic terms of the right one
+    can contract to a constant, so the product reads those alone.
     """
     left = toeplitz_symbol(_to_algebra(f, ctx), ctx.weight)
     right = toeplitz_symbol(_to_algebra(g, ctx), ctx.weight)
-    return wick_star(left, right).constant_part()
+    return wick_star(left.holomorphic_part(),
+                     right.antiholomorphic_part()).constant_part()
 
 
 def bt_coefficient(f: WickSeries, g: WickSeries, ctx: BTContext, k: int):
@@ -187,5 +190,6 @@ def vacuum_reduce(a: WickSeries, ctx: BTContext, target: int):
     else:  # pragma: no cover - termination is forced by the degree argument
         raise SolveError("vacuum reduction failed to clear the target window")
 
-    exp_pos, exp_neg = ctx.weight.exponentials()
-    return wick_star(exp_pos, symbol) * exp_neg, Fraction(l2, 2)
+    w = ctx.weight
+    f = wick_star(w.exponential(), symbol) * w.exponential(-1)
+    return f, Fraction(l2, 2)

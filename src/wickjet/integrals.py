@@ -10,8 +10,8 @@ moment rule, finite because both sides are truncated.
 
 ``toeplitz_symbol`` solves ``e^(w/h) * O = f e^(w/h)`` (star product on the
 left, pointwise product on the right) for the unique symbol O; composition
-with the module action then gives projections and Toeplitz operators on the
-holomorphic part.
+with the module action then gives Toeplitz operators on the holomorphic
+part.
 """
 
 from __future__ import annotations
@@ -24,12 +24,10 @@ from .wick import classical_exp, fock_act, wick_star
 
 __all__ = [
     "WeightSeries",
-    "gaussian_moment",
     "formal_integral",
     "inner_product",
     "toeplitz_symbol",
     "toeplitz_apply",
-    "projection",
 ]
 
 
@@ -45,12 +43,14 @@ class WeightSeries:
       (required by the symbol solve);
     - ``refined``: the h^0 part has no terms with |I| = 1 or |J| = 1.
 
-    The factors ``e^(+-w/h)`` every symbol solve needs are built once, on
-    first use, by :meth:`exponentials`.
+    The factor ``e^(w/h)`` that every integral and symbol solve reads is
+    built once, on first use, by :meth:`exponential`; ``e^(-w/h)`` is built
+    separately, only if asked for.  Toeplitz symbols are remembered per
+    weight, keyed by the input series, so they live as long as the weight.
     """
 
     __slots__ = ("body", "is_real", "toeplitz_admissible", "refined",
-                 "_exponentials")
+                 "_exponentials", "_symbols")
 
     def __init__(self, body: WickSeries):
         min_deg = body.min_degree()
@@ -64,7 +64,8 @@ class WeightSeries:
         object.__setattr__(self, "refined",
                            all(sum(I) != 1 and sum(J) != 1
                                for (k2, I, J) in body.num if k2 == 0))
-        object.__setattr__(self, "_exponentials", None)
+        object.__setattr__(self, "_exponentials", {})
+        object.__setattr__(self, "_symbols", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("WeightSeries is immutable")
@@ -84,13 +85,13 @@ class WeightSeries:
     def __bool__(self) -> bool:
         return bool(self.body)
 
-    def exponentials(self) -> tuple:
-        """The pair ``(e^(w/h), e^(-w/h))``, computed on the first call."""
-        if self._exponentials is None:
-            object.__setattr__(self, "_exponentials", (
-                classical_exp(self.body, divide_by_hbar=True),
-                classical_exp(-self.body, divide_by_hbar=True)))
-        return self._exponentials
+    def exponential(self, sign: int = 1) -> WickSeries:
+        """``e^(sign w/h)`` for sign +1 or -1, computed on the first call."""
+        cache = self._exponentials
+        if sign not in cache:
+            cache[sign] = classical_exp(self.body.scale(sign),
+                                        divide_by_hbar=True)
+        return cache[sign]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightSeries):
@@ -109,16 +110,6 @@ class WeightSeries:
         if self.refined:
             flags.append("refined")
         return f"WeightSeries({self.body!r}, flags={'|'.join(flags) or '-'})"
-
-
-def gaussian_moment(I, J, k2: int = 0, *, trunc: int) -> WickSeries:
-    """Moment of h^(k2/2) y^I yb^J against the reference Gaussian.
-
-    Equals ``I! h^(k2/2 + |I|)`` when I == J and zero otherwise.
-    """
-    dim = len(I)
-    return formal_integral(WickSeries.monomial(dim, trunc, 1, k2, I, J),
-                           WeightSeries.zero(dim, trunc))
 
 
 def _moment(key_h, key_e) -> list:
@@ -140,7 +131,7 @@ def formal_integral(h: WickSeries, w: WeightSeries) -> WickSeries:
     ``trunc``, which h's negative part would bring down, are not kept.
     """
     h._check_compatible(w.body)
-    return h._build(*bilinear_terms(h, w.exponentials()[0], _moment), dim=0)
+    return h._build(*bilinear_terms(h, w.exponential(), _moment), dim=0)
 
 
 def inner_product(f: WickSeries, g: WickSeries, w: WeightSeries) -> WickSeries:
@@ -151,12 +142,15 @@ def inner_product(f: WickSeries, g: WickSeries, w: WeightSeries) -> WickSeries:
 def toeplitz_symbol(f: WickSeries, w: WeightSeries) -> WickSeries:
     """The unique O with ``e^(w/h) (star) O = f e^(w/h)`` (pointwise right side).
 
-    Solved by degree-raising corrections: the residual of the candidate is
-    divided (pointwise) by the exponential factor and added back; each pass
-    strictly raises the residual's minimum degree, so at truncation the loop
+    Solved by degree-raising corrections: the lowest-degree slice of the
+    residual is added to the candidate.  Since ``e^(w/h)`` is 1 plus terms of
+    positive degree and the star product is graded, ``e^(w/h) (star) r``
+    equals r plus terms of higher degree for a homogeneous r, so each pass
+    strictly raises the residual's minimum degree and at truncation the loop
     ends after at most trunc+1 passes.  For an f without inverse h-powers
     the result is again of that form; inputs of non-negative minimum degree
-    are accepted to support h-Laurent symbols.
+    are accepted to support h-Laurent symbols.  Solved symbols are kept on
+    the weight, so a repeated input is solved once.
     """
     f._check_compatible(w.body)
     if not w.toeplitz_admissible:
@@ -170,7 +164,13 @@ def toeplitz_symbol(f: WickSeries, w: WeightSeries) -> WickSeries:
             f"toeplitz_symbol input must have min degree >= 0, found {min_deg}")
     if not w:
         return f
-    exp_pos, exp_neg = w.exponentials()
+    symbol = w._symbols.get(f)
+    if symbol is None:
+        symbol = w._symbols[f] = _solve_symbol(f, w.exponential())
+    return symbol
+
+
+def _solve_symbol(f: WickSeries, exp_pos: WickSeries) -> WickSeries:
     symbol = f
     residual = f * exp_pos - wick_star(exp_pos, f)
     last_degree = -1
@@ -184,7 +184,7 @@ def toeplitz_symbol(f: WickSeries, w: WeightSeries) -> WickSeries:
             raise SolveError(
                 f"toeplitz solve stalled at residual degree {degree}")
         last_degree = degree
-        correction = exp_neg * residual
+        correction = residual.degree_slice(degree)
         symbol = symbol + correction
         residual = residual - wick_star(exp_pos, correction)
     raise SolveError("toeplitz solve exceeded its iteration budget")
@@ -193,12 +193,3 @@ def toeplitz_symbol(f: WickSeries, w: WeightSeries) -> WickSeries:
 def toeplitz_apply(f: WickSeries, s: WickSeries, w: WeightSeries) -> WickSeries:
     """Apply the Toeplitz operator of f to a holomorphic series."""
     return fock_act(toeplitz_symbol(f, w), s)
-
-
-def projection(f: WickSeries, w: WeightSeries) -> WickSeries:
-    """Orthogonal projection of f onto the holomorphic part for the weight.
-
-    Characterized by ``<p, y^K> = <f, y^K>`` for every K; computed by
-    applying the Toeplitz operator of f to the constant section.
-    """
-    return toeplitz_apply(f, WickSeries.unit(f.dim, f.trunc), w)

@@ -429,6 +429,10 @@ class WickSeries:
         picked = {key: v for key, v in self.num.items() if not any(key[2])}
         return self._build(picked, self.den)
 
+    def antiholomorphic_part(self) -> "WickSeries":
+        picked = {key: v for key, v in self.num.items() if not any(key[1])}
+        return self._build(picked, self.den)
+
     # -- equality / display ---------------------------------------------------
 
     def __eq__(self, other) -> bool:

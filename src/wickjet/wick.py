@@ -18,6 +18,7 @@ by the anti-holomorphic part).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product as _cartesian
 from math import comb, factorial
 from operator import add, mul, sub
@@ -46,22 +47,19 @@ def _falling(n: int, k: int) -> int:
 def wick_star(f: WickSeries, g: WickSeries) -> WickSeries:
     """The associative Wick product of two series (same dim and trunc)."""
     f._check_compatible(g)
-    ways: dict = {}  # contractions per (I_f, J_g); the same pair recurs often
 
     def expand(key_f, key_g):
         k2f, If, Jf = key_f
         k2g, Ig, Jg = key_g
-        contractions = ways.get((If, Jg))
-        if contractions is None:
-            contractions = ways[If, Jg] = _contractions(If, Jg)
         k2 = k2f + k2g
         return [((k2 + t2, tuple(map(add, Ia, Ig)), tuple(map(add, Jf, Ja))),
-                 scalar) for t2, Ia, Ja, scalar in contractions]
+                 scalar) for t2, Ia, Ja, scalar in _contractions(If, Jg)]
 
     return f._build(*bilinear_terms(f, g, expand))
 
 
-def _contractions(I: tuple, J: tuple) -> list:
+@cache
+def _contractions(I: tuple, J: tuple) -> tuple:
     """``(2|a|, I - a, J - a, scalar)`` for every multi-index a <= min(I, J).
 
     The scalar (-1)^|a| prod comb(I_i, a_i) (J_i)_(a_i) is the coefficient
@@ -77,7 +75,7 @@ def _contractions(I: tuple, J: tuple) -> list:
         out.append((2 * total, tuple(map(sub, I, alpha)),
                     tuple(map(sub, J, alpha)),
                     -scalar if total % 2 else scalar))
-    return out
+    return tuple(out)
 
 
 def _falling_product(top: tuple, lower: tuple) -> int:

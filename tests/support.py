@@ -25,6 +25,7 @@ import sympy as sp
 
 from wickjet.coefficients import ComplexRational
 from wickjet.errors import PreconditionError
+from wickjet.integrals import WeightSeries, formal_integral
 from wickjet.series import WickSeries, accumulate, mi_factorial, mi_sub, mi_zero
 
 
@@ -473,6 +474,16 @@ def reference_formal_integral(h: WickSeries, w) -> WickSeries:
         out = out + reference_moment(term, unit).scale(Fraction(1, factorial(j)))
         term, j = term * x, j + 1
     return out
+
+
+def gaussian_moment(I, J, k2: int = 0, *, trunc: int) -> WickSeries:
+    """Moment of h^(k2/2) y^I yb^J against the reference Gaussian.
+
+    Equals ``I! h^(k2/2 + |I|)`` when I == J and zero otherwise.
+    """
+    dim = len(I)
+    return formal_integral(WickSeries.monomial(dim, trunc, 1, k2, I, J),
+                           WeightSeries.zero(dim, trunc))
 
 
 # ---------------------------------------------------------------------------

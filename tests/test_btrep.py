@@ -234,6 +234,20 @@ def test_flat_reduction_matches_plain_wick_star():
             assert bt_star_eval(f, g, ctx) == expected
 
 
+def test_star_eval_is_the_constant_part_of_the_symbol_product():
+    """Reading only the terms that can contract to a constant loses nothing."""
+    rng = random.Random(47)
+    for dim in (1, 2, 3):
+        fs = BTContext.from_potential(fubini_study_potential(dim, TRUNC), TRUNC)
+        for ctx in (fs, random_ctx(dim, dim)):
+            for _ in range(3):
+                f = random_function_jets(rng, dim, TRUNC)
+                g = random_function_jets(rng, dim, TRUNC)
+                full = wick_star(toeplitz_symbol(f, ctx.weight),
+                                 toeplitz_symbol(g, ctx.weight))
+                assert bt_star_eval(f, g, ctx) == full.constant_part()
+
+
 def test_locality_ignores_beyond_order_jets():
     rng = random.Random(43)
     ctx = fs_ctx()

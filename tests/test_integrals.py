@@ -10,9 +10,7 @@ from wickjet.errors import PreconditionError, TruncationMismatch
 from wickjet.integrals import (
     WeightSeries,
     formal_integral,
-    gaussian_moment,
     inner_product,
-    projection,
     toeplitz_apply,
     toeplitz_symbol,
 )
@@ -21,6 +19,7 @@ from wickjet.series import WickSeries, mi_factorial
 from wickjet.wick import classical_exp, fock_act, star_inverse, wick_star
 
 from support import (
+    gaussian_moment,
     hseries,
     iter_multi_indices,
     random_holomorphic,
@@ -61,13 +60,16 @@ def test_weight_degree_guard():
 
 
 def test_weight_exponentials_are_built_once():
+    """Each sign of e^(+-w/h) is built on its first call and then reused."""
     rng = random.Random(19)
     for dim in (1, 2):
         w = WeightSeries(random_weight_body(rng, dim, 7))
-        pair = w.exponentials()
-        assert w.exponentials() is pair
-        assert pair == (classical_exp(w.body, divide_by_hbar=True),
-                        classical_exp(-w.body, divide_by_hbar=True))
+        for sign in (1, -1):
+            exp = w.exponential(sign)
+            assert w.exponential(sign) is exp
+            assert exp == classical_exp(w.body.scale(sign), divide_by_hbar=True)
+        assert w.exponential() is w.exponential(1)
+        assert w.exponential(1) != w.exponential(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +148,21 @@ def test_formal_integral_matches_the_power_route_within_the_laurent_window():
 
 
 def test_formal_integral_reads_the_cached_exponential(monkeypatch):
-    """Once e^(w/h) is built, an integral makes no series product and no exponential."""
+    """Integrals and symbol solves build e^(w/h) once and never e^(-w/h);
+    once it is built, an integral makes no series product and no exponential."""
     rng = random.Random(41)
     w = WeightSeries(random_weight_body(rng, 2, 7))
     f = random_series(rng, 2, 7)
     expected = reference_formal_integral(f, w)
-    w.exponentials()
+    exponents = []
+
+    def recorded(h, divide_by_hbar=False):
+        exponents.append(h)
+        return classical_exp(h, divide_by_hbar)
+    monkeypatch.setattr(integrals, "classical_exp", recorded)
+    toeplitz_symbol(random_series(rng, 2, 7, min_degree=1), w)
+    formal_integral(f, w)
+    assert exponents == [w.body]
     calls = []
     for owner, name in [(WickSeries, "__mul__"), (integrals, "classical_exp")]:
         def counted(*args, _original=getattr(owner, name), _name=name):
@@ -297,6 +308,61 @@ def test_symbol_route_equivalence():
         assert toeplitz_symbol(f, w) == other
 
 
+def _count_products(monkeypatch) -> list:
+    """Record every wick_star call made from within ``integrals``."""
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return wick_star(f, g)
+    monkeypatch.setattr(integrals, "wick_star", counted)
+    return calls
+
+
+def _fubini_study_weights():
+    for dim in (1, 2):
+        for trunc in (10, 11, 12):
+            yield weight_series(fubini_study_potential(dim, trunc), trunc)
+
+
+def test_leading_slice_solve_matches_the_inverse_route(monkeypatch):
+    """Plain and h-Laurent inputs (odd k2, positive least degree) on
+    Fubini-Study weights: the solve equals star_inverse(e^(w/h)) * (f e^(w/h))
+    and takes at most trunc + 1 correction passes."""
+    rng = random.Random(59)
+    products = _count_products(monkeypatch)
+    for w in _fubini_study_weights():
+        exp_pos = w.exponential()
+        inverse = star_inverse(exp_pos)
+        one = (1,) + (0,) * (w.dim - 1)
+        root = WickSeries.monomial(w.dim, w.trunc, Fraction(2, 3), -1, one, one)
+        laurent = [random_series(rng, w.dim, w.trunc, n_terms=3, min_degree=2)
+                   .hbar_shift(-1) + root,
+                   random_series(rng, w.dim, w.trunc, n_terms=3, min_degree=4,
+                                 even_k2_only=False).hbar_shift(-3) + root]
+        for f in [random_series(rng, w.dim, w.trunc, n_terms=3)] + laurent:
+            products.clear()
+            symbol = toeplitz_symbol(f, w)
+            assert symbol == wick_star(inverse, f * exp_pos)
+            assert len(products) - 1 <= w.trunc + 1
+        assert all(f.min_degree() == 1 and not f.is_plain() for f in laurent)
+
+
+def test_symbols_are_remembered_per_weight(monkeypatch):
+    """A repeated input is not solved again, and never across weights."""
+    rng = random.Random(67)
+    body = random_weight_body(rng, 2, 7)
+    w, other = WeightSeries(body), WeightSeries(body.scale(2))
+    f = random_series(rng, 2, 7, n_terms=3, min_degree=1)
+    symbol = toeplitz_symbol(f, w)
+    products = _count_products(monkeypatch)
+    assert toeplitz_symbol(WickSeries(2, 7, f.terms), w) is symbol
+    assert products == []
+    assert toeplitz_symbol(f, other) != symbol
+    assert products
+    assert toeplitz_symbol(f, WeightSeries(body)) == symbol
+
+
 def test_symbol_quartic_weight_frozen_example():
     c = Fraction(1, 3)
     w = WeightSeries(WickSeries.monomial(1, 8, c, 0, (2,), (2,)))
@@ -336,11 +402,14 @@ def test_adjoint_for_real_weights():
 
 
 def test_projection_frozen_examples():
+    """Projection onto the holomorphic part: the Toeplitz operator on 1."""
     w0 = WeightSeries.zero(1, 6)
+    unit = WickSeries.unit(1, 6)
     yyb = WickSeries.monomial(1, 6, 1, 0, (1,), (1,))
-    assert projection(yyb, w0) == WickSeries.monomial(1, 6, 1, 2, (0,), (0,))
+    assert toeplitz_apply(yyb, unit, w0) == \
+        WickSeries.monomial(1, 6, 1, 2, (0,), (0,))
     yb = WickSeries.monomial(1, 6, 1, 0, (0,), (1,))
-    assert not projection(yb, w0)
+    assert not toeplitz_apply(yb, unit, w0)
 
 
 def test_projection_defining_property():
@@ -349,7 +418,7 @@ def test_projection_defining_property():
         dim = rng.randint(1, 2)
         w = WeightSeries(random_weight_body(rng, dim, 8))
         f = random_series(rng, dim, 8, n_terms=3)
-        p = projection(f, w)
+        p = toeplitz_apply(f, WickSeries.unit(dim, 8), w)
         assert p.is_holomorphic()
         for K in iter_multi_indices(dim, 3):
             yK = WickSeries.monomial(dim, 8, 1, 0, K, (0,) * dim)

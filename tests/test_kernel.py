@@ -143,6 +143,8 @@ LINEAR = [
                    if total_degree(*k) == 2)),
     ("holomorphic-part", lambda f, g: f.holomorphic_part(),
      lambda f, g: ((k, c) for k, c in f.terms.items() if not any(k[2]))),
+    ("antiholomorphic-part", lambda f, g: f.antiholomorphic_part(),
+     lambda f, g: ((k, c) for k, c in f.terms.items() if not any(k[1]))),
 ]
 
 
