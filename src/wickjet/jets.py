@@ -128,12 +128,12 @@ class PotentialJets:
 
     ``varphi`` is a classical ``WickSeries`` whose ``trunc`` is the jet order.
     With ``normalized=True`` the normal form is verified at construction, so
-    the flag can be trusted downstream, and ``psi`` holds the volume-log jets
-    (``trunc = max(order - 2, 0)``), computed once; otherwise ``psi`` is None.
-    ``psi`` is derived data and is excluded from equality.
+    the flag can be trusted downstream.  ``psi`` is then the volume-log jets
+    (``trunc = max(order - 2, 0)``), computed on the first read and kept, and
+    None otherwise; it is derived data and is excluded from equality.
     """
 
-    __slots__ = ("varphi", "psi", "normalized")
+    __slots__ = ("varphi", "normalized", "_psi")
 
     def __init__(self, varphi: WickSeries, normalized: bool = False):
         if not _is_classical(varphi):
@@ -147,7 +147,7 @@ class PotentialJets:
                 "normalized flag set, but the jets are not in normal form")
         object.__setattr__(self, "varphi", varphi)
         object.__setattr__(self, "normalized", bool(normalized))
-        object.__setattr__(self, "psi", volume_log_jets(self) if normalized else None)
+        object.__setattr__(self, "_psi", None)
 
     @classmethod
     def from_records(cls, dim: int, order: int, records) -> "PotentialJets":
@@ -171,6 +171,12 @@ class PotentialJets:
                     f"potential jet {(I, J)!r} exceeds the order-{order} window")
             terms[(0, I, J)] = c
         return cls(WickSeries(dim, order, terms))
+
+    @property
+    def psi(self) -> WickSeries | None:
+        if self._psi is None and self.normalized:
+            object.__setattr__(self, "_psi", volume_log_jets(self))
+        return self._psi
 
     @property
     def dim(self) -> int:
@@ -258,6 +264,11 @@ def _one_one_matrix(series: WickSeries, dim: int) -> list:
              for j in range(dim)] for i in range(dim)]
 
 
+def _is_identity(matrix: list) -> bool:
+    return all(v == (1 if i == j else 0)
+               for i, row in enumerate(matrix) for j, v in enumerate(row))
+
+
 def _sqrt_fraction(value: Fraction):
     if value <= 0:
         return None
@@ -289,7 +300,7 @@ def _ldl(matrix: list, dim: int):
 
 def _diagonalizing_change(matrix: list, dim: int):
     """B with B^dagger M B = Id, or None when M is already the identity."""
-    if all(matrix[i][j] == (1 if i == j else 0) for i in range(dim) for j in range(dim)):
+    if _is_identity(matrix):
         return None
     L, D = _ldl(matrix, dim)
     roots = []
@@ -346,9 +357,7 @@ def k_normalize(raw: PotentialJets):
             coords = [_substitute(c, subs) for c in coords]
     # later changes are the identity to first order, so the (1,1) block
     # stays as the degree-2 round left it
-    after = _one_one_matrix(current, dim)
-    if any(after[i][j] != (1 if i == j else 0)
-           for i in range(dim) for j in range(dim)):
+    if not _is_identity(_one_one_matrix(current, dim)):
         raise SolveError("quadratic diagonalization failed")
     holomorphic = current.holomorphic_part()
     frame = holomorphic - holomorphic.coefficient(0) / 2
@@ -407,39 +416,41 @@ def volume_log_jets(p: PotentialJets) -> WickSeries:
     This is log det M by Jacobi's identity, M = (d^2 varphi / dz_i dzbar_j).
 
     With A = M(0) of determinant 1 and X = A^-1 (M - A), log det M is
-    sum_k (-1)^(k+1) tr(X^k) / k.  X has no constant term, so X^k vanishes
-    once k times the least degree of X passes order - 2 (a normal form's X
-    starts in degree 2).  Full powers are formed up to half that k; each
-    later trace takes only the diagonal of a product of two of them.
+    sum_k (-1)^(k+1) tr(X^k) / k; an identity A (any normal form) needs no
+    inverse.  X has no constant term, so X^k vanishes once k times its least
+    degree passes order - 2 (a normal form's X starts in degree 2).  Full
+    powers are formed up to half that k; later traces take only the diagonal
+    of a product of two of them.
     """
     varphi = p.varphi
     dim = varphi.dim
     r2 = max(varphi.trunc - 2, 0)
-    constant = [[varphi.coefficient(0, _unit(dim, i), _unit(dim, j))
-                 for j in range(dim)] for i in range(dim)]
+    units = [_unit(dim, i) for i in range(dim)]
     rest = [[{} for _ in range(dim)] for _ in range(dim)]
     for (_, I, J), (a, b) in varphi.num.items():
+        if not 2 < sum(I) + sum(J) <= r2 + 2:  # A, or above the window
+            continue
         for i in range(dim):
             if not I[i]:
                 continue
-            di = mi_sub(I, _unit(dim, i))
+            di = mi_sub(I, units[i])
             for j in range(dim):
-                if not J[j]:
-                    continue
-                dj = mi_sub(J, _unit(dim, j))
-                if (any(di) or any(dj)) and sum(di) + sum(dj) <= r2:
-                    rest[i][j][(0, di, dj)] = (a * I[i] * J[j], b * I[i] * J[j])
-    inverse, det = _invert_constant(constant, dim)
-    if not det:
-        raise PreconditionError("the metric is degenerate at the marked point")
-    if det != 1:
-        raise PreconditionError(
-            "volume-log jets need unit metric determinant at the point; "
-            "normalize the potential first")
+                if J[j]:
+                    rest[i][j][(0, di, mi_sub(J, units[j]))] = \
+                        (a * I[i] * J[j], b * I[i] * J[j])
     zero = WickSeries.zero(dim, r2)
-    blocks = [[zero._build(terms, varphi.den) for terms in row] for row in rest]
-    x = [[sum((block.scale(a) for a, block in zip(inverse[i], column) if a), zero)
-          for column in zip(*blocks)] for i in range(dim)]
+    x = [[zero._build(terms, varphi.den) for terms in row] for row in rest]
+    constant = list(zip(*_one_one_matrix(varphi, dim)))
+    if not _is_identity(constant):
+        inverse, det = _invert_constant(constant, dim)
+        if not det:
+            raise PreconditionError("the metric is degenerate at the marked point")
+        if det != 1:
+            raise PreconditionError(
+                "volume-log jets need unit metric determinant at the point; "
+                "normalize the potential first")
+        x = [[sum((block.scale(a) for a, block in zip(inverse[i], column) if a), zero)
+              for column in zip(*x)] for i in range(dim)]
 
     def entry(row: list, right: list, j: int) -> WickSeries:
         """Entry j of the product of a row with the matrix ``right``."""

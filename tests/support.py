@@ -29,6 +29,18 @@ from wickjet.integrals import WeightSeries, formal_integral
 from wickjet.series import WickSeries, accumulate, mi_factorial, mi_sub, mi_zero
 
 
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap ``owner.name``; the returned list gets each call's arguments."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def hseries(trunc: int, terms: dict | None = None) -> WickSeries:
     """A series in h alone (dim 0) from ``{k2: coefficient}``."""
     return WickSeries(0, trunc, {(k2, (), ()): c for k2, c in (terms or {}).items()})

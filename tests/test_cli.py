@@ -11,13 +11,13 @@ from pathlib import Path
 import pytest
 
 import wickjet
-from wickjet import cli
+from wickjet import cli, jets
 from wickjet.cli import ACCEPT_EXIT, COMPUTE_EXIT, PARSE_EXIT, JobError, load_job, main
 from wickjet.coefficients import ComplexRational
 from wickjet.jets import PotentialJets
 from wickjet.series import WickSeries
 
-from support import iter_multi_indices
+from support import count_calls, iter_multi_indices
 
 
 def write_job(tmp_path, payload, name="job.json"):
@@ -331,6 +331,20 @@ def test_main_rejects_removed_threads_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--job", path, "--threads", "2"])
     assert exc.value.code == PARSE_EXIT
+
+
+@pytest.mark.parametrize("dim, potential", [
+    (3, {"generator": "fubini-study", "order": 6}),
+    (2, {"generator": "random-real-analytic", "seed": 3, "order": 6}),
+])
+def test_k_normalize_job_computes_volume_log_jets_once(
+        tmp_path, capsys, monkeypatch, dim, potential):
+    calls = count_calls(monkeypatch, jets, "volume_log_jets")
+    path = write_job(tmp_path, {"mode": "k-normalize", "dim": dim,
+                                "potential": potential})
+    code, out, _ = run_main(capsys, "--job", path)
+    assert code == 0 and "volume-log jets:" in out and "round-trip: ok" in out
+    assert len(calls) == 1
 
 
 def _potential_job(jet):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from wickjet import jets as jets_module
 from wickjet.coefficients import ComplexRational
 from wickjet.errors import DegreeWindowError, PreconditionError
 from wickjet.jets import (
@@ -23,6 +24,7 @@ from wickjet.series import WickSeries, mi_zero
 
 from support import (
     _sympy_symbols,
+    count_calls,
     permutation_volume_log,
     random_coefficient,
     random_multi_index,
@@ -85,6 +87,23 @@ def test_psi_excluded_from_equality():
     assert flat_potential(1, 6) == potential(1, 6, {((1,), (1,)): 1},
                                              normalized=True)
     assert potential(1, 6, {((1,), (1,)): 1}).psi is None
+
+
+def test_psi_is_computed_on_first_read_and_kept(monkeypatch):
+    calls = count_calls(monkeypatch, jets_module, "volume_log_jets")
+    raw = random_real_analytic_potential(3, 2, 6)
+    normalized, coords, frame = k_normalize(raw)
+    cases = [fubini_study_potential(3, 6),
+             apply_normalization(raw, coords, frame),
+             PotentialJets(normalized.varphi, normalized=True),
+             normalized]
+    assert all(p.normalized for p in cases) and calls == []
+    assert raw.psi is None and calls == []
+    for count, p in enumerate(cases, start=1):
+        psi = p.psi
+        assert len(calls) == count and calls[-1][0] is p
+        assert p.psi is psi and len(calls) == count
+        assert psi == permutation_volume_log(p.varphi)
 
 
 # ---------------------------------------------------------------------------
@@ -278,24 +297,30 @@ def near_normal_potential(seed, dim, order, quadratic=None, n_terms=4):
     return potential(dim, order, varphi)
 
 
-def test_volume_log_matches_permutation_expansion():
-    cases = [fubini_study_potential(dim, 6) for dim in range(1, 6)]
-    cases += [near_normal_potential(seed, dim, 6 if dim < 5 else 5)
-              for dim in (3, 4, 5) for seed in (1, 2)]
+def test_volume_log_matches_permutation_expansion(monkeypatch):
+    inverses = count_calls(monkeypatch, jets_module, "_invert_constant")
+    identity = [fubini_study_potential(dim, 6) for dim in range(1, 6)]
+    identity += [near_normal_potential(seed, dim, 6 if dim < 5 else 5)
+                 for dim in (3, 4, 5) for seed in (1, 2)]
+    for p in identity:
+        assert volume_log_jets(p) == permutation_volume_log(p.varphi)
+    # an identity metric at the point needs no inverse
+    assert inverses == []
     # non-identity metrics of unit determinant exercise the exact inverse
     half = Fraction(1, 2)
-    cases += [near_normal_potential(3, 2, 6, {(0, 0): 2, (1, 1): half}),
-              near_normal_potential(4, 2, 6, {(0, 0): -1, (1, 1): -1}),
-              near_normal_potential(5, 2, 5, {(0, 0): 2, (0, 1): 1,
-                                              (1, 0): 1, (1, 1): 1}),
-              near_normal_potential(9, 2, 6, {
-                  (0, 0): 2, (0, 1): ComplexRational(0, 1),
-                  (1, 0): ComplexRational(0, -1), (1, 1): 1}),
-              # a zero leading pivot forces a row swap
-              near_normal_potential(6, 3, 5, {(0, 1): 1, (1, 0): 1,
-                                              (2, 2): -1})]
+    cases = [near_normal_potential(3, 2, 6, {(0, 0): 2, (1, 1): half}),
+             near_normal_potential(4, 2, 6, {(0, 0): -1, (1, 1): -1}),
+             near_normal_potential(5, 2, 5, {(0, 0): 2, (0, 1): 1,
+                                             (1, 0): 1, (1, 1): 1}),
+             near_normal_potential(9, 2, 6, {
+                 (0, 0): 2, (0, 1): ComplexRational(0, 1),
+                 (1, 0): ComplexRational(0, -1), (1, 1): 1}),
+             # a zero leading pivot forces a row swap
+             near_normal_potential(6, 3, 5, {(0, 1): 1, (1, 0): 1,
+                                             (2, 2): -1})]
     for p in cases:
         assert volume_log_jets(p) == permutation_volume_log(p.varphi)
+    assert len(inverses) == len(cases)
 
 
 def test_volume_log_rejects_non_unit_constant_metrics():
@@ -309,6 +334,7 @@ def test_volume_log_rejects_non_unit_constant_metrics():
 def test_volume_log_series_products_are_polynomial_in_dim(monkeypatch):
     dim, order = 6, 6
     fs = fubini_study_potential(dim, order)
+    expected = fs.psi
     calls = []
     real_mul = WickSeries.__mul__
 
@@ -317,7 +343,7 @@ def test_volume_log_series_products_are_polynomial_in_dim(monkeypatch):
         return real_mul(self, other)
 
     monkeypatch.setattr(WickSeries, "__mul__", counted)
-    assert volume_log_jets(fs) == fs.psi
+    assert volume_log_jets(fs) == expected
     # a dim! determinant expansion makes dim! * dim = 4320 products here
     assert 0 < len(calls) <= (order - 2) * dim ** 3
 
