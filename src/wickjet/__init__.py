@@ -11,10 +11,8 @@ from .errors import (
     WickjetError,
 )
 from .jets import (
-    CurvatureTensor,
     PotentialJets,
     apply_normalization,
-    curvature,
     flat_potential,
     fubini_study_potential,
     k_normalize,
@@ -31,9 +29,7 @@ from .integrals import (
 )
 from .btrep import (
     BTContext,
-    bt_coefficient,
     bt_star_eval,
-    local_asymptotic_coeffs,
     rep_act,
     vacuum_reduce,
 )
@@ -78,20 +74,16 @@ __all__ = [
     "toeplitz_symbol",
     "toeplitz_apply",
     "PotentialJets",
-    "CurvatureTensor",
     "k_normalize",
     "apply_normalization",
     "volume_log_jets",
     "weight_series",
-    "curvature",
     "flat_potential",
     "fubini_study_potential",
     "random_real_analytic_potential",
     "BTContext",
     "bt_star_eval",
-    "bt_coefficient",
     "rep_act",
-    "local_asymptotic_coeffs",
     "vacuum_reduce",
     "FactorialRational",
     "RationalSymbol",

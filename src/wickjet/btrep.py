@@ -29,9 +29,7 @@ from .wick import fock_act, wick_star
 __all__ = [
     "BTContext",
     "bt_star_eval",
-    "bt_coefficient",
     "rep_act",
-    "local_asymptotic_coeffs",
     "vacuum_reduce",
 ]
 
@@ -104,41 +102,11 @@ def bt_star_eval(f: WickSeries, g: WickSeries, ctx: BTContext):
                      right.antiholomorphic_part()).constant_part()
 
 
-def bt_coefficient(f: WickSeries, g: WickSeries, ctx: BTContext, k: int):
-    """The k-th h-coefficient of the deformed product at the point."""
-    if k < 0 or 2 * k > ctx.trunc:
-        raise PreconditionError(
-            f"coefficient index {k} outside the window (trunc {ctx.trunc})")
-    return bt_star_eval(f, g, ctx).coefficient(2 * k)
-
-
 def rep_act(f: WickSeries, alpha: WickSeries, ctx: BTContext) -> WickSeries:
     """Act on a holomorphic model-space element through the Toeplitz symbol."""
     _check_fock(alpha, ctx)
     symbol = toeplitz_symbol(_to_algebra(f, ctx), ctx.weight)
     return fock_act(symbol, alpha)
-
-
-def local_asymptotic_coeffs(f: WickSeries, s: WickSeries, ctx: BTContext,
-                            r: int) -> dict:
-    """Asymptotic coefficients a[(k, I)] of the action on holomorphic jets.
-
-    Returns the coefficients of ``rep_act(f, J_s, ctx)`` indexed by the
-    h-power k and the monomial I, restricted to ``2k + |I| <= r``.
-    """
-    if r > ctx.trunc:
-        raise PreconditionError(f"order {r} exceeds the truncation {ctx.trunc}")
-    section = _to_algebra(s, ctx)
-    if not section.is_holomorphic():
-        raise PreconditionError("the section jets must be holomorphic")
-    acted = rep_act(f, section, ctx)
-    out = {}
-    for (k2, I, _), c in acted.terms.items():
-        if k2 % 2 or k2 < 0:
-            raise SolveError("asymptotic coefficients need plain integer h-powers")
-        if k2 + sum(I) <= r:
-            out[(k2 // 2, I)] = c
-    return out
 
 
 def vacuum_reduce(a: WickSeries, ctx: BTContext, target: int):

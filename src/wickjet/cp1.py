@@ -12,8 +12,8 @@ and each entry has a closed form, so a Toeplitz matrix keeps just the tensor
 power and the symbol: an entry costs O(terms), and a composed entry sums
 over the middle indices that the right factor's terms reach.
 
-Floating point appears only in the final convergence-rate regressions and in
-numeric spot checks; all matrix data is exact.
+Floating point appears only in the final convergence-rate regressions; all
+matrix data is exact.
 """
 
 from __future__ import annotations
@@ -98,19 +98,6 @@ class FactorialRational:
                                  self.den_shifts + other.den_shifts)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            return FactorialRational(
-                self.scalar / ComplexRational.coerce(other),
-                self.num_shifts, self.den_shifts)
-        if not isinstance(other, FactorialRational):
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("division by the zero rational function")
-        return FactorialRational(self.scalar / other.scalar,
-                                 self.num_shifts + other.den_shifts,
-                                 self.den_shifts + other.num_shifts)
 
     def evaluate(self, m: int) -> ComplexRational:
         """Exact value at a numeric tensor power."""
@@ -209,14 +196,6 @@ class RationalSymbol:
 
     def is_real(self) -> bool:
         return self.num.conjugate() == self.num
-
-    def evaluate(self, z: complex) -> complex:
-        """Floating-point evaluation (used only for numeric spot checks)."""
-        zb = z.conjugate()
-        total = 0j
-        for (_, (a,), (b,)), c in self.num.terms.items():
-            total += complex(float(c.re), float(c.im)) * z ** a * zb ** b
-        return total / (1.0 + (z * zb).real) ** self.denom_power
 
     def __eq__(self, other):
         if not isinstance(other, RationalSymbol):
@@ -385,7 +364,7 @@ def composition_residual(f: RationalSymbol, g: RationalSymbol, ms, orders,
                 residual = exact - partial
                 rows[order].setdefault((p, q), []).append(
                     (m, exact, partial,
-                     abs(complex(float(residual.re), float(residual.im)))))
+                     abs(complex(residual))))
     return {order: {key: _fit(element_rows)
                     for key, element_rows in per_element.items()}
             for order, per_element in rows.items()}

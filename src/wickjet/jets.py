@@ -34,12 +34,10 @@ from .wick import log_series
 
 __all__ = [
     "PotentialJets",
-    "CurvatureTensor",
     "k_normalize",
     "apply_normalization",
     "volume_log_jets",
     "weight_series",
-    "curvature",
     "flat_potential",
     "fubini_study_potential",
     "random_real_analytic_potential",
@@ -78,18 +76,23 @@ def _power_table(s: WickSeries, top: int) -> list:
 
 
 def _substitute(series: WickSeries, subs: list) -> WickSeries:
-    """Formal composition: replace z_i by subs[i] (and zbar_i by its conjugate)."""
+    """Formal composition: replace z_i by subs[i] (and zbar_i by its conjugate).
+
+    Identity coordinates return ``series`` itself, after the same checks.
+    """
     dim, trunc = series.dim, series.trunc
     zero = mi_zero(dim)
     for s in subs:
         if (0, zero, zero) in s.num:
             raise PreconditionError("coordinate changes must fix the marked point")
+    if not _is_classical(series):
+        raise PreconditionError("substitution is defined for classical jets only")
+    if list(subs) == _identity_coords(dim, trunc):
+        return series
     conj = [s.conjugate() for s in subs]
     max_i = [0] * dim
     max_j = [0] * dim
-    for (k2, I, J) in series.num:
-        if k2:
-            raise PreconditionError("substitution is defined for classical jets only")
+    for (_, I, J) in series.num:
         for i in range(dim):
             max_i[i] = max(max_i[i], I[i])
             max_j[i] = max(max_j[i], J[i])
@@ -200,58 +203,6 @@ class PotentialJets:
     def __repr__(self) -> str:
         return (f"PotentialJets(dim={self.dim}, order={self.order}, "
                 f"terms={len(self.varphi)}, normalized={self.normalized})")
-
-
-class CurvatureTensor:
-    """Quartic curvature data R[(i, j, k, l)] paired with z_i zbar_j z_k zbar_l.
-
-    Entries are symmetric under swapping (i, k) and (j, l) and satisfy the
-    Hermitian reality R[(i, j, k, l)] == conj(R[(j, i, l, k)]); both are
-    verified at construction.  Missing entries read as zero.
-    """
-
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, dim: int, entries):
-        store = {}
-        for key, value in dict(entries).items():
-            i, j, k, l = (int(v) for v in key)
-            if not all(0 <= v < dim for v in (i, j, k, l)):
-                raise PreconditionError(f"curvature index {key!r} out of range")
-            coeff = ComplexRational.coerce(value)
-            if coeff:
-                store[(i, j, k, l)] = coeff
-        zero = ComplexRational()
-        for (i, j, k, l), c in store.items():
-            if store.get((k, j, i, l), zero) != c or store.get((i, l, k, j), zero) != c:
-                raise PreconditionError("curvature entries must be symmetric "
-                                        "in the holomorphic and in the "
-                                        "anti-holomorphic index pairs")
-            if store.get((j, i, l, k), zero) != c.conjugate():
-                raise PreconditionError("curvature entries must satisfy "
-                                        "Hermitian reality")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", store)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("CurvatureTensor is immutable")
-
-    def entry(self, i: int, j: int, k: int, l: int) -> ComplexRational:
-        return self.entries.get((i, j, k, l), ComplexRational())
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CurvatureTensor):
-            return NotImplemented
-        return (self.dim, self.entries) == (other.dim, other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.dim, frozenset(self.entries.items())))
-
-    def __repr__(self) -> str:
-        return f"CurvatureTensor(dim={self.dim}, entries={len(self.entries)})"
 
 
 # ---------------------------------------------------------------------------
@@ -497,32 +448,6 @@ def weight_series(p: PotentialJets, trunc: int) -> WeightSeries:
     return weight
 
 
-def _index_pair(I):
-    spots = [i for i, v in enumerate(I) if v]
-    if len(spots) == 1:
-        return (spots[0], spots[0]), 1
-    return (spots[0], spots[1]), 2
-
-
-def curvature(p: PotentialJets) -> CurvatureTensor:
-    """Read the quartic (2,2) jets of a normalized potential as a tensor."""
-    if not p.normalized:
-        raise PreconditionError("curvature needs a normalized potential")
-    if p.order < 4:
-        raise PreconditionError("curvature needs jets at least to order 4")
-    entries = {}
-    for (_, I, J), c in p.varphi.terms.items():
-        if sum(I) != 2 or sum(J) != 2:
-            continue
-        (i, k), mult_i = _index_pair(I)
-        (j, l), mult_j = _index_pair(J)
-        value = c / (mult_i * mult_j)
-        for a, b in ((i, k), (k, i)):
-            for u, v in ((j, l), (l, j)):
-                entries[(a, u, b, v)] = value
-    return CurvatureTensor(p.dim, entries)
-
-
 # ---------------------------------------------------------------------------
 # built-in potentials
 
@@ -553,12 +478,7 @@ def random_real_analytic_potential(seed: int, dim: int, order: int,
     if order < 2:
         raise PreconditionError("random potentials need order >= 2")
     rng = _random.Random(seed)
-    varphi: dict = {}
-
-    def add(I, J, c):
-        key = (0, tuple(I), tuple(J))
-        varphi[key] = varphi.get(key, ComplexRational()) + ComplexRational.coerce(c)
-
+    jets = []  # ((0, I, J), coefficient) pairs, summed at the end
     lower = [[ComplexRational(1 if i == j else 0) for j in range(dim)]
              for i in range(dim)]
     for i in range(dim):
@@ -573,14 +493,15 @@ def random_real_analytic_potential(seed: int, dim: int, order: int,
             for k in range(dim):
                 acc = acc + lower[i][k] * lower[j][k].conjugate() * (roots[k] ** 2)
             if acc:
-                add(_unit(dim, j), _unit(dim, i), acc)
+                jets.append(((0, _unit(dim, j), _unit(dim, i)), acc))
 
-    add(mi_zero(dim), mi_zero(dim), random_rational(rng, 4, 3))
+    zero = mi_zero(dim)
+    jets.append(((0, zero, zero), random_rational(rng, 4, 3)))
     for i in range(dim):
         if rng.random() < 0.8:
             c = random_coefficient(rng, 4, 3, 0.6)
-            add(_unit(dim, i), mi_zero(dim), c)
-            add(mi_zero(dim), _unit(dim, i), c.conjugate())
+            ei = _unit(dim, i)
+            jets += [((0, ei, zero), c), ((0, zero, ei), c.conjugate())]
 
     half = ComplexRational(Fraction(1, 2))
     for _ in range(n_terms):
@@ -591,9 +512,8 @@ def random_real_analytic_potential(seed: int, dim: int, order: int,
             if total < 2 or total > order or (sum(I) == 1 and sum(J) == 1):
                 continue
             c = random_coefficient(rng, 4, 3, 0.6) * half
-            add(I, J, c)
-            add(J, I, c.conjugate())
+            jets += [((0, I, J), c), ((0, J, I), c.conjugate())]
             break
 
-    return PotentialJets(WickSeries(dim, order, varphi))
+    return PotentialJets(WickSeries(dim, order, accumulate(jets)))
 

@@ -326,6 +326,15 @@ def reference_mobius_pullback(symbol, w) -> dict:
     return {key: c for key, c in total.items() if c}
 
 
+def evaluate_symbol(symbol, z: complex) -> complex:
+    """Floating-point value of a CP^1 ``RationalSymbol`` at the point z."""
+    zb = z.conjugate()
+    total = 0j
+    for (_, (a,), (b,)), c in symbol.num.terms.items():
+        total += complex(c) * z ** a * zb ** b
+    return total / (1.0 + (z * zb).real) ** symbol.denom_power
+
+
 def dense_matmul(left: list, right: list) -> list:
     """Plain triple-loop product of two ComplexRational row-list matrices."""
     zero = ComplexRational(0)

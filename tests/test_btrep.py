@@ -5,9 +5,7 @@ import pytest
 
 from wickjet.btrep import (
     BTContext,
-    bt_coefficient,
     bt_star_eval,
-    local_asymptotic_coeffs,
     rep_act,
     vacuum_reduce,
 )
@@ -169,16 +167,6 @@ def test_unit_factor_gives_exact_value_series():
     assert bt_star_eval(g, one2, two) == hseries(TRUNC, {0: g0})
 
 
-def test_bt_coefficient_window_and_values():
-    ctx = flat_ctx()
-    assert bt_coefficient(z_jets(), zbar_jets(), ctx, 1) == ComplexRational(-1)
-    assert not bt_coefficient(z_jets(), zbar_jets(), ctx, 0)
-    with pytest.raises(PreconditionError):
-        bt_coefficient(z_jets(), zbar_jets(), ctx, TRUNC // 2 + 1)
-    with pytest.raises(PreconditionError):
-        bt_coefficient(z_jets(), zbar_jets(), ctx, -1)
-
-
 def test_zeroth_coefficient_is_the_pointwise_product():
     rng = random.Random(23)
     for ctx in (fs_ctx(), quartic_ctx()):
@@ -187,7 +175,7 @@ def test_zeroth_coefficient_is_the_pointwise_product():
             g = random_function_jets(rng, 1, TRUNC)
             f0 = f.coefficient(0, (0,), (0,))
             g0 = g.coefficient(0, (0,), (0,))
-            assert bt_coefficient(f, g, ctx, 0) == f0 * g0
+            assert bt_star_eval(f, g, ctx).coefficient(0) == f0 * g0
 
 
 # ---------------------------------------------------------------------------
@@ -311,57 +299,41 @@ def test_rep_act_validates_inputs():
 
 
 # ---------------------------------------------------------------------------
-# local asymptotic coefficients
+# the action on holomorphic jets, term by term
 
 
 def test_asymptotics_flat_lowering():
-    ctx = flat_ctx()
-    coeffs = local_asymptotic_coeffs(zbar_jets(), z_jets(), ctx, TRUNC)
-    assert coeffs == {(1, (0,)): ComplexRational(1)}
+    assert rep_act(zbar_jets(), z_jets(), flat_ctx()) == \
+        WickSeries.monomial(1, TRUNC, 1, 2, (0,), (0,))
 
 
 def test_asymptotics_constant_section():
-    ctx = fs_ctx()
     one = WickSeries.unit(1, TRUNC)
-    coeffs = local_asymptotic_coeffs(one, one, ctx, TRUNC)
-    assert coeffs == {(0, (0,)): ComplexRational(1)}
+    assert rep_act(one, one, fs_ctx()) == one
 
 
 def test_asymptotics_fs_lowering_is_exact():
     # the Fubini-Study corrections cancel on the linear section, matching
     # the closed-form Gram ratio 1/m whose expansion is exactly h
-    ctx = fs_ctx()
-    coeffs = local_asymptotic_coeffs(zbar_jets(), z_jets(), ctx, TRUNC)
-    assert coeffs == {(1, (0,)): ComplexRational(1)}
+    assert rep_act(zbar_jets(), z_jets(), fs_ctx()) == \
+        WickSeries.monomial(1, TRUNC, 1, 2, (0,), (0,))
 
 
 def test_asymptotics_corrections_start_at_degree_four():
-    ctx = fs_ctx()
     quad = WickSeries(1, TRUNC, {(0, (2,), (0,)): 1})
-    coeffs = local_asymptotic_coeffs(zbar_jets(), quad, ctx, TRUNC)
-    assert coeffs[(1, (1,))] == ComplexRational(2)
-    others = {key for key in coeffs if key != (1, (1,))}
+    acted = rep_act(zbar_jets(), quad, fs_ctx())
+    assert acted.coefficient(2, (1,), (0,)) == ComplexRational(2)
+    others = {key for key in acted.terms if key != (2, (1,), (0,))}
     assert others, "curvature corrections should appear"
-    assert all(2 * k + sum(I) >= 4 for (k, I) in others)
-    assert coeffs[(2, (1,))] == ComplexRational(2)
+    assert all(k2 + sum(I) >= 4 for (k2, I, _) in others)
+    assert acted.coefficient(4, (1,), (0,)) == ComplexRational(2)
 
-    quartic = quartic_ctx()
-    frozen = local_asymptotic_coeffs(zbar_jets(), z_jets(), quartic, TRUNC)
-    assert frozen == {
-        (1, (0,)): ComplexRational(1),
-        (2, (0,)): ComplexRational(Fraction(4, 5)),
-        (3, (0,)): ComplexRational(Fraction(8, 5)),
-    }
-
-
-def test_asymptotics_windows_and_preconditions():
-    ctx = fs_ctx()
-    with pytest.raises(PreconditionError):
-        local_asymptotic_coeffs(zbar_jets(), z_jets(), ctx, TRUNC + 1)
-    with pytest.raises(PreconditionError):
-        local_asymptotic_coeffs(zbar_jets(), zbar_jets(), ctx, TRUNC)
-    shallow = local_asymptotic_coeffs(zbar_jets(), z_jets(), ctx, 2)
-    assert set(shallow) == {(1, (0,))}
+    frozen = rep_act(zbar_jets(), z_jets(), quartic_ctx())
+    assert frozen == WickSeries(1, TRUNC, {
+        (2, (0,), (0,)): 1,
+        (4, (0,), (0,)): Fraction(4, 5),
+        (6, (0,), (0,)): Fraction(8, 5),
+    })
 
 
 # ---------------------------------------------------------------------------

