@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .btrep import BTContext, bt_star_eval, rep_act
-from .coefficients import format_rational
+from .coefficients import format_complex
 from .errors import WickjetError
 from .jets import (
     PotentialJets,
@@ -235,12 +235,14 @@ def _parse_out(data: dict) -> dict:
 
 def load_job(path, trunc_ceiling: int) -> JobSpec:
     """Parse and validate one JSON job file into a JobSpec."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise JobError(f"{path}: line {exc.lineno}, column {exc.colno}: "
                        f"{exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, an integer past int()'s digit limit, or nesting too deep
+        raise JobError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise JobError(f"{path}: the job must be a JSON object")
     if not data:
@@ -336,10 +338,9 @@ def _load_job_data(data: dict, trunc_ceiling: int) -> JobSpec:
 # mode runners
 
 
-def _record_lines(records, indent: str = "  ") -> list:
-    if not records:
-        return [indent + "(zero)"]
-    return [indent + json.dumps(rec) for rec in records]
+def _record_lines(title: str, records: list) -> list:
+    """``title``, then one indented JSON line per record, or "(zero)"."""
+    return [title] + ([f"  {json.dumps(rec)}" for rec in records] or ["  (zero)"])
 
 
 def _context_for(job: JobSpec) -> tuple:
@@ -352,35 +353,28 @@ def _context_for(job: JobSpec) -> tuple:
     return BTContext.from_potential(potential, job.trunc), lines
 
 
+def _series_lines(job: JobSpec, names: tuple, label: str, result) -> list:
+    """The named input series, then ``result`` as text and as records."""
+    lines = [f"{name}: {job.inputs[name]}" for name in names]
+    lines.append(f"{label}: {result}")
+    return lines + _record_lines(f"{label} records:", result.to_records())
+
+
 def _run_wick_star(job: JobSpec) -> tuple:
     product = wick_star(job.inputs["lhs"], job.inputs["rhs"])
-    lines = [f"lhs: {job.inputs['lhs']}",
-             f"rhs: {job.inputs['rhs']}",
-             f"product: {product}",
-             "product records:"]
-    lines += _record_lines(product.to_records())
-    return lines, {}, True
+    return _series_lines(job, ("lhs", "rhs"), "product", product), {}, True
 
 
 def _run_bt_eval(job: JobSpec) -> tuple:
     ctx, lines = _context_for(job)
     value = bt_star_eval(job.inputs["lhs"], job.inputs["rhs"], ctx)
-    lines += [f"lhs: {job.inputs['lhs']}",
-              f"rhs: {job.inputs['rhs']}",
-              f"value: {value}",
-              "value records:"]
-    lines += _record_lines(value.to_records())
-    return lines, {}, True
+    return lines + _series_lines(job, ("lhs", "rhs"), "value", value), {}, True
 
 
 def _run_rep_act(job: JobSpec) -> tuple:
     ctx, lines = _context_for(job)
     result = rep_act(job.inputs["function"], job.inputs["element"], ctx)
-    lines += [f"function: {job.inputs['function']}",
-              f"element: {job.inputs['element']}",
-              f"result: {result}",
-              "result records:"]
-    lines += _record_lines(result.to_records())
+    lines += _series_lines(job, ("function", "element"), "result", result)
     return lines, {}, True
 
 
@@ -395,24 +389,21 @@ def _run_k_normalize(job: JobSpec) -> tuple:
     raw = job.inputs["potential"]
     normalized, coords, frame = k_normalize(raw)
     round_trip = apply_normalization(raw, coords, frame) == normalized
-    lines = [f"normalized potential (order {normalized.order}):"]
-    lines += _record_lines(_jet_records(normalized.varphi))
-    lines.append("volume-log jets:")
-    lines += _record_lines(_jet_records(normalized.psi))
+    lines = _record_lines(f"normalized potential (order {normalized.order}):",
+                          _jet_records(normalized.varphi))
+    lines += _record_lines("volume-log jets:", _jet_records(normalized.psi))
     for i, series in enumerate(coords):
-        lines.append(f"coordinate change (component {i + 1}):")
-        lines += _record_lines(_jet_records(series, "J"))
-    lines.append("frame change:")
-    lines += _record_lines(_jet_records(frame, "J"))
+        lines += _record_lines(f"coordinate change (component {i + 1}):",
+                               _jet_records(series, "J"))
+    lines += _record_lines("frame change:", _jet_records(frame, "J"))
     lines.append(f"round-trip: {'ok' if round_trip else 'FAILED'}")
     return lines, {}, round_trip
 
 
 def _csv_value(c) -> str:
-    if c.im:
-        return f"{format_rational(c.re)}{'+' if c.im > 0 else ''}" \
-               f"{format_rational(c.im)}i"
-    return format_rational(c.re)
+    if c.re or not c.im:
+        return format_complex(c.re, c.im)
+    return f"0{'+' if c.im > 0 else ''}{c.im}i"  # keeps the zero real part
 
 
 def _composition_csv(per_element: dict) -> str:
@@ -483,6 +474,11 @@ def _run_suite(job: JobSpec, seed: int) -> tuple:
     return lines, {}, accepted
 
 
+_RUNNERS = {"wick-star": _run_wick_star, "bt-eval": _run_bt_eval,
+            "rep-act": _run_rep_act, "k-normalize": _run_k_normalize,
+            "cp1-verify": _run_cp1_verify}
+
+
 def run(job: JobSpec, seed: int = 0) -> Report:
     """Execute a parsed job; the report text is canonical and reproducible."""
     header = ["wickjet report", f"mode: {job.mode}"]
@@ -490,18 +486,10 @@ def run(job: JobSpec, seed: int = 0) -> Report:
         header.append(f"dim: {job.dim}")
         header.append(f"trunc: {job.trunc}")
 
-    if job.mode == "wick-star":
-        lines, files, accepted = _run_wick_star(job)
-    elif job.mode == "bt-eval":
-        lines, files, accepted = _run_bt_eval(job)
-    elif job.mode == "rep-act":
-        lines, files, accepted = _run_rep_act(job)
-    elif job.mode == "k-normalize":
-        lines, files, accepted = _run_k_normalize(job)
-    elif job.mode == "cp1-verify":
-        lines, files, accepted = _run_cp1_verify(job)
-    else:
+    if job.mode == "suite":
         lines, files, accepted = _run_suite(job, seed)
+    else:
+        lines, files, accepted = _RUNNERS[job.mode](job)
 
     status = "ok" if accepted else "acceptance-failure"
     text = "\n".join(header + lines + [f"status: {status}"]) + "\n"

@@ -9,9 +9,11 @@ final regression step of the CP^1 decay fits.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 __all__ = ["ComplexRational", "I", "parse_rational", "format_rational",
-           "LITERAL_DIGITS", "random_rational", "random_coefficient"]
+           "format_complex", "LITERAL_DIGITS", "random_rational",
+           "random_coefficient"]
 
 _RatLike = (int, Fraction)
 
@@ -29,6 +31,13 @@ def parse_rational(text: str) -> Fraction:
     ValueError; the size bound is checked before any number is formed.
     """
     text = text.strip()
+    num, slash, den = text.partition("/")
+    if len(text) <= LITERAL_DIGITS and text.isascii() \
+            and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+        # "p", "-p", "p/q" or "-p/q" in ASCII digits: int() reads it directly
+        num, den = int(num), int(den) if slash else 1
+        if den:
+            return Fraction(num, den)
     mantissa, _, exponent = text.lower().partition("e")
     if sum(map(str.isdigit, mantissa)) > LITERAL_DIGITS \
             or sum(map(str.isdigit, exponent)) > 2:
@@ -41,9 +50,24 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def format_rational(value: Fraction) -> str:
-    """Canonical string form: ``"p/q"`` in lowest terms, ``"p"`` for integers."""
-    return str(value)
+def format_rational(value, den: int = 1) -> str:
+    """``value / den`` (an int over den > 0, or a Fraction) as ``"p/q"`` or ``"p"``."""
+    if den == 1:
+        return str(value)
+    common = gcd(value, den)
+    if common == den:
+        return str(value // den)
+    return f"{value // common}/{den // common}"
+
+
+def format_complex(re, im, den: int = 1) -> str:
+    """``(re + im i) / den`` as ``"p"``, ``"qi"``, ``"p+qi"`` or ``"p-qi"``."""
+    if not im:
+        return format_rational(re, den)
+    if not re:
+        return f"{format_rational(im, den)}i"
+    sign = "+" if im > 0 else "-"
+    return f"{format_rational(re, den)}{sign}{format_rational(abs(im), den)}i"
 
 
 class ComplexRational:
@@ -171,12 +195,7 @@ class ComplexRational:
         return f"ComplexRational({self.re}, {self.im})"
 
     def __str__(self) -> str:
-        if not self.im:
-            return format_rational(self.re)
-        if not self.re:
-            return f"{format_rational(self.im)}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{format_rational(self.re)}{sign}{format_rational(abs(self.im))}i"
+        return format_complex(self.re, self.im)
 
 
 I = ComplexRational(0, 1)

@@ -353,7 +353,7 @@ def composition_residual(f: RationalSymbol, g: RationalSymbol, ms, orders,
         mg = mf if g == f else cp1_toeplitz(m, g)
         for (p, q), series in sorted(predicted.items()):
             exact = mf.composition_entry(mg, p, q)
-            powers = [(k2 // 2, c) for (k2, _, _), c in series.sorted_terms()
+            powers = [(k2 // 2, c) for (k2, _, _), c in sorted(series.terms.items())
                       if k2 >= 0 and not k2 % 2]
             for order in orders:
                 partial = _ZERO

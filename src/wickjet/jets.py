@@ -29,7 +29,7 @@ from operator import mul
 from .coefficients import ComplexRational, random_coefficient, random_rational
 from .errors import PreconditionError, SolveError
 from .integrals import WeightSeries
-from .series import WickSeries, accumulate, mi_sub, mi_zero, read_record
+from .series import WickSeries, accumulate, mi_sub, mi_zero, read_records
 from .wick import log_series
 
 __all__ = [
@@ -159,10 +159,8 @@ class PotentialJets:
         A jet above the order window raises instead of being truncated away,
         and so does a jet with a nonzero ``"k2"``: potentials carry no h.
         """
-        terms = {}
-        jets = accumulate(read_record({"k2": 0, **rec}, "k2", "I", "J")
-                          for rec in records)
-        for (k2, I, J), c in jets.items():
+        num, den = read_records({"k2": 0, **rec} for rec in records)
+        for k2, I, J in num:
             if k2:
                 raise PreconditionError(
                     f"potential jet {(I, J)!r} has k2={k2}; potentials carry no h")
@@ -172,8 +170,7 @@ class PotentialJets:
             if sum(I) + sum(J) > order:
                 raise PreconditionError(
                     f"potential jet {(I, J)!r} exceeds the order-{order} window")
-            terms[(0, I, J)] = c
-        return cls(WickSeries(dim, order, terms))
+        return cls(WickSeries(dim, order)._build(num, den))
 
     @property
     def psi(self) -> WickSeries | None:

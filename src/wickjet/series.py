@@ -15,7 +15,9 @@ lower window: negative k2 (inverse powers of h, the extended algebra) is
 allowed anywhere, and a series is exactly its terms.  Only
 ``WickSeries.from_records`` bounds degrees from below, for outside input.
 Zero is the empty term map and equality is structural on the canonical
-integer layout ``(dim, trunc, den, num)``.
+integer layout ``(dim, trunc, den, num)``.  Term records are read into that
+layout and ``str`` and ``to_records`` write from it; ``ComplexRational``
+values appear only in ``coefficient()`` and the ``terms`` view.
 
 A series of dim 0 has no generators: it is a series in h alone, the scalar
 ring in which pairings, values at a point and 1/m expansions live.
@@ -29,7 +31,8 @@ from operator import add, itemgetter, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .coefficients import ComplexRational, format_rational, parse_rational
+from .coefficients import (ComplexRational, format_complex, format_rational,
+                           parse_rational)
 from .errors import DegreeWindowError, DimensionMismatch, PreconditionError, TruncationMismatch
 
 __all__ = [
@@ -41,7 +44,7 @@ __all__ = [
     "accumulate",
     "power_terms",
     "bilinear_terms",
-    "read_record",
+    "read_records",
     "WickSeries",
 ]
 
@@ -149,27 +152,42 @@ def _record_int(value) -> int:
     return value
 
 
-def _record_rational(rec: dict, name: str) -> Fraction:
-    text = rec.get(name, "0")
-    if not isinstance(text, str):
-        raise ValueError(f"\"{name}\" must be a rational string, got {text!r}")
-    return parse_rational(text)
+def read_records(records: Iterable[dict]) -> tuple:
+    """Term records as integer pairs ``{(k2, I, J): (a, b)}`` over one denominator.
 
-
-def read_record(rec: dict, *fields: str) -> tuple:
-    """One term record as ``(key, coefficient)``; malformed ones raise ValueError.
-
-    ``"k2"`` is read as an integer and every other named field as a list of
-    integers; booleans and non-integral numbers are rejected.  One field
-    gives a bare key, several give a tuple.  ``re``/``im`` are rational
-    strings such as ``"-3/2"`` (missing means zero).
+    A record holds an integer ``"k2"``, integer lists ``"I"`` and ``"J"``
+    and rational strings ``"re"``/``"im"`` such as ``"-3/2"`` (missing
+    means zero); booleans and non-integral numbers are rejected, and so is
+    any other malformed record (KeyError, TypeError or ValueError).  Each
+    coefficient is (a + bi) / den.  Duplicate keys add up; sums that cancel
+    stay as (0, 0), so the caller checks every key it was given.
     """
-    parts = tuple(_record_int(rec[name]) if name == "k2"
-                  else tuple(_record_int(e) for e in rec[name])
-                  for name in fields)
-    coeff = ComplexRational(_record_rational(rec, "re"),
-                            _record_rational(rec, "im"))
-    return (parts[0] if len(parts) == 1 else parts), coeff
+    keys, parts = [], []
+    for rec in records:
+        keys.append((_record_int(rec["k2"]), tuple(map(_record_int, rec["I"])),
+                     tuple(map(_record_int, rec["J"]))))
+        for name in ("re", "im"):
+            text = rec.get(name, "0")
+            if not isinstance(text, str):
+                raise ValueError(f"\"{name}\" must be a rational string, got {text!r}")
+            parts.append(parse_rational(text))
+    den = lcm(*(x.denominator for x in parts))
+    ints = [x.numerator * (den // x.denominator) for x in parts]
+    re_sums = accumulate(zip(keys, ints[::2]))
+    im_sums = accumulate(zip(keys, ints[1::2]))
+    return {key: (a, im_sums[key]) for key, a in re_sums.items()}, den
+
+
+def _check_keys(dim: int, keys: Iterable) -> None:
+    """Reject a negative dim, and keys of outside input that do not fit it."""
+    if dim < 0:
+        raise DimensionMismatch(f"dim must be >= 0, got {dim}")
+    for key in keys:
+        if len(key[1]) != dim or len(key[2]) != dim:
+            raise DimensionMismatch(
+                f"multi-index length != dim={dim} in term {key}")
+        if min(key[1] + key[2], default=0) < 0:
+            raise ValueError(f"negative multi-index entry in term {key}")
 
 
 class WickSeries:
@@ -185,14 +203,7 @@ class WickSeries:
     def __init__(self, dim: int, trunc: int, terms: Mapping | None = None):
         coeffs = {(k2, tuple(I), tuple(J)): ComplexRational.coerce(c)
                   for (k2, I, J), c in (terms or {}).items()}
-        if dim < 0:
-            raise DimensionMismatch(f"dim must be >= 0, got {dim}")
-        for key in coeffs:
-            if len(key[1]) != dim or len(key[2]) != dim:
-                raise DimensionMismatch(
-                    f"multi-index length != dim={dim} in term {key}")
-            if min(key[1] + key[2], default=0) < 0:
-                raise ValueError(f"negative multi-index entry in term {key}")
+        _check_keys(dim, coeffs)
         den = lcm(*(x.denominator for c in coeffs.values() for x in (c.re, c.im)))
         self._fill(dim, trunc, {key: (c.re.numerator * (den // c.re.denominator),
                                       c.im.numerator * (den // c.im.denominator))
@@ -201,8 +212,9 @@ class WickSeries:
     def _fill(self, dim: int, trunc: int, num: Mapping, den: int) -> None:
         """Store ``num`` over ``den`` canonically, dropping terms past ``trunc``.
 
-        The keys are trusted: ``__init__`` checks the multi-indices of
-        outside input, and the kernel's expansion rules keep them in form.
+        The keys are trusted: ``__init__`` and ``from_records`` check the
+        multi-indices of outside input, and the kernel's expansion rules
+        keep them in form.
         """
         if trunc < 0:
             raise ValueError(f"trunc must be >= 0, got {trunc}")
@@ -284,10 +296,6 @@ class WickSeries:
         a, b = self.num.get((k2, zero if I is None else tuple(I),
                              zero if J is None else tuple(J)), (0, 0))
         return ComplexRational(Fraction(a, self.den), Fraction(b, self.den))
-
-    def sorted_terms(self) -> list:
-        """Terms in canonical (k2, I, J) lexicographic order."""
-        return sorted(self.terms.items())
 
     def min_degree(self) -> int | None:
         """Least term degree, or None for the zero series."""
@@ -450,23 +458,31 @@ class WickSeries:
     def __str__(self) -> str:
         if not self.num:
             return "0"
-        return " + ".join(_format_term(self.dim, key, coeff)
-                          for key, coeff in self.sorted_terms()).replace("+ -", "- ")
+        dim, den = self.dim, self.den
+        names = [symbol if dim == 1 else f"{symbol}{i}"
+                 for symbol in ("y", "yb") for i in range(1, dim + 1)]
+        text = " + ".join(_format_term(names, key, a, b, den)
+                          for key, (a, b) in sorted(self.num.items()))
+        return text.replace("+ -", "- ")
 
     # -- serialization ---------------------------------------------------------
 
     def to_records(self) -> list[dict]:
-        """One record per term; a series in h alone (dim 0) leaves out I and J."""
-        return [{"k2": k2, **({"I": list(I), "J": list(J)} if self.dim else {}),
-                 "re": format_rational(c.re), "im": format_rational(c.im)}
-                for (k2, I, J), c in self.sorted_terms()]
+        """One record per term, in key order; a dim-0 series leaves out I and J."""
+        dim, den = self.dim, self.den
+        return [{"k2": k2, **({"I": list(I), "J": list(J)} if dim else {}),
+                 "re": format_rational(a, den), "im": format_rational(b, den)}
+                for (k2, I, J), (a, b) in sorted(self.num.items())]
 
     @classmethod
     def from_records(cls, dim: int, trunc: int, records: Iterable[dict],
                      lower_bound: int = 0) -> "WickSeries":
-        """Read term records; a kept term of degree below ``lower_bound`` raises."""
-        series = cls(dim, trunc,
-                     accumulate(read_record(rec, "k2", "I", "J") for rec in records))
+        """Read term records (see ``read_records``); a key that does not fit
+        ``dim`` raises, and so does a kept term of degree below ``lower_bound``."""
+        num, den = read_records(records)
+        _check_keys(dim, num)
+        series = object.__new__(cls)
+        series._fill(dim, trunc, num, den)
         for key in series.num:
             degree = total_degree(*key)
             if degree < lower_bound:
@@ -489,33 +505,26 @@ def _format_hbar(k2: int) -> str:
     return f"h^({k2}/2)"
 
 
-def _format_vars(symbol: str, index: MultiIndex, dim: int) -> list[str]:
-    parts = []
-    for i, power in enumerate(index):
-        if not power:
-            continue
-        name = symbol if dim == 1 else f"{symbol}{i + 1}"
-        parts.append(name if power == 1 else f"{name}^{power}")
-    return parts
+def _format_term(names: list, key, a: int, b: int, den: int) -> str:
+    """The term (a + bi)/den h^(k2/2) y^I yb^J as ``str`` prints it.
 
-
-def _format_term(dim: int, key, coeff: ComplexRational) -> str:
+    ``names`` holds the variable names of y then yb, none at dim 0.
+    """
     k2, I, J = key
-    factors: list[str] = []
-    if k2:
-        factors.append(_format_hbar(k2))
-    factors.extend(_format_vars("y", I, dim))
-    factors.extend(_format_vars("yb", J, dim))
+    factors = [_format_hbar(k2)] if k2 else []
+    factors += [name if power == 1 else f"{name}^{power}"
+                for name, power in zip(names, I + J) if power]
     if not factors:  # a series in h alone also brackets a negative constant
-        return f"({coeff})" if coeff.im or (not dim and coeff.re < 0) else str(coeff)
+        coeff = format_complex(a, b, den)
+        return f"({coeff})" if b or (not names and a < 0) else coeff
     body = " ".join(factors)
-    if coeff == 1:
+    if b:
+        return f"({format_complex(a, b, den)}) {body}"
+    if a == den:
         return body
-    if coeff == -1:
+    if a == -den:
         return f"-{body}"
-    if coeff.im:
-        return f"({coeff}) {body}"
-    return f"{coeff} {body}"
+    return f"{format_rational(a, den)} {body}"
 
 
 # ``bench/tracer.py`` wraps ``HbarSeries.__mul__`` by name; the alias keeps

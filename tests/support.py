@@ -61,6 +61,61 @@ def iter_multi_indices(dim: int, max_abs: int):
 
 
 # ---------------------------------------------------------------------------
+# reference writer: the ComplexRational formatting that str() and
+# to_records() must keep matching byte for byte
+
+
+def _reference_hbar(k2: int) -> str:
+    if k2 == 2:
+        return "h"
+    if k2 % 2 == 0:
+        return f"h^{k2 // 2}"
+    return f"h^({k2}/2)"
+
+
+def _reference_vars(symbol: str, index: tuple, dim: int) -> list:
+    parts = []
+    for i, power in enumerate(index):
+        if not power:
+            continue
+        name = symbol if dim == 1 else f"{symbol}{i + 1}"
+        parts.append(name if power == 1 else f"{name}^{power}")
+    return parts
+
+
+def reference_format_term(dim: int, key, coeff: ComplexRational) -> str:
+    k2, I, J = key
+    factors = []
+    if k2:
+        factors.append(_reference_hbar(k2))
+    factors.extend(_reference_vars("y", I, dim))
+    factors.extend(_reference_vars("yb", J, dim))
+    if not factors:
+        return f"({coeff})" if coeff.im or (not dim and coeff.re < 0) else str(coeff)
+    body = " ".join(factors)
+    if coeff == 1:
+        return body
+    if coeff == -1:
+        return f"-{body}"
+    if coeff.im:
+        return f"({coeff}) {body}"
+    return f"{coeff} {body}"
+
+
+def reference_str(f: WickSeries) -> str:
+    if not f:
+        return "0"
+    return " + ".join(reference_format_term(f.dim, key, coeff)
+                      for key, coeff in sorted(f.terms.items())).replace("+ -", "- ")
+
+
+def reference_records(f: WickSeries) -> list:
+    return [{"k2": k2, **({"I": list(I), "J": list(J)} if f.dim else {}),
+             "re": str(c.re), "im": str(c.im)}
+            for (k2, I, J), c in sorted(f.terms.items())]
+
+
+# ---------------------------------------------------------------------------
 # random generators
 
 

@@ -265,6 +265,16 @@ def test_main_cp1_verify_writes_composition_csv(tmp_path, capsys):
     assert lines[1].startswith("8,0,0,1/100,0,0.01,")
 
 
+def test_csv_values_keep_a_zero_real_part():
+    for c, text in [(ComplexRational(Fraction(-3, 4)), "-3/4"),
+                    (ComplexRational(0), "0"),
+                    (ComplexRational(2, Fraction(-1, 3)), "2-1/3i"),
+                    (ComplexRational(Fraction(1, 2), 5), "1/2+5i"),
+                    (ComplexRational(0, Fraction(7, 2)), "0+7/2i"),
+                    (ComplexRational(0, -1), "0-1i")]:
+        assert cli._csv_value(c) == text
+
+
 def test_main_suite_mode_passes(tmp_path, capsys):
     path = write_job(tmp_path, {"mode": "suite",
                                 "names": ["cp1-peak-section"]})
@@ -407,8 +417,100 @@ def test_main_malformed_records_exit_cleanly(tmp_path, payload):
     _assert_rejected_in_subprocess(tmp_path, payload)
 
 
-def _assert_rejected_in_subprocess(tmp_path, payload):
-    path = write_job(tmp_path, payload)
+def _messages(series: str, jet: str | None = None,
+              potential: str | None = None) -> dict:
+    """A class's message read as a series record, a jet record and a potential jet."""
+    jet = jet or series
+    return {"series": series, "jet": jet, "potential": potential or jet}
+
+
+# Malformed-record classes and the messages the reports have always printed
+# for them, after 'field "<name>": '.
+NOT_AN_INTEGER = "expected an integer index, got "
+TOO_LARGE = ("rational literal too large (at most 100 digits and a two-digit "
+             "exponent): ")
+MALFORMED_RECORDS = {
+    "bool-index": (dict(Y_RECORD, I=[True]), _messages(NOT_AN_INTEGER + "True")),
+    "float-index": (dict(Y_RECORD, I=[1.0]), _messages(NOT_AN_INTEGER + "1.0")),
+    "wrong-length": (dict(Y_RECORD, I=[1, 0]), _messages(
+        "multi-index length != dim=1 in term (0, (1, 0), (0,))",
+        potential="bad potential multi-index ((1, 0), (0,)) for dim 1")),
+    "negative-entry": (dict(Y_RECORD, I=[-1]), _messages(
+        "negative multi-index entry in term (0, (-1,), (0,))",
+        potential="bad potential multi-index ((-1,), (0,)) for dim 1")),
+    "non-string-re": (dict(Y_RECORD, re=1),
+                      _messages("\"re\" must be a rational string, got 1")),
+    "zero-denominator": (dict(Y_RECORD, re="1/0"),
+                         _messages("zero denominator in '1/0'")),
+    "101-digits": (dict(Y_RECORD, re="9" * 101),
+                   _messages(TOO_LARGE + repr("9" * 24))),
+    "3-digit-exponent": (dict(Y_RECORD, re="1e100"),
+                         _messages(TOO_LARGE + "'1e100'")),
+    "missing-I": ({"k2": 0, "J": [0], "re": "1"}, _messages("'I'")),
+    "not-an-object": ([1, 0], _messages(
+        "list indices must be integers or slices, not str",
+        jet="'list' object is not a mapping")),
+    "potential-k2": ({"k2": 2, "I": [2], "J": [2], "re": "1"}, {
+        "potential": "potential jet ((2,), (2,)) has k2=2; potentials carry no h"}),
+}
+
+
+# Where a mode takes the malformed record: (field, read as, the other inputs).
+MALFORMED_SLOTS = {
+    "wick-star": ("lhs", "series", {"rhs": [YB_RECORD]}),
+    "bt-eval": ("rhs", "jet", {"lhs": [Y_RECORD]}),
+    "rep-act": ("element", "series", {"function": [YB_RECORD]}),
+    "k-normalize": ("potential", "potential", {}),
+}
+
+
+def _malformed_job(mode: str, name: str) -> tuple:
+    """A job with the class's record in one input: (job, field, read as).
+
+    A potential-k2 record goes into the potential, the one input that
+    refuses a k2, so a wick-star job (no potential) does not take it.
+    """
+    record = MALFORMED_RECORDS[name][0]
+    field, kind, inputs = MALFORMED_SLOTS[mode]
+    job = {"mode": mode, "dim": 1, "trunc": 6, **inputs}
+    jets = [{"I": [1], "J": [1], "re": "1"}]
+    if name == "potential-k2":
+        field, kind = "potential", "potential"
+    if kind == "potential":
+        jets.append(record)
+    else:
+        job[field] = [record]
+    if mode != "wick-star":
+        job["potential"] = {"order": 4, "jets": jets}
+    return job, field, kind
+
+
+@pytest.mark.parametrize("name, mode", [
+    (name, mode) for name in MALFORMED_RECORDS for mode in MALFORMED_SLOTS
+    if not (name == "potential-k2" and mode == "wick-star")])
+def test_malformed_record_messages_are_pinned(tmp_path, capsys, name, mode):
+    job, field, kind = _malformed_job(mode, name)
+    path = write_job(tmp_path, job)
+    code, out, err = run_main(capsys, "--job", path)
+    message = MALFORMED_RECORDS[name][1][kind]
+    detail = message if kind == "potential" else f"bad {kind} record: {message}"
+    assert (code, out) == (PARSE_EXIT, "")
+    assert err == f"wickjet: bad job: {path}: field \"{field}\": {detail}\n"
+
+
+@pytest.mark.parametrize("content", [
+    b'{"mode": "wick-star", "dim": ' + b"1" * 5000 + b"}",
+    b'{"mode": "wick-star\xff"}',
+    b"[" * 100000 + b"]" * 100000,
+], ids=["integer-past-digit-limit", "not-utf-8", "nested-too-deep"])
+def test_unreadable_job_files_exit_cleanly(tmp_path, content):
+    path = tmp_path / "job.json"
+    path.write_bytes(content)
+    _assert_rejected_in_subprocess(tmp_path, path=path)
+
+
+def _assert_rejected_in_subprocess(tmp_path, payload=None, path=None):
+    path = path or write_job(tmp_path, payload)
     src = Path(wickjet.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-m", "wickjet.cli", "--job", path],

@@ -1,4 +1,5 @@
 import ast
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import wickjet
 from wickjet.coefficients import (
     LITERAL_DIGITS,
     ComplexRational,
+    format_complex,
     format_rational,
     parse_rational,
 )
@@ -88,6 +90,50 @@ def test_rational_literal_size_is_bounded():
                  "1/" + "3" * LITERAL_DIGITS):
         with pytest.raises(ValueError):
             parse_rational(text)
+
+
+def _reference_parse(text: str) -> Fraction:
+    """The literal rule through Fraction's own parser: size bound, then Fraction."""
+    text = text.strip()
+    mantissa, _, exponent = text.lower().partition("e")
+    if sum(map(str.isdigit, mantissa)) > LITERAL_DIGITS \
+            or sum(map(str.isdigit, exponent)) > 2:
+        raise ValueError("too large")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
+
+
+def test_plain_literals_parse_as_fraction_does():
+    digits = "9" * (LITERAL_DIGITS // 2)
+    texts = ["0", "-0", "7", "-12/18", "2/2", " 3/4 ", "1/0", "-5/00", "+5",
+             "--1", "-", "", "/", "1/", "/2", "1/-2", "1 /2", "1_0", "1/2_0",
+             "1.5e-3", "\u0663/\u0664", "\uff11", "\u00b2", "0x10", "nan",
+             "9" * LITERAL_DIGITS, "9" * (LITERAL_DIGITS + 1),
+             f"{digits}/{digits}", f"-{digits}/{digits}", f"{digits}/{digits}1"]
+    for text in texts:
+        try:
+            expected = _reference_parse(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse_rational(text)
+        else:
+            assert parse_rational(text) == expected, text
+    with pytest.raises(ValueError, match="zero denominator in '-5/00'"):
+        parse_rational("-5/00")
+
+
+def test_integer_parts_format_as_their_fractions():
+    rng = random.Random(7)
+    for _ in range(300):
+        den = rng.choice([1, 2, 6, 35, 10 ** 30 + 7])
+        a, b = (rng.choice([0, 1, -1, den, -den, rng.randint(-10 ** 40, 10 ** 40)])
+                for _ in "ab")
+        value = ComplexRational(Fraction(a, den), Fraction(b, den))
+        assert format_rational(a, den) == str(Fraction(a, den))
+        assert format_complex(a, b, den) == str(value) == \
+            format_complex(value.re, value.im)
 
 
 def test_complex_helpers():
