@@ -39,6 +39,7 @@ from .suites import (
     SUITES,
     composition_fits,
     decays,
+    exact_truncation,
     peak_section_rows,
     run_suites,
     slope_bound,
@@ -76,7 +77,7 @@ DIM_CEILING = 8
 TERMS_CEILING = 1792
 # Largest partial-sum order and monomial degree of a composition fit, a
 # cost ceiling.  The prediction's truncation follows from both (see
-# suites.engine_entry_series): 22 at 5 and 5, which takes under 0.1 s.
+# suites.exact_truncation): 22 at 5 and 5, which takes under 0.1 s.
 ENGINE_REACH = 5
 
 
@@ -286,7 +287,7 @@ def _load_job_data(data: dict, trunc_ceiling: int) -> JobSpec:
         if max_p > MAX_P_CEILING:
             raise JobError(f"max_p {max_p} is above the ceiling "
                            f"{MAX_P_CEILING}")
-        trunc = 2 * max_order + 2
+        trunc = exact_truncation(max_order, 0)
         if trunc > trunc_ceiling:
             raise JobError(f"max_order {max_order} needs truncation {trunc}, "
                            f"above the ceiling {trunc_ceiling}")

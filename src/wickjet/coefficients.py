@@ -8,8 +8,11 @@ final regression step of the CP^1 decay fits.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
+
+from .errors import WickjetError
 
 __all__ = ["ComplexRational", "I", "parse_rational", "format_rational",
            "format_complex", "LITERAL_DIGITS", "random_rational",
@@ -52,12 +55,16 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value, den: int = 1) -> str:
     """``value / den`` (an int over den > 0, or a Fraction) as ``"p/q"`` or ``"p"``."""
-    if den == 1:
-        return str(value)
-    common = gcd(value, den)
-    if common == den:
-        return str(value // den)
-    return f"{value // common}/{den // common}"
+    try:
+        if den == 1:
+            return str(value)
+        common = gcd(value, den)
+        if common == den:
+            return str(value // den)
+        return f"{value // common}/{den // common}"
+    except ValueError:  # a part longer than the interpreter will print
+        raise WickjetError(f"a coefficient part has more than "
+                           f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def format_complex(re, im, den: int = 1) -> str:

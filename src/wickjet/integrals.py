@@ -89,8 +89,7 @@ class WeightSeries:
         """``e^(sign w/h)`` for sign +1 or -1, computed on the first call."""
         cache = self._exponentials
         if sign not in cache:
-            cache[sign] = classical_exp(self.body.scale(sign),
-                                        divide_by_hbar=True)
+            cache[sign] = classical_exp(self.body.scale(sign).hbar_shift(-2))
         return cache[sign]
 
     def __eq__(self, other) -> bool:

@@ -463,8 +463,8 @@ def fubini_study_potential(dim: int, order: int) -> PotentialJets:
     return PotentialJets(log_series(_norm_squared(dim, order), mul), normalized=True)
 
 
-def random_real_analytic_potential(seed: int, dim: int, order: int,
-                                   n_terms: int = 6) -> PotentialJets:
+def random_real_analytic_potential(seed: int, dim: int,
+                                   order: int) -> PotentialJets:
     """A random raw potential whose normalization succeeds in exact arithmetic.
 
     The (1,1) block is built as L diag(r^2) L^dagger with unit-triangular L
@@ -501,7 +501,7 @@ def random_real_analytic_potential(seed: int, dim: int, order: int,
             jets += [((0, ei, zero), c), ((0, zero, ei), c.conjugate())]
 
     half = ComplexRational(Fraction(1, 2))
-    for _ in range(n_terms):
+    for _ in range(6):
         for _attempt in range(40):
             I = tuple(rng.randint(0, 3) for _ in range(dim))
             J = tuple(rng.randint(0, 3) for _ in range(dim))

@@ -73,14 +73,13 @@ def total_degree(k2: int, I: MultiIndex, J: MultiIndex) -> int:
     return k2 + sum(I) + sum(J)
 
 
-def accumulate(pairs: Iterable, out: dict | None = None) -> dict:
-    """Sum ``(key, coefficient)`` pairs by key into ``out`` (a new dict by default).
+def accumulate(pairs: Iterable) -> dict:
+    """Sum ``(key, coefficient)`` pairs by key into a new dict.
 
     Sums that cancel stay in place as zero entries; the series constructors
     drop them, so no zero test runs per pair.
     """
-    if out is None:
-        out = {}
+    out: dict = {}
     get = out.get
     for key, value in pairs:
         prev = get(key)
@@ -109,11 +108,12 @@ def power_terms(first, x, product) -> Iterator:
 
 
 # The exact kernel.  Every bilinear operation (the pointwise product,
-# wick_star, fock_act, anti_fock_act) runs through ``bilinear_terms`` and
-# differs only in its expansion rule: which output monomials, with which
-# integer scalars, a pair of input terms gives.  It reads both factors'
-# stored integer numerators; sums of pair products stay integers over the
-# product of the two denominators, reduced once when the result is built.
+# wick_star, fock_act, anti_fock_act and formal_integral's moment rule) runs
+# through ``bilinear_terms`` and differs only in its expansion rule: which
+# output monomials, with which integer scalars, a pair of input terms gives.
+# It reads both factors' stored integer numerators; sums of pair products
+# stay integers over the product of the two denominators, reduced once when
+# the result is built.
 
 
 def bilinear_terms(f: "WickSeries", g: "WickSeries", expand) -> tuple:

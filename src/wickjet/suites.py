@@ -4,13 +4,12 @@ Every suite returns a :class:`SuiteReport` carrying the number of checks
 performed and the list of failure descriptions (empty on success).  All
 randomness flows from an explicit integer seed, so runs reproduce exactly;
 every comparison is exact rational equality except the convergence-rate
-fits, which are floating-point by nature.
+fits, which are floating-point by nature.  Each suite's sizes are fixed in
+its body, so a suite is a function of its seed alone.
 
-The closed-form suites pin their truncations so that the compared orders
-sit strictly inside the exact window of the formal engine: an h-series
-coefficient at order k is certified only when the truncation is at least
-2k + 2, because jets beyond the truncation would otherwise start leaking
-into the top coefficients.
+The CP^1 suites, ``peak_section_rows`` and ``engine_entry_series`` run the
+engine on the Fubini-Study line at the truncation ``exact_truncation``
+gives, inside the window where its h-series coefficients are exact.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ __all__ = [
     "SUITES",
     "run_suite",
     "run_suites",
+    "exact_truncation",
     "wick_core_suite",
     "formal_integral_suite",
     "k_jet_suite",
@@ -71,16 +71,18 @@ class SuiteReport(NamedTuple):
 
 
 class _Checks:
-    """A suite's check count and its "<label> failed at case <i>" failures."""
+    """A suite's check count and its "<label> failed at case <case>" failures."""
 
     def __init__(self):
         self.count = 0
         self.failures: list = []
 
-    def __call__(self, ok: bool, label: str, case: int) -> None:
+    def __call__(self, ok: bool, label: str, case, **shown) -> None:
+        """Count one check; a failure also prints each ``shown`` value."""
         self.count += 1
         if not ok:
-            self.failures.append(f"{label} failed at case {case}")
+            values = "".join(f", {name} {value}" for name, value in shown.items())
+            self.failures.append(f"{label} failed at case {case}{values}")
 
     def report(self, name: str) -> SuiteReport:
         return SuiteReport(name, self.count, tuple(self.failures))
@@ -116,24 +118,19 @@ def _series(rng: random.Random, dim: int, trunc: int, n_terms: int = 3,
     return WickSeries(dim, trunc, terms)
 
 
-def _monomial(rng: random.Random, dim: int, trunc: int) -> WickSeries:
-    return _series(rng, dim, trunc, n_terms=1)
-
-
-def _holomorphic(rng: random.Random, dim: int, trunc: int,
-                 n_terms: int = 3) -> WickSeries:
+def _holomorphic(rng: random.Random, dim: int, trunc: int) -> WickSeries:
     terms = {}
-    for _ in range(n_terms):
+    for _ in range(3):
         I = _multi_index(rng, dim, trunc)
         k2 = 2 * rng.randint(0, (trunc - sum(I)) // 2)
         terms[(k2, I, mi_zero(dim))] = random_coefficient(rng)
     return WickSeries(dim, trunc, terms)
 
 
-def _jets(rng: random.Random, dim: int, order: int, n_terms: int = 3,
+def _jets(rng: random.Random, dim: int, order: int,
           real: bool = False) -> WickSeries:
     terms = {}
-    for _ in range(n_terms):
+    for _ in range(3):
         for _attempt in range(40):
             I = _multi_index(rng, dim, 3)
             J = _multi_index(rng, dim, 3)
@@ -147,11 +144,11 @@ def _jets(rng: random.Random, dim: int, order: int, n_terms: int = 3,
     return body
 
 
-def _weight(rng: random.Random, dim: int, trunc: int, n_terms: int = 3,
+def _weight(rng: random.Random, dim: int, trunc: int,
             refined: bool = False) -> WeightSeries:
     """Real weight body with terms of total degree 3..5, as geometry produces."""
     terms = {}
-    for _ in range(n_terms):
+    for _ in range(3):
         for _attempt in range(80):
             I = _multi_index(rng, dim, 5)
             J = _multi_index(rng, dim, 5)
@@ -168,19 +165,15 @@ def _weight(rng: random.Random, dim: int, trunc: int, n_terms: int = 3,
     return WeightSeries((body + body.conjugate()).scale(Fraction(1, 2)))
 
 
-def _ymono(trunc: int, p: int) -> WickSeries:
-    return WickSeries.monomial(1, trunc, 1, 0, (p,), (0,))
-
-
 # ---------------------------------------------------------------------------
 # 1. Wick-algebra core identities
 
 
-def wick_core_suite(seed: int = 0, cases: int = 200) -> SuiteReport:
+def wick_core_suite(seed: int = 0) -> SuiteReport:
     """Associativity, grading, module action, conjugation, exp/log round-trips."""
     rng = random.Random(seed)
     check = _Checks()
-    for i in range(cases):
+    for i in range(200):
         dim = rng.randint(1, 2)
         trunc = rng.choice((6, 7, 8))
         f = _series(rng, dim, trunc)
@@ -189,8 +182,8 @@ def wick_core_suite(seed: int = 0, cases: int = 200) -> SuiteReport:
         check(wick_star(wick_star(f, g), k) == wick_star(f, wick_star(g, k)),
               "associativity", i)
 
-        a = _monomial(rng, dim, trunc)
-        b = _monomial(rng, dim, trunc)
+        a = _series(rng, dim, trunc, n_terms=1)
+        b = _series(rng, dim, trunc, n_terms=1)
         if a and b:
             expected = a.min_degree() + b.min_degree()
             product = wick_star(a, b)
@@ -223,10 +216,10 @@ def wick_core_suite(seed: int = 0, cases: int = 200) -> SuiteReport:
 # 2. formal integrals and Toeplitz symbols
 
 
-def formal_integral_suite(seed: int = 0, cases: int = 30) -> SuiteReport:
+def formal_integral_suite(seed: int = 0) -> SuiteReport:
     rng = random.Random(seed)
     check = _Checks()
-    for i in range(cases):
+    for i in range(30):
         dim = rng.randint(1, 2)
         trunc = rng.choice((7, 8))
         refined = bool(i % 2)
@@ -262,7 +255,7 @@ def formal_integral_suite(seed: int = 0, cases: int = 30) -> SuiteReport:
             check(leading, "leading-term bound", i)
 
         symbol = toeplitz_symbol(f, w)
-        exp_pos = classical_exp(w.body, divide_by_hbar=True)
+        exp_pos = classical_exp(w.body.hbar_shift(-2))
         check(wick_star(exp_pos, symbol) == f * exp_pos,
               "symbol defining identity", i)
         correction = symbol - f
@@ -285,9 +278,9 @@ def formal_integral_suite(seed: int = 0, cases: int = 30) -> SuiteReport:
 # 3. jet normalization
 
 
-def k_jet_suite(seed: int = 0, cases: int = 50) -> SuiteReport:
+def k_jet_suite(seed: int = 0) -> SuiteReport:
     check = _Checks()
-    for i in range(cases):
+    for i in range(50):
         dim = 1 + i % 2
         raw = random_real_analytic_potential(seed * 1009 + i, dim, 6)
         normalized, coords, frame = k_normalize(raw)
@@ -315,15 +308,49 @@ def k_jet_suite(seed: int = 0, cases: int = 50) -> SuiteReport:
 # 4. projective-line peak sections
 
 
-def peak_section_rows(max_p: int = 3, max_order: int = 4) -> list:
+def _ymono(trunc: int, p: int) -> WickSeries:
+    return WickSeries.monomial(1, trunc, 1, 0, (p,), (0,))
+
+
+def exact_truncation(order: int, reach: int) -> int:
+    """Truncation at which the CP^1 engine's h-series are exact through ``order``.
+
+    At truncation D on the Fubini-Study line, against a reference at
+    truncation 26: the raw Gram norm <y^p, y^p> is exact through
+    h^(D/2 - 1), and no further at p = 0 (D = 6, 8, 10); a Gram-normalized
+    composed entry <S S y^p, y^q> / <y^q, y^q> is exact through
+    h^(D/2 - max(p, q)), and no further for (0, 0) through (3, 3) at
+    D = 6..12; off-diagonal composed entries are identically zero.  So the
+    Gram norms (``reach`` 0) are exact through ``order``, and composed
+    entries with max(p, q) <= ``reach`` through ``order`` + 1.
+    """
+    return 2 * (order + reach) + 2
+
+
+def _fubini_study_line(order: int, reach: int) -> tuple:
+    """``(trunc, weight, solve)`` at ``exact_truncation``; ``solve()`` returns
+    the Toeplitz symbol of |z|^2 / (1 + |z|^2), built only when called."""
+    trunc = exact_truncation(order, reach)
+    w = weight_series(fubini_study_potential(1, trunc), trunc)
+    return trunc, w, lambda: toeplitz_symbol(
+        symbol_jets(fs_ratio_symbol(), trunc), w)
+
+
+def _check_orders(check, label: str, case, engine, closed, max_order: int):
+    """One check per order k <= ``max_order`` of two h-series' h^k coefficients."""
+    for k in range(max_order + 1):
+        e, c = engine.coefficient(2 * k), closed.coefficient(2 * k)
+        check(e == c, label, case, order=k, engine=e, closed=c)
+
+
+def peak_section_rows(max_p: int, max_order: int) -> list:
     """Per-exponent engine/closed-form pairs for the diagonal Gram norms.
 
     Returns ``(p, engine, closed, match)`` tuples where both series are
     h-series through ``max_order`` and ``match`` is exact equality of every
     coefficient in that window.
     """
-    trunc = 2 * max_order + 2
-    w = weight_series(fubini_study_potential(1, trunc), trunc)
+    trunc, w, _ = _fubini_study_line(max_order, 0)
     rows = []
     for p in range(max_p + 1):
         engine = inner_product(_ymono(trunc, p), _ymono(trunc, p), w)
@@ -335,46 +362,34 @@ def peak_section_rows(max_p: int = 3, max_order: int = 4) -> list:
     return rows
 
 
-def peak_section_suite(seed: int = 0, max_p: int = 3,
-                       max_order: int = 4) -> SuiteReport:
+def peak_section_suite(seed: int = 0) -> SuiteReport:
     del seed  # deterministic
-    failures = tuple(
-        f"diagonal norm mismatch at p={p}: engine {engine}, closed {closed}"
-        for p, engine, closed, match in peak_section_rows(max_p, max_order)
-        if not match)
-    return SuiteReport("cp1-peak-section",
-                       (max_p + 1) * (max_order + 1), failures)
+    check = _Checks()
+    for p, engine, closed, _ in peak_section_rows(3, 4):
+        _check_orders(check, "diagonal norm", f"p={p}", engine, closed, 4)
+    return check.report("cp1-peak-section")
 
 
 # ---------------------------------------------------------------------------
 # 5. single-operator matrix elements
 
 
-def single_operator_suite(seed: int = 0, max_pq: int = 2,
-                          max_order: int = 3) -> SuiteReport:
+def single_operator_suite(seed: int = 0) -> SuiteReport:
     del seed  # deterministic
-    trunc = 2 * max_order + 2
-    w = weight_series(fubini_study_potential(1, trunc), trunc)
-    symbol = toeplitz_symbol(symbol_jets(fs_ratio_symbol(), trunc), w)
-    failures: list = []
-    cases = 0
-    for p in range(max_pq + 1):
+    max_order = 3
+    trunc, w, solve = _fubini_study_line(max_order, 0)
+    symbol = solve()
+    check = _Checks()
+    for p in range(3):
         acted = fock_act(symbol, _ymono(trunc, p))
-        for q in range(max_pq + 1):
+        for q in range(3):
             engine = inner_product(acted, _ymono(trunc, q), w)
-            if p == q:
-                closed = (FactorialRational(p + 1, (), (2,))
-                          * cp1_inner(q, q)).expand_at_infinity(max_order)
-            else:
-                closed = FactorialRational(0).expand_at_infinity(max_order)
-            for k in range(max_order + 1):
-                cases += 1
-                if engine.coefficient(2 * k) != closed.coefficient(2 * k):
-                    failures.append(
-                        f"matrix element ({p}, {q}) differs at order {k}: "
-                        f"engine {engine.coefficient(2 * k)}, "
-                        f"closed {closed.coefficient(2 * k)}")
-    return SuiteReport("cp1-single-operator", cases, tuple(failures))
+            # T y^p = (p + 1)/(m + 2) y^p at every tensor power m
+            closed = (FactorialRational(p + 1, (), (2,))
+                      * cp1_inner(p, q)).expand_at_infinity(max_order)
+            _check_orders(check, "matrix element", (p, q), engine, closed,
+                          max_order)
+    return check.report("cp1-single-operator")
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +402,12 @@ def engine_entry_series(elements, max_order: int) -> dict:
     For each requested (p, q) the engine pairs the twice-applied standard
     symbol against the monomial basis and divides by the Gram norm, which is
     exactly the quantity the closed-form matrices tabulate per tensor power.
-    An entry's h^k coefficient is exact for k <= trunc/2 - max(p, q), so the
-    truncation holds every element through ``max_order`` with one order to
-    spare.
+    At ``exact_truncation(max_order, largest exponent)`` every entry is
+    exact through ``max_order`` with one order to spare.
     """
     reach = max((max(p, q) for p, q in elements), default=0)
-    trunc = 2 * (max_order + reach) + 2
-    w = weight_series(fubini_study_potential(1, trunc), trunc)
-    symbol = toeplitz_symbol(symbol_jets(fs_ratio_symbol(), trunc), w)
+    trunc, w, solve = _fubini_study_line(max_order, reach)
+    symbol = solve()
     out = {}
     for p, q in elements:
         pairing = inner_product(
@@ -405,8 +418,7 @@ def engine_entry_series(elements, max_order: int) -> dict:
     return out
 
 
-def composition_fits(orders=(0, 1, 2), ms=(32, 64, 128, 256, 512),
-                     elements=((0, 0), (1, 1))) -> dict:
+def composition_fits(orders, ms, elements) -> dict:
     """Residual fits per partial-sum order: {order: {(p, q): fit}}."""
     predicted = engine_entry_series(tuple(elements), max([0, *orders]))
     f = fs_ratio_symbol()
@@ -426,53 +438,37 @@ def decays(fit: dict, order: int) -> bool:
 
 def composition_decay_suite(seed: int = 0) -> SuiteReport:
     del seed  # deterministic
-    orders = (0, 1, 2)
-    fits = composition_fits(orders=orders)
-    failures: list = []
-    cases = 0
+    fits = composition_fits((0, 1, 2), (32, 64, 128, 256, 512),
+                            ((0, 0), (1, 1)))
+    check = _Checks()
     for order, per_element in fits.items():
         for (p, q), fit in per_element.items():
-            cases += 1
-            if not decays(fit, order):
-                failures.append(
-                    f"order-{order} residual at element ({p}, {q}) decays "
-                    f"with slope {fit['fitted']}, bound {slope_bound(order)}")
-    return SuiteReport("cp1-composition", cases, tuple(failures))
+            check(decays(fit, order), "residual decay", (p, q), order=order,
+                  slope=fit["fitted"], bound=slope_bound(order))
+    return check.report("cp1-composition")
 
 
 # ---------------------------------------------------------------------------
 # 7. flat reduction
 
 
-def flat_reduction_suite(seed: int = 0, cases: int = 100) -> SuiteReport:
+def flat_reduction_suite(seed: int = 0) -> SuiteReport:
     rng = random.Random(seed)
-    failures: list = []
+    check = _Checks()
     trunc = 6
     contexts = {dim: BTContext.flat(dim, trunc) for dim in (1, 2)}
-    for i in range(cases):
+    for i in range(100):
         dim = 1 + i % 2
         f = _jets(rng, dim, trunc)
         g = _jets(rng, dim, trunc)
         direct = wick_star(f, g)
-        if bt_star_eval(f, g, contexts[dim]) != direct.constant_part():
-            failures.append(f"flat evaluation differs from the plain star "
-                            f"product at case {i}")
-    return SuiteReport("flat-reduction", cases, tuple(failures))
+        check(bt_star_eval(f, g, contexts[dim]) == direct.constant_part(),
+              "flat evaluation", i)
+    return check.report("flat-reduction")
 
 
 # ---------------------------------------------------------------------------
 # 8. self-adjointness and vacuum reduction
-
-
-def _representation_contexts(trunc: int) -> list:
-    quartic = WeightSeries(
-        WickSeries.monomial(1, trunc, Fraction(1, 5), 0, (2,), (2,)))
-    return [
-        BTContext.flat(1, trunc),
-        BTContext.flat(2, trunc),
-        BTContext.from_potential(fubini_study_potential(1, trunc), trunc),
-        BTContext(quartic),
-    ]
 
 
 def _random_fock(rng: random.Random, dim: int, trunc: int) -> WickSeries:
@@ -486,25 +482,25 @@ def _random_fock(rng: random.Random, dim: int, trunc: int) -> WickSeries:
     return WickSeries(dim, trunc, terms)
 
 
-def representation_suite(seed: int = 0, cases: int = 50) -> SuiteReport:
+def representation_suite(seed: int = 0) -> SuiteReport:
     rng = random.Random(seed)
-    failures: list = []
-    checks = 0
+    check = _Checks()
     trunc = 8
-    contexts = _representation_contexts(trunc)
+    quartic = WickSeries.monomial(1, trunc, Fraction(1, 5), 0, (2,), (2,))
+    contexts = [BTContext.flat(1, trunc), BTContext.flat(2, trunc),
+                BTContext.from_potential(fubini_study_potential(1, trunc), trunc),
+                BTContext(WeightSeries(quartic))]
 
-    for i in range(cases):
+    for i in range(50):
         ctx = contexts[i % len(contexts)]
         f = _jets(rng, ctx.dim, trunc, real=True)
         alpha = _holomorphic(rng, ctx.dim, trunc)
         beta = _holomorphic(rng, ctx.dim, trunc)
         lhs = inner_product(rep_act(f, alpha, ctx), beta, ctx.weight)
         rhs = inner_product(alpha, rep_act(f, beta, ctx), ctx.weight)
-        checks += 1
-        if lhs != rhs:
-            failures.append(f"self-adjointness failed at case {i}")
+        check(lhs == rhs, "self-adjointness", i)
 
-    for i in range(cases):
+    for i in range(50):
         ctx = contexts[i % len(contexts)]
         a = _random_fock(rng, ctx.dim, trunc)
         target = rng.randint(trunc - 2, trunc)
@@ -512,14 +508,11 @@ def representation_suite(seed: int = 0, cases: int = 50) -> SuiteReport:
         value = rep_act(reducer, a, ctx)
         vacuum = WickSeries(ctx.dim, trunc, {
             (int(2 * level), mi_zero(ctx.dim), mi_zero(ctx.dim)): 1})
-        residual = value - vacuum
-        depth = residual.min_degree()
-        checks += 1
-        if depth is not None and depth <= target:
-            failures.append(f"vacuum residual of degree {depth} at case {i} "
-                            f"missed the target {target}")
+        depth = (value - vacuum).min_degree()
+        check(depth is None or depth > target, "vacuum residual", i,
+              degree=depth, target=target)
 
-    return SuiteReport("representation", checks, tuple(failures))
+    return check.report("representation")
 
 
 # ---------------------------------------------------------------------------

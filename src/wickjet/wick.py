@@ -127,13 +127,12 @@ def anti_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
     return f._build(*bilinear_terms(f, s, expand))
 
 
-def classical_exp(h: WickSeries, divide_by_hbar: bool = False) -> WickSeries:
-    """Pointwise exponential series of h (optionally of h/hbar).
+def classical_exp(x: WickSeries) -> WickSeries:
+    """Pointwise exponential series of x; needs min degree >= 1.
 
-    Every term of the exponent must have positive degree, so with
-    ``divide_by_hbar`` every term of h must have degree >= 3.
+    e^(w/h) is ``classical_exp(w.hbar_shift(-2))`` for w of degree >= 3.
     """
-    return _exp_series(h.hbar_shift(-2) if divide_by_hbar else h, mul)
+    return _exp_series(x, mul)
 
 
 def star_exp(x: WickSeries) -> WickSeries:

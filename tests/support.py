@@ -370,15 +370,15 @@ def reference_mobius_pullback(symbol, w) -> dict:
     d = symbol.denom_power
     wb, one = w.conjugate(), ComplexRational(1)
     scale = (one + w * wb) ** d
-    total: dict = {}
+    pairs = []
     for (_, (a,), (b,)), c in symbol.num.terms.items():
         poly = {(0, 0): c / scale}
         poly = _poly_mul(poly, _binom_poly(w, one, a, True))
         poly = _poly_mul(poly, _binom_poly(wb, one, b, False))
         poly = _poly_mul(poly, _binom_poly(one, -wb, d - a, True))
         poly = _poly_mul(poly, _binom_poly(one, -w, d - b, False))
-        accumulate(poly.items(), total)
-    return {key: c for key, c in total.items() if c}
+        pairs += poly.items()
+    return {key: c for key, c in accumulate(pairs).items() if c}
 
 
 def evaluate_symbol(symbol, z: complex) -> complex:

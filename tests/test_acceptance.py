@@ -6,11 +6,13 @@ single floating-point exception, bounded explicitly).  Wall-clock budgets
 are part of the contract and asserted where stated.
 """
 
+import inspect
 import time
 from fractions import Fraction
 
 from wickjet.cp1 import cp1_gram, cp1_toeplitz, fs_ratio_symbol
 from wickjet.suites import (
+    SUITES,
     composition_decay_suite,
     composition_fits,
     flat_reduction_suite,
@@ -26,9 +28,9 @@ from wickjet.suites import (
 SEED = 20260825
 
 
-def run_within(suite, budget_seconds, **kwargs):
+def run_within(suite, budget_seconds):
     start = time.monotonic()
-    report = suite(seed=SEED, **kwargs)
+    report = suite(seed=SEED)
     elapsed = time.monotonic() - start
     assert not report.failures, report.failures[:5]
     assert elapsed < budget_seconds, (
@@ -36,10 +38,15 @@ def run_within(suite, budget_seconds, **kwargs):
     return report
 
 
+def test_every_suite_takes_only_its_seed():
+    for suite in SUITES.values():
+        assert list(inspect.signature(suite).parameters) == ["seed"], suite
+
+
 def test_criterion_1_wick_core_identities():
     # associativity, grading, module action, conjugation, exp/log round
     # trips: 200 randomized cases per property, dims <= 2, trunc <= 8
-    report = run_within(wick_core_suite, 120.0, cases=200)
+    report = run_within(wick_core_suite, 120.0)
     assert report.cases == 5 * 200
 
 
@@ -47,19 +54,19 @@ def test_criterion_2_formal_integral_identities():
     # Hermitian law, filtration, orthonormal-mod-h, leading-term bounds
     # (refined included), symbol defining identity + leading term, two-route
     # symbol equivalence, adjoint law — random degree-3..5 weights
-    report = run_within(formal_integral_suite, 120.0, cases=30)
+    report = run_within(formal_integral_suite, 120.0)
     assert report.cases >= 200
 
 
 def test_criterion_3_jet_normalization():
     # round-trip + idempotence + volume-log vanishing + weight flags on 50
     # random order-6 real jets
-    report = run_within(k_jet_suite, 120.0, cases=50)
+    report = run_within(k_jet_suite, 120.0)
     assert report.cases == 5 * 50
 
 
 def test_criterion_4_peak_section_identity():
-    report = run_within(peak_section_suite, 60.0, max_p=3, max_order=4)
+    report = run_within(peak_section_suite, 60.0)
     assert report.cases == 4 * 5
 
     # spot-check the stated ground truth directly against the engine rows
@@ -70,7 +77,7 @@ def test_criterion_4_peak_section_identity():
 
 
 def test_criterion_5_single_operator_matrix_elements():
-    report = run_within(single_operator_suite, 60.0, max_pq=2, max_order=3)
+    report = run_within(single_operator_suite, 60.0)
     assert report.cases == 9 * 4
 
     # numeric anchor for the closed form the suite expands: at a concrete
@@ -90,7 +97,8 @@ def test_criterion_6_composition_decay_rates():
     assert not report.failures, report.failures
     assert elapsed < 300.0
 
-    fits = composition_fits(orders=(0, 1, 2), ms=(32, 64, 128, 256, 512))
+    fits = composition_fits(orders=(0, 1, 2), ms=(32, 64, 128, 256, 512),
+                            elements=((0, 0), (1, 1)))
     for order in (0, 1, 2):
         bound = -(order + 1) + 0.3
         for element in ((0, 0), (1, 1)):
@@ -100,10 +108,10 @@ def test_criterion_6_composition_decay_rates():
 
 
 def test_criterion_7_flat_reduction():
-    report = run_within(flat_reduction_suite, 120.0, cases=100)
+    report = run_within(flat_reduction_suite, 120.0)
     assert report.cases == 100
 
 
 def test_criterion_8_self_adjointness_and_vacuum_reduction():
-    report = run_within(representation_suite, 300.0, cases=50)
+    report = run_within(representation_suite, 300.0)
     assert report.cases == 2 * 50

@@ -509,17 +509,31 @@ def test_unreadable_job_files_exit_cleanly(tmp_path, content):
     _assert_rejected_in_subprocess(tmp_path, path=path)
 
 
-def _assert_rejected_in_subprocess(tmp_path, payload=None, path=None):
+def _assert_rejected_in_subprocess(tmp_path, payload=None, path=None,
+                                  code=PARSE_EXIT, prefix="wickjet: bad job:"):
     path = path or write_job(tmp_path, payload)
     src = Path(wickjet.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-m", "wickjet.cli", "--job", path],
                           capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == PARSE_EXIT
+    assert proc.returncode == code
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("wickjet: bad job:")
+    assert proc.stderr.startswith(prefix)
     assert proc.stderr.count("\n") == 1
+
+
+def test_report_past_the_digit_limit_exits_cleanly(tmp_path):
+    # every literal has 52 characters, but the product's coefficients carry
+    # more digits than the interpreter will print
+    records = [{"k2": 0, "I": [a], "J": [b],
+                "re": f"1/{10 ** 49 + 9 * a + b}",
+                "im": f"1/{10 ** 49 + 100 + 9 * a + b}"}
+               for a in range(9) for b in range(9)]
+    _assert_rejected_in_subprocess(
+        tmp_path, {"mode": "wick-star", "dim": 1, "trunc": 16,
+                   "lhs": records, "rhs": records},
+        code=COMPUTE_EXIT, prefix="wickjet: computation error (wick-star): ")
 
 
 def test_cli_import_leaves_numpy_out():

@@ -1,5 +1,6 @@
 import ast
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from wickjet.coefficients import (
     format_rational,
     parse_rational,
 )
+from wickjet.errors import WickjetError
 
 
 def test_construction_and_equality():
@@ -81,6 +83,16 @@ def test_rational_string_round_trip():
         value = parse_rational(text)
         assert parse_rational(format_rational(value)) == value
     assert format_rational(Fraction(-4, 6)) == "-2/3"
+
+
+def test_formatting_past_the_digit_limit_is_a_wickjet_error():
+    limit = sys.get_int_max_str_digits()
+    assert format_rational(10 ** limit - 1) == "9" * limit
+    assert format_complex(0, -1, 10 ** limit - 1) == f"-1/{'9' * limit}i"
+    for value, den in ((10 ** limit, 1), (1, 10 ** limit + 1),
+                       (Fraction(1, 10 ** limit), 1)):
+        with pytest.raises(WickjetError, match=f"more than {limit} digits"):
+            format_rational(value, den)
 
 
 def test_rational_literal_size_is_bounded():

@@ -265,9 +265,32 @@ def test_composition_fits_build_one_matrix_per_tensor_power(monkeypatch):
 
     monkeypatch.setattr("wickjet.cp1.cp1_toeplitz", counted)
     ms = (16, 32, 64)
-    fits = suites.composition_fits(orders=(0, 1, 2), ms=ms)
+    fits = suites.composition_fits(orders=(0, 1, 2), ms=ms,
+                                   elements=((0, 0), (1, 1)))
     assert sorted(calls) == list(ms)
     assert list(fits) == [0, 1, 2]
+
+
+def fs_line_series(trunc, elements):
+    """Gram norms {p: <y^p, y^p>} and Gram-normalized composed entries
+    {(p, q): <S S y^p, y^q> / <y^q, y^q>} on the Fubini-Study line at ``trunc``."""
+    w = weight_series(fubini_study_potential(1, trunc), trunc)
+    symbol = toeplitz_symbol(symbol_jets(fs_ratio_symbol(), trunc), w)
+
+    def ymono(p):
+        return WickSeries.monomial(1, trunc, 1, 0, (p,), (0,))
+
+    grams = {p: inner_product(ymono(p), ymono(p), w)
+             for p in {p for e in elements for p in e}}
+    entries = {(p, q): inner_product(
+        fock_act(symbol, fock_act(symbol, ymono(p))), ymono(q), w)
+        * grams[q].reciprocal() for p, q in elements}
+    return grams, entries
+
+
+def agree_through(a, b, order):
+    return all(a.coefficient(2 * k) == b.coefficient(2 * k)
+               for k in range(order + 1))
 
 
 @pytest.mark.parametrize("elements", [
@@ -275,25 +298,60 @@ def test_composition_fits_build_one_matrix_per_tensor_power(monkeypatch):
     ((5, 5), (2, 4)),
 ])
 def test_engine_entries_are_exact_through_the_requested_order(elements):
-    trunc = 24
-    w = weight_series(fubini_study_potential(1, trunc), trunc)
-    symbol = toeplitz_symbol(symbol_jets(fs_ratio_symbol(), trunc), w)
-
-    def ymono(p):
-        return WickSeries.monomial(1, trunc, 1, 0, (p,), (0,))
-
-    reference = {}
-    for p, q in elements:
-        pairing = inner_product(fock_act(symbol, fock_act(symbol, ymono(p))),
-                                ymono(q), w)
-        reference[(p, q)] = pairing * inner_product(ymono(q), ymono(q), w).reciprocal()
+    _, reference = fs_line_series(24, elements)
     for max_order in range(6):
         predicted = suites.engine_entry_series(elements, max_order)
         assert list(predicted) == list(elements)
         for key, series in predicted.items():
-            for k in range(max_order + 1):
-                assert series.coefficient(2 * k) == reference[key].coefficient(2 * k), \
-                    (key, max_order, k)
+            assert agree_through(series, reference[key], max_order), \
+                (key, max_order)
+
+
+def test_exact_truncation_is_exact_and_tight():
+    # Gram norms: exact through the order at the rule's truncation, and the
+    # p = 0 norm is wrong at its top order one step below it (checked at
+    # truncations 6, 8 and 10; at 4 it is exact one order further).
+    for max_order in range(6):
+        trunc = suites.exact_truncation(max_order, 0)
+        assert trunc == 2 * max_order + 2
+        grams, _ = fs_line_series(trunc + 8, ((0, 1), (2, 3)))
+        for p, engine, _, match in suites.peak_section_rows(3, max_order):
+            assert match and agree_through(engine, grams[p], max_order)
+        if max_order >= 3:
+            below, _ = fs_line_series(trunc - 2, ((0, 0),))
+            assert agree_through(below[0], grams[0], max_order - 1)
+            assert below[0].coefficient(2 * max_order) \
+                != grams[0].coefficient(2 * max_order)
+
+    # Composed entries: exact through the order with one to spare, off the
+    # diagonal identically zero, and (3, 3) wrong one order past D/2 - 3.
+    elements = ((0, 0), (3, 3), (0, 1), (2, 4))
+    for max_order in range(2):
+        trunc = suites.exact_truncation(max_order, 4)
+        assert trunc == 2 * max_order + 10
+        _, reference = fs_line_series(trunc + 8, elements)
+        predicted = suites.engine_entry_series(elements, max_order)
+        for key, series in predicted.items():
+            assert agree_through(series, reference[key], max_order + 1), key
+        assert not predicted[(0, 1)] and not predicted[(2, 4)]
+        top = trunc // 2 - 3
+        assert agree_through(predicted[(3, 3)], reference[(3, 3)], top)
+        assert predicted[(3, 3)].coefficient(2 * top + 2) \
+            != reference[(3, 3)].coefficient(2 * top + 2)
+
+
+def test_cp1_suite_failures_name_the_case_and_both_values(monkeypatch):
+    def doubled_at_one(p, q):
+        return cp1_inner(p, q) * FactorialRational(2) if p == 1 else cp1_inner(p, q)
+    monkeypatch.setattr(suites, "cp1_inner", doubled_at_one)
+    peak = suites.peak_section_suite(seed=0)
+    assert peak.cases == 20 and peak.failures == tuple(
+        f"diagonal norm failed at case p=1, order {k}, engine {c}, closed {2 * c}"
+        for k, c in ((1, 1), (2, -1), (3, 1), (4, -1)))
+    single = suites.single_operator_suite(seed=0)
+    assert single.cases == 36 and single.failures == (
+        "matrix element failed at case (1, 1), order 2, engine 2, closed 4",
+        "matrix element failed at case (1, 1), order 3, engine -6, closed -12")
 
 
 def test_fit_recovers_exact_power_law_slopes():
@@ -311,6 +369,7 @@ def test_fit_recovers_exact_power_law_slopes():
 
 def test_fit_agrees_with_numpy_polyfit():
     fits = suites.composition_fits(orders=(0, 1, 2, 3, 4),
+                                   ms=(32, 64, 128, 256, 512),
                                    elements=((0, 0), (1, 1), (2, 2)))
     compared = 0
     for per_element in fits.values():

@@ -67,7 +67,7 @@ def test_weight_exponentials_are_built_once():
         for sign in (1, -1):
             exp = w.exponential(sign)
             assert w.exponential(sign) is exp
-            assert exp == classical_exp(w.body.scale(sign), divide_by_hbar=True)
+            assert exp == classical_exp(w.body.scale(sign).hbar_shift(-2))
         assert w.exponential() is w.exponential(1)
         assert w.exponential(1) != w.exponential(-1)
 
@@ -156,13 +156,13 @@ def test_formal_integral_reads_the_cached_exponential(monkeypatch):
     expected = reference_formal_integral(f, w)
     exponents = []
 
-    def recorded(h, divide_by_hbar=False):
-        exponents.append(h)
-        return classical_exp(h, divide_by_hbar)
+    def recorded(x):
+        exponents.append(x)
+        return classical_exp(x)
     monkeypatch.setattr(integrals, "classical_exp", recorded)
     toeplitz_symbol(random_series(rng, 2, 7, min_degree=1), w)
     formal_integral(f, w)
-    assert exponents == [w.body]
+    assert exponents == [w.body.hbar_shift(-2)]
     calls = []
     for owner, name in [(WickSeries, "__mul__"), (integrals, "classical_exp")]:
         def counted(*args, _original=getattr(owner, name), _name=name):
@@ -288,7 +288,7 @@ def test_symbol_defining_identity_and_leading_term():
         if not f:
             continue
         symbol = toeplitz_symbol(f, w)
-        exp_pos = classical_exp(w.body, divide_by_hbar=True)
+        exp_pos = classical_exp(w.body.hbar_shift(-2))
         assert wick_star(exp_pos, symbol) == f * exp_pos
         correction = symbol - f
         if correction:
@@ -303,7 +303,7 @@ def test_symbol_route_equivalence():
         dim = rng.randint(1, 2)
         w = WeightSeries(random_weight_body(rng, dim, 7))
         f = random_series(rng, dim, 7, n_terms=3)
-        exp_pos = classical_exp(w.body, divide_by_hbar=True)
+        exp_pos = classical_exp(w.body.hbar_shift(-2))
         other = wick_star(star_inverse(exp_pos), f * exp_pos)
         assert toeplitz_symbol(f, w) == other
 

@@ -229,7 +229,7 @@ def test_anti_fock_act_is_left_module_action():
 
 def test_classical_exp_cubic_example():
     h = mono(1, 3, 1, 0, (2,), (1,))  # single degree-3 generator
-    u = classical_exp(h, divide_by_hbar=True).retruncate(2)
+    u = classical_exp(h.hbar_shift(-2)).retruncate(2)
     expected = WickSeries(1, 2, {
         (0, (0,), (0,)): 1,
         (-2, (2,), (1,)): 1,
@@ -242,7 +242,7 @@ def test_classical_exp_quartic_keeps_degree_four_term():
     # deg(h^2 / hbar^2) = 2*(-2) + 8 = 4, inside trunc 4
     c = Fraction(1, 3)
     h = mono(1, 4, c, 0, (2,), (2,))
-    u = classical_exp(h, divide_by_hbar=True)
+    u = classical_exp(h.hbar_shift(-2))
     expected = WickSeries(1, 4, {
         (0, (0,), (0,)): 1,
         (-2, (2,), (2,)): c,
@@ -253,7 +253,7 @@ def test_classical_exp_quartic_keeps_degree_four_term():
 
 def test_classical_exp_degree_guard():
     with pytest.raises(PreconditionError):
-        classical_exp(mono(1, 4, 1, 0, (1,), (1,)), divide_by_hbar=True)
+        classical_exp(mono(1, 4, 1, 0, (1,), (1,)).hbar_shift(-2))
     with pytest.raises(PreconditionError):
         classical_exp(WickSeries.unit(1, 4))
 
@@ -286,7 +286,7 @@ def test_classical_exp_star_machinery_round_trip():
         h = random_weight_body(rng, 1, trunc, n_terms=3, max_degree=5)
         if not h:
             continue
-        u = classical_exp(h, divide_by_hbar=True)
+        u = classical_exp(h.hbar_shift(-2))
         assert star_exp(star_log(u)) == u
 
 
@@ -299,7 +299,7 @@ def test_star_inverse_two_routes():
         h = random_weight_body(rng, dim, 6, n_terms=3, max_degree=5)
         if not h:
             continue
-        u = classical_exp(h, divide_by_hbar=True)
+        u = classical_exp(h.hbar_shift(-2))
         v = star_inverse(u)
         one = one1 if dim == 1 else one2
         assert wick_star(u, v) == one
@@ -330,7 +330,7 @@ def test_fock_closure_for_admissible_exponentials():
         h = WickSeries(dim, trunc, terms)
         if not h:
             continue
-        u = classical_exp(h, divide_by_hbar=True)
+        u = classical_exp(h.hbar_shift(-2))
         s = random_holomorphic(rng, dim, trunc)
         out = fock_act(u, s)
         assert all(k2 >= 0 for (k2, _, _) in out.terms), (h.terms, out.terms)
