@@ -250,7 +250,7 @@ class ToeplitzMatrix:
 
     def _shifts(self) -> set:
         """Diagonals q - p that the symbol's terms fill."""
-        return {a - b for (_, (a,), (b,)) in self.symbol.num.terms}
+        return {a - b for (_, (a,), (b,)) in self.symbol.num.num}
 
     def _check_cell(self, q: int, p: int) -> None:
         if not (0 <= q <= self.m and 0 <= p <= self.m):
@@ -260,15 +260,15 @@ class ToeplitzMatrix:
     def entry(self, q: int, p: int) -> ComplexRational:
         """The z^q coefficient of the operator applied to z^p."""
         self._check_cell(q, p)
-        m, d = self.m, self.symbol.denom_power
-        denom = math.prod(m + s for s in range(2, d + 2))
-        acc = _ZERO
-        for (_, (a,), (b,)), c in self.symbol.num.terms.items():
+        m, d, symbol = self.m, self.symbol.denom_power, self.symbol.num
+        denom = math.prod(m + s for s in range(2, d + 2)) * symbol.den
+        re = im = 0
+        for (_, (a,), (b,)), (x, y) in symbol.num.items():
             if a - b == q - p:
-                top = math.prod(range(q + 1, q + b + 1))
-                mid = math.prod(m - q + i for i in range(1, d - b + 1))
-                acc = acc + c * Fraction(top * mid, denom)
-        return acc
+                weight = math.prod(range(q + 1, q + b + 1)) \
+                    * math.prod(m - q + i for i in range(1, d - b + 1))
+                re, im = re + x * weight, im + y * weight
+        return ComplexRational(Fraction(re, denom), Fraction(im, denom))
 
     @property
     def entries(self) -> tuple:
@@ -321,11 +321,12 @@ def mobius_pullback(f: RationalSymbol, w) -> RationalSymbol:
         up.append(up[-1] * (y + w))
         down.append(down[-1] * (1 - y.scale(w.conjugate())))
     total = WickSeries.zero(1, 2 * d)
-    for (_, (a,), (b,)), c in f.num.terms.items():
+    for (_, (a,), (b,)), (x, y) in f.num.num.items():
         term = up[a] * up[b].conjugate() * down[d - a] * down[d - b].conjugate()
-        total = total + term.scale(c)
-    total = total.scale((1 + (w * w.conjugate()).re) ** -d)
-    return RationalSymbol({(a, b): c for (_, (a,), (b,)), c in total.terms.items()}, d)
+        total = total + term.scale(ComplexRational(x, y))
+    total = total.scale((1 + (w * w.conjugate()).re) ** -d / f.num.den)
+    return RationalSymbol({(a, b): total.coefficient(0, (a,), (b,))
+                           for (_, (a,), (b,)) in total.num}, d)
 
 
 def composition_residual(f: RationalSymbol, g: RationalSymbol, ms, orders,
@@ -348,13 +349,15 @@ def composition_residual(f: RationalSymbol, g: RationalSymbol, ms, orders,
     if any(n < 0 for n in orders):
         raise PreconditionError("partial-sum orders must be non-negative")
     rows = {order: {} for order in orders}
+    # each element's (k, coefficient of h^k), read once for every m
+    element_powers = {key: [(k2 // 2, series.coefficient(k2))
+                            for k2, _, _ in sorted(series.num) if k2 >= 0 and not k2 % 2]
+                      for key, series in sorted(predicted.items())}
     for m in ms:
         mf = cp1_toeplitz(m, f)
         mg = mf if g == f else cp1_toeplitz(m, g)
-        for (p, q), series in sorted(predicted.items()):
+        for (p, q), powers in element_powers.items():
             exact = mf.composition_entry(mg, p, q)
-            powers = [(k2 // 2, c) for (k2, _, _), c in sorted(series.terms.items())
-                      if k2 >= 0 and not k2 % 2]
             for order in orders:
                 partial = _ZERO
                 for k, coeff in powers:

@@ -10,9 +10,9 @@ The volume-log jets are the jets of ``log det(d^2 varphi / dz dzbar)``,
 normalized so the flat potential yields exactly zero; together they assemble
 the weight series consumed by the integration pipeline.  They come from
 Jacobi's identity ``log det M = sum_k (-1)^(k+1) tr(X^k) / k`` with
-``X = M(0)^-1 (M - M(0))``, which stops at ``k = order - 2``, so their cost
-is polynomial in dim (``order * dim^3`` series products) rather than a
-``dim!`` determinant.
+``X = M - 1``: the metric is the identity at the point, as in every normal
+form.  The sum stops at ``k = order - 2``, so their cost is polynomial in dim
+(``order * dim^3`` series products) rather than a ``dim!`` determinant.
 
 All arithmetic is exact.  The quadratic diagonalization therefore requires
 the pivots of the Hermitian (1,1) block to be perfect rational squares; the
@@ -217,52 +217,39 @@ def _is_identity(matrix: list) -> bool:
                for i, row in enumerate(matrix) for j, v in enumerate(row))
 
 
-def _sqrt_fraction(value: Fraction):
-    if value <= 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return None
-    return Fraction(rn, rd)
-
-
-def _ldl(matrix: list, dim: int):
-    """Unit-lower-triangular L and positive pivots D with M = L D L^dagger."""
-    L = [[ComplexRational(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
-    D = [Fraction(0)] * dim
-    for j in range(dim):
-        pivot = matrix[j][j]
-        for k in range(j):
-            pivot = pivot - L[j][k] * L[j][k].conjugate() * D[k]
-        if pivot.im or pivot.re <= 0:
-            raise PreconditionError("the (1,1) part is not positive definite")
-        D[j] = pivot.re
-        for i in range(j + 1, dim):
-            acc = matrix[i][j]
-            for k in range(j):
-                acc = acc - L[i][k] * L[j][k].conjugate() * D[k]
-            L[i][j] = acc / pivot
-    return L, D
-
-
 def _diagonalizing_change(matrix: list, dim: int):
-    """B with B^dagger M B = Id, or None when M is already the identity."""
+    """B with B^dagger M B = Id, or None when M is already the identity.
+
+    Symmetric elimination: column operations clear each row of M right of
+    its pivot and act alike on B, which starts as the identity; then column
+    j of B is scaled by 1/sqrt(pivot j).  B is upper triangular with a
+    positive diagonal, which makes it unique.  Every pivot is checked for
+    positive definiteness before any is checked for a rational square root.
+    """
     if _is_identity(matrix):
         return None
-    L, D = _ldl(matrix, dim)
-    roots = []
-    for pivot in D:
-        root = _sqrt_fraction(pivot)
-        if root is None:
+    m = [list(row) for row in matrix]
+    b = [[ComplexRational(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
+    pivots = []
+    for j in range(dim):
+        pivot = m[j][j]
+        if pivot.im or pivot.re <= 0:
+            raise PreconditionError("the (1,1) part is not positive definite")
+        pivots.append(pivot.re)
+        for k in range(j + 1, dim):
+            factor = m[j][k] / pivot
+            if factor:
+                for row in (*m, *b):
+                    row[k] = row[k] - factor * row[j]
+    for j, pivot in enumerate(pivots):
+        rn, rd = isqrt(pivot.numerator), isqrt(pivot.denominator)
+        if (rn * rn, rd * rd) != (pivot.numerator, pivot.denominator):
             raise PreconditionError(
                 f"quadratic pivot {pivot} is not a perfect rational square; "
                 "the (1,1) part cannot be diagonalized exactly")
-        roots.append(root)
-    X, _ = _invert_constant([[L[j][i].conjugate() for j in range(dim)]
-                             for i in range(dim)], dim)
-    return [[X[i][j] * (Fraction(1) / roots[j]) for j in range(dim)]
-            for i in range(dim)]
+        for row in b:
+            row[j] = row[j] * Fraction(rd, rn)
+    return b
 
 
 def k_normalize(raw: PotentialJets):
@@ -333,50 +320,29 @@ def apply_normalization(raw: PotentialJets, coord_change, frame_change) -> Poten
 # volume-log jets and derived data
 
 
-def _invert_constant(matrix: list, dim: int):
-    """Gauss-Jordan inverse and determinant of a constant matrix.
-
-    Returns ``(inverse, det)``; a singular matrix gives ``(None, 0)``.
-    """
-    rows = [list(matrix[i]) + [ComplexRational(1 if i == j else 0)
-                               for j in range(dim)] for i in range(dim)]
-    det = ComplexRational(1)
-    for col in range(dim):
-        pivot = next((r for r in range(col, dim) if rows[r][col]), None)
-        if pivot is None:
-            return None, ComplexRational()
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det = det * rows[col][col]
-        inv = ComplexRational(1) / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(dim):
-            factor = rows[r][col]
-            if r != col and factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return [row[dim:] for row in rows], det
-
-
 def volume_log_jets(p: PotentialJets) -> WickSeries:
     """Jets of the log-determinant of the metric, zero for the flat potential.
 
     This is log det M by Jacobi's identity, M = (d^2 varphi / dz_i dzbar_j).
 
-    With A = M(0) of determinant 1 and X = A^-1 (M - A), log det M is
-    sum_k (-1)^(k+1) tr(X^k) / k; an identity A (any normal form) needs no
-    inverse.  X has no constant term, so X^k vanishes once k times its least
-    degree passes order - 2 (a normal form's X starts in degree 2).  Full
-    powers are formed up to half that k; later traces take only the diagonal
-    of a product of two of them.
+    The metric must be the identity at the point, as in every normal form;
+    then X = M - 1 and log det M is sum_k (-1)^(k+1) tr(X^k) / k.  X has no
+    constant term, so X^k vanishes once k times its least degree passes
+    order - 2 (a normal form's X starts in degree 2).  Full powers are formed
+    up to half that k; later traces take only the diagonal of a product of
+    two of them.
     """
     varphi = p.varphi
     dim = varphi.dim
+    if not _is_identity(_one_one_matrix(varphi, dim)):
+        raise PreconditionError(
+            "volume-log jets need the identity metric at the point; "
+            "normalize the potential first")
     r2 = max(varphi.trunc - 2, 0)
     units = [_unit(dim, i) for i in range(dim)]
     rest = [[{} for _ in range(dim)] for _ in range(dim)]
     for (_, I, J), (a, b) in varphi.num.items():
-        if not 2 < sum(I) + sum(J) <= r2 + 2:  # A, or above the window
+        if not 2 < sum(I) + sum(J) <= r2 + 2:  # M(0) = 1, or above the window
             continue
         for i in range(dim):
             if not I[i]:
@@ -388,17 +354,6 @@ def volume_log_jets(p: PotentialJets) -> WickSeries:
                         (a * I[i] * J[j], b * I[i] * J[j])
     zero = WickSeries.zero(dim, r2)
     x = [[zero._build(terms, varphi.den) for terms in row] for row in rest]
-    constant = list(zip(*_one_one_matrix(varphi, dim)))
-    if not _is_identity(constant):
-        inverse, det = _invert_constant(constant, dim)
-        if not det:
-            raise PreconditionError("the metric is degenerate at the marked point")
-        if det != 1:
-            raise PreconditionError(
-                "volume-log jets need unit metric determinant at the point; "
-                "normalize the potential first")
-        x = [[sum((block.scale(a) for a, block in zip(inverse[i], column) if a), zero)
-              for column in zip(*x)] for i in range(dim)]
 
     def entry(row: list, right: list, j: int) -> WickSeries:
         """Entry j of the product of a row with the matrix ``right``."""

@@ -273,7 +273,11 @@ class WickSeries:
 
     @property
     def terms(self) -> MappingProxyType:
-        """Read-only ``{(k2, I, J): ComplexRational}`` view, built on first use."""
+        """Read-only ``{(k2, I, J): ComplexRational}`` view, built on first use.
+
+        Only tests and the benchmark tracer read it; the engine works on
+        ``num`` and ``den``, or on ``coefficient()``.
+        """
         if self._terms is None:
             den = self.den
             object.__setattr__(self, "_terms", MappingProxyType({

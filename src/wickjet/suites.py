@@ -242,8 +242,8 @@ def formal_integral_suite(seed: int = 0) -> SuiteReport:
         yJ = WickSeries.monomial(dim, trunc, 1, 0, J, mi_zero(dim))
         pairing = inner_product(yI, yJ, w)
         normalized = pairing.hbar_shift(-(sum(I) + sum(J)))
-        check(all(I == J and k2 == 0 and c == mi_factorial(I)
-                  for (k2, _, _), c in normalized.terms.items() if k2 <= 0),
+        check(all(I == J and k2 == 0 and (a, b) == (mi_factorial(I) * normalized.den, 0)
+                  for (k2, _, _), (a, b) in normalized.num.items() if k2 <= 0),
               "orthonormal modulo h", i)
 
         if I != J:

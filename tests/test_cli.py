@@ -523,6 +523,21 @@ def _assert_rejected_in_subprocess(tmp_path, payload=None, path=None,
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("pivots, message", [
+    ((2, -1), "the (1,1) part is not positive definite"),
+    ((4, 2), "quadratic pivot 2 is not a perfect rational square; "
+             "the (1,1) part cannot be diagonalized exactly"),
+])
+def test_diagonalization_errors_exit_with_one_line(tmp_path, pivots, message):
+    records = [{"I": index, "J": index, "re": str(c), "im": "0"}
+               for index, c in zip(([1, 0], [0, 1]), pivots)]
+    _assert_rejected_in_subprocess(
+        tmp_path, {"mode": "k-normalize", "dim": 2,
+                   "potential": {"order": 4, "jets": records}},
+        code=COMPUTE_EXIT,
+        prefix=f"wickjet: computation error (k-normalize): {message}\n")
+
+
 def test_report_past_the_digit_limit_exits_cleanly(tmp_path):
     # every literal has 52 characters, but the product's coefficients carry
     # more digits than the interpreter will print

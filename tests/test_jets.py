@@ -207,6 +207,49 @@ def test_normalize_rejects_bad_quadratic_parts():
         k_normalize(potential(1, 4, {((2,), (2,)): 1}))  # degenerate
 
 
+def test_diagonalizing_change_is_upper_triangular_with_positive_diagonal():
+    # B^dagger M B = Id with B upper triangular and diag(B) > 0 pins B uniquely
+    rng = random.Random(2)
+    for dim in range(1, 7):
+        for _ in range(6):
+            lower = [[ComplexRational(1 if i == j else 0) if j >= i else
+                      ComplexRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                      Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                      for j in range(dim)] for i in range(dim)]
+            squares = [Fraction(rng.randint(1, 3), rng.randint(1, 2)) ** 2
+                       for _ in range(dim)]
+            m = [[sum((lower[i][k] * lower[j][k].conjugate() * squares[k]
+                       for k in range(dim)), ComplexRational())
+                  for j in range(dim)] for i in range(dim)]
+            b = jets_module._diagonalizing_change(m, dim)
+            if b is None:
+                assert m == [[int(i == j) for j in range(dim)] for i in range(dim)]
+                continue
+            product = [[sum((b[k][i].conjugate() * m[k][l] * b[l][j]
+                             for k in range(dim) for l in range(dim)), ComplexRational())
+                        for j in range(dim)] for i in range(dim)]
+            assert product == [[int(i == j) for j in range(dim)] for i in range(dim)]
+            assert all(not b[i][j] for i in range(dim) for j in range(i))
+            assert all(b[i][i].is_real and b[i][i].re > 0 for i in range(dim))
+
+
+NOT_POSITIVE = "the (1,1) part is not positive definite"
+NOT_SQUARE = ("quadratic pivot 2 is not a perfect rational square; "
+              "the (1,1) part cannot be diagonalized exactly")
+
+
+@pytest.mark.parametrize("pivots, message", [
+    # every pivot is checked for positivity before any for a square root
+    ((2, -1), NOT_POSITIVE),
+    ((4, 2), NOT_SQUARE),
+])
+def test_diagonalization_errors_and_their_order(pivots, message):
+    raw = potential(2, 4, {(e(2, i), e(2, i)): c for i, c in enumerate(pivots)})
+    with pytest.raises(PreconditionError) as error:
+        k_normalize(raw)
+    assert str(error.value) == message
+
+
 def test_normalize_random_round_trips():
     for seed in range(20):
         dim = 1 + seed % 3
@@ -295,16 +338,17 @@ def near_normal_potential(seed, dim, order, quadratic=None, n_terms=4):
     return potential(dim, order, varphi)
 
 
-def test_volume_log_matches_permutation_expansion(monkeypatch):
-    inverses = count_calls(monkeypatch, jets_module, "_invert_constant")
+IDENTITY_METRIC = ("volume-log jets need the identity metric at the point; "
+                   "normalize the potential first")
+
+
+def test_volume_log_matches_permutation_expansion():
     identity = [fubini_study_potential(dim, 6) for dim in range(1, 6)]
     identity += [near_normal_potential(seed, dim, 6 if dim < 5 else 5)
                  for dim in (3, 4, 5) for seed in (1, 2)]
     for p in identity:
         assert volume_log_jets(p) == permutation_volume_log(p.varphi)
-    # an identity metric at the point needs no inverse
-    assert inverses == []
-    # non-identity metrics of unit determinant exercise the exact inverse
+    # non-identity metrics of unit determinant need normalizing first
     half = Fraction(1, 2)
     cases = [near_normal_potential(3, 2, 6, {(0, 0): 2, (1, 1): half}),
              near_normal_potential(4, 2, 6, {(0, 0): -1, (1, 1): -1}),
@@ -313,18 +357,17 @@ def test_volume_log_matches_permutation_expansion(monkeypatch):
              near_normal_potential(9, 2, 6, {
                  (0, 0): 2, (0, 1): ComplexRational(0, 1),
                  (1, 0): ComplexRational(0, -1), (1, 1): 1}),
-             # a zero leading pivot forces a row swap
              near_normal_potential(6, 3, 5, {(0, 1): 1, (1, 0): 1,
                                              (2, 2): -1})]
     for p in cases:
-        assert volume_log_jets(p) == permutation_volume_log(p.varphi)
-    assert len(inverses) == len(cases)
+        with pytest.raises(PreconditionError, match=IDENTITY_METRIC):
+            volume_log_jets(p)
 
 
 def test_volume_log_rejects_non_unit_constant_metrics():
-    with pytest.raises(PreconditionError, match="unit metric determinant"):
+    with pytest.raises(PreconditionError, match=IDENTITY_METRIC):
         volume_log_jets(near_normal_potential(7, 2, 5, {(0, 1): 1, (1, 0): 1}))
-    with pytest.raises(PreconditionError, match="degenerate"):
+    with pytest.raises(PreconditionError, match=IDENTITY_METRIC):
         volume_log_jets(near_normal_potential(8, 2, 5, {
             (0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}))
 

@@ -1,8 +1,12 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import support
+import wickjet
 from wickjet.coefficients import ComplexRational
 from operator import mul
 
@@ -328,3 +332,29 @@ def test_iter_multi_indices_and_factorial():
     assert (1, 1) in found and (0, 2) in found
     assert mi_factorial((3, 2)) == 12
     assert mi_factorial((0,)) == 1
+
+
+# the view's own definition; the engine reads num and den, or coefficient()
+TERMS_READERS = {"series.WickSeries.terms"}
+
+
+def _terms_reads(tree: ast.AST, scope: str):
+    """(scope, line) of every ``.terms`` attribute read."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}"
+        elif isinstance(node, ast.Attribute) and node.attr == "terms":
+            yield inner, node.lineno
+        yield from _terms_reads(node, inner)
+
+
+def test_no_engine_module_reads_terms():
+    found = []
+    for path in sorted(Path(wickjet.__file__).parent.glob("*.py")):
+        found += _terms_reads(ast.parse(path.read_text()), path.stem)
+    outside = [read for read in found if read[0] not in TERMS_READERS]
+    assert not outside, outside
+    # the scan sees the reads in the test helpers
+    helpers = dict(_terms_reads(ast.parse(Path(support.__file__).read_text()), "support"))
+    assert "support.permutation_volume_log" in helpers
