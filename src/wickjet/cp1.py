@@ -260,10 +260,10 @@ class ToeplitzMatrix:
     def entry(self, q: int, p: int) -> ComplexRational:
         """The z^q coefficient of the operator applied to z^p."""
         self._check_cell(q, p)
-        m, d, symbol = self.m, self.symbol.denom_power, self.symbol.num
-        denom = math.prod(m + s for s in range(2, d + 2)) * symbol.den
+        m, d, series = self.m, self.symbol.denom_power, self.symbol.num
+        denom = math.prod(m + s for s in range(2, d + 2)) * series.den
         re = im = 0
-        for (_, (a,), (b,)), (x, y) in symbol.num.items():
+        for (_, (a,), (b,)), (x, y) in series.num.items():
             if a - b == q - p:
                 weight = math.prod(range(q + 1, q + b + 1)) \
                     * math.prod(m - q + i for i in range(1, d - b + 1))

@@ -527,7 +527,7 @@ def _assert_rejected_in_subprocess(tmp_path, payload=None, path=None,
     ((2, -1), "the (1,1) part is not positive definite"),
     ((4, 2), "quadratic pivot 2 is not a perfect rational square; "
              "the (1,1) part cannot be diagonalized exactly"),
-])
+], ids=["not-positive", "not-square"])
 def test_diagonalization_errors_exit_with_one_line(tmp_path, pivots, message):
     records = [{"I": index, "J": index, "re": str(c), "im": "0"}
                for index, c in zip(([1, 0], [0, 1]), pivots)]

@@ -211,6 +211,7 @@ def test_diagonalizing_change_is_upper_triangular_with_positive_diagonal():
     # B^dagger M B = Id with B upper triangular and diag(B) > 0 pins B uniquely
     rng = random.Random(2)
     for dim in range(1, 7):
+        identity = [[ComplexRational(int(i == j)) for j in range(dim)] for i in range(dim)]
         for _ in range(6):
             lower = [[ComplexRational(1 if i == j else 0) if j >= i else
                       ComplexRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
@@ -221,14 +222,12 @@ def test_diagonalizing_change_is_upper_triangular_with_positive_diagonal():
             m = [[sum((lower[i][k] * lower[j][k].conjugate() * squares[k]
                        for k in range(dim)), ComplexRational())
                   for j in range(dim)] for i in range(dim)]
-            b = jets_module._diagonalizing_change(m, dim)
-            if b is None:
-                assert m == [[int(i == j) for j in range(dim)] for i in range(dim)]
-                continue
+            # None stands for the identity change
+            b = jets_module._diagonalizing_change(m, dim) or identity
             product = [[sum((b[k][i].conjugate() * m[k][l] * b[l][j]
                              for k in range(dim) for l in range(dim)), ComplexRational())
                         for j in range(dim)] for i in range(dim)]
-            assert product == [[int(i == j) for j in range(dim)] for i in range(dim)]
+            assert product == identity
             assert all(not b[i][j] for i in range(dim) for j in range(i))
             assert all(b[i][i].is_real and b[i][i].re > 0 for i in range(dim))
 
@@ -242,7 +241,7 @@ NOT_SQUARE = ("quadratic pivot 2 is not a perfect rational square; "
     # every pivot is checked for positivity before any for a square root
     ((2, -1), NOT_POSITIVE),
     ((4, 2), NOT_SQUARE),
-])
+], ids=["not-positive", "not-square"])
 def test_diagonalization_errors_and_their_order(pivots, message):
     raw = potential(2, 4, {(e(2, i), e(2, i)): c for i, c in enumerate(pivots)})
     with pytest.raises(PreconditionError) as error:
