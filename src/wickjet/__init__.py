@@ -48,7 +48,6 @@ from .cp1 import (
 from .series import WickSeries, total_degree
 from .suites import SUITES, SuiteReport, run_suite, run_suites
 from .wick import (
-    anti_fock_act,
     classical_exp,
     fock_act,
     star_exp,
@@ -63,7 +62,6 @@ __all__ = [
     "total_degree",
     "wick_star",
     "fock_act",
-    "anti_fock_act",
     "classical_exp",
     "star_exp",
     "star_log",

@@ -140,23 +140,28 @@ def _integers(values: list, name: str, low: int, high: int) -> tuple:
     return tuple(values)
 
 
+def _nonempty(values: list, name: str, what: str) -> list:
+    """``values``, unless the list is empty: a job that checks nothing is malformed."""
+    if not values:
+        raise JobError(f"field \"{name}\": need at least one {what}")
+    return values
+
+
 def _parse_composition(comp: dict) -> dict:
-    orders = _integers(
+    orders = _integers(_nonempty(
         _field(comp, "orders", list, required=False, default=[0, 1, 2]),
-        "composition.orders", 0, ENGINE_REACH)
-    ms = _integers(
+        "composition.orders", "order"), "composition.orders", 0, ENGINE_REACH)
+    ms = _integers(_nonempty(
         _field(comp, "ms", list, required=False,
                default=[32, 64, 128, 256, 512]),
-        "composition.ms", 1, MS_CEILING)
-    if not ms:
-        raise JobError("field \"composition.ms\": need at least one tensor "
-                       "power")
+        "composition.ms", "tensor power"), "composition.ms", 1, MS_CEILING)
     if sum(set(ms)) > 2 * MS_CEILING:
         raise JobError(f"field \"composition.ms\": the tensor powers sum to "
                        f"{sum(set(ms))}, above the ceiling {2 * MS_CEILING}")
     elements = []
-    for pair in _field(comp, "elements", list, required=False,
-                       default=[[0, 0], [1, 1]]):
+    for pair in _nonempty(_field(comp, "elements", list, required=False,
+                                 default=[[0, 0], [1, 1]]),
+                          "composition.elements", "element"):
         if not isinstance(pair, list) or len(pair) != 2:
             raise JobError(f"field \"composition.elements\": expected "
                            f"[p, q] pairs, got {pair!r}")
@@ -265,6 +270,7 @@ def _load_job_data(data: dict, trunc_ceiling: int) -> JobSpec:
     if mode == "suite":
         names = _field(data, "names", list, required=False)
         if names is not None:
+            _nonempty(names, "names", "suite")
             unknown = [n for n in names
                        if not isinstance(n, str) or n not in SUITES]
             if unknown:
@@ -275,7 +281,7 @@ def _load_job_data(data: dict, trunc_ceiling: int) -> JobSpec:
             if repeated:
                 raise JobError(f"field \"names\": repeated suites "
                                f"{', '.join(repeated)}")
-        seed = _field(data, "seed", int, required=False)
+        seed = _field(data, "seed", int, required=False, default=0)
         return JobSpec(mode, 0, 0, {"names": names, "seed": seed}, out)
 
     if mode == "cp1-verify":
@@ -459,11 +465,10 @@ def _run_cp1_verify(job: JobSpec) -> tuple:
     return lines, files, accepted
 
 
-def _run_suite(job: JobSpec, seed: int) -> tuple:
-    job_seed = job.inputs.get("seed")
-    effective = seed if job_seed is None else job_seed
-    reports = run_suites(job.inputs.get("names"), seed=effective)
-    lines = [f"seed: {effective}"]
+def _run_suite(job: JobSpec) -> tuple:
+    seed = job.inputs["seed"]
+    reports = run_suites(job.inputs["names"], seed=seed)
+    lines = [f"seed: {seed}"]
     accepted = True
     for report in reports:
         status = "PASS" if report.ok else "FAIL"
@@ -477,21 +482,17 @@ def _run_suite(job: JobSpec, seed: int) -> tuple:
 
 _RUNNERS = {"wick-star": _run_wick_star, "bt-eval": _run_bt_eval,
             "rep-act": _run_rep_act, "k-normalize": _run_k_normalize,
-            "cp1-verify": _run_cp1_verify}
+            "cp1-verify": _run_cp1_verify, "suite": _run_suite}
 
 
-def run(job: JobSpec, seed: int = 0) -> Report:
+def run(job: JobSpec) -> Report:
     """Execute a parsed job; the report text is canonical and reproducible."""
     header = ["wickjet report", f"mode: {job.mode}"]
     if job.mode not in ("cp1-verify", "suite"):
         header.append(f"dim: {job.dim}")
         header.append(f"trunc: {job.trunc}")
 
-    if job.mode == "suite":
-        lines, files, accepted = _run_suite(job, seed)
-    else:
-        lines, files, accepted = _RUNNERS[job.mode](job)
-
+    lines, files, accepted = _RUNNERS[job.mode](job)
     status = "ok" if accepted else "acceptance-failure"
     text = "\n".join(header + lines + [f"status: {status}"]) + "\n"
     return Report(text, files, accepted)
@@ -522,8 +523,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="directory for report artifacts")
     parser.add_argument("--trunc-ceiling", type=int, default=16,
                         help="largest truncation a job may request")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the randomized suites")
     args = parser.parse_args(argv)
 
     if not args.job:
@@ -542,7 +541,7 @@ def main(argv=None) -> int:
         return PARSE_EXIT
 
     try:
-        report = run(job, seed=args.seed)
+        report = run(job)
     except WickjetError as exc:
         print(f"wickjet: computation error ({job.mode}): {exc}",
               file=sys.stderr)

@@ -14,7 +14,7 @@ from math import gcd
 
 from .errors import WickjetError
 
-__all__ = ["ComplexRational", "I", "parse_rational", "format_rational",
+__all__ = ["ComplexRational", "parse_rational", "format_rational",
            "format_complex", "LITERAL_DIGITS", "random_rational",
            "random_coefficient"]
 
@@ -114,10 +114,6 @@ class ComplexRational:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
@@ -158,19 +154,6 @@ class ComplexRational:
     def __rtruediv__(self, other):
         return self.coerce(other) / self
 
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        out = ComplexRational(1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def conjugate(self) -> "ComplexRational":
         return ComplexRational(self.re, -self.im)
 
@@ -203,9 +186,6 @@ class ComplexRational:
 
     def __str__(self) -> str:
         return format_complex(self.re, self.im)
-
-
-I = ComplexRational(0, 1)
 
 
 def random_rational(rng, bound: int = 6, max_den: int = 4) -> Fraction:

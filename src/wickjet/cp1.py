@@ -21,11 +21,10 @@ from __future__ import annotations
 import math
 import statistics
 from fractions import Fraction
-from operator import mul
 
 from .coefficients import ComplexRational
 from .errors import PreconditionError
-from .series import WickSeries, power_terms
+from .series import WickSeries
 
 __all__ = [
     "FactorialRational",
@@ -190,13 +189,6 @@ class RationalSymbol:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("RationalSymbol is immutable")
 
-    @classmethod
-    def constant(cls, value) -> "RationalSymbol":
-        return cls({(0, 0): value}, 0)
-
-    def is_real(self) -> bool:
-        return self.num.conjugate() == self.num
-
     def __eq__(self, other):
         if not isinstance(other, RationalSymbol):
             return NotImplemented
@@ -216,13 +208,16 @@ def fs_ratio_symbol() -> RationalSymbol:
 
 
 def symbol_jets(f: RationalSymbol, order: int) -> WickSeries:
-    """Taylor jets of the symbol at the origin, for the formal engine."""
-    t = WickSeries.monomial(1, order, 1, 0, (1,), (1,))
-    geometric = WickSeries.unit(1, order)
-    for k, power in enumerate(power_terms(t, t, mul), 1):
-        geometric = geometric + power.scale(
-            (-1) ** k * math.comb(f.denom_power + k - 1, k))
-    return f.num.retruncate(order) * geometric
+    """Taylor jets of the symbol at the origin, for the formal engine.
+
+    1/(1+|y|^2)^d is sum_k (-1)^k C(d+k-1, k) |y|^(2k).  Its k = 0 term is 1
+    at every d; at d = 0 every other term is C(k-1, k) = 0.
+    """
+    d = f.denom_power
+    inverse = WickSeries(1, order, {
+        (0, (k,), (k,)): (-1) ** k * math.comb(d + k - 1, k) if k else 1
+        for k in range(order // 2 + 1)})
+    return f.num.retruncate(order) * inverse
 
 
 class ToeplitzMatrix:

@@ -108,8 +108,8 @@ def power_terms(first, x, product) -> Iterator:
 
 
 # The exact kernel.  Every bilinear operation (the pointwise product,
-# wick_star, fock_act, anti_fock_act and formal_integral's moment rule) runs
-# through ``bilinear_terms`` and differs only in its expansion rule: which
+# wick_star, fock_act and formal_integral's moment rule) runs through
+# ``bilinear_terms`` and differs only in its expansion rule: which
 # output monomials, with which integer scalars, a pair of input terms gives.
 # It reads both factors' stored integer numerators; sums of pair products
 # stay integers over the product of the two denominators, reduced once when
@@ -325,9 +325,6 @@ class WickSeries:
     def is_holomorphic(self) -> bool:
         """Only y generators (J = 0 throughout)."""
         return all(not any(J) for (_, _, J) in self.num)
-
-    def is_antiholomorphic(self) -> bool:
-        return all(not any(I) for (_, I, _) in self.num)
 
     # -- window management -----------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Star product, module actions and exponential/logarithm maps.
+"""Star product, the Fock module action and exponential/logarithm maps.
 
 The product implemented here contracts holomorphic derivatives of the left
 factor against anti-holomorphic derivatives of the right factor::
@@ -10,9 +10,7 @@ It is graded for the degree ``k2 + |I| + |J|``, so truncation commutes with
 the product whenever both factors have non-negative minimum degree.
 
 The module action on holomorphic series realizes ``yb_j`` as ``h d/dy_j``
-(multiply by the holomorphic part first, then differentiate); the conjugate
-action realizes ``y_i`` as ``-h d/dyb_i`` (differentiate first, then multiply
-by the anti-holomorphic part).
+(multiply by the holomorphic part first, then differentiate).
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from .series import WickSeries, bilinear_terms, power_terms
 __all__ = [
     "wick_star",
     "fock_act",
-    "anti_fock_act",
     "classical_exp",
     "star_exp",
     "star_log",
@@ -78,15 +75,6 @@ def _contractions(I: tuple, J: tuple) -> tuple:
     return tuple(out)
 
 
-def _falling_product(top: tuple, lower: tuple) -> int:
-    """prod (top_i)_(lower_i); zero exactly when some top_i < lower_i."""
-    scalar = 1
-    for t, j in zip(top, lower):
-        if j:
-            scalar *= _falling(t, j)
-    return scalar
-
-
 def fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
     """Act on a holomorphic series: y^I yb^J |-> (h d_y)^J o (multiply y^I)."""
     f._check_compatible(s)
@@ -98,31 +86,14 @@ def fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
         k2, I, J = key_f
         k2s, P, _ = key_s
         top = tuple(map(add, I, P))
-        scalar = _falling_product(top, J)
+        scalar = 1  # prod (top_i)_(J_i); zero exactly when some top_i < J_i
+        for t, j in zip(top, J):
+            if j:
+                scalar *= _falling(t, j)
         if not scalar:
             return ()
         return [((k2 + k2s + 2 * sum(J), tuple(map(sub, top, J)), zero),
                  scalar)]
-
-    return f._build(*bilinear_terms(f, s, expand))
-
-
-def anti_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
-    """Act on an anti-holomorphic series: y^I yb^J |-> (multiply yb^J) o (-h d_yb)^I."""
-    f._check_compatible(s)
-    if not s.is_antiholomorphic():
-        raise PreconditionError("anti_fock_act target must be anti-holomorphic (I = 0)")
-    zero = (0,) * f.dim
-
-    def expand(key_f, key_s):
-        k2, I, J = key_f
-        k2s, _, Q = key_s
-        scalar = _falling_product(Q, I)
-        if not scalar:
-            return ()
-        order = sum(I)
-        return [((k2 + k2s + 2 * order, zero, tuple(map(add, map(sub, Q, I), J))),
-                 -scalar if order % 2 else scalar)]
 
     return f._build(*bilinear_terms(f, s, expand))
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 import sympy as sp
 
 from wickjet.coefficients import ComplexRational
+from wickjet.cp1 import RationalSymbol
 from wickjet.errors import PreconditionError
 from wickjet.integrals import WeightSeries, formal_integral
 from wickjet.series import WickSeries, accumulate, mi_factorial, mi_sub, mi_zero
@@ -343,11 +344,16 @@ def dense_cp1_toeplitz(m: int, symbol) -> list:
     return rows
 
 
+def _power(c: ComplexRational, n: int) -> ComplexRational:
+    """c^n by n - 1 plain multiplications."""
+    return prod([c] * n, start=ComplexRational(1))
+
+
 def _binom_poly(constant, linear, n: int, holomorphic: bool) -> dict:
     """(constant + linear * v)^n as {(a, b): coefficient} terms, v = z or zbar."""
     out = {}
     for k in range(n + 1):
-        coeff = ComplexRational.coerce(comb(n, k)) * constant ** (n - k) * linear ** k
+        coeff = comb(n, k) * _power(constant, n - k) * _power(linear, k)
         if coeff:
             out[(k, 0) if holomorphic else (0, k)] = coeff
     return out
@@ -369,7 +375,7 @@ def reference_mobius_pullback(symbol, w) -> dict:
     w = ComplexRational.coerce(w)
     d = symbol.denom_power
     wb, one = w.conjugate(), ComplexRational(1)
-    scale = (one + w * wb) ** d
+    scale = _power(one + w * wb, d)
     pairs = []
     for (_, (a,), (b,)), c in symbol.num.terms.items():
         poly = {(0, 0): c / scale}
@@ -379,6 +385,11 @@ def reference_mobius_pullback(symbol, w) -> dict:
         poly = _poly_mul(poly, _binom_poly(one, -w, d - b, False))
         pairs += poly.items()
     return {key: c for key, c in accumulate(pairs).items() if c}
+
+
+def constant_symbol(value) -> RationalSymbol:
+    """The CP^1 symbol that is ``value`` everywhere."""
+    return RationalSymbol({(0, 0): value}, 0)
 
 
 def evaluate_symbol(symbol, z: complex) -> complex:
@@ -507,21 +518,6 @@ def reference_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
                 for t, j in zip(top, J):
                     scalar *= _falling(t, j)
                 yield ((k2 + k2s + 2 * sum(J), mi_sub(top, J), zero),
-                       cf * cs * scalar)
-    return _series(f, pairs())
-
-
-def reference_anti_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
-    """y^I yb^J acting on anti-holomorphic s as yb^J after (-h d_yb)^I."""
-    zero = mi_zero(f.dim)
-
-    def pairs():
-        for (k2, I, J), cf, (k2s, _, Q), cs in _within(f, s):
-            if all(q >= i for q, i in zip(Q, I)):
-                scalar = (-1) ** sum(I)
-                for q, i in zip(Q, I):
-                    scalar *= _falling(q, i)
-                yield ((k2 + k2s + 2 * sum(I), zero, mi_add(mi_sub(Q, I), J)),
                        cf * cs * scalar)
     return _series(f, pairs())
 

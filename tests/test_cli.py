@@ -276,18 +276,19 @@ def test_csv_values_keep_a_zero_real_part():
 
 
 def test_main_suite_mode_passes(tmp_path, capsys):
+    # a suite job without "seed" runs at seed 0
     path = write_job(tmp_path, {"mode": "suite",
                                 "names": ["cp1-peak-section"]})
-    code, out, _ = run_main(capsys, "--job", path, "--seed", "7")
+    code, out, _ = run_main(capsys, "--job", path)
     assert code == 0
-    assert "seed: 7" in out
+    assert "seed: 0" in out
     assert "suite cp1-peak-section: PASS (20 checks)" in out
 
 
-def test_main_suite_seed_in_job_wins(tmp_path, capsys):
+def test_main_suite_prints_the_job_seed(tmp_path, capsys):
     path = write_job(tmp_path, {"mode": "suite", "seed": 3,
                                 "names": ["flat-reduction"]})
-    code, out, _ = run_main(capsys, "--job", path, "--seed", "99")
+    code, out, _ = run_main(capsys, "--job", path)
     assert code == 0
     assert "seed: 3" in out
 
@@ -340,6 +341,14 @@ def test_main_rejects_removed_threads_flag(tmp_path):
                                 "max_order": 1})
     with pytest.raises(SystemExit) as exc:
         main(["--job", path, "--threads", "2"])
+    assert exc.value.code == PARSE_EXIT
+
+
+def test_main_rejects_removed_seed_flag(tmp_path):
+    # the job file alone sets a suite's seed
+    path = write_job(tmp_path, {"mode": "suite", "names": ["flat-reduction"]})
+    with pytest.raises(SystemExit) as exc:
+        main(["--job", path, "--seed", "7"])
     assert exc.value.code == PARSE_EXIT
 
 
@@ -573,13 +582,21 @@ def test_cli_import_leaves_numpy_out():
     {"ms": []},
     {"ms": [32, cli.MS_CEILING + 1]},
     {"ms": [cli.MS_CEILING, cli.MS_CEILING - 1, 2]},
+    {"elements": []},
+    {"orders": []},
 ], ids=["element-beyond-engine", "negative-element", "element-beyond-m",
         "element-not-a-pair", "negative-order", "huge-order", "bool-m",
-        "float-m", "no-m", "m-above-ceiling", "m-sum-above-ceiling"])
+        "float-m", "no-m", "m-above-ceiling", "m-sum-above-ceiling",
+        "no-element", "no-order"])
 def test_main_cp1_composition_fields_are_strict(tmp_path, composition):
     _assert_rejected_in_subprocess(tmp_path, {
         "mode": "cp1-verify", "max_p": 1, "max_order": 1,
         "composition": composition})
+
+
+def test_a_suite_job_that_names_no_suite_is_rejected(tmp_path):
+    # an empty list would run nothing and still report "status: ok"
+    _assert_rejected_in_subprocess(tmp_path, {"mode": "suite", "names": []})
 
 
 def test_composition_ms_bound_admits_the_largest_powers(tmp_path):

@@ -67,7 +67,7 @@ def test_exact_division():
 def test_conjugate_and_predicates():
     a = ComplexRational(Fraction(2, 5), Fraction(7, 3))
     assert a.conjugate() == ComplexRational(Fraction(2, 5), Fraction(-7, 3))
-    assert (a * a.conjugate()).is_real
+    assert not (a * a.conjugate()).im
     assert not ComplexRational(0)
     assert ComplexRational(0, 1)
 

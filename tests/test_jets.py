@@ -229,7 +229,7 @@ def test_diagonalizing_change_is_upper_triangular_with_positive_diagonal():
                         for j in range(dim)] for i in range(dim)]
             assert product == identity
             assert all(not b[i][j] for i in range(dim) for j in range(i))
-            assert all(b[i][i].is_real and b[i][i].re > 0 for i in range(dim))
+            assert all(not b[i][i].im and b[i][i].re > 0 for i in range(dim))
 
 
 NOT_POSITIVE = "the (1,1) part is not positive definite"

@@ -21,12 +21,11 @@ import pytest
 from wickjet.coefficients import ComplexRational
 from wickjet.integrals import _moment
 from wickjet.series import WickSeries, accumulate, bilinear_terms, total_degree
-from wickjet.wick import anti_fock_act, fock_act, wick_star
+from wickjet.wick import fock_act, wick_star
 
 from support import (
     mi_add,
     random_multi_index,
-    reference_anti_fock_act,
     reference_fock_act,
     reference_moment,
     reference_product,
@@ -50,13 +49,13 @@ def _coefficient(rng, kind, den_re, den_im):
 def coprime_series(rng, dim, trunc, n_terms, side=None):
     """Random terms with odd or negative k2; no prime divides two denominators.
 
-    ``side`` "holomorphic" or "anti" zeroes J or I.
+    ``side`` "holomorphic" zeroes J.
     """
     primes = rng.sample(PRIMES, 2 * n_terms)
     zero = (0,) * dim
     terms = {}
     for t in range(n_terms):
-        I = zero if side == "anti" or not dim else random_multi_index(rng, dim, 3)
+        I = zero if not dim else random_multi_index(rng, dim, 3)
         J = zero if side == "holomorphic" or not dim else random_multi_index(rng, dim, 3)
         k2 = rng.randint(-3, max(-3, trunc - sum(I) - sum(J)))
         terms[(k2, I, J)] = _coefficient(rng, rng.choice(KINDS),
@@ -68,7 +67,6 @@ OPERATIONS = [
     ("product", lambda f, g: f * g, reference_product, None),
     ("star", wick_star, reference_star, None),
     ("fock", fock_act, reference_fock_act, "holomorphic"),
-    ("anti-fock", anti_fock_act, reference_anti_fock_act, "anti"),
     ("moment", lambda f, g: f._build(*bilinear_terms(f, g, _moment), dim=0),
      reference_moment, None),
 ]
@@ -215,8 +213,6 @@ def test_exact_cancellation_inside_each_operation():
         (wick_star, reference_star, y + one, yb + h),
         # (3/7 yb) . (i/3 y) = i/7 h, cancelled by -(i/7 h) . 1
         (fock_act, reference_fock_act, yb - h, y + one),
-        # (i/3 y) . (3/7 yb) = -i/7 h, cancelled by (i/7 h) . 1
-        (anti_fock_act, reference_anti_fock_act, y + h, yb + one),
     ]
     for op, reference, f, g in cases:
         got = op(f, g)
@@ -242,8 +238,6 @@ def test_terms_exactly_at_the_truncation_are_kept(trunc):
           (2, (0,), (n - 1,)): c * Fraction(-2 * n, 7)}),
         (fock_act(yb, top_y), reference_fock_act(yb, top_y),
          {(2, (n - 1,), (0,)): c * Fraction(2 * n, 7)}),
-        (anti_fock_act(y, top_yb), reference_anti_fock_act(y, top_yb),
-         {(2, (0,), (n - 1,)): c * Fraction(-2 * n, 7)}),
     ]
     for got, want, terms in cases:
         _assert_same(got, want)

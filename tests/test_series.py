@@ -218,7 +218,6 @@ def test_degree_slice_and_min_degree():
 def test_predicates():
     hol = WickSeries(2, 5, {(2, (1, 0), (0, 0)): 1, (0, (0, 2), (0, 0)): 1})
     assert hol.is_holomorphic()
-    assert not hol.is_antiholomorphic()
     assert hol.is_plain()
     ext = WickSeries(1, 5, {(-2, (3,), (0,)): 1})
     assert not ext.is_plain()

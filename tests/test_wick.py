@@ -7,7 +7,6 @@ from wickjet.coefficients import ComplexRational
 from wickjet.errors import PreconditionError
 from wickjet.series import WickSeries, total_degree
 from wickjet.wick import (
-    anti_fock_act,
     classical_exp,
     fock_act,
     star_exp,
@@ -181,18 +180,6 @@ def test_fock_act_rejects_nonholomorphic_target():
         fock_act(f, bad)
 
 
-def test_anti_fock_act_basic():
-    one = WickSeries.unit(1, 4)
-    y = mono(1, 4, 1, 0, (1,), (0,))
-    yb = mono(1, 4, 1, 0, (0,), (1,))
-    # y acts as -h d/dyb: on 1 it vanishes, on yb it gives -h
-    assert not anti_fock_act(y, one)
-    assert anti_fock_act(y, yb) == mono(1, 4, -1, 2, (0,), (0,))
-    # differentiate first, then multiply: (y yb) . 1 = yb * (-h d/dyb 1) = 0
-    yyb = mono(1, 4, 1, 0, (1,), (1,))
-    assert not anti_fock_act(yyb, one)
-
-
 def test_cancelling_contributions_leave_no_zero_terms():
     one = WickSeries.unit(1, 4)
     y = mono(1, 4, 1, 0, (1,), (0,))
@@ -205,22 +192,8 @@ def test_cancelling_contributions_leave_no_zero_terms():
     # (y yb - h) . (1 + y) = (h + 2 h y) - (h + h y)
     fock = fock_act(y * yb - h, one + y)
     assert fock.terms == {(2, (1,), (0,)): 1}
-    # (y yb + h) . (1 + yb) = -h yb + (h + h yb)
-    anti = anti_fock_act(y * yb + h, one + yb)
-    assert anti.terms == {(2, (0,), (0,)): 1}
-    for series in (star, fock, anti):
+    for series in (star, fock):
         assert all(series.terms.values())
-
-
-def test_anti_fock_act_is_left_module_action():
-    rng = random.Random(103)
-    for _ in range(60):
-        dim = rng.randint(1, 2)
-        trunc = rng.choice([5, 6])
-        f = random_series(rng, dim, trunc, n_terms=3)
-        g = random_series(rng, dim, trunc, n_terms=3)
-        s = random_holomorphic(rng, dim, trunc).conjugate()
-        assert anti_fock_act(wick_star(f, g), s) == anti_fock_act(f, anti_fock_act(g, s))
 
 
 # ---------------------------------------------------------------------------
