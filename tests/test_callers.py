@@ -55,9 +55,9 @@ def uncalled(package: list, callers: list, tracer: ast.AST) -> list:
     ``package`` and ``callers`` are parsed modules; the package reads its
     own names too.  The scan matches names, not objects, and any read
     counts, even one inside a definition nothing calls.  So a shared name
-    hides an unused method: reads of the weight attribute ``is_real`` hid
-    the unused ``ComplexRational.is_real`` and ``RationalSymbol.is_real``,
-    and ``FactorialRational.evaluate`` passes because ``cp1_gram`` reads it.
+    hides an unused method: the weight attribute ``is_real`` that ``btrep``
+    reads would hide an unused ``is_real`` method on any class, and
+    ``FactorialRational.evaluate`` passes because ``cp1_gram`` reads it.
     Operators call dunders, which the scan leaves out.
     """
     read = _tracer_targets(tracer)
