@@ -24,7 +24,6 @@ from .integrals import (
     WeightSeries,
     formal_integral,
     inner_product,
-    toeplitz_apply,
     toeplitz_symbol,
 )
 from .btrep import (
@@ -46,7 +45,7 @@ from .cp1 import (
     symbol_jets,
 )
 from .series import WickSeries, total_degree
-from .suites import SUITES, SuiteReport, run_suite, run_suites
+from .suites import SUITES, SuiteReport
 from .wick import (
     classical_exp,
     fock_act,
@@ -70,7 +69,6 @@ __all__ = [
     "formal_integral",
     "inner_product",
     "toeplitz_symbol",
-    "toeplitz_apply",
     "PotentialJets",
     "k_normalize",
     "apply_normalization",
@@ -95,8 +93,6 @@ __all__ = [
     "composition_residual",
     "SuiteReport",
     "SUITES",
-    "run_suite",
-    "run_suites",
     "WickjetError",
     "DimensionMismatch",
     "TruncationMismatch",

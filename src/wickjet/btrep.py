@@ -51,10 +51,6 @@ class BTContext:
         raise AttributeError("BTContext is immutable")
 
     @classmethod
-    def flat(cls, dim: int, trunc: int) -> "BTContext":
-        return cls(WeightSeries.zero(dim, trunc))
-
-    @classmethod
     def from_potential(cls, p, trunc: int) -> "BTContext":
         return cls(weight_series(p, trunc))
 
@@ -139,7 +135,7 @@ def vacuum_reduce(a: WickSeries, ctx: BTContext, target: int):
     if l2 > trunc:
         raise PreconditionError(
             "the leading term reduces past the truncation window")
-    scale = (coeff * mi_factorial(head)).inverse()
+    scale = 1 / (coeff * mi_factorial(head))
     start = WickSeries(dim, trunc, {(0, zero, head): scale})
     symbol = toeplitz_symbol(start, ctx.weight)
     vacuum = WickSeries(dim, trunc, {(l2, zero, zero): 1})

@@ -41,7 +41,6 @@ from .suites import (
     decays,
     exact_truncation,
     peak_section_rows,
-    run_suites,
     slope_bound,
 )
 from .wick import wick_star
@@ -56,6 +55,8 @@ MODES = ("wick-star", "bt-eval", "k-normalize", "rep-act", "cp1-verify",
          "suite")
 GENERATORS = ("flat", "fubini-study", "random-real-analytic")
 
+# Largest truncation, and largest potential order, a job may request.
+TRUNC_CEILING = 16
 # Largest tensor power a composition fit may request.  The CP^1 oracle
 # computes each requested entry from its closed form, so a tensor power costs
 # about the same at any m.  The distinct tensor powers may sum to at most
@@ -70,10 +71,8 @@ DIM_CEILING = 8
 # Most terms a dense series in h, y and yb may hold at a bt-eval or rep-act
 # job's dim and trunc (see dense_terms): the count at dim 2, trunc 10.
 # Both modes build e^(w/h) and solve Toeplitz symbols whose size follows
-# this count.  Under the default truncation ceiling the slowest admitted
-# jobs (dense random potentials at dim 2, trunc 10 or dim 3, trunc 6) take
-# about 4 s; dim 1 reaches trunc 25 only when --trunc-ceiling is raised,
-# and such a job can take 20 s.
+# this count.  The slowest admitted jobs (dense random potentials at dim 2,
+# trunc 10 or dim 3, trunc 6) take about 4 s.
 TERMS_CEILING = 1792
 # Largest partial-sum order and monomial degree of a composition fit, a
 # cost ceiling.  The prediction's truncation follows from both (see
@@ -140,28 +139,32 @@ def _integers(values: list, name: str, low: int, high: int) -> tuple:
     return tuple(values)
 
 
-def _nonempty(values: list, name: str, what: str) -> list:
-    """``values``, unless the list is empty: a job that checks nothing is malformed."""
+def _distinct(values, name: str, what: str):
+    """``values``, unless empty or repeating one: a job that checks nothing,
+    or one thing twice, is malformed."""
     if not values:
         raise JobError(f"field \"{name}\": need at least one {what}")
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise JobError(f"field \"{name}\": repeated {what}s "
+                       f"{', '.join(map(str, repeated))}")
     return values
 
 
 def _parse_composition(comp: dict) -> dict:
-    orders = _integers(_nonempty(
+    orders = _distinct(_integers(
         _field(comp, "orders", list, required=False, default=[0, 1, 2]),
-        "composition.orders", "order"), "composition.orders", 0, ENGINE_REACH)
-    ms = _integers(_nonempty(
+        "composition.orders", 0, ENGINE_REACH), "composition.orders", "order")
+    ms = _distinct(_integers(
         _field(comp, "ms", list, required=False,
                default=[32, 64, 128, 256, 512]),
-        "composition.ms", "tensor power"), "composition.ms", 1, MS_CEILING)
-    if sum(set(ms)) > 2 * MS_CEILING:
+        "composition.ms", 1, MS_CEILING), "composition.ms", "tensor power")
+    if sum(ms) > 2 * MS_CEILING:
         raise JobError(f"field \"composition.ms\": the tensor powers sum to "
-                       f"{sum(set(ms))}, above the ceiling {2 * MS_CEILING}")
+                       f"{sum(ms)}, above the ceiling {2 * MS_CEILING}")
     elements = []
-    for pair in _nonempty(_field(comp, "elements", list, required=False,
-                                 default=[[0, 0], [1, 1]]),
-                          "composition.elements", "element"):
+    for pair in _field(comp, "elements", list, required=False,
+                       default=[[0, 0], [1, 1]]):
         if not isinstance(pair, list) or len(pair) != 2:
             raise JobError(f"field \"composition.elements\": expected "
                            f"[p, q] pairs, got {pair!r}")
@@ -170,7 +173,9 @@ def _parse_composition(comp: dict) -> dict:
             raise JobError(f"field \"composition.elements\": no z^{max(p, q)}"
                            f" section exists at m = {min(ms)}")
         elements.append((p, q))
-    return {"orders": orders, "ms": ms, "elements": tuple(elements)}
+    return {"orders": orders, "ms": ms,
+            "elements": _distinct(tuple(elements), "composition.elements",
+                                  "element")}
 
 
 def _parse_series(data: dict, name: str, dim: int, trunc: int) -> WickSeries:
@@ -182,11 +187,13 @@ def _parse_series(data: dict, name: str, dim: int, trunc: int) -> WickSeries:
     return series
 
 
-def _parse_jets(data: dict, name: str, dim: int, default_order: int) -> WickSeries:
+def _parse_jets(data: dict, name: str, dim: int, trunc: int) -> WickSeries:
     spec = _field(data, name, (dict, list))
     if isinstance(spec, list):
         spec = {"records": spec}
-    order = _field(spec, "order", int, required=False, default=default_order)
+    order = _field(spec, "order", int, required=False, default=trunc)
+    if order < trunc:
+        raise JobError(f"field \"{name}\": order {order} is below trunc {trunc}")
     records = _field(spec, "records", list)
     try:
         return WickSeries.from_records(dim, order,
@@ -195,14 +202,14 @@ def _parse_jets(data: dict, name: str, dim: int, default_order: int) -> WickSeri
         raise JobError(f"field \"{name}\": bad jet record: {exc}") from None
 
 
-def _parse_potential(data: dict, name: str, dim: int, default_order: int,
-                     trunc_ceiling: int) -> PotentialJets:
+def _parse_potential(data: dict, name: str, dim: int,
+                     default_order: int) -> PotentialJets:
     spec = _field(data, name, dict)
     generator = _field(spec, "generator", str, required=False)
     order = _field(spec, "order", int, required=False, default=default_order)
-    if order > trunc_ceiling:
+    if order > TRUNC_CEILING:
         raise JobError(f"potential order {order} is above the ceiling "
-                       f"{trunc_ceiling}")
+                       f"{TRUNC_CEILING}")
     if generator is not None:
         if generator not in GENERATORS:
             raise JobError(f"field \"{name}\": unknown generator "
@@ -239,7 +246,7 @@ def _parse_out(data: dict) -> dict:
     return clean
 
 
-def load_job(path, trunc_ceiling: int) -> JobSpec:
+def load_job(path) -> JobSpec:
     """Parse and validate one JSON job file into a JobSpec."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -255,12 +262,12 @@ def load_job(path, trunc_ceiling: int) -> JobSpec:
         raise JobError(f"{path}: empty job — expected at least a \"mode\" "
                        f"field")
     try:
-        return _load_job_data(data, trunc_ceiling)
+        return _load_job_data(data)
     except JobError as exc:
         raise JobError(f"{path}: {exc}") from None
 
 
-def _load_job_data(data: dict, trunc_ceiling: int) -> JobSpec:
+def _load_job_data(data: dict) -> JobSpec:
     mode = _field(data, "mode", str)
     if mode not in MODES:
         raise JobError(f"unknown mode \"{mode}\" (choose from "
@@ -268,19 +275,14 @@ def _load_job_data(data: dict, trunc_ceiling: int) -> JobSpec:
     out = _parse_out(data)
 
     if mode == "suite":
-        names = _field(data, "names", list, required=False)
-        if names is not None:
-            _nonempty(names, "names", "suite")
-            unknown = [n for n in names
-                       if not isinstance(n, str) or n not in SUITES]
-            if unknown:
-                raise JobError(f"field \"names\": unknown suites "
-                               f"{', '.join(map(str, unknown))} (choose from "
-                               f"{', '.join(SUITES)})")
-            repeated = sorted({n for n in names if names.count(n) > 1})
-            if repeated:
-                raise JobError(f"field \"names\": repeated suites "
-                               f"{', '.join(repeated)}")
+        names = _field(data, "names", list, required=False,
+                       default=list(SUITES))
+        unknown = [n for n in names if not isinstance(n, str) or n not in SUITES]
+        if unknown:
+            raise JobError(f"field \"names\": unknown suites "
+                           f"{', '.join(map(str, unknown))} (choose from "
+                           f"{', '.join(SUITES)})")
+        _distinct(names, "names", "suite")
         seed = _field(data, "seed", int, required=False, default=0)
         return JobSpec(mode, 0, 0, {"names": names, "seed": seed}, out)
 
@@ -294,9 +296,9 @@ def _load_job_data(data: dict, trunc_ceiling: int) -> JobSpec:
             raise JobError(f"max_p {max_p} is above the ceiling "
                            f"{MAX_P_CEILING}")
         trunc = exact_truncation(max_order, 0)
-        if trunc > trunc_ceiling:
+        if trunc > TRUNC_CEILING:
             raise JobError(f"max_order {max_order} needs truncation {trunc}, "
-                           f"above the ceiling {trunc_ceiling}")
+                           f"above the ceiling {TRUNC_CEILING}")
         inputs = {"max_p": max_p, "max_order": max_order}
         comp = _field(data, "composition", dict, required=False)
         if comp is not None:
@@ -310,15 +312,15 @@ def _load_job_data(data: dict, trunc_ceiling: int) -> JobSpec:
         raise JobError(f"dim {dim} is above the ceiling {DIM_CEILING}")
 
     if mode == "k-normalize":
-        potential = _parse_potential(data, "potential", dim, 6, trunc_ceiling)
+        potential = _parse_potential(data, "potential", dim, 6)
         return JobSpec(mode, dim, potential.order,
                        {"potential": potential}, out)
 
     trunc = _field(data, "trunc", int)
     if trunc < 0:
         raise JobError("field \"trunc\" must be non-negative")
-    if trunc > trunc_ceiling:
-        raise JobError(f"trunc {trunc} is above the ceiling {trunc_ceiling}")
+    if trunc > TRUNC_CEILING:
+        raise JobError(f"trunc {trunc} is above the ceiling {TRUNC_CEILING}")
     if mode in ("bt-eval", "rep-act") \
             and dense_terms(dim, trunc) > TERMS_CEILING:
         raise JobError(f"dim {dim} with trunc {trunc} allows "
@@ -329,15 +331,16 @@ def _load_job_data(data: dict, trunc_ceiling: int) -> JobSpec:
         inputs = {"lhs": _parse_series(data, "lhs", dim, trunc),
                   "rhs": _parse_series(data, "rhs", dim, trunc)}
     elif mode == "bt-eval":
-        inputs = {"potential": _parse_potential(data, "potential", dim, trunc,
-                                               trunc_ceiling),
+        inputs = {"potential": _parse_potential(data, "potential", dim, trunc),
                   "lhs": _parse_jets(data, "lhs", dim, trunc),
                   "rhs": _parse_jets(data, "rhs", dim, trunc)}
     else:  # rep-act
-        inputs = {"potential": _parse_potential(data, "potential", dim, trunc,
-                                               trunc_ceiling),
+        inputs = {"potential": _parse_potential(data, "potential", dim, trunc),
                   "function": _parse_jets(data, "function", dim, trunc),
                   "element": _parse_series(data, "element", dim, trunc)}
+    if mode != "wick-star" and inputs["potential"].order < trunc:
+        raise JobError(f"field \"potential\": order "
+                       f"{inputs['potential'].order} is below trunc {trunc}")
     return JobSpec(mode, dim, trunc, inputs, out)
 
 
@@ -467,10 +470,10 @@ def _run_cp1_verify(job: JobSpec) -> tuple:
 
 def _run_suite(job: JobSpec) -> tuple:
     seed = job.inputs["seed"]
-    reports = run_suites(job.inputs["names"], seed=seed)
     lines = [f"seed: {seed}"]
     accepted = True
-    for report in reports:
+    for name in job.inputs["names"]:
+        report = SUITES[name](seed=seed)
         status = "PASS" if report.ok else "FAIL"
         lines.append(f"suite {report.name}: {status} "
                      f"({report.cases} checks)")
@@ -521,8 +524,6 @@ def main(argv=None) -> int:
         description="Run one wickjet job file and print its report.")
     parser.add_argument("--job", help="path to a JSON job file")
     parser.add_argument("--out", help="directory for report artifacts")
-    parser.add_argument("--trunc-ceiling", type=int, default=16,
-                        help="largest truncation a job may request")
     args = parser.parse_args(argv)
 
     if not args.job:
@@ -532,7 +533,7 @@ def main(argv=None) -> int:
         return PARSE_EXIT
 
     try:
-        job = load_job(args.job, args.trunc_ceiling)
+        job = load_job(args.job)
     except OSError as exc:
         print(f"wickjet: cannot read job: {exc}", file=sys.stderr)
         return PARSE_EXIT

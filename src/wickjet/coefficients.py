@@ -20,37 +20,32 @@ __all__ = ["ComplexRational", "parse_rational", "format_rational",
 
 _RatLike = (int, Fraction)
 
-# Most digits a rational literal may carry before its exponent; the exponent
-# itself may have at most two digits.  Together they keep every parsed value
-# below 10^200, far inside what the reports can print.
+# Most digits a rational literal may carry, numerator and denominator
+# together; the sign and the slash do not count.  This keeps both parts of
+# every parsed value below 10^100, far inside what the reports can print.
 LITERAL_DIGITS = 100
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal of the form ``"p/q"`` or ``"p"``.
+    """Parse a rational literal ``"p"``, ``"-p"``, ``"p/q"`` or ``"-p/q"``.
 
-    Decimal forms such as ``"1.5e-3"`` are read exactly.  Every malformed
-    literal, a zero denominator or an oversized literal included, is a
-    ValueError; the size bound is checked before any number is formed.
+    These are exactly the forms ``format_rational`` writes, in ASCII digits;
+    surrounding whitespace is ignored.  Every other literal, a zero
+    denominator or an oversized literal included, is a ValueError; the size
+    bound is checked before any number is formed.
     """
     text = text.strip()
     num, slash, den = text.partition("/")
-    if len(text) <= LITERAL_DIGITS and text.isascii() \
-            and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-        # "p", "-p", "p/q" or "-p/q" in ASCII digits: int() reads it directly
-        num, den = int(num), int(den) if slash else 1
-        if den:
-            return Fraction(num, den)
-    mantissa, _, exponent = text.lower().partition("e")
-    if sum(map(str.isdigit, mantissa)) > LITERAL_DIGITS \
-            or sum(map(str.isdigit, exponent)) > 2:
+    digits = num.removeprefix("-")
+    if not (text.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
+        raise ValueError(f"expected a rational literal \"p\" or \"p/q\", "
+                         f"got {text[:24]!r}")
+    if len(digits) + len(den) > LITERAL_DIGITS:
         raise ValueError(f"rational literal too large (at most "
-                         f"{LITERAL_DIGITS} digits and a two-digit exponent): "
-                         f"{text[:24]!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+                         f"{LITERAL_DIGITS} digits): {text[:24]!r}")
+    if slash and not int(den):
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(num), int(den) if slash else 1)
 
 
 def format_rational(value, den: int = 1) -> str:
@@ -156,9 +151,6 @@ class ComplexRational:
 
     def conjugate(self) -> "ComplexRational":
         return ComplexRational(self.re, -self.im)
-
-    def inverse(self) -> "ComplexRational":
-        return ComplexRational(1) / self
 
     # -- comparison / hashing -------------------------------------------
 

@@ -20,14 +20,13 @@ from operator import add
 
 from .errors import PreconditionError, SolveError
 from .series import WickSeries, bilinear_terms, mi_factorial
-from .wick import classical_exp, fock_act, wick_star
+from .wick import classical_exp, wick_star
 
 __all__ = [
     "WeightSeries",
     "formal_integral",
     "inner_product",
     "toeplitz_symbol",
-    "toeplitz_apply",
 ]
 
 
@@ -69,10 +68,6 @@ class WeightSeries:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("WeightSeries is immutable")
-
-    @classmethod
-    def zero(cls, dim: int, trunc: int) -> "WeightSeries":
-        return cls(WickSeries.zero(dim, trunc))
 
     @property
     def dim(self) -> int:
@@ -187,8 +182,3 @@ def _solve_symbol(f: WickSeries, exp_pos: WickSeries) -> WickSeries:
         symbol = symbol + correction
         residual = residual - wick_star(exp_pos, correction)
     raise SolveError("toeplitz solve exceeded its iteration budget")
-
-
-def toeplitz_apply(f: WickSeries, s: WickSeries, w: WeightSeries) -> WickSeries:
-    """Apply the Toeplitz operator of f to a holomorphic series."""
-    return fock_act(toeplitz_symbol(f, w), s)

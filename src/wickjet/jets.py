@@ -29,7 +29,7 @@ from operator import mul
 from .coefficients import ComplexRational, random_coefficient, random_rational
 from .errors import PreconditionError, SolveError
 from .integrals import WeightSeries
-from .series import WickSeries, accumulate, mi_sub, mi_zero, read_records
+from .series import WickSeries, _check_keys, accumulate, mi_sub, mi_zero, read_records
 from .wick import log_series
 
 __all__ = [
@@ -160,13 +160,11 @@ class PotentialJets:
         and so does a jet with a nonzero ``"k2"``: potentials carry no h.
         """
         num, den = read_records({"k2": 0, **rec} for rec in records)
+        _check_keys(dim, num)
         for k2, I, J in num:
             if k2:
                 raise PreconditionError(
                     f"potential jet {(I, J)!r} has k2={k2}; potentials carry no h")
-            if len(I) != dim or len(J) != dim or min(I + J, default=0) < 0:
-                raise PreconditionError(
-                    f"bad potential multi-index {(I, J)!r} for dim {dim}")
             if sum(I) + sum(J) > order:
                 raise PreconditionError(
                     f"potential jet {(I, J)!r} exceeds the order-{order} window")

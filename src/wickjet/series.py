@@ -420,7 +420,7 @@ class WickSeries:
         if low is None:
             raise ZeroDivisionError("reciprocal of the zero series")
         lead = self.coefficient(low)
-        inverse = lead.inverse()
+        inverse = 1 / lead
         ratio = (self.hbar_shift(-low) - lead) * -inverse  # positive powers
         acc = sum(power_terms(ratio, ratio, mul), WickSeries.unit(self.dim, self.trunc))
         return (acc * inverse).hbar_shift(-low)

@@ -27,9 +27,10 @@ from .cp1 import (
     fs_ratio_symbol,
     symbol_jets,
 )
-from .integrals import WeightSeries, inner_product, toeplitz_apply, toeplitz_symbol
+from .integrals import WeightSeries, inner_product, toeplitz_symbol
 from .jets import (
     apply_normalization,
+    flat_potential,
     fubini_study_potential,
     k_normalize,
     random_real_analytic_potential,
@@ -41,8 +42,6 @@ from .wick import classical_exp, fock_act, star_exp, star_inverse, star_log, wic
 __all__ = [
     "SuiteReport",
     "SUITES",
-    "run_suite",
-    "run_suites",
     "exact_truncation",
     "wick_core_suite",
     "formal_integral_suite",
@@ -267,8 +266,8 @@ def formal_integral_suite(seed: int = 0) -> SuiteReport:
 
         s1 = _holomorphic(rng, dim, trunc)
         s2 = _holomorphic(rng, dim, trunc)
-        check(inner_product(toeplitz_apply(f, s1, w), s2, w)
-              == inner_product(s1, toeplitz_apply(f.conjugate(), s2, w), w),
+        check(inner_product(fock_act(symbol, s1), s2, w)
+              == inner_product(s1, fock_act(toeplitz_symbol(f.conjugate(), w), s2), w),
               "adjoint law", i)
 
     return check.report("formal-integral")
@@ -456,7 +455,8 @@ def flat_reduction_suite(seed: int = 0) -> SuiteReport:
     rng = random.Random(seed)
     check = _Checks()
     trunc = 6
-    contexts = {dim: BTContext.flat(dim, trunc) for dim in (1, 2)}
+    contexts = {dim: BTContext.from_potential(flat_potential(dim, trunc), trunc)
+                for dim in (1, 2)}
     for i in range(100):
         dim = 1 + i % 2
         f = _jets(rng, dim, trunc)
@@ -487,9 +487,9 @@ def representation_suite(seed: int = 0) -> SuiteReport:
     check = _Checks()
     trunc = 8
     quartic = WickSeries.monomial(1, trunc, Fraction(1, 5), 0, (2,), (2,))
-    contexts = [BTContext.flat(1, trunc), BTContext.flat(2, trunc),
-                BTContext.from_potential(fubini_study_potential(1, trunc), trunc),
-                BTContext(WeightSeries(quartic))]
+    contexts = [BTContext.from_potential(p, trunc) for p in (
+        flat_potential(1, trunc), flat_potential(2, trunc),
+        fubini_study_potential(1, trunc))] + [BTContext(WeightSeries(quartic))]
 
     for i in range(50):
         ctx = contexts[i % len(contexts)]
@@ -530,15 +530,3 @@ SUITES: dict = {
     "representation": representation_suite,
 }
 
-
-def run_suite(name: str, seed: int = 0) -> SuiteReport:
-    return SUITES[name](seed=seed)
-
-
-def run_suites(names=None, seed: int = 0) -> list:
-    if names is None:
-        names = list(SUITES)
-    unknown = [n for n in names if n not in SUITES]
-    if unknown:
-        raise KeyError(f"unknown suite names: {', '.join(unknown)}")
-    return [run_suite(name, seed=seed) for name in names]

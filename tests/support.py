@@ -555,7 +555,7 @@ def gaussian_moment(I, J, k2: int = 0, *, trunc: int) -> WickSeries:
     """
     dim = len(I)
     return formal_integral(WickSeries.monomial(dim, trunc, 1, k2, I, J),
-                           WeightSeries.zero(dim, trunc))
+                           WeightSeries(WickSeries.zero(dim, trunc)))
 
 
 # ---------------------------------------------------------------------------

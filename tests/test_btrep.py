@@ -17,6 +17,7 @@ from wickjet.errors import (
 )
 from wickjet.integrals import WeightSeries, inner_product, toeplitz_symbol
 from wickjet.jets import (
+    flat_potential,
     fubini_study_potential,
     k_normalize,
     random_real_analytic_potential,
@@ -76,7 +77,7 @@ def random_fock(rng, dim, trunc, n_terms=3):
 
 
 def flat_ctx(dim=1, trunc=TRUNC):
-    return BTContext.flat(dim, trunc)
+    return BTContext.from_potential(flat_potential(dim, trunc), trunc)
 
 
 def fs_ctx(trunc=TRUNC):
@@ -101,7 +102,7 @@ def random_ctx(seed, dim=2, trunc=TRUNC):
 def test_context_basic():
     ctx = flat_ctx()
     assert ctx.dim == 1 and ctx.trunc == TRUNC
-    assert ctx == BTContext.flat(1, TRUNC)
+    assert ctx == BTContext(WeightSeries(WickSeries.zero(1, TRUNC)))
     assert ctx != fs_ctx()
     with pytest.raises(AttributeError):
         ctx.trunc = 4

@@ -82,40 +82,40 @@ def test_duplicate_records_accumulate():
 
 def test_load_job_rejects_bad_inputs(tmp_path):
     with pytest.raises(JobError, match="empty job"):
-        load_job(write_job(tmp_path, {}), 16)
+        load_job(write_job(tmp_path, {}))
     with pytest.raises(JobError, match="unknown mode"):
-        load_job(write_job(tmp_path, {"mode": "frobnicate"}), 16)
+        load_job(write_job(tmp_path, {"mode": "frobnicate"}))
     with pytest.raises(JobError, match="missing required field"):
-        load_job(write_job(tmp_path, {"mode": "wick-star"}), 16)
+        load_job(write_job(tmp_path, {"mode": "wick-star"}))
     with pytest.raises(JobError, match="above the ceiling"):
         load_job(write_job(tmp_path, {
-            "mode": "wick-star", "dim": 1, "trunc": 12,
-            "lhs": [], "rhs": []}), 8)
+            "mode": "wick-star", "dim": 1, "trunc": cli.TRUNC_CEILING + 1,
+            "lhs": [], "rhs": []}))
     with pytest.raises(JobError, match="expected an integer"):
         load_job(write_job(tmp_path, {
             "mode": "wick-star", "dim": "one", "trunc": 4,
-            "lhs": [], "rhs": []}), 16)
+            "lhs": [], "rhs": []}))
     with pytest.raises(JobError, match="bad series record"):
         load_job(write_job(tmp_path, {
             "mode": "wick-star", "dim": 1, "trunc": 4,
-            "lhs": [{"k2": 0}], "rhs": []}), 16)
+            "lhs": [{"k2": 0}], "rhs": []}))
     with pytest.raises(JobError, match="index length"):
         load_job(write_job(tmp_path, {
             "mode": "wick-star", "dim": 2, "trunc": 4,
-            "lhs": [Y_RECORD], "rhs": []}), 16)
+            "lhs": [Y_RECORD], "rhs": []}))
     with pytest.raises(JobError, match="line 1"):
         path = tmp_path / "broken.json"
         path.write_text("{\"mode\": ")
-        load_job(str(path), 16)
+        load_job(str(path))
     with pytest.raises(JobError, match="inside the output directory"):
         load_job(write_job(tmp_path, {
-            "mode": "cp1-verify", "out": {"report": "../escape.txt"}}), 16)
+            "mode": "cp1-verify", "out": {"report": "../escape.txt"}}))
 
 
 def test_load_job_parses_wick_star(tmp_path):
     job = load_job(write_job(tmp_path, {
         "mode": "wick-star", "dim": 1, "trunc": 6,
-        "lhs": [Y_RECORD], "rhs": [YB_RECORD]}), 16)
+        "lhs": [Y_RECORD], "rhs": [YB_RECORD]}))
     assert job.mode == "wick-star"
     assert job.inputs["lhs"] == WickSeries(1, 6, {(0, (1,), (0,)): 1})
 
@@ -309,14 +309,13 @@ def test_main_exit_codes_for_bad_jobs(tmp_path, capsys):
 
 def test_main_computation_error_exit(tmp_path, capsys):
     path = write_job(tmp_path, {
-        "mode": "bt-eval", "dim": 1, "trunc": 6,
-        "potential": {"generator": "flat"},
-        "lhs": {"order": 3, "records": [Y_RECORD]},
-        "rhs": [YB_RECORD]})
+        "mode": "k-normalize", "dim": 1,
+        "potential": {"order": 4, "jets": [
+            {"I": [1], "J": [1], "re": "-1", "im": "0"}]}})
     code, out, err = run_main(capsys, "--job", path)
     assert code == COMPUTE_EXIT
     assert not out
-    assert "computation error" in err and "order 3" in err
+    assert "computation error" in err and "not positive definite" in err
 
 
 def test_main_acceptance_failure_exit(tmp_path, capsys, monkeypatch):
@@ -417,44 +416,44 @@ def _potential_job(jet):
     {"mode": "rep-act", "dim": 1, "trunc": 6,
      "potential": {"generator": "fubini-study"}, "function": [YB_RECORD],
      "element": [dict(Y_RECORD, k2=-2)]},
+    {"mode": "wick-star", "dim": 1, "trunc": 6, "rhs": [YB_RECORD],
+     "lhs": [dict(Y_RECORD, re="1.5e-1")]},
+    {"mode": "wick-star", "dim": 1, "trunc": 6, "rhs": [YB_RECORD],
+     "lhs": [dict(Y_RECORD, re="+2")]},
 ], ids=["zero-denominator", "numeric-jet-re", "float-index", "bool-k2",
         "huge-exponent", "jet-above-order", "jet-without-conjugate",
         "complex-constant", "index-wrong-length", "negative-index",
         "potential-k2", "negative-degree-term", "negative-degree-jet",
-        "negative-degree-element"])
+        "negative-degree-element", "decimal-literal", "plus-sign"])
 def test_main_malformed_records_exit_cleanly(tmp_path, payload):
     _assert_rejected_in_subprocess(tmp_path, payload)
 
 
-def _messages(series: str, jet: str | None = None,
-              potential: str | None = None) -> dict:
+def _messages(series: str, jet: str | None = None) -> dict:
     """A class's message read as a series record, a jet record and a potential jet."""
     jet = jet or series
-    return {"series": series, "jet": jet, "potential": potential or jet}
+    return {"series": series, "jet": jet, "potential": jet}
 
 
 # Malformed-record classes and the messages the reports have always printed
 # for them, after 'field "<name>": '.
 NOT_AN_INTEGER = "expected an integer index, got "
-TOO_LARGE = ("rational literal too large (at most 100 digits and a two-digit "
-             "exponent): ")
+TOO_LARGE = "rational literal too large (at most 100 digits): "
 MALFORMED_RECORDS = {
     "bool-index": (dict(Y_RECORD, I=[True]), _messages(NOT_AN_INTEGER + "True")),
     "float-index": (dict(Y_RECORD, I=[1.0]), _messages(NOT_AN_INTEGER + "1.0")),
     "wrong-length": (dict(Y_RECORD, I=[1, 0]), _messages(
-        "multi-index length != dim=1 in term (0, (1, 0), (0,))",
-        potential="bad potential multi-index ((1, 0), (0,)) for dim 1")),
+        "multi-index length != dim=1 in term (0, (1, 0), (0,))")),
     "negative-entry": (dict(Y_RECORD, I=[-1]), _messages(
-        "negative multi-index entry in term (0, (-1,), (0,))",
-        potential="bad potential multi-index ((-1,), (0,)) for dim 1")),
+        "negative multi-index entry in term (0, (-1,), (0,))")),
     "non-string-re": (dict(Y_RECORD, re=1),
                       _messages("\"re\" must be a rational string, got 1")),
     "zero-denominator": (dict(Y_RECORD, re="1/0"),
                          _messages("zero denominator in '1/0'")),
     "101-digits": (dict(Y_RECORD, re="9" * 101),
                    _messages(TOO_LARGE + repr("9" * 24))),
-    "3-digit-exponent": (dict(Y_RECORD, re="1e100"),
-                         _messages(TOO_LARGE + "'1e100'")),
+    "3-digit-exponent": (dict(Y_RECORD, re="1e100"), _messages(
+        "expected a rational literal \"p\" or \"p/q\", got '1e100'")),
     "missing-I": ({"k2": 0, "J": [0], "re": "1"}, _messages("'I'")),
     "not-an-object": ([1, 0], _messages(
         "list indices must be integers or slices, not str",
@@ -584,10 +583,14 @@ def test_cli_import_leaves_numpy_out():
     {"ms": [cli.MS_CEILING, cli.MS_CEILING - 1, 2]},
     {"elements": []},
     {"orders": []},
+    {"orders": [1, 1], "elements": [[0, 0], [0, 0]]},
+    {"elements": [[0, 0], [1, 1], [0, 0]]},
+    {"ms": [64, 32, 64]},
 ], ids=["element-beyond-engine", "negative-element", "element-beyond-m",
         "element-not-a-pair", "negative-order", "huge-order", "bool-m",
         "float-m", "no-m", "m-above-ceiling", "m-sum-above-ceiling",
-        "no-element", "no-order"])
+        "no-element", "no-order", "repeated-order", "repeated-element",
+        "repeated-m"])
 def test_main_cp1_composition_fields_are_strict(tmp_path, composition):
     _assert_rejected_in_subprocess(tmp_path, {
         "mode": "cp1-verify", "max_p": 1, "max_order": 1,
@@ -599,10 +602,58 @@ def test_a_suite_job_that_names_no_suite_is_rejected(tmp_path):
     _assert_rejected_in_subprocess(tmp_path, {"mode": "suite", "names": []})
 
 
+def _assert_one_line_rejection(tmp_path, payload, message):
+    """``wickjet --job`` exits 2 with exactly this message after the path."""
+    path = write_job(tmp_path, payload)
+    _assert_rejected_in_subprocess(
+        tmp_path, path=path, prefix=f"wickjet: bad job: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("mode, field", [
+    ("bt-eval", "lhs"), ("bt-eval", "rhs"), ("rep-act", "function"),
+    ("bt-eval", "potential"), ("rep-act", "potential")])
+def test_inputs_below_the_job_trunc_are_malformed(tmp_path, mode, field):
+    job = {"mode": mode, "dim": 1, "trunc": 6,
+           "potential": {"generator": "fubini-study"}}
+    if mode == "bt-eval":
+        job.update(lhs=[Y_RECORD], rhs=[YB_RECORD])
+    else:
+        job.update(function=[YB_RECORD], element=[Y_RECORD])
+    if field == "potential":
+        job["potential"]["order"] = 4
+    else:
+        job[field] = {"order": 4, "records": job[field]}
+    _assert_one_line_rejection(tmp_path, job,
+                               f"field \"{field}\": order 4 is below trunc 6")
+    # an order at or above trunc is accepted
+    job[field]["order"] = 7
+    assert load_job(write_job(tmp_path, job)).trunc == 6
+
+
+def test_the_truncation_ceiling_is_no_flag(tmp_path):
+    job = {"mode": "wick-star", "dim": 1, "trunc": cli.TRUNC_CEILING + 1,
+           "lhs": [], "rhs": []}
+    # the job file alone decides whether a job runs
+    _assert_one_line_rejection(tmp_path, job, "trunc 17 is above the ceiling 16")
+    src = Path(wickjet.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "wickjet.cli",
+                           "--job", write_job(tmp_path, job),
+                           "--trunc-ceiling", "20"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == PARSE_EXIT and proc.stdout == ""
+    assert "unrecognized arguments: --trunc-ceiling 20" in proc.stderr
+
+
+def test_a_suite_job_without_names_runs_every_suite(tmp_path):
+    job = load_job(write_job(tmp_path, {"mode": "suite"}))
+    assert job.inputs["names"] == list(cli.SUITES)
+
+
 def test_composition_ms_bound_admits_the_largest_powers(tmp_path):
-    ms = [cli.MS_CEILING // 4, cli.MS_CEILING // 2, cli.MS_CEILING, 4096]
+    ms = [cli.MS_CEILING, cli.MS_CEILING - 1, 1]
     job = load_job(write_job(tmp_path, {
-        "mode": "cp1-verify", "composition": {"ms": ms}}), 16)
+        "mode": "cp1-verify", "composition": {"ms": ms}}))
     assert job.inputs["composition"]["ms"] == tuple(ms)
 
 
@@ -620,17 +671,25 @@ def test_composition_ms_bound_admits_the_largest_powers(tmp_path):
     ({"mode": "suite", "names": [["flat-reduction"]]}, "unknown suites"),
     ({"mode": "suite", "names": ["cp1-peak-section"] * 3 + ["k-jet"]},
      "repeated suites cp1-peak-section$"),
+    ({"mode": "cp1-verify", "composition": {"orders": [1, 1]}},
+     "repeated orders 1$"),
+    ({"mode": "cp1-verify",
+      "composition": {"elements": [[0, 0], [1, 1], [0, 0]]}},
+     "repeated elements \\(0, 0\\)$"),
+    ({"mode": "cp1-verify", "composition": {"ms": [64, 32, 64, 32]}},
+     "repeated tensor powers 32, 64$"),
     ({"mode": "bt-eval", "dim": 1, "trunc": 4, "potential": "flat",
       "lhs": [Y_RECORD], "rhs": None}, "expected dict, got 'flat'"),
     ({"mode": "bt-eval", "dim": 1, "trunc": 4,
       "potential": {"generator": "flat"},
       "lhs": [Y_RECORD], "rhs": None}, "expected dict or list, got None"),
 ], ids=["dim", "huge-dim", "max-p", "potential-order", "unhashable-suite",
-        "repeated-suite", "potential-not-a-table", "jets-not-a-table"])
+        "repeated-suite", "repeated-order", "repeated-element", "repeated-m",
+        "potential-not-a-table", "jets-not-a-table"])
 def test_ceilings_and_field_types_are_checked_before_computation(
         tmp_path, payload, message):
     with pytest.raises(JobError, match=message):
-        load_job(write_job(tmp_path, payload), 16)
+        load_job(write_job(tmp_path, payload))
 
 
 def _curved_job(mode, dim, trunc, generator="fubini-study"):
@@ -669,7 +728,7 @@ def test_joint_dim_trunc_ceiling_rejects_before_computation(
                f"{cli.dense_terms(dim, trunc)} series terms, above the "
                f"ceiling {cli.TERMS_CEILING}")
     with pytest.raises(JobError, match=message):
-        load_job(write_job(tmp_path, _curved_job(mode, dim, trunc)), 16)
+        load_job(write_job(tmp_path, _curved_job(mode, dim, trunc)))
 
 
 @pytest.mark.parametrize("mode, dim, trunc", [
@@ -679,7 +738,7 @@ def test_joint_dim_trunc_ceiling_rejects_before_computation(
 ])
 def test_joint_ceiling_admits_windows_up_to_dim_2_trunc_10(tmp_path, mode,
                                                             dim, trunc):
-    job = load_job(write_job(tmp_path, _curved_job(mode, dim, trunc)), 16)
+    job = load_job(write_job(tmp_path, _curved_job(mode, dim, trunc)))
     assert (job.dim, job.trunc) == (dim, trunc)
 
 
@@ -709,7 +768,7 @@ def test_largest_fixture_window_runs(tmp_path, capsys):
 
 def test_wick_star_jobs_have_no_joint_ceiling(tmp_path):
     job = load_job(write_job(tmp_path, {
-        "mode": "wick-star", "dim": 8, "trunc": 16, "lhs": [], "rhs": []}), 16)
+        "mode": "wick-star", "dim": 8, "trunc": 16, "lhs": [], "rhs": []}))
     assert (job.dim, job.trunc) == (8, 16)
 
 

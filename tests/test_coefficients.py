@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -96,34 +97,47 @@ def test_formatting_past_the_digit_limit_is_a_wickjet_error():
 
 
 def test_rational_literal_size_is_bounded():
-    assert parse_rational("1" * LITERAL_DIGITS) == int("1" * LITERAL_DIGITS)
-    assert parse_rational("-1.5e-99") == Fraction(-15, 10 ** 100)
-    for text in ("1" * (LITERAL_DIGITS + 1), "1e100", "1e999999", "2/1e1_000",
-                 "1/" + "3" * LITERAL_DIGITS):
-        with pytest.raises(ValueError):
+    part = "7" * LITERAL_DIGITS
+    assert parse_rational(part) == int(part)
+    assert parse_rational("-" + part) == -int(part)
+    half = "9" * (LITERAL_DIGITS // 2)
+    assert parse_rational(f"-{half}/{half}") == -1
+    for text in ("1" * (LITERAL_DIGITS + 1), "-" + "1" * (LITERAL_DIGITS + 1),
+                 "1/" + "3" * LITERAL_DIGITS, f"{half}/{half}1"):
+        with pytest.raises(ValueError, match="too large"):
+            parse_rational(text)
+
+
+def test_only_the_written_forms_are_literals():
+    # what format_rational writes; decimals, exponents, "+", underscores,
+    # other bases and non-ASCII digits are refused
+    for text in ("1.5", "1e3", "-1.5e-99", "+2", "1_0", "0x10", "nan", "inf",
+                 "\u0663", "\uff11", "\u00b2", "1/+2", " - 1"):
+        with pytest.raises(ValueError, match="expected a rational literal"):
             parse_rational(text)
 
 
 def _reference_parse(text: str) -> Fraction:
-    """The literal rule through Fraction's own parser: size bound, then Fraction."""
+    """The literal grammar ``-?[0-9]+(/[0-9]+)?`` as a full match, digits bounded."""
     text = text.strip()
-    mantissa, _, exponent = text.lower().partition("e")
-    if sum(map(str.isdigit, mantissa)) > LITERAL_DIGITS \
-            or sum(map(str.isdigit, exponent)) > 2:
+    if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+        raise ValueError("not a literal")
+    num, _, den = text.partition("/")
+    if len(num.removeprefix("-")) + len(den) > LITERAL_DIGITS:
         raise ValueError("too large")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError("zero denominator") from None
+    if den and not int(den):
+        raise ValueError("zero denominator")
+    return Fraction(int(num), int(den or 1))
 
 
 def test_plain_literals_parse_as_fraction_does():
     digits = "9" * (LITERAL_DIGITS // 2)
     texts = ["0", "-0", "7", "-12/18", "2/2", " 3/4 ", "1/0", "-5/00", "+5",
              "--1", "-", "", "/", "1/", "/2", "1/-2", "1 /2", "1_0", "1/2_0",
-             "1.5e-3", "\u0663/\u0664", "\uff11", "\u00b2", "0x10", "nan",
-             "9" * LITERAL_DIGITS, "9" * (LITERAL_DIGITS + 1),
-             f"{digits}/{digits}", f"-{digits}/{digits}", f"{digits}/{digits}1"]
+             "1.5", "1e3", "1.5e-3", "\u0663/\u0664", "\uff11", "\u00b2", "0x10",
+             "nan", "9" * LITERAL_DIGITS, "9" * (LITERAL_DIGITS + 1),
+             "-" + "9" * LITERAL_DIGITS, f"{digits}/{digits}",
+             f"-{digits}/{digits}", f"{digits}/{digits}1", "\t-3/4\n"]
     for text in texts:
         try:
             expected = _reference_parse(text)

@@ -6,7 +6,7 @@ import sympy as sp
 
 from wickjet import jets as jets_module
 from wickjet.coefficients import ComplexRational
-from wickjet.errors import DegreeWindowError, PreconditionError
+from wickjet.errors import DegreeWindowError, DimensionMismatch, PreconditionError
 from wickjet.jets import (
     _substitute,
     PotentialJets,
@@ -69,7 +69,7 @@ def test_potential_reality_enforced():
 def test_potential_window_and_flag_validation():
     with pytest.raises(PreconditionError, match="order-3 window"):
         PotentialJets.from_records(1, 3, [{"I": [2], "J": [2], "re": "1"}])
-    with pytest.raises(PreconditionError, match="multi-index"):
+    with pytest.raises(DimensionMismatch, match="multi-index length"):
         PotentialJets.from_records(1, 3, [{"I": [1, 0], "J": [1], "re": "1"}])
     with pytest.raises(PreconditionError, match="k2=2"):
         PotentialJets.from_records(1, 3, [{"k2": 2, "I": [1], "J": [1], "re": "1"}])
