@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
 from math import comb
 from pathlib import Path
 from typing import NamedTuple
@@ -144,7 +145,7 @@ def _distinct(values, name: str, what: str):
     or one thing twice, is malformed."""
     if not values:
         raise JobError(f"field \"{name}\": need at least one {what}")
-    repeated = sorted({v for v in values if values.count(v) > 1})
+    repeated = sorted(v for v, n in Counter(values).items() if n > 1)
     if repeated:
         raise JobError(f"field \"{name}\": repeated {what}s "
                        f"{', '.join(map(str, repeated))}")

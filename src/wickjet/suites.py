@@ -529,4 +529,3 @@ SUITES: dict = {
     "flat-reduction": flat_reduction_suite,
     "representation": representation_suite,
 }
-

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -690,6 +691,17 @@ def test_ceilings_and_field_types_are_checked_before_computation(
         tmp_path, payload, message):
     with pytest.raises(JobError, match=message):
         load_job(write_job(tmp_path, payload))
+
+
+def test_a_long_repeated_list_is_rejected_in_linear_time(tmp_path):
+    # the repeat check counts each value once; counting it once per entry
+    # took about 9 s on this list on a 2-vCPU machine
+    path = write_job(tmp_path, {"mode": "cp1-verify",
+                                "composition": {"elements": [[0, 0]] * 20000}})
+    start = time.perf_counter()
+    with pytest.raises(JobError, match="repeated elements \\(0, 0\\)$"):
+        load_job(path)
+    assert time.perf_counter() - start < 2
 
 
 def _curved_job(mode, dim, trunc, generator="fubini-study"):
