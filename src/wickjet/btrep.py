@@ -23,7 +23,7 @@ from .errors import (
 )
 from .integrals import WeightSeries, toeplitz_symbol
 from .jets import weight_series
-from .series import WickSeries, mi_factorial, mi_zero
+from .series import WickSeries, mi_factorial, mi_zero, unpack
 from .wick import fock_act, wick_star
 
 __all__ = [
@@ -129,7 +129,7 @@ def vacuum_reduce(a: WickSeries, ctx: BTContext, target: int):
     zero = mi_zero(dim)
 
     lead = a.min_degree()
-    k2_0, head = min((k2, I) for (k2, I, _) in a.num if k2 + sum(I) == lead)
+    k2_0, head = min(unpack(dim, key)[:2] for key in a.degree_slice(lead).num)
     coeff = a.coefficient(k2_0, head, zero)
     l2 = k2_0 + 2 * sum(head)
     if l2 > trunc:

@@ -42,6 +42,11 @@ __all__ = [
 _ZERO = ComplexRational(0)
 
 
+def _exponents(key: int) -> tuple:
+    """``(a, b)`` of the key of the classical dim-1 term y^a yb^b (``series.pack``)."""
+    return key >> 8 & 0xFF, key & 0xFF
+
+
 class FactorialRational:
     """scalar * prod(m + a_i) / prod(m + b_j): an exact rational function of m.
 
@@ -245,7 +250,7 @@ class ToeplitzMatrix:
 
     def _shifts(self) -> set:
         """Diagonals q - p that the symbol's terms fill."""
-        return {a - b for (_, (a,), (b,)) in self.symbol.num.num}
+        return {a - b for a, b in map(_exponents, self.symbol.num.num)}
 
     def _check_cell(self, q: int, p: int) -> None:
         if not (0 <= q <= self.m and 0 <= p <= self.m):
@@ -258,7 +263,8 @@ class ToeplitzMatrix:
         m, d, series = self.m, self.symbol.denom_power, self.symbol.num
         denom = math.prod(m + s for s in range(2, d + 2)) * series.den
         re = im = 0
-        for (_, (a,), (b,)), (x, y) in series.num.items():
+        for key, (x, y) in series.num.items():
+            a, b = key >> 8 & 0xFF, key & 0xFF  # as _exponents(key)
             if a - b == q - p:
                 weight = math.prod(range(q + 1, q + b + 1)) \
                     * math.prod(m - q + i for i in range(1, d - b + 1))
@@ -316,12 +322,13 @@ def mobius_pullback(f: RationalSymbol, w) -> RationalSymbol:
         up.append(up[-1] * (y + w))
         down.append(down[-1] * (1 - y.scale(w.conjugate())))
     total = WickSeries.zero(1, 2 * d)
-    for (_, (a,), (b,)), (x, y) in f.num.num.items():
+    for key, (x, y) in f.num.num.items():
+        a, b = _exponents(key)
         term = up[a] * up[b].conjugate() * down[d - a] * down[d - b].conjugate()
         total = total + term.scale(ComplexRational(x, y))
     total = total.scale((1 + (w * w.conjugate()).re) ** -d / f.num.den)
     return RationalSymbol({(a, b): total.coefficient(0, (a,), (b,))
-                           for (_, (a,), (b,)) in total.num}, d)
+                           for a, b in map(_exponents, total.num)}, d)
 
 
 def composition_residual(f: RationalSymbol, g: RationalSymbol, ms, orders,
@@ -345,8 +352,8 @@ def composition_residual(f: RationalSymbol, g: RationalSymbol, ms, orders,
         raise PreconditionError("partial-sum orders must be non-negative")
     rows = {order: {} for order in orders}
     # each element's (k, coefficient of h^k), read once for every m
-    element_powers = {key: [(k2 // 2, series.coefficient(k2))
-                            for k2, _, _ in sorted(series.num) if k2 >= 0 and not k2 % 2]
+    element_powers = {key: [(k2 // 2, series.coefficient(k2))  # dim 0: the key is k2
+                            for k2 in sorted(series.num) if k2 >= 0 and not k2 % 2]
                       for key, series in sorted(predicted.items())}
     for m in ms:
         mf = cp1_toeplitz(m, f)

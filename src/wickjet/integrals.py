@@ -16,7 +16,7 @@ part.
 
 from __future__ import annotations
 
-from operator import add
+from functools import cache
 
 from .errors import PreconditionError, SolveError
 from .series import WickSeries, bilinear_terms, mi_factorial
@@ -58,11 +58,16 @@ class WeightSeries:
                 f"weight terms must have degree >= 3, found {min_deg}")
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "is_real", body.conjugate() == body)
+        dim = body.dim
+        top = 16 * dim
+        fields, low = (1 << top) - 1, (1 << 8 * dim) - 1
+        raws = [(key >> top, (key & fields).to_bytes(2 * dim, "big"))
+                for key in body.num]
         object.__setattr__(self, "toeplitz_admissible",
-                           all(any(J) for (_, _, J) in body.num))
-        object.__setattr__(self, "refined",
-                           all(sum(I) != 1 and sum(J) != 1
-                               for (k2, I, J) in body.num if k2 == 0))
+                           all(key & low for key in body.num))
+        object.__setattr__(self, "refined",  # h^0 terms: degree == byte sum
+                           all(sum(raw[:dim]) != 1 and sum(raw[dim:]) != 1
+                               for degree, raw in raws if degree == sum(raw)))
         object.__setattr__(self, "_exponentials", {})
         object.__setattr__(self, "_symbols", {})
 
@@ -106,13 +111,29 @@ class WeightSeries:
         return f"WeightSeries({self.body!r}, flags={'|'.join(flags) or '-'})"
 
 
-def _moment(key_h, key_e) -> list:
-    """The moment rule: the product of two terms integrates to I! h^|I| if I == J."""
-    (k2h, Ih, Jh), (k2e, Ie, Je) = key_h, key_e
-    I = tuple(map(add, Ih, Ie))
-    if I != tuple(map(add, Jh, Je)):
-        return ()
-    return [((k2h + k2e + 2 * sum(I), (), ()), mi_factorial(I))]
+@cache
+def _moment_rule(dim: int) -> tuple:
+    """The moment rule, indexed by the summed fields (I, J) of a pair.
+
+    The product of two terms integrates to I! h^|I| if I == J: the offset
+    clears the fields and keeps the degree k2 + 2|I|.
+    """
+    fields = (1 << 16 * dim) - 1
+
+    def fill(index: int) -> tuple:
+        raw = index.to_bytes(2 * dim, "big")
+        if raw[:dim] != raw[dim:]:
+            return ()
+        return ((index, mi_factorial(raw[:dim])),)
+
+    return fields, fields, {}, fill
+
+
+def _moments(h: WickSeries, e: WickSeries) -> WickSeries:
+    """The Gaussian moments of the pointwise product h e, as a series in h (dim 0)."""
+    sums, den = bilinear_terms(h, e, _moment_rule(h.dim))
+    top = 16 * h.dim
+    return h._build({key >> top: pair for key, pair in sums.items()}, den, dim=0)
 
 
 def formal_integral(h: WickSeries, w: WeightSeries) -> WickSeries:
@@ -125,7 +146,7 @@ def formal_integral(h: WickSeries, w: WeightSeries) -> WickSeries:
     ``trunc``, which h's negative part would bring down, are not kept.
     """
     h._check_compatible(w.body)
-    return h._build(*bilinear_terms(h, w.exponential(), _moment), dim=0)
+    return _moments(h, w.exponential())
 
 
 def inner_product(f: WickSeries, g: WickSeries, w: WeightSeries) -> WickSeries:

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import random as _random
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 from operator import mul
 
 from .coefficients import ComplexRational, random_coefficient, random_rational
 from .errors import PreconditionError, SolveError
 from .integrals import WeightSeries
-from .series import WickSeries, _check_keys, accumulate, mi_sub, mi_zero, read_records
+from .series import WickSeries, accumulate, mi_zero, read_records, unpack
 from .wick import log_series
 
 __all__ = [
@@ -52,20 +53,39 @@ def _unit(dim: int, i: int) -> tuple:
     return tuple(1 if k == i else 0 for k in range(dim))
 
 
+@cache
+def _unit_fields(dim: int) -> tuple:
+    """The key fields of y_i and of yb_i, each a list over i."""
+    return ([1 << 8 * (2 * dim - 1 - i) for i in range(dim)],
+            [1 << 8 * (dim - 1 - i) for i in range(dim)])
+
+
 def _is_classical(series) -> bool:
-    return isinstance(series, WickSeries) and not any(k2 for k2, _, _ in series.num)
+    return isinstance(series, WickSeries) and series.h_powers() <= {0}
 
 
 def _norm_squared(dim: int, trunc: int) -> WickSeries:
     """The flat potential |z|^2 = sum_i y_i yb_i."""
-    return WickSeries(dim, trunc, {(0, _unit(dim, i), _unit(dim, i)): 1
-                                   for i in range(dim)})
+    ys, ybs = _unit_fields(dim)
+    two = 2 << 16 * dim  # degree 2
+    return WickSeries.zero(dim, trunc)._build(
+        {two | y | yb: (1, 0) for y, yb in zip(ys, ybs)}, 1)
 
 
 def _identity_coords(dim: int, trunc: int) -> list:
-    zero = mi_zero(dim)
-    return [WickSeries.monomial(dim, trunc, 1, 0, _unit(dim, i), zero)
-            for i in range(dim)]
+    """The coordinates y_i, one series each."""
+    zero = WickSeries.zero(dim, trunc)
+    one = 1 << 16 * dim  # degree 1
+    return [zero._build({one | y: (1, 0)}, 1) for y in _unit_fields(dim)[0]]
+
+
+def _is_identity_change(subs: list, dim: int, trunc: int) -> bool:
+    """Each subs[i] is the single term y_i with coefficient 1."""
+    one = 1 << 16 * dim
+    return len(subs) == dim and all(
+        s.dim == dim and s.trunc == trunc and s.den == 1
+        and s.num == {one | y: (1, 0)}
+        for s, y in zip(subs, _unit_fields(dim)[0]))
 
 
 def _power_table(s: WickSeries, top: int) -> list:
@@ -81,29 +101,26 @@ def _substitute(series: WickSeries, subs: list) -> WickSeries:
     Identity coordinates return ``series`` itself, after the same checks.
     """
     dim, trunc = series.dim, series.trunc
-    zero = mi_zero(dim)
     for s in subs:
-        if (0, zero, zero) in s.num:
+        if 0 in s.num:  # key 0: the constant term 1
             raise PreconditionError("coordinate changes must fix the marked point")
     if not _is_classical(series):
         raise PreconditionError("substitution is defined for classical jets only")
-    if list(subs) == _identity_coords(dim, trunc):
+    if _is_identity_change(subs, dim, trunc):
         return series
     conj = [s.conjugate() for s in subs]
-    max_i = [0] * dim
-    max_j = [0] * dim
-    for (_, I, J) in series.num:
-        for i in range(dim):
-            max_i[i] = max(max_i[i], I[i])
-            max_j[i] = max(max_j[i], J[i])
-    pows = [_power_table(subs[i], max_i[i]) for i in range(dim)]
-    cpows = [_power_table(conj[i], max_j[i]) for i in range(dim)]
+    size = 2 * dim
+    fields = (1 << 8 * size) - 1
+    exponents = [(key & fields).to_bytes(size, "big") for key in series.num]
+    highest = [max(column) for column in zip(bytes(size), *exponents)]
+    pows = [_power_table(subs[i], highest[i]) for i in range(dim)]
+    cpows = [_power_table(conj[i], highest[dim + i]) for i in range(dim)]
     unit = WickSeries.unit(dim, trunc)
     groups: dict = {}  # images scaled by their term's numerators, by denominator
-    for (_, I, J), (a, b) in series.num.items():
+    for raw, (a, b) in zip(exponents, series.num.values()):
         acc = unit
         for i in range(dim):
-            for table, p in ((pows[i], I[i]), (cpows[i], J[i])):
+            for table, p in ((pows[i], raw[i]), (cpows[i], raw[dim + i])):
                 if p:
                     acc = table[p] if acc is unit else acc * table[p]
         out = groups.setdefault(acc.den, {})
@@ -118,8 +135,11 @@ def _substitute(series: WickSeries, subs: list) -> WickSeries:
 
 def _is_normal_form(varphi: WickSeries) -> bool:
     """|z|^2 plus jets of bidegree at least (2, 2)."""
-    rest = varphi - _norm_squared(varphi.dim, varphi.trunc)
-    return all(sum(I) >= 2 and sum(J) >= 2 for (_, I, J) in rest.num)
+    dim = varphi.dim
+    rest = varphi - _norm_squared(dim, varphi.trunc)
+    fields = (1 << 16 * dim) - 1
+    return all(sum(raw[:dim]) >= 2 and sum(raw[dim:]) >= 2 for raw in (
+        (key & fields).to_bytes(2 * dim, "big") for key in rest.num))
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +179,9 @@ class PotentialJets:
         A jet above the order window raises instead of being truncated away,
         and so does a jet with a nonzero ``"k2"``: potentials carry no h.
         """
-        num, den = read_records({"k2": 0, **rec} for rec in records)
-        _check_keys(dim, num)
-        for k2, I, J in num:
+        num, den = read_records(({"k2": 0, **rec} for rec in records), dim)
+        for key in num:
+            k2, I, J = unpack(dim, key)
             if k2:
                 raise PreconditionError(
                     f"potential jet {(I, J)!r} has k2={k2}; potentials carry no h")
@@ -206,8 +226,11 @@ class PotentialJets:
 
 def _one_one_matrix(series: WickSeries, dim: int) -> list:
     """Hermitian matrix M with M[i][j] = coefficient of z_j zbar_i."""
-    return [[series.coefficient(0, _unit(dim, j), _unit(dim, i))
-             for j in range(dim)] for i in range(dim)]
+    ys, ybs = _unit_fields(dim)
+    two, den, get = 2 << 16 * dim, series.den, series.num.get
+    return [[ComplexRational(Fraction(a, den), Fraction(b, den))
+             for a, b in (get(two | y | yb, (0, 0)) for y in ys)]
+            for yb in ybs]
 
 
 def _is_identity(matrix: list) -> bool:
@@ -265,25 +288,29 @@ def k_normalize(raw: PotentialJets):
     if raw.order < 2:
         raise PreconditionError("normalization needs jets at least to order 2")
     dim, order = raw.dim, raw.order
-    zero = mi_zero(dim)
+    top = 16 * dim
+    j_field = (1 << 8 * dim) - 1
     current = raw.varphi
-    coords = _identity_coords(dim, order)
+    identity = _identity_coords(dim, order)
+    coords = identity
     for d in range(2, order + 1):
         if d == 2:
             change = _diagonalizing_change(_one_one_matrix(current, dim), dim)
+            zero = mi_zero(dim)
             subs = None if change is None else [
                 WickSeries(dim, order, {(0, _unit(dim, j), zero): change[i][j]
                                         for j in range(dim)})
                 for i in range(dim)]
         else:
-            hs = []
-            for j in range(dim):
-                ej = _unit(dim, j)
-                picked = {(0, I, zero): (-a, -b)
-                          for (k2, I, J), (a, b) in current.num.items()
-                          if k2 == 0 and J == ej and sum(I) == d - 1}
-                hs.append(current._build(picked, current.den))
-            subs = [unit + h for unit, h in zip(_identity_coords(dim, order), hs)] \
+            # the terms y^I yb_j of degree d, as -y^I (current is classical)
+            low, high = d << top, (d + 1) << top
+            step = 1 << top
+            hs = [current._build({key - step - yb: (-a, -b)
+                                  for key, (a, b) in current.num.items()
+                                  if low <= key < high and key & j_field == yb},
+                                 current.den)
+                  for yb in _unit_fields(dim)[1]]
+            subs = [unit + h for unit, h in zip(identity, hs)] \
                 if any(hs) else None
         if subs is not None:
             current = _substitute(current, subs)
@@ -337,19 +364,23 @@ def volume_log_jets(p: PotentialJets) -> WickSeries:
             "volume-log jets need the identity metric at the point; "
             "normalize the potential first")
     r2 = max(varphi.trunc - 2, 0)
-    units = [_unit(dim, i) for i in range(dim)]
+    top, size = 16 * dim, 2 * dim
+    fields = (1 << top) - 1
+    ys, ybs = _unit_fields(dim)
+    # d_i dbar_j lowers y_i and yb_j by one each and the degree by two
+    shifts = [[(2 << top) + y + yb for yb in ybs] for y in ys]
     rest = [[{} for _ in range(dim)] for _ in range(dim)]
-    for (_, I, J), (a, b) in varphi.num.items():
-        if not 2 < sum(I) + sum(J) <= r2 + 2:  # M(0) = 1, or above the window
+    for key, (a, b) in varphi.num.items():
+        if not 2 < key >> top <= r2 + 2:  # M(0) = 1, or above the window
             continue
+        raw = (key & fields).to_bytes(size, "big")
         for i in range(dim):
-            if not I[i]:
+            if not raw[i]:
                 continue
-            di = mi_sub(I, units[i])
             for j in range(dim):
-                if J[j]:
-                    rest[i][j][(0, di, mi_sub(J, units[j]))] = \
-                        (a * I[i] * J[j], b * I[i] * J[j])
+                if raw[dim + j]:
+                    scalar = raw[i] * raw[dim + j]
+                    rest[i][j][key - shifts[i][j]] = (a * scalar, b * scalar)
     zero = WickSeries.zero(dim, r2)
     x = [[zero._build(terms, varphi.den) for terms in row] for row in rest]
 

@@ -1,13 +1,23 @@
 """Sparse truncated series over a Wick algebra with exact coefficients.
 
-A term is keyed by ``(k2, I, J)`` where ``I`` and ``J`` are multi-indices
-(tuples of non-negative ints, one slot per complex variable) recording the
-powers of the holomorphic generators ``y_i`` and their conjugates ``yb_i``,
-and ``k2`` is the *doubled* exponent of the deformation parameter ``h`` —
-doubling keeps half-integer powers (sqrt(h) bookkeeping from normalized
-bases) in integer arithmetic.  The total degree of a term is::
+A term is h^(k2/2) y^I yb^J, where ``I`` and ``J`` are multi-indices (one
+non-negative exponent per complex variable) of the holomorphic generators
+``y_i`` and their conjugates ``yb_i``, and ``k2`` is the *doubled* exponent
+of the deformation parameter ``h`` — doubling keeps half-integer powers
+(sqrt(h) bookkeeping from normalized bases) in integer arithmetic.  The
+total degree of a term is::
 
     degree(k2, I, J) = k2 + |I| + |J|        # h itself has degree 2
+
+Each term is stored under one integer key: its degree in the top bits, then
+one byte per exponent, I_1 ... I_dim J_1 ... J_dim (``pack``/``unpack``), so
+k2 is the degree minus the byte sum.  Sorting keys sorts by degree, the
+pointwise product adds keys, and truncation, slices, shifts and
+conjugation are integer compares, shifts and masks.  Every exponent is
+below ``EXPONENT_LIMIT`` = 128; the top bit of each byte is a guard bit, so
+the sum of two keys never carries from one field into the next.  Outside
+input at or past the limit is rejected, and a product whose output would
+reach it raises.
 
 Every series carries a truncation degree ``trunc``: terms above it are
 discarded, and the grading makes this lossless for products.  There is no
@@ -17,17 +27,20 @@ allowed anywhere, and a series is exactly its terms.  Only
 Zero is the empty term map and equality is structural on the canonical
 integer layout ``(dim, trunc, den, num)``.  Term records are read into that
 layout and ``str`` and ``to_records`` write from it; ``ComplexRational``
-values appear only in ``coefficient()`` and the ``terms`` view.
+values and ``(k2, I, J)`` tuples appear only at the public surface: the
+tuple-keyed constructor, ``coefficient()`` and the ``terms`` view.
 
 A series of dim 0 has no generators: it is a series in h alone, the scalar
-ring in which pairings, values at a point and 1/m expansions live.
+ring in which pairings, values at a point and 1/m expansions live.  Its key
+is k2 itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import add, itemgetter, mul
+from operator import mul, or_
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -37,11 +50,14 @@ from .errors import DegreeWindowError, DimensionMismatch, PreconditionError, Tru
 
 __all__ = [
     "MultiIndex",
+    "EXPONENT_LIMIT",
     "mi_zero",
-    "mi_sub",
     "mi_factorial",
     "total_degree",
+    "pack",
+    "unpack",
     "accumulate",
+    "linear_combination",
     "power_terms",
     "bilinear_terms",
     "read_records",
@@ -50,14 +66,11 @@ __all__ = [
 
 MultiIndex = tuple  # tuple[int, ...], length == dim
 _ZERO = Fraction(0)
+EXPONENT_LIMIT = 128  # one byte per exponent, its top bit the guard
 
 
 def mi_zero(dim: int) -> MultiIndex:
     return (0,) * dim
-
-
-def mi_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def mi_factorial(index: MultiIndex) -> int:
@@ -73,6 +86,18 @@ def total_degree(k2: int, I: MultiIndex, J: MultiIndex) -> int:
     return k2 + sum(I) + sum(J)
 
 
+def pack(dim: int, k2: int, I: MultiIndex, J: MultiIndex) -> int:
+    """The key of h^(k2/2) y^I yb^J; every exponent must be below the limit."""
+    return int.from_bytes(bytes((*I, *J)), "big") | total_degree(k2, I, J) << 16 * dim
+
+
+def unpack(dim: int, key: int) -> tuple:
+    """``(k2, I, J)`` of a key."""
+    top = 16 * dim
+    raw = (key & ((1 << top) - 1)).to_bytes(2 * dim, "big")
+    return (key >> top) - sum(raw), tuple(raw[:dim]), tuple(raw[dim:])
+
+
 def accumulate(pairs: Iterable) -> dict:
     """Sum ``(key, coefficient)`` pairs by key into a new dict.
 
@@ -85,6 +110,24 @@ def accumulate(pairs: Iterable) -> dict:
         prev = get(key)
         out[key] = value if prev is None else prev + value
     return out
+
+
+def linear_combination(parts: list) -> "WickSeries":
+    """``sum c s`` over ``(s, c)`` pairs with rational c, built once.
+
+    The series share one dim and trunc; the first pair gives them.  Every
+    numerator is brought to the lcm of the ``s.den * c.denominator`` and
+    the real and imaginary parts are summed by ``accumulate``.
+    """
+    first = parts[0][0]
+    for s, _ in parts:
+        first._check_compatible(s)
+    den = lcm(*(s.den * c.denominator for s, c in parts))
+    scaled = [(s.num, c.numerator * (den // (s.den * c.denominator)))
+              for s, c in parts]
+    re = accumulate((key, a * m) for num, m in scaled for key, (a, _) in num.items())
+    im = accumulate((key, b * m) for num, m in scaled for key, (_, b) in num.items())
+    return first._build({key: (a, im[key]) for key, a in re.items()}, den)
 
 
 def power_terms(first, x, product) -> Iterator:
@@ -109,40 +152,63 @@ def power_terms(first, x, product) -> Iterator:
 
 # The exact kernel.  Every bilinear operation (the pointwise product,
 # wick_star, fock_act and formal_integral's moment rule) runs through
-# ``bilinear_terms`` and differs only in its expansion rule: which
-# output monomials, with which integer scalars, a pair of input terms gives.
-# It reads both factors' stored integer numerators; sums of pair products
-# stay integers over the product of the two denominators, reduced once when
-# the result is built.
+# ``bilinear_terms`` and differs only in its expansion rule: which output
+# keys, with which integer scalars, a pair of input terms gives.  Every
+# rule's output key is ``key_f + key_g - offset``, where the offset has no
+# degree bits, so a pair's outputs all have degree deg(key_f) + deg(key_g):
+# the pointwise product adds keys (offset 0), a contraction alpha subtracts
+# alpha from both halves, and the Fock and moment rules subtract J from
+# both halves or clear the fields.  A rule is a table of ``(offset,
+# scalar)`` lists indexed by a few fields of the two keys, filled on first
+# use and kept per dim.  The kernel reads both factors' stored integer
+# numerators; sums of pair products stay integers over the product of the
+# two denominators, reduced once when the result is built.
+
+_POINTWISE = (0, 0, {0: ((0, 1),)}, None)  # the pointwise product rule
 
 
-def bilinear_terms(f: "WickSeries", g: "WickSeries", expand) -> tuple:
+def bilinear_terms(f: "WickSeries", g: "WickSeries", rule) -> tuple:
     """A bilinear operation as integer pairs ``{key: [a, b]}`` over a denominator.
 
-    ``expand(key_f, key_g)`` returns ``(key, scalar)`` pairs with integer
-    scalars: the terms c_f x^key_f of f and c_g x^key_g of g contribute
-    ``scalar * c_f * c_g`` to ``key``.  Every output key must have degree
-    deg(key_f) + deg(key_g), so pairs beyond f's truncation, never visited,
-    lose nothing.  Returns ``(sums, den)``; sums that cancel stay as [0, 0].
+    ``rule`` is ``(select_f, select_g, table, fill)``.  The terms
+    c_f x^key_f of f and c_g x^key_g of g look up
+    ``index = (key_f & select_f) + (key_g & select_g)`` in ``table`` (and
+    store ``fill(index)`` there on a miss); each ``(offset, scalar)`` found
+    adds ``scalar * c_f * c_g`` to the key ``key_f + key_g - offset``.
+    Pairs past f's truncation are never visited.  An output exponent at the
+    limit raises ``PreconditionError`` instead of wrapping.  Returns
+    ``(sums, den)``; sums that cancel stay as [0, 0].
     """
+    select_f, select_g, table, fill = rule
+    lookup = table.get
     rows_g = g._sorted_rows()
-    trunc = f.trunc
+    bound = (f.trunc + 1) << 16 * f.dim  # the least key past the truncation
     sums: dict = {}
     get = sums.get
-    for deg_f, key_f, a, b in f._sorted_rows():
-        room = trunc - deg_f
-        for deg_g, key_g, c, d in rows_g:
-            if deg_g > room:
+    for key_f, a, b in f._sorted_rows():
+        room = bound - key_f
+        part = key_f & select_f
+        for key_g, c, d in rows_g:
+            if key_g >= room:
                 break
+            index = part + (key_g & select_g)
+            offsets = lookup(index)
+            if offsets is None:
+                offsets = table[index] = fill(index)
             re = a * c - b * d
             im = a * d + b * c
-            for key, scalar in expand(key_f, key_g):
+            base = key_f + key_g
+            for offset, scalar in offsets:
+                key = base - offset
                 acc = get(key)
                 if acc is None:
                     sums[key] = [re * scalar, im * scalar]
                 else:
                     acc[0] += re * scalar
                     acc[1] += im * scalar
+    if reduce(or_, sums, 0) & int.from_bytes(b"\x80" * (2 * f.dim), "big"):
+        raise PreconditionError(
+            f"a product reaches the exponent limit {EXPONENT_LIMIT}")
     return sums, f.den * g.den
 
 
@@ -152,15 +218,17 @@ def _record_int(value) -> int:
     return value
 
 
-def read_records(records: Iterable[dict]) -> tuple:
-    """Term records as integer pairs ``{(k2, I, J): (a, b)}`` over one denominator.
+def read_records(records: Iterable[dict], dim: int) -> tuple:
+    """Term records as integer pairs ``{key: (a, b)}`` over one denominator.
 
     A record holds an integer ``"k2"``, integer lists ``"I"`` and ``"J"``
     and rational strings ``"re"``/``"im"`` such as ``"-3/2"`` (missing
     means zero); booleans and non-integral numbers are rejected, and so is
-    any other malformed record (KeyError, TypeError or ValueError).  Each
-    coefficient is (a + bi) / den.  Duplicate keys add up; sums that cancel
-    stay as (0, 0), so the caller checks every key it was given.
+    any other malformed record (KeyError, TypeError or ValueError) and any
+    key that does not fit ``dim`` (see ``_pack_checked``).  Each coefficient
+    is (a + bi) / den.  Keys are packed here, once.  Duplicate keys add up;
+    sums that cancel stay as (0, 0), so the caller checks every key it was
+    given.
     """
     keys, parts = [], []
     for rec in records:
@@ -171,6 +239,7 @@ def read_records(records: Iterable[dict]) -> tuple:
             if not isinstance(text, str):
                 raise ValueError(f"\"{name}\" must be a rational string, got {text!r}")
             parts.append(parse_rational(text))
+    keys = _pack_checked(dim, keys)
     den = lcm(*(x.denominator for x in parts))
     ints = [x.numerator * (den // x.denominator) for x in parts]
     re_sums = accumulate(zip(keys, ints[::2]))
@@ -178,24 +247,41 @@ def read_records(records: Iterable[dict]) -> tuple:
     return {key: (a, im_sums[key]) for key, a in re_sums.items()}, den
 
 
-def _check_keys(dim: int, keys: Iterable) -> None:
-    """Reject a negative dim, and keys of outside input that do not fit it."""
+def _pack_checked(dim: int, keys: Iterable) -> list:
+    """Pack ``(k2, I, J)`` keys of outside input, rejecting a negative dim and
+    keys that do not fit it: wrong lengths, negative entries, or an exponent
+    at or past ``EXPONENT_LIMIT``."""
     if dim < 0:
         raise DimensionMismatch(f"dim must be >= 0, got {dim}")
+    top = 16 * dim
+    guard = int.from_bytes(b"\x80" * (2 * dim), "big")
+    packed = []
     for key in keys:
-        if len(key[1]) != dim or len(key[2]) != dim:
+        k2, I, J = key
+        if len(I) != dim or len(J) != dim:
             raise DimensionMismatch(
                 f"multi-index length != dim={dim} in term {key}")
-        if min(key[1] + key[2], default=0) < 0:
-            raise ValueError(f"negative multi-index entry in term {key}")
+        entries = I + J
+        try:
+            fields = int.from_bytes(bytes(entries), "big")
+        except ValueError:  # an entry outside 0..255
+            fields = guard
+        if fields & guard:
+            if min(entries) < 0:
+                raise ValueError(f"negative multi-index entry in term {key}")
+            raise ValueError(f"exponent {max(entries)} in term {key} is at or "
+                             f"past the limit {EXPONENT_LIMIT}")
+        packed.append(fields | (k2 + sum(entries)) << top)
+    return packed
 
 
 class WickSeries:
     """A sparse, truncated element of the (extended) Wick algebra.
 
-    The coefficient of ``key`` is (a + bi) / den for ``num[key] == (a, b)``,
-    kept canonical: den > 0, no (0, 0) pair, no term past ``trunc``, and
-    gcd(den, every a, every b) == 1.  ``num`` must not be mutated.
+    The coefficient of the term with key ``key`` (see ``pack``) is
+    (a + bi) / den for ``num[key] == (a, b)``, kept canonical: den > 0, no
+    (0, 0) pair, no term past ``trunc``, and gcd(den, every a, every b) == 1.
+    ``num`` must not be mutated.
     """
 
     __slots__ = ("dim", "trunc", "den", "num", "_rows", "_terms")
@@ -203,26 +289,26 @@ class WickSeries:
     def __init__(self, dim: int, trunc: int, terms: Mapping | None = None):
         coeffs = {(k2, tuple(I), tuple(J)): ComplexRational.coerce(c)
                   for (k2, I, J), c in (terms or {}).items()}
-        _check_keys(dim, coeffs)
+        keys = _pack_checked(dim, coeffs)
         den = lcm(*(x.denominator for c in coeffs.values() for x in (c.re, c.im)))
         self._fill(dim, trunc, {key: (c.re.numerator * (den // c.re.denominator),
                                       c.im.numerator * (den // c.im.denominator))
-                                for key, c in coeffs.items()}, den)
+                                for key, c in zip(keys, coeffs.values())}, den)
 
     def _fill(self, dim: int, trunc: int, num: Mapping, den: int) -> None:
         """Store ``num`` over ``den`` canonically, dropping terms past ``trunc``.
 
-        The keys are trusted: ``__init__`` and ``from_records`` check the
-        multi-indices of outside input, and the kernel's expansion rules
-        keep them in form.
+        The keys are trusted: ``__init__`` and ``read_records`` check the
+        multi-indices of outside input, and the kernel checks its outputs
+        against the exponent limit.
         """
         if trunc < 0:
             raise ValueError(f"trunc must be >= 0, got {trunc}")
+        bound = (trunc + 1) << 16 * dim
         kept: dict = {}
         common = den
         for key, (a, b) in num.items():
-            k2, I, J = key
-            if k2 + sum(I) + sum(J) > trunc or not (a or b):
+            if key >= bound or not (a or b):
                 continue
             if common != 1:
                 common = gcd(common, a, b)
@@ -253,7 +339,7 @@ class WickSeries:
 
     @classmethod
     def unit(cls, dim: int, trunc: int) -> "WickSeries":
-        return cls.monomial(dim, trunc, 1, 0, mi_zero(dim), mi_zero(dim))
+        return cls.zero(dim, trunc)._build({0: (1, 0)}, 1)  # key 0 is the term 1
 
     @classmethod
     def monomial(cls, dim: int, trunc: int, coeff, k2: int = 0,
@@ -273,39 +359,50 @@ class WickSeries:
 
     @property
     def terms(self) -> MappingProxyType:
-        """Read-only ``{(k2, I, J): ComplexRational}`` view, built on first use.
+        """Read-only ``{(k2, I, J): ComplexRational}`` view in (k2, I, J) order, built on first use.
 
         Only tests and the benchmark tracer read it; the engine works on
         ``num`` and ``den``, or on ``coefficient()``.
         """
         if self._terms is None:
-            den = self.den
-            object.__setattr__(self, "_terms", MappingProxyType({
-                key: ComplexRational(Fraction(a, den), Fraction(b, den) if b else _ZERO)
-                for key, (a, b) in self.num.items()}))
+            dim, den = self.dim, self.den
+            object.__setattr__(self, "_terms", MappingProxyType(dict(sorted(
+                (unpack(dim, key), ComplexRational(Fraction(a, den),
+                                                   Fraction(b, den) if b else _ZERO))
+                for key, (a, b) in self.num.items()))))
         return self._terms
 
     def _sorted_rows(self) -> list:
-        """``(degree, key, a, b)`` per term by degree, kept for the next product."""
+        """``(key, a, b)`` per term by key, so by degree; kept for the next product."""
         if self._rows is None:
-            object.__setattr__(self, "_rows", sorted(
-                ((k2 + sum(I) + sum(J), (k2, I, J), a, b)
-                 for (k2, I, J), (a, b) in self.num.items()), key=itemgetter(0)))
+            object.__setattr__(self, "_rows", [
+                (key, a, b) for key, (a, b) in sorted(self.num.items())])
         return self._rows
 
     def coefficient(self, k2: int, I: MultiIndex | None = None,
                     J: MultiIndex | None = None) -> ComplexRational:
-        """The coefficient of h^(k2/2) y^I yb^J; I and J default to zero."""
-        zero = mi_zero(self.dim)
-        a, b = self.num.get((k2, zero if I is None else tuple(I),
-                             zero if J is None else tuple(J)), (0, 0))
+        """The coefficient of h^(k2/2) y^I yb^J; I and J default to zero.
+
+        Exponents that no stored term can have (negative, at or past the
+        limit, or a multi-index of the wrong length) read as zero.
+        """
+        dim = self.dim
+        if I is None and J is None:
+            key = k2 << 16 * dim
+        else:
+            I = mi_zero(dim) if I is None else tuple(I)
+            J = mi_zero(dim) if J is None else tuple(J)
+            fits = len(I) == len(J) == dim and all(
+                0 <= e < EXPONENT_LIMIT for e in I + J)
+            key = pack(dim, k2, I, J) if fits else None
+        a, b = self.num.get(key, (0, 0))
         return ComplexRational(Fraction(a, self.den), Fraction(b, self.den))
 
     def min_degree(self) -> int | None:
         """Least term degree, or None for the zero series."""
         if not self.num:
             return None
-        return min(total_degree(*key) for key in self.num)
+        return min(self.num) >> 16 * self.dim
 
     @property
     def lower_bound(self) -> int:
@@ -315,16 +412,27 @@ class WickSeries:
 
     def degree_slice(self, degree: int) -> "WickSeries":
         """The homogeneous part of the given total degree."""
-        picked = {k: v for k, v in self.num.items() if total_degree(*k) == degree}
+        top = 16 * self.dim
+        low, high = degree << top, (degree + 1) << top
+        picked = {k: v for k, v in self.num.items() if low <= k < high}
         return self._build(picked, self.den)
+
+    def h_powers(self) -> set:
+        """The doubled h-exponents k2 of the terms: degree minus byte sum."""
+        dim = self.dim
+        top, size = 16 * dim, 2 * dim
+        fields = (1 << top) - 1
+        return {(key >> top) - sum((key & fields).to_bytes(size, "big"))
+                for key in self.num}
 
     def is_plain(self) -> bool:
         """No inverse powers of h (no negative k2)."""
-        return all(k2 >= 0 for (k2, _, _) in self.num)
+        return min(self.h_powers(), default=0) >= 0
 
     def is_holomorphic(self) -> bool:
         """Only y generators (J = 0 throughout)."""
-        return all(not any(J) for (_, _, J) in self.num)
+        low = (1 << 8 * self.dim) - 1
+        return not any(key & low for key in self.num)
 
     # -- window management -----------------------------------------------
 
@@ -387,7 +495,7 @@ class WickSeries:
         if not isinstance(other, WickSeries):
             return NotImplemented
         self._check_compatible(other)
-        return self._build(*bilinear_terms(self, other, _pointwise))
+        return self._build(*bilinear_terms(self, other, _POINTWISE))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, ComplexRational)):
@@ -401,12 +509,18 @@ class WickSeries:
 
     def conjugate(self) -> "WickSeries":
         """Swap y^I yb^J -> y^J yb^I and conjugate coefficients (h is real)."""
-        flipped = {(k2, J, I): (a, -b) for (k2, I, J), (a, b) in self.num.items()}
+        half = 8 * self.dim
+        low, fields = (1 << half) - 1, (1 << 2 * half) - 1
+        flipped = {}
+        for key, (a, b) in self.num.items():
+            both = key & fields
+            flipped[key ^ both ^ ((both & low) << half | both >> half)] = (a, -b)
         return self._build(flipped, self.den)
 
     def hbar_shift(self, dk2: int) -> "WickSeries":
         """Multiply by h^(dk2/2); dk2 may be negative or odd."""
-        shifted = {(k2 + dk2, I, J): pair for (k2, I, J), pair in self.num.items()}
+        step = dk2 << 16 * self.dim
+        shifted = {key + step: pair for key, pair in self.num.items()}
         return self._build(shifted, self.den)
 
     def reciprocal(self) -> "WickSeries":
@@ -429,17 +543,21 @@ class WickSeries:
 
     def constant_part(self) -> "WickSeries":
         """The (I, J) = (0, 0) terms, as a series in h alone (dim 0)."""
-        zero = mi_zero(self.dim)
-        picked = {(k2, (), ()): pair for (k2, I, J), pair in self.num.items()
-                  if I == zero and J == zero}
+        top = 16 * self.dim
+        fields = (1 << top) - 1
+        picked = {key >> top: pair for key, pair in self.num.items()
+                  if not key & fields}
         return self._build(picked, self.den, dim=0)
 
     def holomorphic_part(self) -> "WickSeries":
-        picked = {key: v for key, v in self.num.items() if not any(key[2])}
+        low = (1 << 8 * self.dim) - 1
+        picked = {key: v for key, v in self.num.items() if not key & low}
         return self._build(picked, self.den)
 
     def antiholomorphic_part(self) -> "WickSeries":
-        picked = {key: v for key, v in self.num.items() if not any(key[1])}
+        half = 8 * self.dim
+        high = ((1 << half) - 1) << half
+        picked = {key: v for key, v in self.num.items() if not key & high}
         return self._build(picked, self.den)
 
     # -- equality / display ---------------------------------------------------
@@ -456,46 +574,52 @@ class WickSeries:
     def __repr__(self) -> str:
         return f"WickSeries(dim={self.dim}, trunc={self.trunc}, terms={len(self.num)})"
 
+    def _exponent_items(self) -> list:
+        """``((k2, exponents), (a, b))`` per term in (k2, I, J) order, for the writers.
+
+        ``exponents`` is the bytes I_1 ... I_dim J_1 ... J_dim of the key.
+        """
+        top, size = 16 * self.dim, 2 * self.dim
+        fields = (1 << top) - 1
+        items = [(((key >> top) - sum(raw := (key & fields).to_bytes(size, "big")), raw),
+                  pair) for key, pair in self.num.items()]
+        items.sort()
+        return items
+
     def __str__(self) -> str:
         if not self.num:
             return "0"
         dim, den = self.dim, self.den
         names = [symbol if dim == 1 else f"{symbol}{i}"
                  for symbol in ("y", "yb") for i in range(1, dim + 1)]
-        text = " + ".join(_format_term(names, key, a, b, den)
-                          for key, (a, b) in sorted(self.num.items()))
+        text = " + ".join(_format_term(names, k2, raw, a, b, den)
+                          for (k2, raw), (a, b) in self._exponent_items())
         return text.replace("+ -", "- ")
 
     # -- serialization ---------------------------------------------------------
 
     def to_records(self) -> list[dict]:
-        """One record per term, in key order; a dim-0 series leaves out I and J."""
+        """One record per term, in (k2, I, J) order; a dim-0 series leaves out I and J."""
         dim, den = self.dim, self.den
-        return [{"k2": k2, **({"I": list(I), "J": list(J)} if dim else {}),
+        return [{"k2": k2, **({"I": list(raw[:dim]), "J": list(raw[dim:])} if dim else {}),
                  "re": format_rational(a, den), "im": format_rational(b, den)}
-                for (k2, I, J), (a, b) in sorted(self.num.items())]
+                for (k2, raw), (a, b) in self._exponent_items()]
 
     @classmethod
     def from_records(cls, dim: int, trunc: int, records: Iterable[dict],
                      lower_bound: int = 0) -> "WickSeries":
         """Read term records (see ``read_records``); a key that does not fit
         ``dim`` raises, and so does a kept term of degree below ``lower_bound``."""
-        num, den = read_records(records)
-        _check_keys(dim, num)
+        num, den = read_records(records, dim)
         series = object.__new__(cls)
         series._fill(dim, trunc, num, den)
+        top = 16 * dim
         for key in series.num:
-            degree = total_degree(*key)
-            if degree < lower_bound:
+            if key >> top < lower_bound:
                 raise DegreeWindowError(
-                    f"term {key} has degree {degree} < lower bound {lower_bound}")
+                    f"term {unpack(dim, key)} has degree {key >> top} "
+                    f"< lower bound {lower_bound}")
         return series
-
-
-def _pointwise(key_f, key_g) -> list:
-    """The pointwise product rule: exponents add, scalar 1."""
-    (k2f, If, Jf), (k2g, Ig, Jg) = key_f, key_g
-    return [((k2f + k2g, tuple(map(add, If, Ig)), tuple(map(add, Jf, Jg))), 1)]
 
 
 def _format_hbar(k2: int) -> str:
@@ -506,15 +630,16 @@ def _format_hbar(k2: int) -> str:
     return f"h^({k2}/2)"
 
 
-def _format_term(names: list, key, a: int, b: int, den: int) -> str:
+def _format_term(names: list, k2: int, exponents: bytes, a: int, b: int,
+                 den: int) -> str:
     """The term (a + bi)/den h^(k2/2) y^I yb^J as ``str`` prints it.
 
-    ``names`` holds the variable names of y then yb, none at dim 0.
+    ``names`` holds the variable names of y then yb, none at dim 0, and
+    ``exponents`` the matching powers I then J.
     """
-    k2, I, J = key
     factors = [_format_hbar(k2)] if k2 else []
     factors += [name if power == 1 else f"{name}^{power}"
-                for name, power in zip(names, I + J) if power]
+                for name, power in zip(names, exponents) if power]
     if not factors:  # a series in h alone also brackets a negative constant
         coeff = format_complex(a, b, den)
         return f"({coeff})" if b or (not names and a < 0) else coeff

@@ -19,10 +19,10 @@ from fractions import Fraction
 from functools import cache
 from itertools import product as _cartesian
 from math import comb, factorial
-from operator import add, mul, sub
+from operator import mul
 
 from .errors import PreconditionError
-from .series import WickSeries, bilinear_terms, power_terms
+from .series import WickSeries, bilinear_terms, linear_combination, power_terms
 
 __all__ = [
     "wick_star",
@@ -44,35 +44,34 @@ def _falling(n: int, k: int) -> int:
 def wick_star(f: WickSeries, g: WickSeries) -> WickSeries:
     """The associative Wick product of two series (same dim and trunc)."""
     f._check_compatible(g)
-
-    def expand(key_f, key_g):
-        k2f, If, Jf = key_f
-        k2g, Ig, Jg = key_g
-        k2 = k2f + k2g
-        return [((k2 + t2, tuple(map(add, Ia, Ig)), tuple(map(add, Jf, Ja))),
-                 scalar) for t2, Ia, Ja, scalar in _contractions(If, Jg)]
-
-    return f._build(*bilinear_terms(f, g, expand))
+    return f._build(*bilinear_terms(f, g, _star_rule(f.dim)))
 
 
 @cache
-def _contractions(I: tuple, J: tuple) -> tuple:
-    """``(2|a|, I - a, J - a, scalar)`` for every multi-index a <= min(I, J).
+def _star_rule(dim: int) -> tuple:
+    """The contractions of I_f against J_g, indexed by the key fields (I_f, J_g).
 
-    The scalar (-1)^|a| prod comb(I_i, a_i) (J_i)_(a_i) is the coefficient
-    of h^|a| y^(I-a) yb^(J-a) in (-h)^|a| / a! d_y^a(y^I) d_yb^a(yb^J).
+    A contraction a <= min(I_f, J_g) has offset (a, a) and scalar
+    (-1)^|a| prod comb(I_i, a_i) (J_i)_(a_i), the coefficient of
+    h^|a| y^(I-a) yb^(J-a) in (-h)^|a| / a! d_y^a(y^I) d_yb^a(yb^J).
     """
-    out = []
-    for alpha in _cartesian(*[range(min(i, j) + 1) for i, j in zip(I, J)]):
-        scalar = 1
-        for i, j, a in zip(I, J, alpha):
-            if a:
-                scalar *= comb(i, a) * _falling(j, a)
-        total = sum(alpha)
-        out.append((2 * total, tuple(map(sub, I, alpha)),
-                    tuple(map(sub, J, alpha)),
-                    -scalar if total % 2 else scalar))
-    return tuple(out)
+    half = 8 * dim
+    low = (1 << half) - 1
+
+    def fill(index: int) -> tuple:
+        raw = index.to_bytes(2 * dim, "big")
+        I, J = raw[:dim], raw[dim:]
+        out = []
+        for alpha in _cartesian(*[range(min(i, j) + 1) for i, j in zip(I, J)]):
+            scalar = 1
+            for i, j, a in zip(I, J, alpha):
+                if a:
+                    scalar *= comb(i, a) * _falling(j, a)
+            out.append((int.from_bytes(bytes(alpha + alpha), "big"),
+                        -scalar if sum(alpha) % 2 else scalar))
+        return tuple(out)
+
+    return low << half, low, {}, fill
 
 
 def fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
@@ -80,22 +79,31 @@ def fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
     f._check_compatible(s)
     if not s.is_holomorphic():
         raise PreconditionError("fock_act target must be holomorphic (J = 0)")
-    zero = (0,) * f.dim
+    return f._build(*bilinear_terms(f, s, _fock_rule(f.dim)))
 
-    def expand(key_f, key_s):
-        k2, I, J = key_f
-        k2s, P, _ = key_s
-        top = tuple(map(add, I, P))
-        scalar = 1  # prod (top_i)_(J_i); zero exactly when some top_i < J_i
-        for t, j in zip(top, J):
+
+@cache
+def _fock_rule(dim: int) -> tuple:
+    """The Fock rule, indexed by the summed fields (I + P, J) of a pair.
+
+    The scalar is prod (I + P)_i falling J_i, zero exactly when some
+    (I + P)_i < J_i; the offset (J, J) leaves y^(I+P-J) and h^|J|.
+    """
+    half = 8 * dim
+    fields = (1 << 2 * half) - 1
+
+    def fill(index: int) -> tuple:
+        raw = index.to_bytes(2 * dim, "big")
+        scalar = 1
+        for t, j in zip(raw[:dim], raw[dim:]):
             if j:
                 scalar *= _falling(t, j)
         if not scalar:
             return ()
-        return [((k2 + k2s + 2 * sum(J), tuple(map(sub, top, J)), zero),
-                 scalar)]
+        J = index & ((1 << half) - 1)
+        return ((J << half | J, scalar),)
 
-    return f._build(*bilinear_terms(f, s, expand))
+    return fields, fields, {}, fill
 
 
 def classical_exp(x: WickSeries) -> WickSeries:
@@ -112,10 +120,10 @@ def star_exp(x: WickSeries) -> WickSeries:
 
 
 def _exp_series(x: WickSeries, product) -> WickSeries:
-    out = WickSeries.unit(x.dim, x.trunc)
-    for j, power in enumerate(power_terms(x, x, product), 1):
-        out = out + power.scale(Fraction(1, factorial(j)))
-    return out
+    parts = [(WickSeries.unit(x.dim, x.trunc), Fraction(1))]
+    parts += [(power, Fraction(1, factorial(j)))
+              for j, power in enumerate(power_terms(x, x, product), 1)]
+    return linear_combination(parts)
 
 
 def log_series(a: WickSeries, product) -> WickSeries:
@@ -123,11 +131,9 @@ def log_series(a: WickSeries, product) -> WickSeries:
 
     Every term of a must have positive degree (see ``power_terms``).
     """
-    powers = power_terms(a, a, product)
-    out = next(powers, a)  # the first power is a itself
-    for k, power in enumerate(powers, 2):
-        out = out + power.scale(Fraction(1 if k % 2 else -1, k))
-    return out
+    parts = [(power, Fraction(1 if k % 2 else -1, k))
+             for k, power in enumerate(power_terms(a, a, product), 1)]
+    return linear_combination(parts) if parts else a
 
 
 def _check_unital(u: WickSeries, what: str) -> WickSeries:

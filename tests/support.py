@@ -27,7 +27,7 @@ from wickjet.coefficients import ComplexRational
 from wickjet.cp1 import RationalSymbol
 from wickjet.errors import PreconditionError
 from wickjet.integrals import WeightSeries, formal_integral
-from wickjet.series import WickSeries, accumulate, mi_factorial, mi_sub, mi_zero
+from wickjet.series import WickSeries, accumulate, mi_factorial, mi_zero
 
 
 def count_calls(monkeypatch, owner, name: str) -> list:
@@ -49,6 +49,10 @@ def hseries(trunc: int, terms: dict | None = None) -> WickSeries:
 
 def mi_add(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
+
+
+def mi_sub(a: tuple, b: tuple) -> tuple:
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def iter_multi_indices(dim: int, max_abs: int):
@@ -114,6 +118,57 @@ def reference_records(f: WickSeries) -> list:
     return [{"k2": k2, **({"I": list(I), "J": list(J)} if f.dim else {}),
              "re": str(c.re), "im": str(c.im)}
             for (k2, I, J), c in sorted(f.terms.items())]
+
+
+# ---------------------------------------------------------------------------
+# tuple-keyed reference for the packed key layout: plain dicts
+# {(k2, I, J): ComplexRational}, read the way the layout was before packing
+
+
+def reference_degree(key) -> int:
+    k2, I, J = key
+    return k2 + sum(I) + sum(J)
+
+
+def reference_conjugate(terms: dict) -> dict:
+    return {(k2, J, I): c.conjugate() for (k2, I, J), c in terms.items()}
+
+
+def reference_hbar_shift(terms: dict, dk2: int) -> dict:
+    return {(k2 + dk2, I, J): c for (k2, I, J), c in terms.items()}
+
+
+def reference_retruncate(terms: dict, trunc: int) -> dict:
+    return {k: c for k, c in terms.items() if reference_degree(k) <= trunc}
+
+
+def reference_degree_slice(terms: dict, degree: int) -> dict:
+    return {k: c for k, c in terms.items() if reference_degree(k) == degree}
+
+
+def reference_min_degree(terms: dict):
+    return min(map(reference_degree, terms), default=None)
+
+
+def reference_constant_part(terms: dict) -> dict:
+    return {(k2, (), ()): c for (k2, I, J), c in terms.items()
+            if not any(I) and not any(J)}
+
+
+def reference_holomorphic_part(terms: dict) -> dict:
+    return {k: c for k, c in terms.items() if not any(k[2])}
+
+
+def reference_antiholomorphic_part(terms: dict) -> dict:
+    return {k: c for k, c in terms.items() if not any(k[1])}
+
+
+def reference_is_plain(terms: dict) -> bool:
+    return all(k2 >= 0 for k2, _, _ in terms)
+
+
+def reference_coefficient(terms: dict, k2: int, I: tuple, J: tuple) -> ComplexRational:
+    return terms.get((k2, I, J), ComplexRational(0))
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +611,28 @@ def gaussian_moment(I, J, k2: int = 0, *, trunc: int) -> WickSeries:
     dim = len(I)
     return formal_integral(WickSeries.monomial(dim, trunc, 1, k2, I, J),
                            WeightSeries(WickSeries.zero(dim, trunc)))
+
+
+# ---------------------------------------------------------------------------
+# power series by repeated addition, one scaled power at a time
+
+
+def reference_exp_series(x: WickSeries, product) -> WickSeries:
+    """``sum_j x^j / j!`` under ``product``, adding each power to the sum."""
+    out, power, j = WickSeries.unit(x.dim, x.trunc), x, 1
+    while power:
+        out = out + power.scale(Fraction(1, factorial(j)))
+        power, j = product(power, x), j + 1
+    return out
+
+
+def reference_log_series(a: WickSeries, product) -> WickSeries:
+    """``sum_k (-1)^(k+1) a^k / k`` under ``product``, adding each power to the sum."""
+    out, power, k = WickSeries.zero(a.dim, a.trunc), a, 1
+    while power:
+        out = out + power.scale(Fraction(1 if k % 2 else -1, k))
+        power, k = product(power, a), k + 1
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ from math import gcd
 import pytest
 
 from wickjet.coefficients import ComplexRational
-from wickjet.integrals import _moment
-from wickjet.series import WickSeries, accumulate, bilinear_terms, total_degree
+from wickjet.integrals import _moments
+from wickjet.series import (EXPONENT_LIMIT, WickSeries, accumulate, pack, total_degree,
+                            unpack)
 from wickjet.wick import fock_act, wick_star
 
 from support import (
@@ -67,8 +68,7 @@ OPERATIONS = [
     ("product", lambda f, g: f * g, reference_product, None),
     ("star", wick_star, reference_star, None),
     ("fock", fock_act, reference_fock_act, "holomorphic"),
-    ("moment", lambda f, g: f._build(*bilinear_terms(f, g, _moment), dim=0),
-     reference_moment, None),
+    ("moment", _moments, reference_moment, None),
 ]
 
 
@@ -76,14 +76,17 @@ def _assert_canonical(s):
     """The stored layout is canonical: equal values can only be stored one way.
 
     Kernel output is stored without a per-term key check, so this is where
-    a faulty expansion rule's wrong-length or negative multi-index shows.
+    a faulty expansion rule's wrapped field or out-of-range exponent shows:
+    every key unpacks to exponents below the limit and packs back to itself.
     """
+    keys = [unpack(s.dim, key) for key in s.num]
     assert all(len(I) == len(J) == s.dim and min(I + J, default=0) >= 0
-               for _, I, J in s.num)
+               and max(I + J, default=0) < EXPONENT_LIMIT for _, I, J in keys)
+    assert [pack(s.dim, *key) for key in keys] == list(s.num)
     assert s.den > 0
     assert gcd(s.den, *(x for pair in s.num.values() for x in pair)) == 1
     assert all(a or b for a, b in s.num.values())
-    assert all(k2 + sum(I) + sum(J) <= s.trunc for k2, I, J in s.num)
+    assert all(k2 + sum(I) + sum(J) <= s.trunc for k2, I, J in keys)
 
 
 def _assert_same(got, want):

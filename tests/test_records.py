@@ -76,8 +76,8 @@ def _ordered(records: list) -> list:
 
 
 def test_parity_cases_cover_the_listed_shapes():
-    keys = [key for s in PARITY_CASES for key in s.num]
-    coefficients = [s.coefficient(*key) for s in PARITY_CASES for key in s.num]
+    keys = [key for s in PARITY_CASES for key in s.terms]
+    coefficients = [s.coefficient(*key) for s in PARITY_CASES for key in s.terms]
     assert {s.dim for s in PARITY_CASES} == {0, 1, 2, 3}
     assert any(k2 < 0 for k2, _, _ in keys) and any(k2 % 2 for k2, _, _ in keys)
     assert all(c in coefficients for c in SPECIAL)
