@@ -67,7 +67,7 @@ MS_CEILING = 2 ** 14
 # quadruples with each doubling: 0.8 s at 64 through order 4.
 MAX_P_CEILING = 64
 # Largest number of complex variables a job may request.  An order-6
-# Fubini-Study normal form with its round trip takes about 0.3 s at dim 8.
+# Fubini-Study normal form with its round trip takes about 0.14 s at dim 8.
 DIM_CEILING = 8
 # Most terms a dense series in h, y and yb may hold at a bt-eval or rep-act
 # job's dim and trunc (see dense_terms): the count at dim 2, trunc 10.
@@ -366,9 +366,10 @@ def _context_for(job: JobSpec) -> tuple:
 
 def _series_lines(job: JobSpec, names: tuple, label: str, result) -> list:
     """The named input series, then ``result`` as text and as records."""
+    text, records = result.text_and_records()
     lines = [f"{name}: {job.inputs[name]}" for name in names]
-    lines.append(f"{label}: {result}")
-    return lines + _record_lines(f"{label} records:", result.to_records())
+    lines.append(f"{label}: {text}")
+    return lines + _record_lines(f"{label} records:", records)
 
 
 def _run_wick_star(job: JobSpec) -> tuple:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random as _random
 from fractions import Fraction
 from functools import cache
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul
 
 from .coefficients import ComplexRational, random_coefficient, random_rational
@@ -88,49 +88,85 @@ def _is_identity_change(subs: list, dim: int, trunc: int) -> bool:
         for s, y in zip(subs, _unit_fields(dim)[0]))
 
 
-def _power_table(s: WickSeries, top: int) -> list:
-    table = [WickSeries.unit(s.dim, s.trunc)]
-    for _ in range(top):
-        table.append(table[-1] * s)
-    return table
+def _power(table: list, p: int) -> WickSeries:
+    """``table[p]`` of the powers ``[1, u, u^2, ...]`` of ``u = table[1]``, grown on demand."""
+    while len(table) <= p:
+        table.append(table[-1] * table[1])
+    return table[p]
 
 
-def _substitute(series: WickSeries, subs: list) -> WickSeries:
-    """Formal composition: replace z_i by subs[i] (and zbar_i by its conjugate).
-
-    Identity coordinates return ``series`` itself, after the same checks.
-    """
-    dim, trunc = series.dim, series.trunc
-    for s in subs:
-        if 0 in s.num:  # key 0: the constant term 1
-            raise PreconditionError("coordinate changes must fix the marked point")
-    if not _is_classical(series):
-        raise PreconditionError("substitution is defined for classical jets only")
-    if _is_identity_change(subs, dim, trunc):
-        return series
-    conj = [s.conjugate() for s in subs]
-    size = 2 * dim
-    fields = (1 << 8 * size) - 1
-    exponents = [(key & fields).to_bytes(size, "big") for key in series.num]
-    highest = [max(column) for column in zip(bytes(size), *exponents)]
-    pows = [_power_table(subs[i], highest[i]) for i in range(dim)]
-    cpows = [_power_table(conj[i], highest[dim + i]) for i in range(dim)]
-    unit = WickSeries.unit(dim, trunc)
-    groups: dict = {}  # images scaled by their term's numerators, by denominator
-    for raw, (a, b) in zip(exponents, series.num.values()):
-        acc = unit
-        for i in range(dim):
-            for table, p in ((pows[i], raw[i]), (cpows[i], raw[dim + i])):
-                if p:
-                    acc = table[p] if acc is unit else acc * table[p]
-        out = groups.setdefault(acc.den, {})
-        get = out.get
-        for key, (c, d) in acc.num.items():
+def _combine(parts: list, den: int, zero: WickSeries) -> WickSeries:
+    """``sum (a + bi) / den * s`` over the ``(s, (a, b))`` parts, over the lcm of their dens."""
+    common = lcm(*(s.den for s, _ in parts))
+    out: dict = {}
+    get = out.get
+    for s, (a, b) in parts:
+        m = common // s.den
+        a, b = a * m, b * m
+        for key, (c, d) in s.num.items():
             re, im = a * c - b * d, a * d + b * c
             prev = get(key)
             out[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
-    return sum((unit._build(out, series.den * den) for den, out in groups.items()),
-               WickSeries.zero(dim, trunc))
+    return zero._build(out, den * common)
+
+
+def _substitute(series: list, subs: list) -> list:
+    """Formal composition of each series: replace z_i by subs[i] (and zbar_i by its conjugate).
+
+    Write U^K for the product of the subs[i]^(K_i).  The series share the
+    powers of each subs[i], built on demand, and the monomials U^K, each
+    built once from a smaller one and one power; conj(U^J) is the
+    ``conjugate()`` of U^J.  A series is grouped by holomorphic exponent I,
+    so its image ``sum_I U^I (sum_J c_IJ conj(U^J))`` costs one product per
+    distinct nonzero I.  Identity coordinates return the series themselves,
+    after the same checks.
+    """
+    for s in subs:
+        if 0 in s.num:  # key 0: the constant term 1
+            raise PreconditionError("coordinate changes must fix the marked point")
+    if not all(_is_classical(s) for s in series):
+        raise PreconditionError("substitution is defined for classical jets only")
+    dim, trunc = series[0].dim, series[0].trunc
+    if _is_identity_change(subs, dim, trunc):
+        return list(series)
+    unit, zero = WickSeries.unit(dim, trunc), WickSeries.zero(dim, trunc)
+    tables = [[unit, s] for s in subs]
+    holomorphic = {0: unit}  # U^K by the exponent bytes K_1 ... K_dim
+    conjugates = {}
+
+    def monomial(k: int) -> WickSeries:
+        """U^K from U^K' times one power, K' being K less its last nonzero exponent."""
+        if k not in holomorphic:
+            shift = ((k & -k).bit_length() - 1) & ~7
+            p = k >> shift & 0xFF
+            power = _power(tables[dim - 1 - shift // 8], p)
+            rest = k ^ p << shift
+            holomorphic[k] = power * monomial(rest) if rest else power
+        return holomorphic[k]
+
+    def conjugate(j: int) -> WickSeries:
+        if j not in conjugates:
+            conjugates[j] = monomial(j).conjugate()
+        return conjugates[j]
+
+    half = 8 * dim
+    low = (1 << half) - 1
+    images = []
+    for s in series:
+        groups: dict = {}  # I -> [(J, coefficient numerator)]
+        for key, pair in s.num.items():
+            groups.setdefault(key >> half & low, []).append((key & low, pair))
+        parts = []  # image = sum over parts / s.den
+        for i, row in groups.items():
+            bars = [(conjugate(j), pair) for j, pair in row]
+            if not i:
+                parts += bars
+            elif len(row) == 1 and not row[0][0]:  # a pure holomorphic term
+                parts.append((monomial(i), row[0][1]))
+            else:
+                parts.append((monomial(i) * _combine(bars, 1, zero), (1, 0)))
+        images.append(_combine(parts, s.den, zero))
+    return images
 
 
 def _is_normal_form(varphi: WickSeries) -> bool:
@@ -233,13 +269,17 @@ def _one_one_matrix(series: WickSeries, dim: int) -> list:
             for yb in ybs]
 
 
-def _is_identity(matrix: list) -> bool:
-    return all(v == (1 if i == j else 0)
-               for i, row in enumerate(matrix) for j, v in enumerate(row))
+def _has_identity_metric(series: WickSeries) -> bool:
+    """The (1,1) block is the identity, read on the keys: ``num`` holds
+    ``(den, 0)`` for each z_i zbar_i and nothing for z_j zbar_i with j != i."""
+    ys, ybs = _unit_fields(series.dim)
+    two, get, one = 2 << 16 * series.dim, series.num.get, (series.den, 0)
+    return all(get(two | y | yb) == (one if i == j else None)
+               for i, y in enumerate(ys) for j, yb in enumerate(ybs))
 
 
-def _diagonalizing_change(matrix: list, dim: int):
-    """B with B^dagger M B = Id, or None when M is already the identity.
+def _diagonalizing_change(matrix: list, dim: int) -> list:
+    """B with B^dagger M B = Id.
 
     Symmetric elimination: column operations clear each row of M right of
     its pivot and act alike on B, which starts as the identity; then column
@@ -247,8 +287,6 @@ def _diagonalizing_change(matrix: list, dim: int):
     positive diagonal, which makes it unique.  Every pivot is checked for
     positive definiteness before any is checked for a rational square root.
     """
-    if _is_identity(matrix):
-        return None
     m = [list(row) for row in matrix]
     b = [[ComplexRational(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
     pivots = []
@@ -295,7 +333,8 @@ def k_normalize(raw: PotentialJets):
     coords = identity
     for d in range(2, order + 1):
         if d == 2:
-            change = _diagonalizing_change(_one_one_matrix(current, dim), dim)
+            change = None if _has_identity_metric(current) else \
+                _diagonalizing_change(_one_one_matrix(current, dim), dim)
             zero = mi_zero(dim)
             subs = None if change is None else [
                 WickSeries(dim, order, {(0, _unit(dim, j), zero): change[i][j]
@@ -313,11 +352,10 @@ def k_normalize(raw: PotentialJets):
             subs = [unit + h for unit, h in zip(identity, hs)] \
                 if any(hs) else None
         if subs is not None:
-            current = _substitute(current, subs)
-            coords = [_substitute(c, subs) for c in coords]
+            current, *coords = _substitute([current, *coords], subs)
     # later changes are the identity to first order, so the (1,1) block
     # stays as the degree-2 round left it
-    if not _is_identity(_one_one_matrix(current, dim)):
+    if not _has_identity_metric(current):
         raise SolveError("quadratic diagonalization failed")
     holomorphic = current.holomorphic_part()
     frame = holomorphic - holomorphic.coefficient(0) / 2
@@ -336,7 +374,7 @@ def apply_normalization(raw: PotentialJets, coord_change, frame_change) -> Poten
             raise PreconditionError(
                 "coordinate and frame changes must be holomorphic series "
                 f"without h-powers, of dim {dim} and trunc {order}")
-    result = _substitute(raw.varphi, coord_change) \
+    result = _substitute([raw.varphi], coord_change)[0] \
         - frame_change - frame_change.conjugate()
     return PotentialJets(result, normalized=_is_normal_form(result))
 
@@ -359,7 +397,7 @@ def volume_log_jets(p: PotentialJets) -> WickSeries:
     """
     varphi = p.varphi
     dim = varphi.dim
-    if not _is_identity(_one_one_matrix(varphi, dim)):
+    if not _has_identity_metric(varphi):
         raise PreconditionError(
             "volume-log jets need the identity metric at the point; "
             "normalize the potential first")

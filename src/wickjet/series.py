@@ -587,23 +587,18 @@ class WickSeries:
         return items
 
     def __str__(self) -> str:
-        if not self.num:
-            return "0"
-        dim, den = self.dim, self.den
-        names = [symbol if dim == 1 else f"{symbol}{i}"
-                 for symbol in ("y", "yb") for i in range(1, dim + 1)]
-        text = " + ".join(_format_term(names, k2, raw, a, b, den)
-                          for (k2, raw), (a, b) in self._exponent_items())
-        return text.replace("+ -", "- ")
+        return _text(self, self._exponent_items())
 
     # -- serialization ---------------------------------------------------------
 
     def to_records(self) -> list[dict]:
         """One record per term, in (k2, I, J) order; a dim-0 series leaves out I and J."""
-        dim, den = self.dim, self.den
-        return [{"k2": k2, **({"I": list(raw[:dim]), "J": list(raw[dim:])} if dim else {}),
-                 "re": format_rational(a, den), "im": format_rational(b, den)}
-                for (k2, raw), (a, b) in self._exponent_items()]
+        return _records(self, self._exponent_items())
+
+    def text_and_records(self) -> tuple:
+        """``str(self)`` and ``self.to_records()`` from one sort of the terms."""
+        items = self._exponent_items()
+        return _text(self, items), _records(self, items)
 
     @classmethod
     def from_records(cls, dim: int, trunc: int, records: Iterable[dict],
@@ -620,6 +615,26 @@ class WickSeries:
                     f"term {unpack(dim, key)} has degree {key >> top} "
                     f"< lower bound {lower_bound}")
         return series
+
+
+def _text(series: WickSeries, items: list) -> str:
+    """``str(series)`` from its ``_exponent_items``."""
+    if not items:
+        return "0"
+    dim, den = series.dim, series.den
+    names = [symbol if dim == 1 else f"{symbol}{i}"
+             for symbol in ("y", "yb") for i in range(1, dim + 1)]
+    text = " + ".join(_format_term(names, k2, raw, a, b, den)
+                      for (k2, raw), (a, b) in items)
+    return text.replace("+ -", "- ")
+
+
+def _records(series: WickSeries, items: list) -> list:
+    """``series.to_records()`` from its ``_exponent_items``."""
+    dim, den = series.dim, series.den
+    return [{"k2": k2, **({"I": list(raw[:dim]), "J": list(raw[dim:])} if dim else {}),
+             "re": format_rational(a, den), "im": format_rational(b, den)}
+            for (k2, raw), (a, b) in items]
 
 
 def _format_hbar(k2: int) -> str:

@@ -8,9 +8,10 @@ permutations, so a kernel bug cannot cancel against itself.  The reference
 products and actions below visit every pair of terms in plain
 ComplexRational arithmetic, with none of the integer kernel's common
 denominators or degree-sorted early exits.  The reference substitution
-adds up one scaled series per term of the substituted series, and the
-reference Mobius pullback expands plain coefficient dicts through the
-binomial theorem.
+adds up one scaled series per term of the substituted series, the
+reference normalization runs the per-degree loop through it one series at
+a time, and the reference Mobius pullback expands plain coefficient dicts
+through the binomial theorem.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from wickjet.coefficients import ComplexRational
 from wickjet.cp1 import RationalSymbol
 from wickjet.errors import PreconditionError
 from wickjet.integrals import WeightSeries, formal_integral
+from wickjet.jets import PotentialJets, _diagonalizing_change, _one_one_matrix
 from wickjet.series import WickSeries, accumulate, mi_factorial, mi_zero
 
 
@@ -674,3 +676,39 @@ def reference_substitute(series: WickSeries, subs: list) -> WickSeries:
             if acc is None else acc.scale(c)
         out = out + term
     return out
+
+
+def reference_k_normalize(raw: PotentialJets) -> tuple:
+    """``k_normalize``'s per-degree loop, substituting one series at a time.
+
+    Every round passes the potential and each coordinate series through
+    ``reference_substitute`` on its own, with nothing shared between them.
+    """
+    dim, order = raw.dim, raw.order
+    zero = mi_zero(dim)
+    units = [tuple(int(k == i) for k in range(dim)) for i in range(dim)]
+    identity = [WickSeries(dim, order, {(0, unit, zero): 1}) for unit in units]
+    current, coords = raw.varphi, identity
+    for d in range(2, order + 1):
+        if d == 2:
+            matrix = _one_one_matrix(current, dim)
+            change = None if matrix == [[int(i == j) for j in range(dim)]
+                                        for i in range(dim)] \
+                else _diagonalizing_change(matrix, dim)
+            subs = None if change is None else [
+                WickSeries(dim, order, {(0, units[j], zero): change[i][j]
+                                        for j in range(dim)})
+                for i in range(dim)]
+        else:
+            hs = [WickSeries(dim, order, {(0, I, zero): -c
+                                          for (_, I, J), c in current.terms.items()
+                                          if J == unit and sum(I) == d - 1})
+                  for unit in units]
+            subs = [y + h for y, h in zip(identity, hs)] if any(hs) else None
+        if subs is not None:
+            current = reference_substitute(current, subs)
+            coords = [reference_substitute(c, subs) for c in coords]
+    holomorphic = current.holomorphic_part()
+    frame = holomorphic - holomorphic.coefficient(0) / 2
+    normalized = current - frame - frame.conjugate()
+    return PotentialJets(normalized, normalized=True), tuple(coords), frame

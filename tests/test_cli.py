@@ -372,13 +372,13 @@ def test_k_normalize_job_computes_volume_log_jets_once(
 ])
 def test_round_trip_substitutes_only_through_a_real_coordinate_change(
         tmp_path, capsys, monkeypatch, dim, potential, substitutes):
-    tables = count_calls(monkeypatch, jets, "_power_table")
+    powers = count_calls(monkeypatch, jets, "_power")
     replayed = []
 
     def counted_replay(*args):
-        before = len(tables)
+        before = len(powers)
         result = jets.apply_normalization(*args)
-        replayed.append(len(tables) - before)
+        replayed.append(len(powers) - before)
         return result
     monkeypatch.setattr(cli, "apply_normalization", counted_replay)
     path = write_job(tmp_path, {"mode": "k-normalize", "dim": dim,
@@ -387,6 +387,16 @@ def test_round_trip_substitutes_only_through_a_real_coordinate_change(
     assert code == 0 and "round-trip: ok" in out
     assert len(replayed) == 1 and (replayed[0] > 0) == substitutes
 
+
+
+def test_series_report_sorts_each_series_once(tmp_path, capsys, monkeypatch):
+    sorts = count_calls(monkeypatch, WickSeries, "_exponent_items")
+    path = write_job(tmp_path, {"mode": "wick-star", "dim": 1, "trunc": 6,
+                                "lhs": [Y_RECORD], "rhs": [YB_RECORD]})
+    code, out, _ = run_main(capsys, "--job", path)
+    assert code == 0 and "product: y yb - h" in out and '"k2": 2' in out
+    # lhs and rhs as text, then the product as text and records
+    assert len(sorts) == 3
 
 def _potential_job(jet):
     return {"mode": "k-normalize", "dim": 1,

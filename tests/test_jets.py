@@ -26,6 +26,7 @@ from support import (
     permutation_volume_log,
     random_coefficient,
     random_multi_index,
+    reference_k_normalize,
     reference_substitute,
     sympy_to_series,
 )
@@ -222,8 +223,7 @@ def test_diagonalizing_change_is_upper_triangular_with_positive_diagonal():
             m = [[sum((lower[i][k] * lower[j][k].conjugate() * squares[k]
                        for k in range(dim)), ComplexRational())
                   for j in range(dim)] for i in range(dim)]
-            # None stands for the identity change
-            b = jets_module._diagonalizing_change(m, dim) or identity
+            b = jets_module._diagonalizing_change(m, dim)
             product = [[sum((b[k][i].conjugate() * m[k][l] * b[l][j]
                              for k in range(dim) for l in range(dim)), ComplexRational())
                         for j in range(dim)] for i in range(dim)]
@@ -371,6 +371,23 @@ def test_volume_log_rejects_non_unit_constant_metrics():
             (0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}))
 
 
+@pytest.mark.parametrize("dim, order", [(d, o) for d in (1, 2, 3) for o in (6, 7, 8)])
+def test_k_normalize_matches_the_per_series_reference(dim, order):
+    for seed in range(4):
+        raw = random_real_analytic_potential(seed, dim, order)
+        assert k_normalize(raw) == reference_k_normalize(raw)
+
+
+def test_k_normalize_shares_powers_across_its_series(monkeypatch):
+    raw = random_real_analytic_potential(2, 4, 8)
+    expected = reference_k_normalize(raw)
+    calls = count_calls(monkeypatch, WickSeries, "__mul__")
+    assert k_normalize(raw) == expected
+    # 1716 measured; 4020 when each series builds its own powers, and
+    # 31585 with one chain of powers per term
+    assert 0 < len(calls) <= 1800
+
+
 def test_volume_log_series_products_are_polynomial_in_dim(monkeypatch):
     dim, order = 6, 6
     fs = fubini_study_potential(dim, order)
@@ -444,9 +461,23 @@ def _random_coordinates(rng, dim, trunc, top):
     return subs
 
 
+def _grouped_series(rng, dim, trunc):
+    """Several J for one I, and pure antiholomorphic terms."""
+    zero = mi_zero(dim)
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        I = random_multi_index(rng, dim, trunc - 1)
+        for _ in range(3):
+            terms[(0, I, random_multi_index(rng, dim, trunc - sum(I)))] = \
+                random_coefficient(rng)
+    for _ in range(3):
+        terms[(0, zero, random_multi_index(rng, dim, trunc))] = random_coefficient(rng)
+    return WickSeries(dim, trunc, terms)
+
+
 def test_substitute_matches_reference():
     rng = random.Random(41)
-    linear = higher = 0
+    linear = higher = several = antiholomorphic = 0
     for dim in (1, 2, 3):
         zero = mi_zero(dim)
         for _ in range(8):
@@ -460,27 +491,32 @@ def test_substitute_matches_reference():
                 I = random_multi_index(rng, dim, trunc)
                 J = random_multi_index(rng, dim, trunc - sum(I))
                 terms[(0, I, J)] = random_coefficient(rng)
-            series = WickSeries(dim, trunc, terms)
+            series = [WickSeries(dim, trunc, terms), _grouped_series(rng, dim, trunc)]
             top = rng.choice([1, trunc])
             subs = _random_coordinates(rng, dim, trunc, top)
             linear += top == 1
             higher += any(sum(I) >= 2 for s in subs for _, I, _ in s.terms)
+            mixed = [I for _, I, J in series[1].terms if any(I) and any(J)]
+            several += any(mixed.count(I) >= 2 for I in mixed)
+            antiholomorphic += any(sum(J) >= 2 and not any(I)
+                                   for _, I, J in series[1].terms)
+            # one call substitutes every series through shared powers
             got = _substitute(series, subs)
-            assert got == reference_substitute(series, subs)
-            assert got.is_plain() and all(got.terms.values())
-    assert linear and higher
+            assert got == [reference_substitute(s, subs) for s in series]
+            assert all(g.is_plain() and all(g.terms.values()) for g in got)
+    assert linear and higher and several and antiholomorphic
 
     coords = [WickSeries.monomial(2, 4, 1, 0, e(2, i), mi_zero(2))
               for i in range(2)]
     plain = jets(2, 4, {((1, 0), (0, 1)): 1})
     moved = [coords[0] + 1, coords[1]]
     with pytest.raises(PreconditionError, match="marked point"):
-        _substitute(plain, moved)
+        _substitute([plain], moved)
     quantum = plain + WickSeries.monomial(2, 4, 1, 2)
     with pytest.raises(PreconditionError, match="classical jets"):
-        _substitute(quantum, coords)
+        _substitute([plain, quantum], coords)
     # identity coordinates hand the series back, equal to the reference
-    assert _substitute(plain, coords) is plain
+    assert _substitute([plain], coords)[0] is plain
     assert reference_substitute(plain, coords) == plain
 
 

@@ -16,6 +16,7 @@ import pytest
 
 from wickjet import jets
 from wickjet.cli import COMPUTE_EXIT, PARSE_EXIT, TRUNC_CEILING, main
+from wickjet.coefficients import ComplexRational
 from wickjet.errors import PreconditionError
 from wickjet.integrals import _moments
 from wickjet.jets import (fubini_study_potential, k_normalize,
@@ -285,7 +286,7 @@ def test_only_identity_coordinates_count_as_identity(dim):
                              (0,) * dim) for i in range(dim)]
     series = WickSeries(dim, trunc, {(0, (1,) * dim, (2,) + (0,) * (dim - 1)): 3,
                                      (0, (2,) + (0,) * (dim - 1), (0,) * dim): 1})
-    assert jets._substitute(series, y) is series
+    assert jets._substitute([series], y)[0] is series
     # another coefficient, another denominator, an extra term, another order
     near = [[y[0].scale(2)] + y[1:],
             [y[0].scale(Fraction(4, 3))] + y[1:],
@@ -293,5 +294,25 @@ def test_only_identity_coordinates_count_as_identity(dim):
     if dim == 2:
         near.append(y[::-1])
     for subs in near:
-        got = jets._substitute(series, subs)
+        got, = jets._substitute([series], subs)
         assert got is not series and got == reference_substitute(series, subs)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_identity_metric_is_read_on_the_keys(dim):
+    rng = random.Random(dim)
+    units = [tuple(int(k == i) for k in range(dim)) for i in range(dim)]
+    identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    norm = WickSeries(dim, 6, {(0, y, y): 1 for y in units})
+    cases = [norm, fubini_study_potential(dim, 6).varphi,
+             norm + WickSeries.monomial(dim, 6, Fraction(1, 3), 0, (3,) * dim, (2,) * dim),
+             norm.scale(2), norm.scale(Fraction(1, 2)), norm + norm.scale(ComplexRational(0, 1))]
+    cases += [norm + WickSeries.monomial(dim, 6, c, 0, units[i], units[j])
+              for i in range(dim) for j in range(dim)
+              for c in (random_coefficient(rng), -1)]
+    for seed in range(4):
+        raw = random_real_analytic_potential(seed, dim, 6)
+        cases += [raw.varphi, k_normalize(raw)[0].varphi]
+    found = [jets._has_identity_metric(s) for s in cases]
+    assert found == [jets._one_one_matrix(s, dim) == identity for s in cases]
+    assert True in found and False in found
