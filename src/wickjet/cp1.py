@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .coefficients import ComplexRational
 from .errors import PreconditionError
-from .series import WickSeries
+from .series import WickSeries, linear_combination
 
 __all__ = [
     "FactorialRational",
@@ -313,20 +313,21 @@ def mobius_pullback(f: RationalSymbol, w) -> RationalSymbol:
     over (1+|w|^2)^d.
     """
     w = ComplexRational.coerce(w)
-    if not w:
+    if not w or not f.num:
         return f
     d = f.denom_power
-    y = WickSeries.monomial(1, 2 * d, 1, 0, (1,), (0,))
+    one, z = (0, (0,), (0,)), (0, (1,), (0,))
     up, down = [WickSeries.unit(1, 2 * d)], [WickSeries.unit(1, 2 * d)]
     for _ in range(d):
-        up.append(up[-1] * (y + w))
-        down.append(down[-1] * (1 - y.scale(w.conjugate())))
-    total = WickSeries.zero(1, 2 * d)
+        up.append(up[-1] * WickSeries(1, 2 * d, {z: 1, one: w}))
+        down.append(down[-1] * WickSeries(1, 2 * d, {one: 1, z: -w.conjugate()}))
+    norm = (1 + (w * w.conjugate()).re) ** d
+    parts = []
     for key, (x, y) in f.num.num.items():
         a, b = _exponents(key)
         term = up[a] * up[b].conjugate() * down[d - a] * down[d - b].conjugate()
-        total = total + term.scale(ComplexRational(x, y))
-    total = total.scale((1 + (w * w.conjugate()).re) ** -d / f.num.den)
+        parts.append((term, (x * norm.denominator, y * norm.denominator)))
+    total = linear_combination(parts, f.num.den * norm.numerator)
     return RationalSymbol({(a, b): total.coefficient(0, (a,), (b,))
                            for a, b in map(_exponents, total.num)}, d)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import PreconditionError, SolveError
-from .series import WickSeries, bilinear_terms, mi_factorial
+from .series import WickSeries, bilinear_terms, linear_combination, mi_factorial
 from .wick import classical_exp, wick_star
 
 __all__ = [
@@ -186,11 +186,12 @@ def toeplitz_symbol(f: WickSeries, w: WeightSeries) -> WickSeries:
 
 
 def _solve_symbol(f: WickSeries, exp_pos: WickSeries) -> WickSeries:
-    symbol = f
+    parts = [(f, (1, 0))]
     residual = f * exp_pos - wick_star(exp_pos, f)
     last_degree = -1
     for _ in range(f.trunc + 2):
         if not residual:
+            symbol = linear_combination(parts)
             if f.is_plain() and not symbol.is_plain():
                 raise SolveError("symbol left the plain algebra on plain input")
             return symbol
@@ -200,6 +201,6 @@ def _solve_symbol(f: WickSeries, exp_pos: WickSeries) -> WickSeries:
                 f"toeplitz solve stalled at residual degree {degree}")
         last_degree = degree
         correction = residual.degree_slice(degree)
-        symbol = symbol + correction
+        parts.append((correction, (1, 0)))
         residual = residual - wick_star(exp_pos, correction)
     raise SolveError("toeplitz solve exceeded its iteration budget")

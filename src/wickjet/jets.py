@@ -30,7 +30,8 @@ from operator import mul
 from .coefficients import ComplexRational, random_coefficient, random_rational
 from .errors import PreconditionError, SolveError
 from .integrals import WeightSeries
-from .series import WickSeries, accumulate, mi_zero, read_records, unpack
+from .series import (WickSeries, accumulate, linear_combination, mi_zero, read_records,
+                     unpack)
 from .wick import log_series
 
 __all__ = [
@@ -95,21 +96,6 @@ def _power(table: list, p: int) -> WickSeries:
     return table[p]
 
 
-def _combine(parts: list, den: int, zero: WickSeries) -> WickSeries:
-    """``sum (a + bi) / den * s`` over the ``(s, (a, b))`` parts, over the lcm of their dens."""
-    common = lcm(*(s.den for s, _ in parts))
-    out: dict = {}
-    get = out.get
-    for s, (a, b) in parts:
-        m = common // s.den
-        a, b = a * m, b * m
-        for key, (c, d) in s.num.items():
-            re, im = a * c - b * d, a * d + b * c
-            prev = get(key)
-            out[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
-    return zero._build(out, den * common)
-
-
 def _substitute(series: list, subs: list) -> list:
     """Formal composition of each series: replace z_i by subs[i] (and zbar_i by its conjugate).
 
@@ -129,7 +115,7 @@ def _substitute(series: list, subs: list) -> list:
     dim, trunc = series[0].dim, series[0].trunc
     if _is_identity_change(subs, dim, trunc):
         return list(series)
-    unit, zero = WickSeries.unit(dim, trunc), WickSeries.zero(dim, trunc)
+    unit = WickSeries.unit(dim, trunc)
     tables = [[unit, s] for s in subs]
     holomorphic = {0: unit}  # U^K by the exponent bytes K_1 ... K_dim
     conjugates = {}
@@ -164,8 +150,8 @@ def _substitute(series: list, subs: list) -> list:
             elif len(row) == 1 and not row[0][0]:  # a pure holomorphic term
                 parts.append((monomial(i), row[0][1]))
             else:
-                parts.append((monomial(i) * _combine(bars, 1, zero), (1, 0)))
-        images.append(_combine(parts, s.den, zero))
+                parts.append((monomial(i) * linear_combination(bars), (1, 0)))
+        images.append(linear_combination(parts, s.den) if parts else s)
     return images
 
 
@@ -359,7 +345,8 @@ def k_normalize(raw: PotentialJets):
         raise SolveError("quadratic diagonalization failed")
     holomorphic = current.holomorphic_part()
     frame = holomorphic - holomorphic.coefficient(0) / 2
-    normalized = current - frame - frame.conjugate()
+    normalized = linear_combination(
+        [(current, (1, 0)), (frame, (-1, 0)), (frame.conjugate(), (-1, 0))])
     return PotentialJets(normalized, normalized=True), tuple(coords), frame
 
 
@@ -374,8 +361,8 @@ def apply_normalization(raw: PotentialJets, coord_change, frame_change) -> Poten
             raise PreconditionError(
                 "coordinate and frame changes must be holomorphic series "
                 f"without h-powers, of dim {dim} and trunc {order}")
-    result = _substitute([raw.varphi], coord_change)[0] \
-        - frame_change - frame_change.conjugate()
+    result = linear_combination([(_substitute([raw.varphi], coord_change)[0], (1, 0)),
+                                 (frame_change, (-1, 0)), (frame_change.conjugate(), (-1, 0))])
     return PotentialJets(result, normalized=_is_normal_form(result))
 
 
@@ -422,10 +409,13 @@ def volume_log_jets(p: PotentialJets) -> WickSeries:
     zero = WickSeries.zero(dim, r2)
     x = [[zero._build(terms, varphi.den) for terms in row] for row in rest]
 
+    def products(row: list, right: list, j: int) -> list:
+        """The nonzero products whose sum is entry j of ``row`` times ``right``."""
+        return [row[l] * right[l][j] for l in range(dim) if row[l] and right[l][j]]
+
     def entry(row: list, right: list, j: int) -> WickSeries:
-        """Entry j of the product of a row with the matrix ``right``."""
-        return sum((row[l] * right[l][j] for l in range(dim)
-                    if row[l] and right[l][j]), zero)
+        parts = [(s, (1, 0)) for s in products(row, right, j)]
+        return linear_combination(parts) if parts else zero
 
     # X^k has degree at least k times the least degree of X
     lowest = min((s.min_degree() for row in x for s in row if s), default=r2 + 1)
@@ -436,15 +426,14 @@ def volume_log_jets(p: PotentialJets) -> WickSeries:
     while len(powers) < half:
         powers.append([[entry(row, x, j) for j in range(dim)]
                        for row in powers[-1]])
-    out = zero
+    den = lcm(*range(1, last + 1))
+    parts = []  # the series summing to each tr(X^k), weighted by (-1)^(k+1) / k
     for k in range(1, last + 1):
-        if k <= half:
-            trace = sum((powers[k - 1][i][i] for i in range(dim)), zero)
-        else:
-            trace = sum((entry(powers[half - 1][i], powers[k - half - 1], i)
-                         for i in range(dim)), zero)
-        out = out + trace.scale(Fraction((-1) ** (k + 1), k))
-    return out
+        trace = [powers[k - 1][i][i] for i in range(dim)] if k <= half else [
+            s for i in range(dim)
+            for s in products(powers[half - 1][i], powers[k - half - 1], i)]
+        parts += [(s, ((-1) ** (k + 1) * den // k, 0)) for s in trace]
+    return linear_combination(parts, den) if parts else zero
 
 
 def weight_series(p: PotentialJets, trunc: int) -> WeightSeries:
@@ -460,8 +449,9 @@ def weight_series(p: PotentialJets, trunc: int) -> WeightSeries:
     if p.order < trunc:
         raise PreconditionError(
             f"potential order {p.order} is below the requested trunc {trunc}")
-    weight = WeightSeries(_norm_squared(p.dim, trunc) - p.varphi.retruncate(trunc)
-                          + p.psi.retruncate(trunc).hbar_shift(2))
+    weight = WeightSeries(linear_combination([
+        (_norm_squared(p.dim, trunc), (1, 0)), (p.varphi.retruncate(trunc), (-1, 0)),
+        (p.psi.retruncate(trunc).hbar_shift(2), (1, 0))]))
     if not (weight.is_real and weight.toeplitz_admissible and weight.refined):
         raise SolveError("normalized potential produced an inadmissible weight")
     return weight

@@ -33,6 +33,10 @@ tuple-keyed constructor, ``coefficient()`` and the ``terms`` view.
 A series of dim 0 has no generators: it is a series in h alone, the scalar
 ring in which pairings, values at a point and 1/m expansions live.  Its key
 is k2 itself.
+
+Every sum of several series, ``+`` and ``-`` included, is one
+``linear_combination`` call, built once; besides it only ``accumulate``
+(record input) and the kernel ``bilinear_terms`` add coefficients by key.
 """
 
 from __future__ import annotations
@@ -112,22 +116,25 @@ def accumulate(pairs: Iterable) -> dict:
     return out
 
 
-def linear_combination(parts: list) -> "WickSeries":
-    """``sum c s`` over ``(s, c)`` pairs with rational c, built once.
+def linear_combination(parts: list, den: int = 1) -> "WickSeries":
+    """``sum (a + bi) / den * s`` over the ``(s, (a, b))`` parts, built once.
 
-    The series share one dim and trunc; the first pair gives them.  Every
-    numerator is brought to the lcm of the ``s.den * c.denominator`` and
-    the real and imaginary parts are summed by ``accumulate``.
+    a, b and den > 0 are integers; the series share the first one's dim and
+    trunc.  The terms are summed in one pass over the lcm of their dens.
     """
     first = parts[0][0]
-    for s, _ in parts:
+    common = lcm(*(s.den for s, _ in parts))
+    sums: dict = {}
+    get = sums.get
+    for s, (a, b) in parts:
         first._check_compatible(s)
-    den = lcm(*(s.den * c.denominator for s, c in parts))
-    scaled = [(s.num, c.numerator * (den // (s.den * c.denominator)))
-              for s, c in parts]
-    re = accumulate((key, a * m) for num, m in scaled for key, (a, _) in num.items())
-    im = accumulate((key, b * m) for num, m in scaled for key, (_, b) in num.items())
-    return first._build({key: (a, im[key]) for key, a in re.items()}, den)
+        m = common // s.den
+        a, b = a * m, b * m
+        for key, (c, d) in s.num.items():
+            re, im = a * c - b * d, a * d + b * c
+            prev = get(key)
+            sums[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+    return first._build(sums, den * common)
 
 
 def power_terms(first, x, product) -> Iterator:
@@ -162,7 +169,8 @@ def power_terms(first, x, product) -> Iterator:
 # scalar)`` lists indexed by a few fields of the two keys, filled on first
 # use and kept per dim.  The kernel reads both factors' stored integer
 # numerators; sums of pair products stay integers over the product of the
-# two denominators, reduced once when the result is built.
+# two denominators, reduced once when the result is built, as in
+# ``linear_combination`` over the lcm of its parts' denominators.
 
 _POINTWISE = (0, 0, {0: ((0, 1),)}, None)  # the pointwise product rule
 
@@ -448,45 +456,34 @@ class WickSeries:
         if self.trunc != other.trunc:
             raise TruncationMismatch(f"trunc {self.trunc} != {other.trunc}")
 
-    def __add__(self, other, sign: int = 1):
-        """``self + sign * other``, over the lcm of the two denominators."""
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            other = WickSeries.monomial(self.dim, self.trunc, other)
-        if not isinstance(other, WickSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        den = lcm(self.den, other.den)
-        mine, theirs = den // self.den, sign * (den // other.den)
-        sums = dict(self.num) if mine == 1 else \
-            {key: (a * mine, b * mine) for key, (a, b) in self.num.items()}
-        get = sums.get
-        for key, (c, d) in other.num.items():
-            prev = get(key)
-            sums[key] = (c * theirs, d * theirs) if prev is None \
-                else (prev[0] + c * theirs, prev[1] + d * theirs)
-        return self._build(sums, den)
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self.__add__(other, -1)
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int):
+        """``self + sign * other``; a scalar other is a constant series."""
+        if isinstance(other, (int, Fraction, ComplexRational)):
+            other = WickSeries.monomial(self.dim, self.trunc, other)
+        if not isinstance(other, WickSeries):
+            return NotImplemented
+        return linear_combination([(self, (1, 0)), (other, (sign, 0))])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        flipped = {key: (-a, -b) for key, (a, b) in self.num.items()}
-        return self._build(flipped, self.den)
+        return linear_combination([(self, (-1, 0))])
 
     def scale(self, factor) -> "WickSeries":
         factor = ComplexRational.coerce(factor)
         if factor == 1:
             return self
         den = lcm(factor.re.denominator, factor.im.denominator)
-        p, q = int(factor.re * den), int(factor.im * den)
-        scaled = {key: (a * p - b * q, a * q + b * p)
-                  for key, (a, b) in self.num.items()}
-        return self._build(scaled, self.den * den)
+        return linear_combination([(self, (int(factor.re * den), int(factor.im * den)))], den)
 
     def __mul__(self, other):
         """Pointwise (commutative) product, truncated by total degree."""
@@ -535,9 +532,10 @@ class WickSeries:
             raise ZeroDivisionError("reciprocal of the zero series")
         lead = self.coefficient(low)
         inverse = 1 / lead
-        ratio = (self.hbar_shift(-low) - lead) * -inverse  # positive powers
-        acc = sum(power_terms(ratio, ratio, mul), WickSeries.unit(self.dim, self.trunc))
-        return (acc * inverse).hbar_shift(-low)
+        unit = (WickSeries.unit(self.dim, self.trunc), (1, 0))
+        ratio = linear_combination([unit, (self.hbar_shift(-low).scale(-inverse), (1, 0))])
+        powers = [(power, (1, 0)) for power in power_terms(ratio, ratio, mul)]
+        return (linear_combination([unit, *powers]) * inverse).hbar_shift(-low)
 
     # -- slices -------------------------------------------------------------
 

@@ -15,10 +15,9 @@ The module action on holomorphic series realizes ``yb_j`` as ``h d/dy_j``
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import product as _cartesian
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import mul
 
 from .errors import PreconditionError
@@ -120,20 +119,22 @@ def star_exp(x: WickSeries) -> WickSeries:
 
 
 def _exp_series(x: WickSeries, product) -> WickSeries:
-    parts = [(WickSeries.unit(x.dim, x.trunc), Fraction(1))]
-    parts += [(power, Fraction(1, factorial(j)))
-              for j, power in enumerate(power_terms(x, x, product), 1)]
-    return linear_combination(parts)
+    """``sum_j x^j / j!``: weights n!/j! over n!, for the n nonzero powers."""
+    powers = [WickSeries.unit(x.dim, x.trunc), *power_terms(x, x, product)]
+    top = factorial(len(powers) - 1)
+    return linear_combination([(power, (top // factorial(j), 0))
+                               for j, power in enumerate(powers)], top)
 
 
 def log_series(a: WickSeries, product) -> WickSeries:
-    """``log(1 + a) = sum_k (-1)^(k+1) a^k / k`` under ``product``.
+    """``log(1 + a) = sum_k (-1)^(k+1) a^k / k`` under ``product``, over lcm(1..n).
 
     Every term of a must have positive degree (see ``power_terms``).
     """
-    parts = [(power, Fraction(1 if k % 2 else -1, k))
-             for k, power in enumerate(power_terms(a, a, product), 1)]
-    return linear_combination(parts) if parts else a
+    powers = list(power_terms(a, a, product))
+    den = lcm(*range(1, len(powers) + 1))
+    return linear_combination([(power, ((-1) ** (k + 1) * den // k, 0))
+                               for k, power in enumerate(powers, 1)], den) if powers else a
 
 
 def _check_unital(u: WickSeries, what: str) -> WickSeries:
@@ -149,12 +150,13 @@ def star_log(u: WickSeries) -> WickSeries:
 
 
 def star_inverse(u: WickSeries) -> WickSeries:
-    """Star-inverse of u = 1 + (degree >= 1), via the star-geometric series.
+    """Star-inverse of u = 1 + a, a of degree >= 1: sum_k (-1)^k a^k.
 
     Covers in particular the classical exponentials e^(H/h) of cubic-and-up
     H, whose inverse equals star_exp(-star_log(u)); that identity is kept as
     an independent cross-check in the test suite.
     """
-    minus_a = -_check_unital(u, "star_inverse")
-    return sum(power_terms(minus_a, minus_a, wick_star),
-               WickSeries.unit(u.dim, u.trunc))
+    a = _check_unital(u, "star_inverse")
+    parts = [(power, ((-1) ** k, 0))
+             for k, power in enumerate(power_terms(a, a, wick_star), 1)]
+    return linear_combination([(WickSeries.unit(u.dim, u.trunc), (1, 0)), *parts])

@@ -1,4 +1,5 @@
-"""Every definition in the package has a caller outside the tests."""
+"""Every definition in the package has a caller outside the tests, and no sum of
+series chains ``+`` through ``sum(..., start)``."""
 
 import ast
 from pathlib import Path
@@ -96,3 +97,25 @@ def test_the_caller_scan_flags_an_unread_definition():
     tracer = ast.parse("TARGETS = (('t', 'pkg', 'traced', None, ()),)\n")
     assert uncalled(package, callers, tracer) == \
         ["Box.unused", "exported", "outer.inner"]
+
+
+def sums_with_start(trees: dict) -> list:
+    """``file:line`` of every ``sum()`` call given a start value, by parsed module name.
+
+    A sum of series belongs in ``series.linear_combination``, which builds
+    the result once; ``sum(parts, start)`` rebuilds it at every ``+``.
+    """
+    return [f"{name}:{node.lineno}" for name, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "sum" and (len(node.args) > 1 or node.keywords)]
+
+
+def test_no_sum_in_the_package_takes_a_start_value():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert sums_with_start(dict(zip((p.name for p in paths), _parse(paths)))) == []
+
+
+def test_the_sum_scan_flags_a_start_value():
+    tree = ast.parse("sum(x)\nsum(x, zero)\nsum(x, start=zero)\ntotal.sum(x, zero)\n")
+    assert sums_with_start({"m.py": tree}) == ["m.py:2", "m.py:3"]

@@ -20,8 +20,8 @@ import pytest
 
 from wickjet.coefficients import ComplexRational
 from wickjet.integrals import _moments
-from wickjet.series import (EXPONENT_LIMIT, WickSeries, accumulate, pack, total_degree,
-                            unpack)
+from wickjet.series import (EXPONENT_LIMIT, WickSeries, accumulate, linear_combination,
+                            pack, total_degree, unpack)
 from wickjet.wick import fock_act, wick_star
 
 from support import (
@@ -248,3 +248,54 @@ def test_terms_exactly_at_the_truncation_are_kept(trunc):
         assert all(total == trunc for total in
                    (k2 + sum(I) + sum(J) for k2, I, J in got.terms))
     assert not y * past_yb and not wick_star(y, past_yb)
+
+
+def _repeated_sum(parts, den):
+    """``sum (a + bi) / den * s`` by ``scale`` and repeated ``+``."""
+    total = WickSeries.zero(parts[0][0].dim, parts[0][0].trunc)
+    for s, (a, b) in parts:
+        total = total + s.scale(ComplexRational(Fraction(a, den), Fraction(b, den)))
+    return total
+
+
+def test_linear_combination_matches_repeated_addition():
+    rng = random.Random("linear-combination")
+    shapes = set()
+    for case in range(80):
+        dim, trunc = case % 4, rng.randint(2, 7)
+        parts = [(coprime_series(rng, dim, trunc, rng.randint(1, 6)),
+                  (rng.randint(-4, 4), rng.randint(-4, 4)))
+                 for _ in range(rng.choice([1, 2, 3, 5]))]
+        den = rng.choice([1, 2, 15, 77])
+        got = linear_combination(parts, den)
+        _assert_canonical(got)
+        assert got == _repeated_sum(parts, den)
+        keys = [unpack(dim, key) for s, _ in parts for key in s.num]
+        shapes |= {("dim", dim), ("single", len(parts) == 1), ("den", den > 1),
+                   ("odd k2", any(k2 % 2 for k2, _, _ in keys)),
+                   ("negative k2", any(k2 < 0 for k2, _, _ in keys)),
+                   ("zero", any(c == (0, 0) for _, c in parts)),
+                   ("negative", any(min(c) < 0 for _, c in parts)),
+                   ("mixed dens", len({s.den for s, _ in parts}) > 1)}
+    assert {("dim", d) for d in range(4)} | {
+        (name, True) for name in ("single", "den", "odd k2", "negative k2", "zero",
+                                  "negative", "mixed dens")} <= shapes
+
+
+def test_linear_combination_cancels_to_zero_and_keeps_single_parts():
+    rng = random.Random(3)
+    for dim in range(4):
+        f = coprime_series(rng, dim, 6, 5)
+        g = coprime_series(rng, dim, 6, 4)
+        third = f.scale(Fraction(1, 3))
+        for parts, den in [([(f, (2, -1)), (f, (-2, 1))], 1),
+                           ([(f, (1, 0)), (g, (5, 3)), (third, (-3, 0)), (g, (-5, -3))], 7),
+                           ([(f, (0, 0))], 1)]:
+            got = linear_combination(parts, den)
+            _assert_canonical(got)
+            assert not got and got == WickSeries.zero(dim, 6)
+        for pair, den in [((1, 0), 1), ((-3, 2), 1), ((6, 0), 4), ((0, -1), 9)]:
+            got = linear_combination([(f, pair)], den)
+            _assert_canonical(got)
+            assert got == f.scale(ComplexRational(Fraction(pair[0], den), Fraction(pair[1], den)))
+        assert linear_combination([(f, (1, 0))]) == f

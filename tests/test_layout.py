@@ -17,12 +17,14 @@ import pytest
 from wickjet import jets
 from wickjet.cli import COMPUTE_EXIT, PARSE_EXIT, TRUNC_CEILING, main
 from wickjet.coefficients import ComplexRational
+from wickjet.cp1 import fs_ratio_symbol, mobius_pullback
 from wickjet.errors import PreconditionError
 from wickjet.integrals import _moments
 from wickjet.jets import (fubini_study_potential, k_normalize,
-                          random_real_analytic_potential, weight_series)
+                          random_real_analytic_potential, volume_log_jets, weight_series)
 from wickjet.series import EXPONENT_LIMIT, WickSeries, pack, unpack
-from wickjet.wick import classical_exp, fock_act, star_exp, star_log, wick_star
+from wickjet.wick import (classical_exp, fock_act, log_series, star_exp, star_inverse,
+                          star_log, wick_star)
 
 from support import (
     count_calls,
@@ -267,6 +269,30 @@ def test_power_series_equal_repeated_addition():
             tuple(int(k == i) for k in range(dim)) for i in range(dim))})
         assert fubini_study_potential(dim, order).varphi == \
             reference_log_series(norm, mul)
+
+
+def _one_sum_cases() -> dict:
+    """A function of no arguments by name, its inputs built beforehand."""
+    rng = random.Random(12)
+    fubini_study = fubini_study_potential(3, 8)
+    u = star_exp(random_series(rng, 2, 6, min_degree=1))
+    x = random_series(rng, 2, 6, min_degree=1)
+    w = ComplexRational(Fraction(1, 3), Fraction(1, 2))
+    return {"volume-log": lambda: volume_log_jets(fubini_study),
+            "star-inverse": lambda: star_inverse(u),
+            "reciprocal": hseries(8, {2: 3, 3: Fraction(-1, 2), 6: 5}).reciprocal,
+            "mobius": lambda: mobius_pullback(fs_ratio_symbol(), w),
+            "classical-exp": lambda: classical_exp(x),
+            "log-series": lambda: log_series(x, mul)}
+
+
+@pytest.mark.parametrize("name", ["volume-log", "star-inverse", "reciprocal", "mobius",
+                                  "classical-exp", "log-series"])
+def test_sums_of_several_series_are_built_once(monkeypatch, name):
+    """Each sum is one ``linear_combination`` call, not a chain of ``+``."""
+    run = _one_sum_cases()[name]
+    added = count_calls(monkeypatch, WickSeries, "__add__")
+    assert run() and not added
 
 
 def test_k_normalize_builds_the_identity_coordinates_once(monkeypatch):
