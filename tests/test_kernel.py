@@ -258,6 +258,18 @@ def _repeated_sum(parts, den):
     return total
 
 
+def _assert_weighted_sum(parts, den):
+    """``linear_combination`` equals the sum in ComplexRational arithmetic,
+    and the sum by repeated ``+``, which also runs through it, in two-part steps."""
+    got = linear_combination(parts, den)
+    _assert_canonical(got)
+    assert got.terms == _expected(
+        ((key, c * ComplexRational(Fraction(a, den), Fraction(b, den)))
+         for s, (a, b) in parts for key, c in s.terms.items()), got.trunc)
+    assert got == _repeated_sum(parts, den)
+    return got
+
+
 def test_linear_combination_matches_repeated_addition():
     rng = random.Random("linear-combination")
     shapes = set()
@@ -267,9 +279,7 @@ def test_linear_combination_matches_repeated_addition():
                   (rng.randint(-4, 4), rng.randint(-4, 4)))
                  for _ in range(rng.choice([1, 2, 3, 5]))]
         den = rng.choice([1, 2, 15, 77])
-        got = linear_combination(parts, den)
-        _assert_canonical(got)
-        assert got == _repeated_sum(parts, den)
+        _assert_weighted_sum(parts, den)
         keys = [unpack(dim, key) for s, _ in parts for key in s.num]
         shapes |= {("dim", dim), ("single", len(parts) == 1), ("den", den > 1),
                    ("odd k2", any(k2 % 2 for k2, _, _ in keys)),
@@ -291,11 +301,8 @@ def test_linear_combination_cancels_to_zero_and_keeps_single_parts():
         for parts, den in [([(f, (2, -1)), (f, (-2, 1))], 1),
                            ([(f, (1, 0)), (g, (5, 3)), (third, (-3, 0)), (g, (-5, -3))], 7),
                            ([(f, (0, 0))], 1)]:
-            got = linear_combination(parts, den)
-            _assert_canonical(got)
+            got = _assert_weighted_sum(parts, den)
             assert not got and got == WickSeries.zero(dim, 6)
         for pair, den in [((1, 0), 1), ((-3, 2), 1), ((6, 0), 4), ((0, -1), 9)]:
-            got = linear_combination([(f, pair)], den)
-            _assert_canonical(got)
-            assert got == f.scale(ComplexRational(Fraction(pair[0], den), Fraction(pair[1], den)))
+            _assert_weighted_sum([(f, pair)], den)
         assert linear_combination([(f, (1, 0))]) == f
