@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .btrep import BTContext, bt_star_eval, rep_act
-from .coefficients import format_complex
+from .coefficients import LITERAL_DIGITS
 from .errors import WickjetError
 from .jets import (
     PotentialJets,
@@ -349,9 +349,15 @@ def _load_job_data(data: dict) -> JobSpec:
 # mode runners
 
 
-def _record_lines(title: str, records: list) -> list:
-    """``title``, then one indented JSON line per record, or "(zero)"."""
-    return [title] + ([f"  {json.dumps(rec)}" for rec in records] or ["  (zero)"])
+def _record_lines(title: str, records: list, unreadable: list) -> list:
+    """``title``, then the indented record lines, or "(zero)", then a note
+    naming the ``unreadable`` records, which a job cannot read back."""
+    lines = [title] + ([f"  {rec}" for rec in records] or ["  (zero)"])
+    if unreadable:
+        lines.append(f"  (records {', '.join(map(str, unreadable))} have a "
+                      f"literal of more than {LITERAL_DIGITS} digits: a job "
+                      f"cannot read them back)")
+    return lines
 
 
 def _context_for(job: JobSpec) -> tuple:
@@ -366,10 +372,10 @@ def _context_for(job: JobSpec) -> tuple:
 
 def _series_lines(job: JobSpec, names: tuple, label: str, result) -> list:
     """The named input series, then ``result`` as text and as records."""
-    text, records = result.text_and_records()
+    text, records, unreadable = result.text_and_record_lines()
     lines = [f"{name}: {job.inputs[name]}" for name in names]
     lines.append(f"{label}: {text}")
-    return lines + _record_lines(f"{label} records:", records)
+    return lines + _record_lines(f"{label} records:", records, unreadable)
 
 
 def _run_wick_star(job: JobSpec) -> tuple:
@@ -390,31 +396,26 @@ def _run_rep_act(job: JobSpec) -> tuple:
     return lines, {}, True
 
 
-def _jet_records(series: WickSeries, *dropped: str) -> list:
-    """Records of a classical series, with "k2" and the ``dropped`` fields left out."""
-    return [{key: value for key, value in rec.items()
-             if key != "k2" and key not in dropped}
-            for rec in series.to_records()]
-
-
 def _run_k_normalize(job: JobSpec) -> tuple:
     raw = job.inputs["potential"]
     normalized, coords, frame = k_normalize(raw)
     round_trip = apply_normalization(raw, coords, frame) == normalized
+    # jets are classical: their records leave out "k2", and those of the
+    # holomorphic coordinate and frame changes leave out "J" too
     lines = _record_lines(f"normalized potential (order {normalized.order}):",
-                          _jet_records(normalized.varphi))
-    lines += _record_lines("volume-log jets:", _jet_records(normalized.psi))
+                          *normalized.varphi.record_lines("k2"))
+    lines += _record_lines("volume-log jets:", *normalized.psi.record_lines("k2"))
     for i, series in enumerate(coords):
         lines += _record_lines(f"coordinate change (component {i + 1}):",
-                               _jet_records(series, "J"))
-    lines += _record_lines("frame change:", _jet_records(frame, "J"))
+                               *series.record_lines("k2", "J"))
+    lines += _record_lines("frame change:", *frame.record_lines("k2", "J"))
     lines.append(f"round-trip: {'ok' if round_trip else 'FAILED'}")
     return lines, {}, round_trip
 
 
 def _csv_value(c) -> str:
     if c.re or not c.im:
-        return format_complex(c.re, c.im)
+        return str(c)
     return f"0{'+' if c.im > 0 else ''}{c.im}i"  # keeps the zero real part
 
 
@@ -520,16 +521,19 @@ def _write_artifacts(report: Report, job: JobSpec, out_dir) -> None:
         target.write_text(content, encoding="utf-8")
 
 
+# Built once per process: jobs run many to a process, and each would
+# otherwise pay for a new parser.
+_PARSER = argparse.ArgumentParser(
+    prog="wickjet", description="Run one wickjet job file and print its report.")
+_PARSER.add_argument("--job", help="path to a JSON job file")
+_PARSER.add_argument("--out", help="directory for report artifacts")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="wickjet",
-        description="Run one wickjet job file and print its report.")
-    parser.add_argument("--job", help="path to a JSON job file")
-    parser.add_argument("--out", help="directory for report artifacts")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     if not args.job:
-        parser.print_usage(sys.stderr)
+        _PARSER.print_usage(sys.stderr)
         print("wickjet: error: no job given — pass --job <path>",
               file=sys.stderr)
         return PARSE_EXIT

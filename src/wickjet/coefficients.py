@@ -26,13 +26,15 @@ _RatLike = (int, Fraction)
 LITERAL_DIGITS = 100
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal ``"p"``, ``"-p"``, ``"p/q"`` or ``"-p/q"``.
+def parse_rational(text: str) -> tuple:
+    """Parse a rational literal ``"p"``, ``"-p"``, ``"p/q"`` or ``"-p/q"``
+    into the integer pair ``(p, q)``, with q = 1 when there is no slash.
 
     These are exactly the forms ``format_rational`` writes, in ASCII digits;
-    surrounding whitespace is ignored.  Every other literal, a zero
-    denominator or an oversized literal included, is a ValueError; the size
-    bound is checked before any number is formed.
+    surrounding whitespace is ignored.  The pair is kept as written, not
+    reduced: ``"6/4"`` reads as (6, 4) and ``"-0/7"`` as (0, 7).  Every
+    other literal, a zero denominator or an oversized literal included, is a
+    ValueError; the size bound is checked before any number is formed.
     """
     text = text.strip()
     num, slash, den = text.partition("/")
@@ -43,9 +45,10 @@ def parse_rational(text: str) -> Fraction:
     if len(digits) + len(den) > LITERAL_DIGITS:
         raise ValueError(f"rational literal too large (at most "
                          f"{LITERAL_DIGITS} digits): {text[:24]!r}")
-    if slash and not int(den):
+    q = int(den) if slash else 1
+    if not q:
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(int(num), int(den) if slash else 1)
+    return int(num), q
 
 
 def format_rational(value, den: int = 1) -> str:
@@ -62,14 +65,14 @@ def format_rational(value, den: int = 1) -> str:
                            f"{sys.get_int_max_str_digits()} digits") from None
 
 
-def format_complex(re, im, den: int = 1) -> str:
-    """``(re + im i) / den`` as ``"p"``, ``"qi"``, ``"p+qi"`` or ``"p-qi"``."""
-    if not im:
-        return format_rational(re, den)
-    if not re:
-        return f"{format_rational(im, den)}i"
-    sign = "+" if im > 0 else "-"
-    return f"{format_rational(re, den)}{sign}{format_rational(abs(im), den)}i"
+def format_complex(re: str, im: str) -> str:
+    """The parts ``re`` and ``im`` of one value, each as ``format_rational``
+    writes it, as ``"p"``, ``"qi"``, ``"p+qi"`` or ``"p-qi"``."""
+    if im == "0":
+        return re
+    if re == "0":
+        return f"{im}i"
+    return f"{re}{im}i" if im[0] == "-" else f"{re}+{im}i"
 
 
 class ComplexRational:
@@ -177,7 +180,7 @@ class ComplexRational:
         return f"ComplexRational({self.re}, {self.im})"
 
     def __str__(self) -> str:
-        return format_complex(self.re, self.im)
+        return format_complex(format_rational(self.re), format_rational(self.im))
 
 
 def random_rational(rng, bound: int = 6, max_den: int = 4) -> Fraction:

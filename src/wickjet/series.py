@@ -26,7 +26,8 @@ allowed anywhere, and a series is exactly its terms.  Only
 ``WickSeries.from_records`` bounds degrees from below, for outside input.
 Zero is the empty term map and equality is structural on the canonical
 integer layout ``(dim, trunc, den, num)``.  Term records are read into that
-layout and ``str`` and ``to_records`` write from it; ``ComplexRational``
+layout, each literal as an integer pair, and ``str`` and ``record_lines``
+write from it, each coefficient part formatted once; ``ComplexRational``
 values and ``(k2, I, J)`` tuples appear only at the public surface: the
 tuple-keyed constructor, ``coefficient()`` and the ``terms`` view.
 
@@ -48,8 +49,8 @@ from operator import mul, or_
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .coefficients import (ComplexRational, format_complex, format_rational,
-                           parse_rational)
+from .coefficients import (LITERAL_DIGITS, ComplexRational, format_complex,
+                           format_rational, parse_rational)
 from .errors import DegreeWindowError, DimensionMismatch, PreconditionError, TruncationMismatch
 
 __all__ = [
@@ -234,9 +235,10 @@ def read_records(records: Iterable[dict], dim: int) -> tuple:
     means zero); booleans and non-integral numbers are rejected, and so is
     any other malformed record (KeyError, TypeError or ValueError) and any
     key that does not fit ``dim`` (see ``_pack_checked``).  Each coefficient
-    is (a + bi) / den.  Keys are packed here, once.  Duplicate keys add up;
-    sums that cancel stay as (0, 0), so the caller checks every key it was
-    given.
+    is (a + bi) / den, with den the lcm of the literals' denominators as
+    written; the series constructors reduce it.  Keys are packed here, once.
+    Duplicate keys add up; sums that cancel stay as (0, 0), so the caller
+    checks every key it was given.
     """
     keys, parts = [], []
     for rec in records:
@@ -248,8 +250,8 @@ def read_records(records: Iterable[dict], dim: int) -> tuple:
                 raise ValueError(f"\"{name}\" must be a rational string, got {text!r}")
             parts.append(parse_rational(text))
     keys = _pack_checked(dim, keys)
-    den = lcm(*(x.denominator for x in parts))
-    ints = [x.numerator * (den // x.denominator) for x in parts]
+    den = lcm(*(q for _, q in parts))
+    ints = [p * (den // q) for p, q in parts]
     re_sums = accumulate(zip(keys, ints[::2]))
     im_sums = accumulate(zip(keys, ints[1::2]))
     return {key: (a, im_sums[key]) for key, a in re_sums.items()}, den
@@ -573,30 +575,33 @@ class WickSeries:
         return f"WickSeries(dim={self.dim}, trunc={self.trunc}, terms={len(self.num)})"
 
     def _exponent_items(self) -> list:
-        """``((k2, exponents), (a, b))`` per term in (k2, I, J) order, for the writers.
+        """``(k2, exponents, re, im)`` per term in (k2, I, J) order, for the writers.
 
-        ``exponents`` is the bytes I_1 ... I_dim J_1 ... J_dim of the key.
+        ``exponents`` is the bytes I_1 ... I_dim J_1 ... J_dim of the key, and
+        ``re`` and ``im`` are the coefficient's parts as ``format_rational``
+        writes them, each formatted once for the text and the records.
         """
-        top, size = 16 * self.dim, 2 * self.dim
+        top, size, den = 16 * self.dim, 2 * self.dim, self.den
         fields = (1 << top) - 1
-        items = [(((key >> top) - sum(raw := (key & fields).to_bytes(size, "big")), raw),
-                  pair) for key, pair in self.num.items()]
-        items.sort()
-        return items
+        # (k2, exponents) is unique per term, so the sort compares no strings
+        return sorted(((key >> top) - sum(raw := (key & fields).to_bytes(size, "big")), raw,
+                       format_rational(a, den), format_rational(b, den) if b else "0")
+                      for key, (a, b) in self.num.items())
 
     def __str__(self) -> str:
-        return _text(self, self._exponent_items())
+        return _text(self.dim, self._exponent_items())
 
     # -- serialization ---------------------------------------------------------
 
-    def to_records(self) -> list[dict]:
-        """One record per term, in (k2, I, J) order; a dim-0 series leaves out I and J."""
-        return _records(self, self._exponent_items())
+    def record_lines(self, *dropped: str) -> tuple:
+        """``(lines, unreadable)``: one JSON record line per term (see ``_json_lines``)."""
+        return _json_lines(self.dim, self._exponent_items(), dropped)
 
-    def text_and_records(self) -> tuple:
-        """``str(self)`` and ``self.to_records()`` from one sort of the terms."""
+    def text_and_record_lines(self) -> tuple:
+        """``str(self)`` and ``self.record_lines()``, from one sort of the terms
+        and one format of each coefficient part."""
         items = self._exponent_items()
-        return _text(self, items), _records(self, items)
+        return (_text(self.dim, items), *_json_lines(self.dim, items, ()))
 
     @classmethod
     def from_records(cls, dim: int, trunc: int, records: Iterable[dict],
@@ -615,24 +620,40 @@ class WickSeries:
         return series
 
 
-def _text(series: WickSeries, items: list) -> str:
-    """``str(series)`` from its ``_exponent_items``."""
+def _text(dim: int, items: list) -> str:
+    """``str`` of a series of this dim from its ``_exponent_items``."""
     if not items:
         return "0"
-    dim, den = series.dim, series.den
     names = [symbol if dim == 1 else f"{symbol}{i}"
              for symbol in ("y", "yb") for i in range(1, dim + 1)]
-    text = " + ".join(_format_term(names, k2, raw, a, b, den)
-                      for (k2, raw), (a, b) in items)
+    text = " + ".join(_format_term(names, *item) for item in items)
     return text.replace("+ -", "- ")
 
 
-def _records(series: WickSeries, items: list) -> list:
-    """``series.to_records()`` from its ``_exponent_items``."""
-    dim, den = series.dim, series.den
-    return [{"k2": k2, **({"I": list(raw[:dim]), "J": list(raw[dim:])} if dim else {}),
-             "re": format_rational(a, den), "im": format_rational(b, den)}
-            for (k2, raw), (a, b) in items]
+def _json_lines(dim: int, items: list, dropped: tuple) -> tuple:
+    """``(lines, unreadable)`` from a series' ``_exponent_items``.
+
+    Each line is ``json.dumps`` of the term's record ``{"k2", "I", "J",
+    "re", "im"}``, byte for byte, with the ``dropped`` fields left out; a
+    series of dim 0 also leaves out I and J.  ``unreadable`` numbers, from
+    1, the records with a literal of more than ``LITERAL_DIGITS`` digits,
+    which ``read_records`` refuses.
+    """
+    show_k2 = "k2" not in dropped
+    show_i, show_j = (bool(dim) and name not in dropped for name in "IJ")
+    lines, unreadable = [], []
+    for number, (k2, raw, re, im) in enumerate(items, 1):
+        key = f'"k2": {k2}, ' if show_k2 else ""
+        if show_i:
+            key += f'"I": {list(raw[:dim])}, '
+        if show_j:
+            key += f'"J": {list(raw[dim:])}, '
+        lines.append(f'{{{key}"re": "{re}", "im": "{im}"}}')
+        if max(len(re), len(im)) > LITERAL_DIGITS:  # count the digits alone
+            if any(len(part) - part.startswith("-") - ("/" in part) > LITERAL_DIGITS
+                   for part in (re, im)):
+                unreadable.append(number)
+    return lines, unreadable
 
 
 def _format_hbar(k2: int) -> str:
@@ -643,27 +664,27 @@ def _format_hbar(k2: int) -> str:
     return f"h^({k2}/2)"
 
 
-def _format_term(names: list, k2: int, exponents: bytes, a: int, b: int,
-                 den: int) -> str:
-    """The term (a + bi)/den h^(k2/2) y^I yb^J as ``str`` prints it.
+def _format_term(names: list, k2: int, exponents: bytes, re: str, im: str) -> str:
+    """The term (re + im i) h^(k2/2) y^I yb^J as ``str`` prints it.
 
     ``names`` holds the variable names of y then yb, none at dim 0, and
-    ``exponents`` the matching powers I then J.
+    ``exponents`` the matching powers I then J; ``re`` and ``im`` are the
+    formatted parts of the coefficient.
     """
     factors = [_format_hbar(k2)] if k2 else []
     factors += [name if power == 1 else f"{name}^{power}"
                 for name, power in zip(names, exponents) if power]
     if not factors:  # a series in h alone also brackets a negative constant
-        coeff = format_complex(a, b, den)
-        return f"({coeff})" if b or (not names and a < 0) else coeff
+        coeff = format_complex(re, im)
+        return f"({coeff})" if im != "0" or (not names and re[0] == "-") else coeff
     body = " ".join(factors)
-    if b:
-        return f"({format_complex(a, b, den)}) {body}"
-    if a == den:
+    if im != "0":
+        return f"({format_complex(re, im)}) {body}"
+    if re == "1":
         return body
-    if a == -den:
+    if re == "-1":
         return f"-{body}"
-    return f"{format_rational(a, den)} {body}"
+    return f"{re} {body}"
 
 
 # ``bench/tracer.py`` wraps ``HbarSeries.__mul__`` by name; the alias keeps

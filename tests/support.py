@@ -16,6 +16,7 @@ through the binomial theorem.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -24,7 +25,7 @@ from math import comb, factorial, prod
 import numpy as np
 import sympy as sp
 
-from wickjet.coefficients import ComplexRational
+from wickjet.coefficients import ComplexRational, format_complex
 from wickjet.cp1 import RationalSymbol
 from wickjet.errors import PreconditionError
 from wickjet.integrals import WeightSeries, formal_integral
@@ -69,7 +70,12 @@ def iter_multi_indices(dim: int, max_abs: int):
 
 # ---------------------------------------------------------------------------
 # reference writer: the ComplexRational formatting that str() and
-# to_records() must keep matching byte for byte
+# record_lines() must keep matching byte for byte
+
+
+def written_records(f: WickSeries, *dropped: str) -> list:
+    """The records ``f.record_lines(*dropped)`` writes, read back as dicts in key order."""
+    return [json.loads(line) for line in f.record_lines(*dropped)[0]]
 
 
 def _reference_hbar(k2: int) -> str:
@@ -97,16 +103,17 @@ def reference_format_term(dim: int, key, coeff: ComplexRational) -> str:
         factors.append(_reference_hbar(k2))
     factors.extend(_reference_vars("y", I, dim))
     factors.extend(_reference_vars("yb", J, dim))
+    text = format_complex(str(coeff.re), str(coeff.im))
     if not factors:
-        return f"({coeff})" if coeff.im or (not dim and coeff.re < 0) else str(coeff)
+        return f"({text})" if coeff.im or (not dim and coeff.re < 0) else text
     body = " ".join(factors)
     if coeff == 1:
         return body
     if coeff == -1:
         return f"-{body}"
     if coeff.im:
-        return f"({coeff}) {body}"
-    return f"{coeff} {body}"
+        return f"({text}) {body}"
+    return f"{text} {body}"
 
 
 def reference_str(f: WickSeries) -> str:

@@ -1,5 +1,6 @@
 """Batch front-end: job parsing, wire formats, reports, exit codes."""
 
+import argparse
 import json
 import os
 import random
@@ -18,7 +19,7 @@ from wickjet.coefficients import ComplexRational
 from wickjet.jets import PotentialJets
 from wickjet.series import WickSeries
 
-from support import count_calls, iter_multi_indices
+from support import count_calls, iter_multi_indices, written_records
 
 
 def write_job(tmp_path, payload, name="job.json"):
@@ -47,7 +48,7 @@ def test_series_records_round_trip():
         (2, (0, 0), (0, 0)): ComplexRational(Fraction(-5)),
         (3, (1, 0), (0, 0)): ComplexRational(0, Fraction(1, 2)),
     })
-    records = series.to_records()
+    records = written_records(series)
     assert records == [
         {"k2": 0, "I": [1, 0], "J": [0, 1], "re": "2/3", "im": "-1/7"},
         {"k2": 2, "I": [0, 0], "J": [0, 0], "re": "-5", "im": "0"},
@@ -61,15 +62,15 @@ def test_series_records_round_trip():
 def test_jet_records_round_trip():
     c = ComplexRational(Fraction(1, 3), Fraction(4))
     varphi = WickSeries(1, 6, {(0, (2,), (1,)): c, (0, (1,), (2,)): c.conjugate()})
-    records = cli._jet_records(varphi)
+    records = written_records(varphi, "k2")
     assert records == [{"I": [1], "J": [2], "re": "1/3", "im": "-4"},
                        {"I": [2], "J": [1], "re": "1/3", "im": "4"}]
     assert PotentialJets.from_records(1, 6, records).varphi == varphi
     holomorphic = WickSeries(1, 6, {(0, (2,), (0,)): c})
-    assert cli._jet_records(holomorphic, "J") == [
+    assert written_records(holomorphic, "k2", "J") == [
         {"I": [2], "re": "1/3", "im": "4"}]
     f = WickSeries.from_records(1, 6, [Y_RECORD])
-    assert f.to_records() == [Y_RECORD]
+    assert written_records(f) == [Y_RECORD]
 
 
 def test_duplicate_records_accumulate():
@@ -130,6 +131,20 @@ def test_main_requires_a_job(capsys):
     assert code == PARSE_EXIT
     assert not out
     assert "usage:" in err and "--job" in err
+
+
+def test_main_builds_no_argument_parser(tmp_path, capsys, monkeypatch):
+    # the parser is built once, at import; a job only parses its arguments
+    built = count_calls(monkeypatch, argparse.ArgumentParser, "__init__")
+    path = write_job(tmp_path, {"mode": "wick-star", "dim": 1, "trunc": 6,
+                                "lhs": [Y_RECORD], "rhs": [YB_RECORD]})
+    reports = [run_main(capsys, "--job", path) for _ in range(2)]
+    assert reports[0] == reports[1] and reports[0][0] == 0
+    for _ in range(2):
+        code, out, err = run_main(capsys)
+        assert code == PARSE_EXIT and not out
+        assert err.startswith("usage: wickjet") and "no job given" in err
+    assert built == []
 
 
 def test_main_wick_star_fixture(tmp_path, capsys):
@@ -528,13 +543,17 @@ def test_unreadable_job_files_exit_cleanly(tmp_path, content):
     _assert_rejected_in_subprocess(tmp_path, path=path)
 
 
-def _assert_rejected_in_subprocess(tmp_path, payload=None, path=None,
-                                  code=PARSE_EXIT, prefix="wickjet: bad job:"):
-    path = path or write_job(tmp_path, payload)
+def _wickjet_job(path):
+    """Run ``wickjet --job path`` in a fresh interpreter."""
     src = Path(wickjet.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-m", "wickjet.cli", "--job", path],
+    return subprocess.run([sys.executable, "-m", "wickjet.cli", "--job", path],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def _assert_rejected_in_subprocess(tmp_path, payload=None, path=None,
+                                  code=PARSE_EXIT, prefix="wickjet: bad job:"):
+    proc = _wickjet_job(path or write_job(tmp_path, payload))
     assert proc.returncode == code
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -568,6 +587,37 @@ def test_report_past_the_digit_limit_exits_cleanly(tmp_path):
         tmp_path, {"mode": "wick-star", "dim": 1, "trunc": 16,
                    "lhs": records, "rhs": records},
         code=COMPUTE_EXIT, prefix="wickjet: computation error (wick-star): ")
+
+
+@pytest.mark.parametrize("digits, unreadable", [(95, [2, 3]), (45, [])])
+def test_a_report_names_the_records_a_job_cannot_read_back(tmp_path, digits,
+                                                          unreadable):
+    # each input literal is read; (a y) * (b yb + 1) = a y + ab y yb - ab h,
+    # and at 95 digits the literals of ab pass the 100-digit limit
+    a, b = "9" * digits, "7" * digits
+    proc = _wickjet_job(write_job(tmp_path, {
+        "mode": "wick-star", "dim": 1, "trunc": 4,
+        "lhs": [dict(Y_RECORD, re=a)],
+        "rhs": [dict(YB_RECORD, re=b), {"k2": 0, "I": [0], "J": [0], "re": "1"}]}))
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    start = lines.index("product records:") + 1
+    records = [json.loads(line) for line in lines[start:start + 3]]
+    assert [rec["re"] for rec in records] == \
+        [a, str(int(a) * int(b)), str(-int(a) * int(b))]
+    note = ("  (records 2, 3 have a literal of more than 100 digits: "
+            "a job cannot read them back)")
+    assert (note in lines) == bool(unreadable)
+    assert lines[start + 3] == (note if unreadable else "status: ok")
+    # the note names exactly the records that the reader refuses
+    refused = []
+    for number, rec in enumerate(records, 1):
+        try:
+            WickSeries.from_records(1, 4, [rec])
+        except ValueError as exc:
+            assert "rational literal too large" in str(exc)
+            refused.append(number)
+    assert refused == unreadable
 
 
 def test_cli_import_leaves_numpy_out():

@@ -29,6 +29,7 @@ from support import (
     reference_k_normalize,
     reference_substitute,
     sympy_to_series,
+    written_records,
 )
 
 
@@ -439,7 +440,7 @@ def test_weight_series_preconditions():
 def test_function_jets_extended_round_trip():
     # extended function jets carry inverse h-powers; records need a window
     f = WickSeries(1, 4, {(-2, (1,), (0,)): 3, (0, (1,), (1,)): 1})
-    records = f.to_records()
+    records = written_records(f)
     assert records[0] == {"k2": -2, "I": [1], "J": [0], "re": "3", "im": "0"}
     back = WickSeries.from_records(1, 4, records, lower_bound=-2)
     assert back == f and back.min_degree() == -1 and not back.is_plain()
@@ -527,6 +528,6 @@ def test_substitute_matches_reference():
 def test_jet_records_round_trip():
     fs = fubini_study_potential(1, 6)
     records = [{k: v for k, v in rec.items() if k != "k2"}
-               for rec in fs.varphi.to_records()]
+               for rec in written_records(fs.varphi)]
     assert records[0] == {"I": [1], "J": [1], "re": "1", "im": "0"}
     assert PotentialJets.from_records(1, 6, records).varphi == fs.varphi
