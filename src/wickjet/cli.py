@@ -521,8 +521,9 @@ def _write_artifacts(report: Report, job: JobSpec, out_dir) -> None:
         target.write_text(content, encoding="utf-8")
 
 
-# Built once per process: jobs run many to a process, and each would
-# otherwise pay for a new parser.
+# Built once, at import: a caller that runs several jobs through ``main`` in
+# one process reuses it.  A ``wickjet`` command runs one job and builds it
+# once either way.
 _PARSER = argparse.ArgumentParser(
     prog="wickjet", description="Run one wickjet job file and print its report.")
 _PARSER.add_argument("--job", help="path to a JSON job file")

@@ -15,8 +15,8 @@ from math import gcd
 from .errors import WickjetError
 
 __all__ = ["ComplexRational", "parse_rational", "format_rational",
-           "format_complex", "LITERAL_DIGITS", "random_rational",
-           "random_coefficient"]
+           "format_complex", "LITERAL_DIGITS", "literal_digits",
+           "random_rational", "random_coefficient"]
 
 _RatLike = (int, Fraction)
 
@@ -24,6 +24,12 @@ _RatLike = (int, Fraction)
 # together; the sign and the slash do not count.  This keeps both parts of
 # every parsed value below 10^100, far inside what the reports can print.
 LITERAL_DIGITS = 100
+
+
+def literal_digits(text: str) -> int:
+    """The digits of a literal ``"p"``, ``"-p"``, ``"p/q"`` or ``"-p/q"``,
+    numerator and denominator together: the count ``LITERAL_DIGITS`` bounds."""
+    return len(text) - text.startswith("-") - ("/" in text)
 
 
 def parse_rational(text: str) -> tuple:
@@ -42,7 +48,7 @@ def parse_rational(text: str) -> tuple:
     if not (text.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
         raise ValueError(f"expected a rational literal \"p\" or \"p/q\", "
                          f"got {text[:24]!r}")
-    if len(digits) + len(den) > LITERAL_DIGITS:
+    if literal_digits(text) > LITERAL_DIGITS:
         raise ValueError(f"rational literal too large (at most "
                          f"{LITERAL_DIGITS} digits): {text[:24]!r}")
     q = int(den) if slash else 1

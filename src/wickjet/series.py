@@ -50,7 +50,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .coefficients import (LITERAL_DIGITS, ComplexRational, format_complex,
-                           format_rational, parse_rational)
+                           format_rational, literal_digits, parse_rational)
 from .errors import DegreeWindowError, DimensionMismatch, PreconditionError, TruncationMismatch
 
 __all__ = [
@@ -649,10 +649,8 @@ def _json_lines(dim: int, items: list, dropped: tuple) -> tuple:
         if show_j:
             key += f'"J": {list(raw[dim:])}, '
         lines.append(f'{{{key}"re": "{re}", "im": "{im}"}}')
-        if max(len(re), len(im)) > LITERAL_DIGITS:  # count the digits alone
-            if any(len(part) - part.startswith("-") - ("/" in part) > LITERAL_DIGITS
-                   for part in (re, im)):
-                unreadable.append(number)
+        if max(literal_digits(re), literal_digits(im)) > LITERAL_DIGITS:
+            unreadable.append(number)
     return lines, unreadable
 
 

@@ -14,6 +14,7 @@ from wickjet.coefficients import (
     ComplexRational,
     format_complex,
     format_rational,
+    literal_digits,
     parse_rational,
 )
 from wickjet.errors import WickjetError
@@ -107,6 +108,14 @@ def test_rational_literal_size_is_bounded():
                  "1/" + "3" * LITERAL_DIGITS, f"{half}/{half}1"):
         with pytest.raises(ValueError, match="too large"):
             parse_rational(text)
+
+
+def test_literal_digits_leave_out_the_sign_and_the_slash():
+    half = "9" * (LITERAL_DIGITS // 2)
+    for text, count in (("0", 1), ("-0", 1), ("-12/18", 4), ("007/014", 6),
+                        (f"-{half}/{half}", LITERAL_DIGITS),
+                        (f"{half}/{half}1", LITERAL_DIGITS + 1)):
+        assert literal_digits(text) == count, text
 
 
 def test_only_the_written_forms_are_literals():

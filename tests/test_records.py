@@ -71,11 +71,6 @@ def _parity_cases() -> list:
 PARITY_CASES = _parity_cases()
 
 
-def _ordered(records: list) -> list:
-    """Records with their key order, which the JSON report lines keep."""
-    return [list(rec.items()) for rec in records]
-
-
 def test_parity_cases_cover_the_listed_shapes():
     keys = [key for s in PARITY_CASES for key in s.terms]
     coefficients = [s.coefficient(*key) for s in PARITY_CASES for key in s.terms]
