@@ -5,7 +5,9 @@ Beta integrals, so every quantity here is an exact rational function of the
 tensor power m: Gram norms, Toeplitz matrix entries, and their compositions.
 This gives an independent route against which the formal engine's h-series
 are checked coefficient by coefficient under the dictionary h <-> 1/m (the
-dictionary is applied in this module and nowhere else).
+dictionary is applied in this module and nowhere else).  The 1/m expansion
+is an integer recurrence that forms no engine product, so the oracle stays
+independent of the kernel it checks.
 
 Circle symmetry makes a symbol term z^a zbar^b move z^p to z^(p+a-b) only,
 and each entry has a closed form, so a Toeplitz matrix keeps just the tensor
@@ -119,19 +121,24 @@ class FactorialRational:
         """Exact coefficients of the expansion in 1/m, with 1/m recorded as h.
 
         The result is an h-series (dim 0) with entries at k <= order; a net
-        positive power of m appears as a negative h-power.
+        positive power of m appears as a negative h-power.  An integer
+        recurrence forms it with no engine product, so the oracle stays
+        independent of the kernel it checks.
         """
         if order < 0:
             raise PreconditionError("expansion order must be non-negative")
         net = len(self.num_shifts) - len(self.den_shifts)
-        budget = 2 * order + 2 * max(0, net)
-        series = WickSeries.monomial(0, budget, self.scalar)
-        for a in self.num_shifts:  # (m + a) h = 1 + a h
-            series = series * WickSeries(0, budget, {(0, (), ()): 1, (2, (), ()): a})
-        for b in self.den_shifts:  # 1 / ((m + b) h) = sum_k (-b h)^k
-            series = series * WickSeries(0, budget, {
-                (2 * k, (), ()): (-Fraction(b)) ** k for k in range(budget // 2 + 1)})
-        return series.hbar_shift(-2 * net).retruncate(2 * order)
+        c = [1] + [0] * (order + net)  # c[k] is at h^(k - net), k - net <= order
+        for a in self.num_shifts:  # times (m + a) h = 1 + a h
+            for k in range(len(c) - 1, 0, -1):
+                c[k] += a * c[k - 1]
+        for b in self.den_shifts:  # divided by (m + b) h = 1 + b h
+            for k in range(1, len(c)):
+                c[k] -= b * c[k - 1]
+        den = math.lcm(self.scalar.re.denominator, self.scalar.im.denominator)
+        x, y = int(self.scalar.re * den), int(self.scalar.im * den)
+        return WickSeries.zero(0, 2 * order)._build(  # a dim-0 key is its k2
+            {2 * (k - net): (x * ck, y * ck) for k, ck in enumerate(c)}, den)
 
     def __repr__(self):
         def block(shifts):

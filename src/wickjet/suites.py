@@ -346,9 +346,9 @@ def _check_orders(check, label: str, case, engine, closed, max_order: int):
 def peak_section_rows(max_p: int, max_order: int) -> list:
     """Per-exponent engine/closed-form pairs for the diagonal Gram norms.
 
-    Returns ``(p, engine, closed, match)`` tuples where both series are
-    h-series through ``max_order`` and ``match`` is exact equality of every
-    coefficient in that window.
+    Returns ``(p, engine, closed, match)`` tuples where both series are even,
+    non-negative h-series through ``max_order``, so ``match``, their equality,
+    is exact equality of every coefficient in that window.
     """
     trunc, w, _ = _fubini_study_line(max_order, 0)
     rows = []
@@ -356,9 +356,7 @@ def peak_section_rows(max_p: int, max_order: int) -> list:
         engine = inner_product(_ymono(trunc, p), _ymono(trunc, p), w)
         engine = engine.retruncate(2 * max_order)
         closed = cp1_inner(p, p).expand_at_infinity(max_order)
-        match = all(engine.coefficient(2 * k) == closed.coefficient(2 * k)
-                    for k in range(max_order + 1))
-        rows.append((p, engine, closed, match))
+        rows.append((p, engine, closed, engine == closed))
     return rows
 
 

@@ -1,9 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+import sympy as sp
 
 from support import (
     constant_symbol,
@@ -93,6 +95,64 @@ def test_expansion_truncation_against_evaluation():
                   Fraction(0))
     exact = x.evaluate(m).re
     assert abs(exact - partial) < Fraction(2, m ** 6)
+
+
+def _random_factorial_data(rng, case: int) -> tuple:
+    """Shifts, scalar and order of one seeded case; ``case`` cycles the
+    sign of the net power of m, the kind of scalar and the order."""
+    den = [rng.randrange(-3, 4) for _ in range(rng.randrange(4))]
+    num = [rng.randrange(-3, 4) for _ in range(max(0, len(den) + case % 3 - 1))]
+    if case % 4 == 0 and den:  # a shift on both sides cancels
+        num.append(rng.choice(den))
+        den.append(rng.randrange(-3, 4))
+    def part():
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
+    scalar = (part(), ComplexRational(part(), rng.randrange(1, 8) * rng.choice((-1, 1))),
+              0)[case // 3 % 3]
+    return num, den, scalar, case % 7
+
+
+def test_expansion_matches_sympy_series_in_one_over_m():
+    m, h = sp.symbols("m h")
+    rng = random.Random(20260828)
+    nets, repeated, cancelled, scalars = set(), 0, 0, set()
+    for case in range(210):
+        num, den, scalar, order = _random_factorial_data(rng, case)
+        c = ComplexRational.coerce(scalar)
+        ratio = sp.Mul(*(m + a for a in num)) / sp.Mul(*(m + b for b in den))
+        reference = sp.series(sp.cancel(ratio.subs(m, 1 / h)), h, 0, order + 1)
+        coeffs = sp.expand((sp.Rational(c.re.numerator, c.re.denominator)
+                            + sp.I * sp.Rational(c.im.numerator, c.im.denominator))
+                           * reference.removeO())
+        expected = {}
+        for k in range(-len(num), order + 1):
+            coeff = coeffs.coeff(h, k)
+            re, im = (Fraction(int(sp.numer(x)), int(sp.denom(x)))
+                      for x in (sp.re(coeff), sp.im(coeff)))
+            if re or im:
+                expected[2 * k] = ComplexRational(re, im)
+        assert FactorialRational(scalar, num, den).expand_at_infinity(order) \
+            == hseries(2 * order, expected), (scalar, num, den, order)
+        nets.add((len(num) > len(den)) - (len(num) < len(den)))
+        repeated += len(set(num)) < len(num) or len(set(den)) < len(den)
+        cancelled += bool(set(num) & set(den))
+        scalars.add(type(scalar))
+    assert nets == {-1, 0, 1} and repeated > 20 and cancelled > 20
+    assert scalars == {Fraction, ComplexRational, int}
+
+
+def test_the_oracle_forms_no_engine_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle called the engine kernel")
+    monkeypatch.setattr("wickjet.series.bilinear_terms", refuse)
+    for p in range(6):
+        for k in range(7):
+            lead = math.factorial(p) if p <= k else 0
+            assert cp1_inner(p, p).expand_at_infinity(k).coefficient(2 * p) == lead
+    for p in range(3):
+        for q in range(3):
+            closed = FactorialRational(p + 1, (), (2,)) * cp1_inner(p, q)
+            assert bool(closed.expand_at_infinity(3)) == (p == q)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +399,25 @@ def test_exact_truncation_is_exact_and_tight():
         assert agree_through(predicted[(3, 3)], reference[(3, 3)], top)
         assert predicted[(3, 3)].coefficient(2 * top + 2) \
             != reference[(3, 3)].coefficient(2 * top + 2)
+
+
+@pytest.mark.parametrize("delta", [1, Fraction(-3, 5), ComplexRational(0, 2)])
+def test_peak_rows_compare_exactly_the_window(monkeypatch, delta):
+    # an engine row off at h^max_order fails, one off just past it passes
+    real_inner_product = suites.inner_product
+    for max_order in range(5):
+        for past in (0, 1):
+            def off_at_p1(f, g, w):
+                out = real_inner_product(f, g, w)
+                if f == WickSeries.monomial(1, f.trunc, 1, 0, (1,), (0,)):
+                    out = out + WickSeries.monomial(0, out.trunc, delta,
+                                                    2 * (max_order + past))
+                return out
+            monkeypatch.setattr(suites, "inner_product", off_at_p1)
+            matches = {p: match for p, _, _, match
+                       in suites.peak_section_rows(3, max_order)}
+            assert matches == {p: bool(past) or p != 1 for p in range(4)}, \
+                (max_order, past)
 
 
 def test_cp1_suite_failures_name_the_case_and_both_values(monkeypatch):
