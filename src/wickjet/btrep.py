@@ -5,10 +5,13 @@ jets are :class:`WickSeries` whose ``trunc`` is the jet order; they act
 through their Toeplitz symbols: ``bt_star_eval`` multiplies two symbols in
 the Wick algebra and collects the constant terms (the value of the deformed
 product at the point), while ``rep_act`` applies a symbol to a holomorphic
-model-space element.  ``vacuum_reduce`` constructs, for any nonzero
-model-space element, an extended function whose action maps it to a pure
-power of h up to terms beyond the requested degree — the constructive step
-behind irreducibility of the representation.
+model-space element.  A value reads only hol(S_f) = hol(f) and anti(S_g),
+which is solved on antiholomorphic series: every term of e^(w/h) - 1 has a
+yb factor that no product removes (see ``bt_star_eval``).
+``vacuum_reduce`` constructs, for any nonzero model-space element, an
+extended function whose action maps it to a pure power of h up to terms
+beyond the requested degree — the constructive step behind irreducibility
+of the representation.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from .errors import (
     SolveError,
     TruncationMismatch,
 )
-from .integrals import WeightSeries, toeplitz_symbol
+from .integrals import (WeightSeries, antiholomorphic_symbol, holomorphic_symbol,
+                        toeplitz_symbol)
 from .jets import weight_series
 from .series import WickSeries, mi_factorial, mi_zero, unpack
 from .wick import fock_act, wick_star
@@ -87,15 +91,18 @@ def _check_fock(alpha: WickSeries, ctx: BTContext) -> None:
 def bt_star_eval(f: WickSeries, g: WickSeries, ctx: BTContext):
     """Value of the deformed product of f and g at the marked point.
 
-    Multiplies the two Toeplitz symbols in the Wick algebra and returns the
-    constant terms as a series in h alone (dim 0).  Only the holomorphic
-    terms of the left symbol and the anti-holomorphic terms of the right one
-    can contract to a constant, so the product reads those alone.
+    The constant terms, as a series in h alone (dim 0), of the Wick product
+    S_f * S_g of the two Toeplitz symbols, of which only hol(S_f) and
+    anti(S_g) can contract to a constant.  With e = e^(w/h) = 1 + E, every
+    term of E has a yb factor (the weight is admissible), and ``f E`` and
+    ``E * O`` keep it: the star product contracts only the left factor's y.
+    So hol(S_f) = hol(f e) = hol(f), with no solve, and anti(e * O) reads
+    only anti(O), so anti(S_g) solves anti(e * A) = anti(g e) on
+    antiholomorphic series.  f is checked before g.
     """
-    left = toeplitz_symbol(_to_algebra(f, ctx), ctx.weight)
-    right = toeplitz_symbol(_to_algebra(g, ctx), ctx.weight)
-    return wick_star(left.holomorphic_part(),
-                     right.antiholomorphic_part()).constant_part()
+    left = holomorphic_symbol(_to_algebra(f, ctx), ctx.weight)
+    right = antiholomorphic_symbol(_to_algebra(g, ctx), ctx.weight)
+    return wick_star(left, right).constant_part()
 
 
 def rep_act(f: WickSeries, alpha: WickSeries, ctx: BTContext) -> WickSeries:

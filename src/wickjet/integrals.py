@@ -12,6 +12,18 @@ moment rule, finite because both sides are truncated.
 left, pointwise product on the right) for the unique symbol O; composition
 with the module action then gives Toeplitz operators on the holomorphic
 part.
+
+Two parts of O need no full solve.  Write e = ``e^(w/h)`` = 1 + E.  The
+weight is admissible, so every term of E has a yb factor, and both the
+pointwise product ``f E`` and the star product ``E * O``, which contracts
+only the left factor's y, keep it.  Hence:
+
+- the holomorphic part of ``e * O = f e`` reads hol(O) = hol(f e) = hol(f)
+  (``holomorphic_symbol``, no solve);
+- a term of ``E * O`` without y has contracted every y of E and takes
+  none from O, so anti(e * O) = anti(e * anti(O)), and anti(O) solves
+  ``anti(e * A) = anti(f e)`` by the same loop with every residual
+  projected onto its antiholomorphic terms (``antiholomorphic_symbol``).
 """
 
 from __future__ import annotations
@@ -27,6 +39,8 @@ __all__ = [
     "formal_integral",
     "inner_product",
     "toeplitz_symbol",
+    "holomorphic_symbol",
+    "antiholomorphic_symbol",
 ]
 
 
@@ -167,27 +181,54 @@ def toeplitz_symbol(f: WickSeries, w: WeightSeries) -> WickSeries:
     are accepted to support h-Laurent symbols.  Solved symbols are kept on
     the weight, so a repeated input is solved once.
     """
+    if not _needs_solve(f, w):
+        return f
+    symbol = w._symbols.get(f)
+    if symbol is None:
+        symbol = w._symbols[f] = _solve_symbol(f, w.exponential(), _whole)
+    return symbol
+
+
+def holomorphic_symbol(f: WickSeries, w: WeightSeries) -> WickSeries:
+    """hol(``toeplitz_symbol(f, w)``) = hol(f), unsolved; same input checks."""
+    _needs_solve(f, w)
+    return f.holomorphic_part()
+
+
+def antiholomorphic_symbol(g: WickSeries, w: WeightSeries) -> WickSeries:
+    """anti(``toeplitz_symbol(g, w)``), solved on antiholomorphic series alone;
+    same input checks and plain-algebra guard."""
+    if not _needs_solve(g, w):
+        return g.antiholomorphic_part()
+    return _solve_symbol(g, w.exponential(), WickSeries.antiholomorphic_part)
+
+
+def _needs_solve(f: WickSeries, w: WeightSeries) -> bool:
+    """Check a symbol input; False when f is its own symbol (f or w zero)."""
     f._check_compatible(w.body)
     if not w.toeplitz_admissible:
         raise PreconditionError(
             "toeplitz_symbol needs a weight with a yb factor in every term")
     min_deg = f.min_degree()
     if min_deg is None:
-        return f
+        return False
     if min_deg < 0:
         raise PreconditionError(
             f"toeplitz_symbol input must have min degree >= 0, found {min_deg}")
-    if not w:
-        return f
-    symbol = w._symbols.get(f)
-    if symbol is None:
-        symbol = w._symbols[f] = _solve_symbol(f, w.exponential())
-    return symbol
+    return bool(w)
 
 
-def _solve_symbol(f: WickSeries, exp_pos: WickSeries) -> WickSeries:
-    parts = [(f, (1, 0))]
-    residual = f * exp_pos - wick_star(exp_pos, f)
+def _whole(s: WickSeries) -> WickSeries:
+    return s
+
+
+def _solve_symbol(f: WickSeries, exp_pos: WickSeries, project) -> WickSeries:
+    """``project`` of f's symbol, for a projection whose image of
+    ``exp_pos * O`` and of ``O exp_pos`` reads only ``project(O)``: the
+    identity or ``antiholomorphic_part``."""
+    start = project(f)
+    parts = [(start, (1, 0))]
+    residual = project(start * exp_pos - wick_star(exp_pos, start))
     last_degree = -1
     for _ in range(f.trunc + 2):
         if not residual:
@@ -202,5 +243,5 @@ def _solve_symbol(f: WickSeries, exp_pos: WickSeries) -> WickSeries:
         last_degree = degree
         correction = residual.degree_slice(degree)
         parts.append((correction, (1, 0)))
-        residual = residual - wick_star(exp_pos, correction)
+        residual = residual - project(wick_star(exp_pos, correction))
     raise SolveError("toeplitz solve exceeded its iteration budget")

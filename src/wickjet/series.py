@@ -326,8 +326,12 @@ class WickSeries:
         if common != 1:
             den //= common
             kept = {key: (a // common, b // common) for key, (a, b) in kept.items()}
+        self._store(dim, trunc, den, kept)
+
+    def _store(self, dim: int, trunc: int, den: int, num: dict) -> None:
+        """Set the slots from ``num`` over ``den``, already canonical."""
         for name, value in zip(self.__slots__,
-                               (dim, trunc, den, kept, None, None)):
+                               (dim, trunc, den, num, None, None)):
             object.__setattr__(self, name, value)
 
     def _build(self, num: Mapping, den: int, dim: int | None = None,
@@ -507,14 +511,20 @@ class WickSeries:
         return NotImplemented
 
     def conjugate(self) -> "WickSeries":
-        """Swap y^I yb^J -> y^J yb^I and conjugate coefficients (h is real)."""
+        """Swap y^I yb^J -> y^J yb^I and conjugate coefficients (h is real).
+
+        Every key keeps its degree and den and the gcd stay, so the result
+        is canonical as it stands and skips ``_fill``'s scan.
+        """
         half = 8 * self.dim
         low, fields = (1 << half) - 1, (1 << 2 * half) - 1
         flipped = {}
         for key, (a, b) in self.num.items():
             both = key & fields
             flipped[key ^ both ^ ((both & low) << half | both >> half)] = (a, -b)
-        return self._build(flipped, self.den)
+        series = object.__new__(WickSeries)
+        series._store(self.dim, self.trunc, self.den, flipped)
+        return series
 
     def hbar_shift(self, dk2: int) -> "WickSeries":
         """Multiply by h^(dk2/2); dk2 may be negative or odd."""

@@ -15,7 +15,14 @@ from wickjet.errors import (
     PreconditionError,
     TruncationMismatch,
 )
-from wickjet.integrals import WeightSeries, inner_product, toeplitz_symbol
+from wickjet import integrals, suites
+from wickjet.integrals import (
+    WeightSeries,
+    antiholomorphic_symbol,
+    holomorphic_symbol,
+    inner_product,
+    toeplitz_symbol,
+)
 from wickjet.jets import (
     flat_potential,
     fubini_study_potential,
@@ -25,7 +32,13 @@ from wickjet.jets import (
 from wickjet.series import WickSeries, mi_zero
 from wickjet.wick import wick_star
 
-from support import hseries, random_coefficient, random_multi_index
+from support import (
+    count_calls,
+    hseries,
+    random_coefficient,
+    random_multi_index,
+    random_series,
+)
 
 
 TRUNC = 6
@@ -235,6 +248,93 @@ def test_star_eval_is_the_constant_part_of_the_symbol_product():
                 full = wick_star(toeplitz_symbol(f, ctx.weight),
                                  toeplitz_symbol(g, ctx.weight))
                 assert bt_star_eval(f, g, ctx) == full.constant_part()
+
+
+def _fs_ctx(dim):
+    return BTContext.from_potential(fubini_study_potential(dim, TRUNC), TRUNC)
+
+
+def _refined_ctx(seed, dim):
+    return BTContext(suites._weight(random.Random(seed), dim, TRUNC, refined=True))
+
+
+# Every kind of weight the engine meets: Fubini-Study at dims 1-3, normalized
+# random potentials, random refined weights and the representation suite's
+# quartic weight.
+SEPARATION_CONTEXTS = {
+    **{f"fs-{dim}": (_fs_ctx, dim) for dim in (1, 2, 3)},
+    **{f"random-{seed}-{dim}": (random_ctx, seed, dim)
+       for seed in (1, 2, 3) for dim in (1, 2)},
+    **{f"refined-{seed}-{dim}": (_refined_ctx, seed, dim)
+       for seed in (1, 2) for dim in (1, 2)},
+    "quartic": (quartic_ctx, TRUNC),
+}
+
+
+def _full_symbol_value(f, g, ctx):
+    """The value from the two full symbols."""
+    return wick_star(toeplitz_symbol(f, ctx.weight).holomorphic_part(),
+                     toeplitz_symbol(g, ctx.weight).antiholomorphic_part()).constant_part()
+
+
+@pytest.mark.parametrize("name", sorted(SEPARATION_CONTEXTS))
+def test_star_eval_solves_only_the_parts_that_reach_the_point(name):
+    """hol(S_f) = hol(f e^(w/h)) = hol(f) with no solve; anti(S_g) solves on
+    antiholomorphic series alone; and the value is the one the full symbols
+    give."""
+    make, *args = SEPARATION_CONTEXTS[name]
+    ctx = make(*args)
+    rng = random.Random(61 + ctx.dim)
+    w = ctx.weight
+    assert w and w.toeplitz_admissible
+    for _ in range(3):
+        f, g = (random_function_jets(rng, ctx.dim, TRUNC, n_terms=5)
+                + random_series(rng, ctx.dim, TRUNC, n_terms=3) for _ in "fg")
+        symbol_f, symbol_g = toeplitz_symbol(f, w), toeplitz_symbol(g, w)
+        assert symbol_f.holomorphic_part() == (f * w.exponential()).holomorphic_part() \
+            == holomorphic_symbol(f, w) == f.holomorphic_part()
+        assert symbol_g.antiholomorphic_part() == antiholomorphic_symbol(g, w)
+        assert symbol_f.antiholomorphic_part() == antiholomorphic_symbol(f, w)
+        assert bt_star_eval(f, g, ctx) == _full_symbol_value(f, g, ctx)
+
+
+def test_star_eval_edge_inputs():
+    """Inputs whose symbol parts are empty or carry inverse h-powers."""
+    rng = random.Random(67)
+    y, yb = ymono(TRUNC, 1), zbar_jets()
+    yyb = WickSeries(1, TRUNC, {(0, (1,), (1,)): 2, (2, (2,), (1,)): Fraction(1, 3)})
+    inverse = WickSeries(1, TRUNC, {(-2, (2,), (1,)): 1, (-2, (3,), (0,)): 2})
+    zero = WickSeries.zero(1, TRUNC)
+    for ctx in (fs_ctx(), quartic_ctx(), random_ctx(2, dim=1)):
+        for g in (y, yyb, y + yyb, zero):  # no antiholomorphic terms
+            assert not g.antiholomorphic_part()
+            f = random_function_jets(rng, 1, TRUNC)
+            assert bt_star_eval(f, g, ctx) == _full_symbol_value(f, g, ctx)
+        for f in (yb, yyb, yyb + yb, zero):  # no holomorphic terms
+            assert not f.holomorphic_part()
+            g = random_function_jets(rng, 1, TRUNC)
+            assert bt_star_eval(f, g, ctx) == _full_symbol_value(f, g, ctx) == hseries(TRUNC)
+        assert bt_star_eval(inverse, inverse.conjugate(), ctx) == \
+            _full_symbol_value(inverse, inverse.conjugate(), ctx)
+        assert bt_star_eval(zero, zero, ctx) == hseries(TRUNC)
+        negative = y.hbar_shift(-2)  # degree -1
+        for f, g in ((negative, yb), (y, negative), (negative, y.hbar_shift(-4))):
+            with pytest.raises(PreconditionError,
+                               match="min degree >= 0, found -1$"):
+                bt_star_eval(f, g, ctx)
+
+
+def test_flat_star_eval_keeps_the_zero_weight_shortcut(monkeypatch):
+    """A zero weight has e^(w/h) = 1: every symbol is its input, no solve runs
+    and no exponential is built."""
+    rng = random.Random(71)
+    ctx = flat_ctx(2)
+    solves = count_calls(monkeypatch, integrals, "_solve_symbol")
+    for _ in range(5):
+        f = random_function_jets(rng, 2, TRUNC)
+        g = random_function_jets(rng, 2, TRUNC)
+        assert bt_star_eval(f, g, ctx) == wick_star(f, g).constant_part()
+    assert not solves and not ctx.weight._exponentials
 
 
 def test_locality_ignores_beyond_order_jets():

@@ -778,6 +778,80 @@ def _curved_job(mode, dim, trunc, generator="fubini-study"):
     return job
 
 
+def _dense_jets(rng, dim, trunc):
+    """Random jet records of degree <= trunc, with h-powers and both kinds of variable."""
+    records = []
+    for _ in range(6):
+        exponents = [rng.randint(0, 2) for _ in range(2 * dim)]
+        k2 = 2 * rng.randint(0, 1)
+        if k2 + sum(exponents) <= trunc:
+            records.append({"k2": k2, "I": exponents[:dim], "J": exponents[dim:],
+                            "re": str(Fraction(rng.randint(-9, 9), rng.randint(1, 5))),
+                            "im": str(rng.randint(-3, 3))})
+    return {"order": trunc, "records": records}
+
+
+def test_bt_eval_jobs_solve_no_full_symbol(tmp_path, capsys, monkeypatch):
+    """A value at the point reads hol(S_f) in closed form and solves only
+    anti(S_g): with a full solve refused, bt-eval jobs still run."""
+    from wickjet import integrals
+
+    solve = integrals._solve_symbol
+    probe = WickSeries.monomial(1, 1, 1, 0, (1,), (0,))  # y: only a full solve keeps it
+    projected = []
+
+    def projected_only(f, exp_pos, project):
+        if project(probe):
+            raise AssertionError("a full Toeplitz symbol was solved")
+        projected.append(f)
+        return solve(f, exp_pos, project)
+    monkeypatch.setattr(integrals, "_solve_symbol", projected_only)
+    rng = random.Random(73)
+    for generator, dim, trunc in (("fubini-study", 1, 12), ("fubini-study", 2, 8),
+                                  ("fubini-study", 3, 5), ("random-real-analytic", 1, 8),
+                                  ("random-real-analytic", 2, 6), ("flat", 2, 6)):
+        job = _curved_job("bt-eval", dim, trunc, generator)
+        job.update(lhs=_dense_jets(rng, dim, trunc), rhs=_dense_jets(rng, dim, trunc))
+        code, out, err = run_main(capsys, "--job", write_job(tmp_path, job))
+        assert code == 0 and out.endswith("status: ok\n"), err
+    assert len(projected) == 5  # one solve per curved job, none on the flat one
+    # the guard bites: rep-act still solves the full symbol
+    with pytest.raises(AssertionError, match="full Toeplitz symbol"):
+        main(["--job", write_job(tmp_path, _curved_job("rep-act", 1, 6))])
+
+
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_bt_eval_jets_with_inverse_h_powers(tmp_path, capsys, side):
+    """Jets may carry negative k2 at degree >= 0, and the value is the one the
+    full symbols give; a term of negative degree exits 2 before any solve."""
+    from wickjet.btrep import BTContext
+    from wickjet.integrals import toeplitz_symbol
+    from wickjet.wick import wick_star
+
+    inverse = [{"k2": -2, "I": [2], "J": [1], "re": "1", "im": "0"},
+               {"k2": -2, "I": [1], "J": [2], "re": "1/3", "im": "1"},
+               {"k2": -2, "I": [0], "J": [3], "re": "2", "im": "0"},
+               {"k2": -2, "I": [3], "J": [0], "re": "-5", "im": "0"}]
+    job = {"mode": "bt-eval", "dim": 1, "trunc": 6,
+           "potential": {"generator": "fubini-study"},
+           "lhs": [Y_RECORD, {"k2": 0, "I": [3], "J": [0], "re": "2", "im": "0"}],
+           "rhs": [YB_RECORD, {"k2": 0, "I": [0], "J": [3], "re": "-1", "im": "0"}]}
+    job[side] = inverse
+    code, out, _ = run_main(capsys, "--job", write_job(tmp_path, job))
+    assert code == 0
+    lhs, rhs = (WickSeries.from_records(1, 6, job[name], lower_bound=-1)
+                for name in ("lhs", "rhs"))
+    weight = BTContext.from_potential(jets.fubini_study_potential(1, 6), 6).weight
+    value = wick_star(toeplitz_symbol(lhs, weight).holomorphic_part(),
+                      toeplitz_symbol(rhs, weight).antiholomorphic_part()).constant_part()
+    assert value
+    assert f"value: {value}\n" in out
+    job[side] = [{"k2": -2, "I": [1], "J": [0], "re": "1", "im": "0"}]
+    _assert_one_line_rejection(
+        tmp_path, job, f"field \"{side}\": bad jet record: term (-2, (1,), (0,)) "
+                       "has degree -1 < lower bound 0")
+
+
 def test_dense_terms_counts_every_plain_monomial():
     for dim in (1, 2, 3):
         for trunc in range(7):

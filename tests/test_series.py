@@ -16,7 +16,7 @@ from wickjet.errors import (
     PreconditionError,
     TruncationMismatch,
 )
-from wickjet.series import WickSeries, mi_factorial, power_terms, total_degree
+from wickjet.series import WickSeries, mi_factorial, pack, power_terms, total_degree, unpack
 
 from support import hseries, iter_multi_indices, random_series, written_records
 
@@ -192,6 +192,29 @@ def test_conjugate_example_and_involution():
     for _ in range(20):
         s = random_series(rng, 2, 6)
         assert s.conjugate().conjugate() == s
+
+
+def test_conjugate_is_canonical_without_the_gcd_scan(monkeypatch):
+    """``conjugate()`` stores its terms as they stand; the ``_build`` route,
+    which scans for the gcd, gives the same canonical series."""
+    rng = random.Random(29)
+    series = [hseries(8, {rng.randint(-3, 8): support.random_coefficient(rng)
+                          for _ in range(rng.randint(0, 5))}) for _ in range(30)]
+    series += [random_series(rng, dim, rng.randint(0, 8), n_terms=rng.randint(0, 7),
+                             min_degree=-3, even_k2_only=False, k2_min=-3)
+               for dim in (1, 2, 3) for _ in range(30)]
+    assert any(s.den > 1 for s in series) and any(not s for s in series)
+    fills = support.count_calls(monkeypatch, WickSeries, "_fill")
+    flipped = [s.conjugate() for s in series]
+    assert not fills
+    for s, conj in zip(series, flipped):
+        dim = s.dim
+        built = s._build({pack(dim, k2, J, I): (a, -b) for (k2, I, J), (a, b) in
+                          ((unpack(dim, key), pair) for key, pair in s.num.items())},
+                         s.den)
+        assert (conj.dim, conj.trunc, conj.den, conj.num) == \
+            (built.dim, built.trunc, built.den, built.num)
+        assert conj == WickSeries(dim, s.trunc, support.reference_conjugate(s.terms))
 
 
 def test_hbar_shift():
