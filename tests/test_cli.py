@@ -13,11 +13,12 @@ from pathlib import Path
 import pytest
 
 import wickjet
-from wickjet import cli, jets
+from wickjet import cli, integrals, jets
 from wickjet.cli import ACCEPT_EXIT, COMPUTE_EXIT, PARSE_EXIT, JobError, load_job, main
 from wickjet.coefficients import ComplexRational
 from wickjet.jets import PotentialJets
 from wickjet.series import WickSeries
+from wickjet.wick import wick_star
 
 from support import count_calls, iter_multi_indices, written_records
 
@@ -794,8 +795,6 @@ def _dense_jets(rng, dim, trunc):
 def test_bt_eval_jobs_solve_no_full_symbol(tmp_path, capsys, monkeypatch):
     """A value at the point reads hol(S_f) in closed form and solves only
     anti(S_g): with a full solve refused, bt-eval jobs still run."""
-    from wickjet import integrals
-
     solve = integrals._solve_symbol
     probe = WickSeries.monomial(1, 1, 1, 0, (1,), (0,))  # y: only a full solve keeps it
     projected = []
@@ -824,10 +823,6 @@ def test_bt_eval_jobs_solve_no_full_symbol(tmp_path, capsys, monkeypatch):
 def test_bt_eval_jets_with_inverse_h_powers(tmp_path, capsys, side):
     """Jets may carry negative k2 at degree >= 0, and the value is the one the
     full symbols give; a term of negative degree exits 2 before any solve."""
-    from wickjet.btrep import BTContext
-    from wickjet.integrals import toeplitz_symbol
-    from wickjet.wick import wick_star
-
     inverse = [{"k2": -2, "I": [2], "J": [1], "re": "1", "im": "0"},
                {"k2": -2, "I": [1], "J": [2], "re": "1/3", "im": "1"},
                {"k2": -2, "I": [0], "J": [3], "re": "2", "im": "0"},
@@ -841,9 +836,10 @@ def test_bt_eval_jets_with_inverse_h_powers(tmp_path, capsys, side):
     assert code == 0
     lhs, rhs = (WickSeries.from_records(1, 6, job[name], lower_bound=-1)
                 for name in ("lhs", "rhs"))
-    weight = BTContext.from_potential(jets.fubini_study_potential(1, 6), 6).weight
-    value = wick_star(toeplitz_symbol(lhs, weight).holomorphic_part(),
-                      toeplitz_symbol(rhs, weight).antiholomorphic_part()).constant_part()
+    weight = jets.weight_series(jets.fubini_study_potential(1, 6), 6)
+    value = wick_star(integrals.toeplitz_symbol(lhs, weight).holomorphic_part(),
+                      integrals.toeplitz_symbol(rhs, weight).antiholomorphic_part()
+                      ).constant_part()
     assert value
     assert f"value: {value}\n" in out
     job[side] = [{"k2": -2, "I": [1], "J": [0], "re": "1", "im": "0"}]
