@@ -8,8 +8,8 @@ nothing time- or machine-dependent in them, so identical jobs produce
 byte-identical output; stdout carries only the report, and errors go to
 stderr.
 
-Exit codes: 0 success, 2 malformed job or usage error, 3 computation error,
-4 acceptance failure.
+Exit codes: 0 success, 2 malformed job, usage error or unwritable output,
+3 computation error, 4 acceptance failure.
 """
 
 from __future__ import annotations
@@ -243,6 +243,9 @@ def _parse_out(data: dict) -> dict:
         if path.is_absolute() or ".." in path.parts:
             raise JobError(f"field \"out\": path for \"{key}\" must stay "
                            f"inside the output directory")
+        if value.rsplit("/", 1)[-1] in ("", "."):
+            raise JobError(f"field \"out\": path for \"{key}\" must name "
+                           f"a file, got {value!r}")
         clean[str(key)] = value
     return clean
 
@@ -339,6 +342,9 @@ def _load_job_data(data: dict) -> JobSpec:
         inputs = {"potential": _parse_potential(data, "potential", dim, trunc),
                   "function": _parse_jets(data, "function", dim, trunc),
                   "element": _parse_series(data, "element", dim, trunc)}
+        if not inputs["element"].is_holomorphic():
+            raise JobError("field \"element\": a model-space element is "
+                           "holomorphic, but a term has a yb factor (J != 0)")
     if mode != "wick-star" and inputs["potential"].order < trunc:
         raise JobError(f"field \"potential\": order "
                        f"{inputs['potential'].order} is below trunc {trunc}")
@@ -509,14 +515,13 @@ def run(job: JobSpec) -> Report:
 
 
 def _write_artifacts(report: Report, job: JobSpec, out_dir) -> None:
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    names = {"report": job.out.get("report", "report.txt")}
-    for artifact in report.files:
-        names[artifact] = job.out.get(artifact, artifact)
-    (directory / names["report"]).write_text(report.text, encoding="utf-8")
-    for artifact, content in sorted(report.files.items()):
-        target = directory / names[artifact]
+    """Write the report, then each artifact, under ``out_dir``, making the
+    directories each path needs."""
+    files = [(job.out.get("report", "report.txt"), report.text)]
+    files += [(job.out.get(name, name), content)
+              for name, content in sorted(report.files.items())]
+    for name, content in files:
+        target = Path(out_dir) / name
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(content, encoding="utf-8")
 
@@ -557,7 +562,11 @@ def main(argv=None) -> int:
 
     sys.stdout.write(report.text)
     if args.out is not None:
-        _write_artifacts(report, job, args.out)
+        try:
+            _write_artifacts(report, job, args.out)
+        except OSError as exc:
+            print(f"wickjet: cannot write output: {exc}", file=sys.stderr)
+            return PARSE_EXIT
     return 0 if report.accepted else ACCEPT_EXIT
 
 

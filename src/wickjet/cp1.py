@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .coefficients import ComplexRational
 from .errors import PreconditionError
-from .series import WickSeries, linear_combination
+from .series import WickSeries, linear_combination, unpack
 
 __all__ = [
     "FactorialRational",
@@ -42,11 +42,6 @@ __all__ = [
 ]
 
 _ZERO = ComplexRational(0)
-
-
-def _exponents(key: int) -> tuple:
-    """``(a, b)`` of the key of the classical dim-1 term y^a yb^b (``series.pack``)."""
-    return key >> 8 & 0xFF, key & 0xFF
 
 
 class FactorialRational:
@@ -257,7 +252,8 @@ class ToeplitzMatrix:
 
     def _shifts(self) -> set:
         """Diagonals q - p that the symbol's terms fill."""
-        return {a - b for a, b in map(_exponents, self.symbol.num.num)}
+        return {a - b for _, (a,), (b,) in
+                (unpack(1, key) for key in self.symbol.num.num)}
 
     def _check_cell(self, q: int, p: int) -> None:
         if not (0 <= q <= self.m and 0 <= p <= self.m):
@@ -271,7 +267,7 @@ class ToeplitzMatrix:
         denom = math.prod(m + s for s in range(2, d + 2)) * series.den
         re = im = 0
         for key, (x, y) in series.num.items():
-            a, b = key >> 8 & 0xFF, key & 0xFF  # as _exponents(key)
+            _, (a,), (b,) = unpack(1, key)
             if a - b == q - p:
                 weight = math.prod(range(q + 1, q + b + 1)) \
                     * math.prod(m - q + i for i in range(1, d - b + 1))
@@ -331,12 +327,12 @@ def mobius_pullback(f: RationalSymbol, w) -> RationalSymbol:
     norm = (1 + (w * w.conjugate()).re) ** d
     parts = []
     for key, (x, y) in f.num.num.items():
-        a, b = _exponents(key)
+        _, (a,), (b,) = unpack(1, key)
         term = up[a] * up[b].conjugate() * down[d - a] * down[d - b].conjugate()
         parts.append((term, (x * norm.denominator, y * norm.denominator)))
     total = linear_combination(parts, f.num.den * norm.numerator)
     return RationalSymbol({(a, b): total.coefficient(0, (a,), (b,))
-                           for a, b in map(_exponents, total.num)}, d)
+                           for _, (a,), (b,) in (unpack(1, key) for key in total.num)}, d)
 
 
 def composition_residual(f: RationalSymbol, g: RationalSymbol, ms, orders,

@@ -28,10 +28,8 @@ only the left factor's y, keep it.  Hence:
 
 from __future__ import annotations
 
-from functools import cache
-
 from .errors import PreconditionError, SolveError
-from .series import WickSeries, bilinear_terms, linear_combination, mi_factorial
+from .series import WickSeries, bilinear_terms, linear_combination, mi_factorial, unpack
 from .wick import classical_exp, wick_star
 
 __all__ = [
@@ -72,16 +70,10 @@ class WeightSeries:
                 f"weight terms must have degree >= 3, found {min_deg}")
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "is_real", body.conjugate() == body)
-        dim = body.dim
-        top = 16 * dim
-        fields, low = (1 << top) - 1, (1 << 8 * dim) - 1
-        raws = [(key >> top, (key & fields).to_bytes(2 * dim, "big"))
-                for key in body.num]
-        object.__setattr__(self, "toeplitz_admissible",
-                           all(key & low for key in body.num))
-        object.__setattr__(self, "refined",  # h^0 terms: degree == byte sum
-                           all(sum(raw[:dim]) != 1 and sum(raw[dim:]) != 1
-                               for degree, raw in raws if degree == sum(raw)))
+        object.__setattr__(self, "toeplitz_admissible", not body.holomorphic_part())
+        object.__setattr__(self, "refined", all(
+            sum(I) != 1 and sum(J) != 1
+            for k2, I, J in (unpack(body.dim, key) for key in body.num) if not k2))
         object.__setattr__(self, "_exponentials", {})
         object.__setattr__(self, "_symbols", {})
 
@@ -125,29 +117,18 @@ class WeightSeries:
         return f"WeightSeries({self.body!r}, flags={'|'.join(flags) or '-'})"
 
 
-@cache
-def _moment_rule(dim: int) -> tuple:
-    """The moment rule, indexed by the summed fields (I, J) of a pair.
+def _moment(I: tuple, J: tuple) -> tuple:
+    """The moment rule on the summed exponents (I, J) of a pair.
 
     The product of two terms integrates to I! h^|I| if I == J: the offset
-    clears the fields and keeps the degree k2 + 2|I|.
+    (I, J) clears the exponents and keeps the degree k2 + 2|I|.
     """
-    fields = (1 << 16 * dim) - 1
-
-    def fill(index: int) -> tuple:
-        raw = index.to_bytes(2 * dim, "big")
-        if raw[:dim] != raw[dim:]:
-            return ()
-        return ((index, mi_factorial(raw[:dim])),)
-
-    return fields, fields, {}, fill
+    return (((I, J), mi_factorial(I)),) if I == J else ()
 
 
 def _moments(h: WickSeries, e: WickSeries) -> WickSeries:
     """The Gaussian moments of the pointwise product h e, as a series in h (dim 0)."""
-    sums, den = bilinear_terms(h, e, _moment_rule(h.dim))
-    top = 16 * h.dim
-    return h._build({key >> top: pair for key, pair in sums.items()}, den, dim=0)
+    return h._build(*bilinear_terms(h, e, ("IJ", "IJ", _moment))).constant_part()
 
 
 def formal_integral(h: WickSeries, w: WeightSeries) -> WickSeries:

@@ -30,8 +30,8 @@ from operator import mul
 from .coefficients import ComplexRational, random_coefficient, random_rational
 from .errors import PreconditionError, SolveError
 from .integrals import WeightSeries
-from .series import (WickSeries, accumulate, linear_combination, mi_zero, read_records,
-                     unpack)
+from .series import (WickSeries, accumulate, linear_combination, mi_zero, pack,
+                     read_records, total_degree, unpack)
 from .wick import log_series
 
 __all__ = [
@@ -51,42 +51,40 @@ __all__ = [
 
 
 def _unit(dim: int, i: int) -> tuple:
-    return tuple(1 if k == i else 0 for k in range(dim))
-
-
-@cache
-def _unit_fields(dim: int) -> tuple:
-    """The key fields of y_i and of yb_i, each a list over i."""
-    return ([1 << 8 * (2 * dim - 1 - i) for i in range(dim)],
-            [1 << 8 * (dim - 1 - i) for i in range(dim)])
+    return (0,) * i + (1,) + (0,) * (dim - 1 - i)
 
 
 def _is_classical(series) -> bool:
     return isinstance(series, WickSeries) and series.h_powers() <= {0}
 
 
+@cache
+def _generator_keys(dim: int) -> tuple:
+    """The keys of y_i and of yb_i, each a list over i; the key of a product
+    of terms is the sum of theirs (``series.pack``).  Kept per dim: the
+    identity metric test reads them up to six times per normalization."""
+    zero = mi_zero(dim)
+    units = [_unit(dim, i) for i in range(dim)]
+    return [pack(dim, 0, e, zero) for e in units], [pack(dim, 0, zero, e) for e in units]
+
+
 def _norm_squared(dim: int, trunc: int) -> WickSeries:
     """The flat potential |z|^2 = sum_i y_i yb_i."""
-    ys, ybs = _unit_fields(dim)
-    two = 2 << 16 * dim  # degree 2
     return WickSeries.zero(dim, trunc)._build(
-        {two | y | yb: (1, 0) for y, yb in zip(ys, ybs)}, 1)
+        {y + yb: (1, 0) for y, yb in zip(*_generator_keys(dim))}, 1)
 
 
 def _identity_coords(dim: int, trunc: int) -> list:
     """The coordinates y_i, one series each."""
     zero = WickSeries.zero(dim, trunc)
-    one = 1 << 16 * dim  # degree 1
-    return [zero._build({one | y: (1, 0)}, 1) for y in _unit_fields(dim)[0]]
+    return [zero._build({y: (1, 0)}, 1) for y in _generator_keys(dim)[0]]
 
 
 def _is_identity_change(subs: list, dim: int, trunc: int) -> bool:
     """Each subs[i] is the single term y_i with coefficient 1."""
-    one = 1 << 16 * dim
     return len(subs) == dim and all(
-        s.dim == dim and s.trunc == trunc and s.den == 1
-        and s.num == {one | y: (1, 0)}
-        for s, y in zip(subs, _unit_fields(dim)[0]))
+        (s.dim, s.trunc, s.den, s.num) == (dim, trunc, 1, {y: (1, 0)})
+        for s, y in zip(subs, _generator_keys(dim)[0]))
 
 
 def _power(table: list, p: int) -> WickSeries:
@@ -107,47 +105,46 @@ def _substitute(series: list, subs: list) -> list:
     distinct nonzero I.  Identity coordinates return the series themselves,
     after the same checks.
     """
-    for s in subs:
-        if 0 in s.num:  # key 0: the constant term 1
-            raise PreconditionError("coordinate changes must fix the marked point")
+    dim, trunc = series[0].dim, series[0].trunc
+    constant = pack(dim, 0, mi_zero(dim), mi_zero(dim))
+    if any(constant in s.num for s in subs):
+        raise PreconditionError("coordinate changes must fix the marked point")
     if not all(_is_classical(s) for s in series):
         raise PreconditionError("substitution is defined for classical jets only")
-    dim, trunc = series[0].dim, series[0].trunc
     if _is_identity_change(subs, dim, trunc):
         return list(series)
     unit = WickSeries.unit(dim, trunc)
     tables = [[unit, s] for s in subs]
-    holomorphic = {0: unit}  # U^K by the exponent bytes K_1 ... K_dim
+    zero = mi_zero(dim)
+    holomorphic = {zero: unit}  # U^K by the exponents K
     conjugates = {}
 
-    def monomial(k: int) -> WickSeries:
+    def monomial(k: tuple) -> WickSeries:
         """U^K from U^K' times one power, K' being K less its last nonzero exponent."""
         if k not in holomorphic:
-            shift = ((k & -k).bit_length() - 1) & ~7
-            p = k >> shift & 0xFF
-            power = _power(tables[dim - 1 - shift // 8], p)
-            rest = k ^ p << shift
-            holomorphic[k] = power * monomial(rest) if rest else power
+            i = max(i for i, p in enumerate(k) if p)
+            power = _power(tables[i], k[i])
+            rest = k[:i] + zero[i:]
+            holomorphic[k] = power * monomial(rest) if any(rest) else power
         return holomorphic[k]
 
-    def conjugate(j: int) -> WickSeries:
+    def conjugate(j: tuple) -> WickSeries:
         if j not in conjugates:
             conjugates[j] = monomial(j).conjugate()
         return conjugates[j]
 
-    half = 8 * dim
-    low = (1 << half) - 1
     images = []
     for s in series:
         groups: dict = {}  # I -> [(J, coefficient numerator)]
         for key, pair in s.num.items():
-            groups.setdefault(key >> half & low, []).append((key & low, pair))
+            _, i, j = unpack(dim, key)
+            groups.setdefault(i, []).append((j, pair))
         parts = []  # image = sum over parts / s.den
         for i, row in groups.items():
             bars = [(conjugate(j), pair) for j, pair in row]
-            if not i:
+            if i == zero:
                 parts += bars
-            elif len(row) == 1 and not row[0][0]:  # a pure holomorphic term
+            elif len(row) == 1 and row[0][0] == zero:  # a pure holomorphic term
                 parts.append((monomial(i), row[0][1]))
             else:
                 parts.append((monomial(i) * linear_combination(bars), (1, 0)))
@@ -156,12 +153,12 @@ def _substitute(series: list, subs: list) -> list:
 
 
 def _is_normal_form(varphi: WickSeries) -> bool:
-    """|z|^2 plus jets of bidegree at least (2, 2)."""
-    dim = varphi.dim
-    rest = varphi - _norm_squared(dim, varphi.trunc)
-    fields = (1 << 16 * dim) - 1
-    return all(sum(raw[:dim]) >= 2 and sum(raw[dim:]) >= 2 for raw in (
-        (key & fields).to_bytes(2 * dim, "big") for key in rest.num))
+    """|z|^2 plus jets of bidegree at least (2, 2): the (1,1) block is the
+    identity and every other term has |I| >= 2 and |J| >= 2."""
+    bidegrees = {(sum(I), sum(J)) for _, I, J in
+                 (unpack(varphi.dim, key) for key in varphi.num)}
+    return _has_identity_metric(varphi) and all(
+        i >= 2 and j >= 2 or i == j == 1 for i, j in bidegrees)
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +245,16 @@ class PotentialJets:
 
 def _one_one_matrix(series: WickSeries, dim: int) -> list:
     """Hermitian matrix M with M[i][j] = coefficient of z_j zbar_i."""
-    ys, ybs = _unit_fields(dim)
-    two, den, get = 2 << 16 * dim, series.den, series.num.get
-    return [[ComplexRational(Fraction(a, den), Fraction(b, den))
-             for a, b in (get(two | y | yb, (0, 0)) for y in ys)]
-            for yb in ybs]
+    units = [_unit(dim, i) for i in range(dim)]
+    return [[series.coefficient(0, y, yb) for y in units] for yb in units]
 
 
 def _has_identity_metric(series: WickSeries) -> bool:
     """The (1,1) block is the identity, read on the keys: ``num`` holds
     ``(den, 0)`` for each z_i zbar_i and nothing for z_j zbar_i with j != i."""
-    ys, ybs = _unit_fields(series.dim)
-    two, get, one = 2 << 16 * series.dim, series.num.get, (series.den, 0)
-    return all(get(two | y | yb) == (one if i == j else None)
+    ys, ybs = _generator_keys(series.dim)
+    get, one = series.num.get, (series.den, 0)
+    return all(get(y + yb) == (one if i == j else None)
                for i, y in enumerate(ys) for j, yb in enumerate(ybs))
 
 
@@ -312,8 +306,7 @@ def k_normalize(raw: PotentialJets):
     if raw.order < 2:
         raise PreconditionError("normalization needs jets at least to order 2")
     dim, order = raw.dim, raw.order
-    top = 16 * dim
-    j_field = (1 << 8 * dim) - 1
+    zero = mi_zero(dim)
     current = raw.varphi
     identity = _identity_coords(dim, order)
     coords = identity
@@ -321,20 +314,19 @@ def k_normalize(raw: PotentialJets):
         if d == 2:
             change = None if _has_identity_metric(current) else \
                 _diagonalizing_change(_one_one_matrix(current, dim), dim)
-            zero = mi_zero(dim)
             subs = None if change is None else [
                 WickSeries(dim, order, {(0, _unit(dim, j), zero): change[i][j]
                                         for j in range(dim)})
                 for i in range(dim)]
         else:
             # the terms y^I yb_j of degree d, as -y^I (current is classical)
-            low, high = d << top, (d + 1) << top
-            step = 1 << top
-            hs = [current._build({key - step - yb: (-a, -b)
-                                  for key, (a, b) in current.num.items()
-                                  if low <= key < high and key & j_field == yb},
-                                 current.den)
-                  for yb in _unit_fields(dim)[1]]
+            part = current.degree_slice(d)
+            rows = [{} for _ in range(dim)]
+            for key, (a, b) in part.num.items():
+                k2, I, J = unpack(dim, key)
+                if sum(J) == 1:
+                    rows[J.index(1)][pack(dim, k2, I, zero)] = (-a, -b)
+            hs = [part._build(row, part.den) for row in rows]
             subs = [unit + h for unit, h in zip(identity, hs)] \
                 if any(hs) else None
         if subs is not None:
@@ -389,23 +381,20 @@ def volume_log_jets(p: PotentialJets) -> WickSeries:
             "volume-log jets need the identity metric at the point; "
             "normalize the potential first")
     r2 = max(varphi.trunc - 2, 0)
-    top, size = 16 * dim, 2 * dim
-    fields = (1 << top) - 1
-    ys, ybs = _unit_fields(dim)
-    # d_i dbar_j lowers y_i and yb_j by one each and the degree by two
-    shifts = [[(2 << top) + y + yb for yb in ybs] for y in ys]
+    ys, ybs = _generator_keys(dim)
+    # d_i dbar_j lowers y_i and yb_j by one each: the key less that of y_i yb_j
+    lowering = [[y + yb for yb in ybs] for y in ys]
     rest = [[{} for _ in range(dim)] for _ in range(dim)]
     for key, (a, b) in varphi.num.items():
-        if not 2 < key >> top <= r2 + 2:  # M(0) = 1, or above the window
+        k2, I, J = unpack(dim, key)
+        if not 2 < total_degree(k2, I, J) <= r2 + 2:  # M(0) = 1, or above the window
             continue
-        raw = (key & fields).to_bytes(size, "big")
-        for i in range(dim):
-            if not raw[i]:
-                continue
-            for j in range(dim):
-                if raw[dim + j]:
-                    scalar = raw[i] * raw[dim + j]
-                    rest[i][j][key - shifts[i][j]] = (a * scalar, b * scalar)
+        for i, row in enumerate(lowering):
+            if I[i]:
+                for j, step in enumerate(row):
+                    if J[j]:
+                        scalar = I[i] * J[j]
+                        rest[i][j][key - step] = (a * scalar, b * scalar)
     zero = WickSeries.zero(dim, r2)
     x = [[zero._build(terms, varphi.den) for terms in row] for row in rest]
 

@@ -17,7 +17,9 @@ conjugation are integer compares, shifts and masks.  Every exponent is
 below ``EXPONENT_LIMIT`` = 128; the top bit of each byte is a guard bit, so
 the sum of two keys never carries from one field into the next.  Outside
 input at or past the limit is rejected, and a product whose output would
-reach it raises.
+reach it raises.  Only this module reads key bits: other modules go through
+``pack``, ``unpack`` and the ``WickSeries`` methods, and the kernel's
+expansion rules give exponent offsets, which ``bilinear_terms`` packs.
 
 Every series carries a truncation degree ``trunc``: terms above it are
 discarded, and the grading makes this lossless for products.  There is no
@@ -43,7 +45,7 @@ Every sum of several series, ``+`` and ``-`` included, is one
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import gcd, lcm
 from operator import mul, or_
 from types import MappingProxyType
@@ -92,8 +94,13 @@ def total_degree(k2: int, I: MultiIndex, J: MultiIndex) -> int:
 
 
 def pack(dim: int, k2: int, I: MultiIndex, J: MultiIndex) -> int:
-    """The key of h^(k2/2) y^I yb^J; every exponent must be below the limit."""
-    return int.from_bytes(bytes((*I, *J)), "big") | total_degree(k2, I, J) << 16 * dim
+    """The key of h^(k2/2) y^I yb^J; every exponent must be below the limit.
+
+    Keys add as their terms multiply: the key of a product of two terms is
+    the sum of their keys, as long as every exponent stays below the limit.
+    """
+    raw = bytes((*I, *J))
+    return int.from_bytes(raw, "big") | (k2 + sum(raw)) << 16 * dim
 
 
 def unpack(dim: int, key: int) -> tuple:
@@ -161,34 +168,65 @@ def power_terms(first, x, product) -> Iterator:
 # The exact kernel.  Every bilinear operation (the pointwise product,
 # wick_star, fock_act and formal_integral's moment rule) runs through
 # ``bilinear_terms`` and differs only in its expansion rule: which output
-# keys, with which integer scalars, a pair of input terms gives.  Every
-# rule's output key is ``key_f + key_g - offset``, where the offset has no
-# degree bits, so a pair's outputs all have degree deg(key_f) + deg(key_g):
-# the pointwise product adds keys (offset 0), a contraction alpha subtracts
-# alpha from both halves, and the Fock and moment rules subtract J from
-# both halves or clear the fields.  A rule is a table of ``(offset,
-# scalar)`` lists indexed by a few fields of the two keys, filled on first
-# use and kept per dim.  The kernel reads both factors' stored integer
-# numerators; sums of pair products stay integers over the product of the
-# two denominators, reduced once when the result is built, as in
-# ``linear_combination`` over the lcm of its parts' denominators.
+# terms, with which integer scalars, a pair of input terms gives.  A rule
+# speaks exponents, never key bits: it names the key halves of each factor
+# that form its index (I of f and J of g for the star product, both halves
+# for the Fock and moment rules, none for the pointwise product) and maps
+# the index (I, J) to ``((offset_I, offset_J), scalar)`` pairs.  Every
+# output is y^(I_f + I_g - offset_I) yb^(J_f + J_g - offset_J) at degree
+# deg f + deg g: the pointwise product has offset 0, a contraction alpha
+# has (alpha, alpha), the Fock rule (J, J), and the moment rule the index
+# itself.  Only this module packs the offsets into key fields, on the first
+# use of each index, in one table per rule and dim.  The kernel reads both
+# factors' stored integer numerators; sums of pair products stay integers
+# over the product of the two denominators, reduced once when the result is
+# built, as in ``linear_combination`` over the lcm of its parts'
+# denominators.
 
-_POINTWISE = (0, 0, {0: ((0, 1),)}, None)  # the pointwise product rule
+
+def _pointwise(I: MultiIndex, J: MultiIndex) -> tuple:
+    """The pointwise product: every pair multiplies, with offset zero."""
+    return (((I, J), 1),)  # the rule selects no half, so I and J are zero
 
 
-def bilinear_terms(f: "WickSeries", g: "WickSeries", rule) -> tuple:
+_POINTWISE = ("", "", _pointwise)
+
+
+@cache
+def _packed_rule(rule: tuple, dim: int) -> tuple:
+    """``(select_f, select_g, table, fill)`` on the key fields of ``rule`` at ``dim``.
+
+    A half "I" selects the fields of I, "J" those of J; ``fill`` reads an
+    index's fields as (I, J) and packs the offsets the rule gives.
+    """
+    halves_f, halves_g, expand = rule
+    half = 8 * dim
+    low = (1 << half) - 1
+
+    def select(halves: str) -> int:
+        return (low << half if "I" in halves else 0) | (low if "J" in halves else 0)
+
+    def fill(index: int) -> tuple:
+        _, I, J = unpack(dim, index)
+        return tuple((int.from_bytes(bytes((*offset_i, *offset_j)), "big"), scalar)
+                     for (offset_i, offset_j), scalar in expand(I, J))
+
+    return select(halves_f), select(halves_g), {}, fill
+
+
+def bilinear_terms(f: "WickSeries", g: "WickSeries", rule: tuple) -> tuple:
     """A bilinear operation as integer pairs ``{key: [a, b]}`` over a denominator.
 
-    ``rule`` is ``(select_f, select_g, table, fill)``.  The terms
-    c_f x^key_f of f and c_g x^key_g of g look up
-    ``index = (key_f & select_f) + (key_g & select_g)`` in ``table`` (and
-    store ``fill(index)`` there on a miss); each ``(offset, scalar)`` found
-    adds ``scalar * c_f * c_g`` to the key ``key_f + key_g - offset``.
-    Pairs past f's truncation are never visited.  An output exponent at the
-    limit raises ``PreconditionError`` instead of wrapping.  Returns
-    ``(sums, den)``; sums that cancel stay as [0, 0].
+    ``rule`` is ``(halves_f, halves_g, expand)``.  A term c_f of f and a
+    term c_g of g form the index (I, J) from the halves the rule names,
+    summed over both factors; each ``((offset_I, offset_J), scalar)`` that
+    ``expand(I, J)`` gives adds ``scalar * c_f * c_g`` to the term
+    y^(I_f + I_g - offset_I) yb^(J_f + J_g - offset_J) of degree
+    deg f + deg g.  Pairs past f's truncation are never visited.  An output exponent at the limit raises ``PreconditionError``
+    instead of wrapping.  Returns ``(sums, den)``; sums that cancel stay as
+    [0, 0].
     """
-    select_f, select_g, table, fill = rule
+    select_f, select_g, table, fill = _packed_rule(rule, f.dim)
     lookup = table.get
     rows_g = g._sorted_rows()
     bound = (f.trunc + 1) << 16 * f.dim  # the least key past the truncation

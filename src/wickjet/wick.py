@@ -15,7 +15,6 @@ The module action on holomorphic series realizes ``yb_j`` as ``h d/dy_j``
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import product as _cartesian
 from math import comb, factorial, lcm
 from operator import mul
@@ -43,34 +42,24 @@ def _falling(n: int, k: int) -> int:
 def wick_star(f: WickSeries, g: WickSeries) -> WickSeries:
     """The associative Wick product of two series (same dim and trunc)."""
     f._check_compatible(g)
-    return f._build(*bilinear_terms(f, g, _star_rule(f.dim)))
+    return f._build(*bilinear_terms(f, g, ("I", "J", _contractions)))
 
 
-@cache
-def _star_rule(dim: int) -> tuple:
-    """The contractions of I_f against J_g, indexed by the key fields (I_f, J_g).
+def _contractions(I: tuple, J: tuple) -> tuple:
+    """The star rule: the contractions of I of f against J of g.
 
-    A contraction a <= min(I_f, J_g) has offset (a, a) and scalar
+    A contraction a <= min(I, J) has offset (a, a) and scalar
     (-1)^|a| prod comb(I_i, a_i) (J_i)_(a_i), the coefficient of
     h^|a| y^(I-a) yb^(J-a) in (-h)^|a| / a! d_y^a(y^I) d_yb^a(yb^J).
     """
-    half = 8 * dim
-    low = (1 << half) - 1
-
-    def fill(index: int) -> tuple:
-        raw = index.to_bytes(2 * dim, "big")
-        I, J = raw[:dim], raw[dim:]
-        out = []
-        for alpha in _cartesian(*[range(min(i, j) + 1) for i, j in zip(I, J)]):
-            scalar = 1
-            for i, j, a in zip(I, J, alpha):
-                if a:
-                    scalar *= comb(i, a) * _falling(j, a)
-            out.append((int.from_bytes(bytes(alpha + alpha), "big"),
-                        -scalar if sum(alpha) % 2 else scalar))
-        return tuple(out)
-
-    return low << half, low, {}, fill
+    out = []
+    for alpha in _cartesian(*[range(min(i, j) + 1) for i, j in zip(I, J)]):
+        scalar = 1
+        for i, j, a in zip(I, J, alpha):
+            if a:
+                scalar *= comb(i, a) * _falling(j, a)
+        out.append(((alpha, alpha), -scalar if sum(alpha) % 2 else scalar))
+    return tuple(out)
 
 
 def fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
@@ -78,31 +67,20 @@ def fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
     f._check_compatible(s)
     if not s.is_holomorphic():
         raise PreconditionError("fock_act target must be holomorphic (J = 0)")
-    return f._build(*bilinear_terms(f, s, _fock_rule(f.dim)))
+    return f._build(*bilinear_terms(f, s, ("IJ", "IJ", _fock)))
 
 
-@cache
-def _fock_rule(dim: int) -> tuple:
-    """The Fock rule, indexed by the summed fields (I + P, J) of a pair.
+def _fock(T: tuple, J: tuple) -> tuple:
+    """The Fock rule on the summed exponents (T, J) = (I + P, J) of a pair.
 
-    The scalar is prod (I + P)_i falling J_i, zero exactly when some
-    (I + P)_i < J_i; the offset (J, J) leaves y^(I+P-J) and h^|J|.
+    The scalar is prod T_i falling J_i, zero exactly when some T_i < J_i;
+    the offset (J, J) leaves y^(T-J) and h^|J|.
     """
-    half = 8 * dim
-    fields = (1 << 2 * half) - 1
-
-    def fill(index: int) -> tuple:
-        raw = index.to_bytes(2 * dim, "big")
-        scalar = 1
-        for t, j in zip(raw[:dim], raw[dim:]):
-            if j:
-                scalar *= _falling(t, j)
-        if not scalar:
-            return ()
-        J = index & ((1 << half) - 1)
-        return ((J << half | J, scalar),)
-
-    return fields, fields, {}, fill
+    scalar = 1
+    for t, j in zip(T, J):
+        if j:
+            scalar *= _falling(t, j)
+    return (((J, J), scalar),) if scalar else ()
 
 
 def classical_exp(x: WickSeries) -> WickSeries:

@@ -119,3 +119,51 @@ def test_no_sum_in_the_package_takes_a_start_value():
 def test_the_sum_scan_flags_a_start_value():
     tree = ast.parse("sum(x)\nsum(x, zero)\nsum(x, start=zero)\ntotal.sum(x, zero)\n")
     assert sums_with_start({"m.py": tree}) == ["m.py:2", "m.py:3"]
+
+
+# the operators that read or write bit fields; ``|`` also joins types in
+# annotations such as ``WickSeries | None``, so it is left out
+_BIT_OPS = (ast.LShift, ast.RShift, ast.BitAnd, ast.BitXor)
+
+
+def layout_decodes(trees: dict) -> list:
+    """``file:line`` of every bit operation or byte conversion, by parsed module name.
+
+    The packed key layout belongs to ``series``: every other module reads
+    a key through ``pack``/``unpack`` and the ``WickSeries`` methods.  The
+    scan flags ``<<``, ``>>``, ``&``, ``^`` and ``~`` (augmented too) and
+    every ``to_bytes``/``from_bytes`` call.
+    """
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                flagged = isinstance(node.op, _BIT_OPS)
+            elif isinstance(node, ast.UnaryOp):
+                flagged = isinstance(node.op, ast.Invert)
+            else:
+                flagged = (isinstance(node, ast.Call)
+                           and isinstance(node.func, ast.Attribute)
+                           and node.func.attr in ("to_bytes", "from_bytes"))
+            if flagged:
+                found.append((name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_only_series_reads_the_key_layout():
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "series.py"]
+    assert layout_decodes(dict(zip((p.name for p in paths), _parse(paths)))) == []
+
+
+def test_the_layout_scan_flags_bit_operations():
+    tree = ast.parse(
+        "def f(key, dim) -> int | None:\n"
+        "    a = key >> 8 & 0xFF\n"
+        "    b = key << 2\n"
+        "    c = key ^ ~key\n"
+        "    key &= 3\n"
+        "    d = key.to_bytes(2, 'big')\n"
+        "    e = int.from_bytes(d, 'big')\n"
+        "    return a | b + c * d - e\n")
+    assert layout_decodes({"m.py": tree}) == \
+        ["m.py:2", "m.py:2", "m.py:3", "m.py:4", "m.py:4", "m.py:5", "m.py:6", "m.py:7"]

@@ -282,6 +282,48 @@ def test_main_cp1_verify_writes_composition_csv(tmp_path, capsys):
     assert lines[1].startswith("8,0,0,1/100,0,0.01,")
 
 
+WICK_STAR_JOB = {"mode": "wick-star", "dim": 1, "trunc": 2,
+                 "lhs": [Y_RECORD], "rhs": [YB_RECORD]}
+
+
+def test_main_writes_the_report_into_a_subdirectory(tmp_path, capsys):
+    path = write_job(tmp_path, {**WICK_STAR_JOB, "out": {"report": "a/b.txt"}})
+    code, out, err = run_main(capsys, "--job", path, "--out", str(tmp_path / "o"))
+    assert code == 0 and not err
+    assert (tmp_path / "o" / "a" / "b.txt").read_text() == out
+
+
+@pytest.mark.parametrize("name", [".", "./", "a/", "a/."])
+def test_main_rejects_an_out_path_that_names_no_file(tmp_path, capsys, name):
+    path = write_job(tmp_path, {**WICK_STAR_JOB, "out": {"report": name}})
+    code, out, err = run_main(capsys, "--job", path, "--out", str(tmp_path / "o"))
+    assert code == PARSE_EXIT and not out
+    assert err.count("\n") == 1 and 'field "out": path for "report" must name a file' in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_reports_an_unwritable_out_directory(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    path = write_job(tmp_path, WICK_STAR_JOB)
+    code, out, err = run_main(capsys, "--job", path, "--out", str(taken))
+    assert code == PARSE_EXIT and out.endswith("status: ok\n")
+    assert err.count("\n") == 1 and err.startswith("wickjet: cannot write output: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("element", [[YB_RECORD], [Y_RECORD, YB_RECORD]])
+def test_main_rejects_a_non_holomorphic_element(tmp_path, capsys, monkeypatch, element):
+    acted = count_calls(monkeypatch, cli, "rep_act")
+    path = write_job(tmp_path, {
+        "mode": "rep-act", "dim": 1, "trunc": 4,
+        "potential": {"generator": "fubini-study"},
+        "function": [YB_RECORD], "element": element})
+    code, out, err = run_main(capsys, "--job", path)
+    assert code == PARSE_EXIT and not out and not acted
+    assert err.count("\n") == 1 and 'field "element"' in err
+
+
 def test_csv_values_keep_a_zero_real_part():
     for c, text in [(ComplexRational(Fraction(-3, 4)), "-3/4"),
                     (ComplexRational(0), "0"),

@@ -81,6 +81,10 @@ def test_potential_window_and_flag_validation():
         potential(2, 4, {(e(2, 0), e(2, 0)): 1, (e(2, 1), e(2, 1)): 1,
                          (e(2, 0), e(2, 1)): Fraction(1, 2),
                          (e(2, 1), e(2, 0)): Fraction(1, 2)}, normalized=True)
+    # the identity metric plus terms of bidegree (2, 1) and (1, 2), or (2, 0) and (0, 2)
+    for extra in ({((2,), (1,)): 1, ((1,), (2,)): 1}, {((2,), (0,)): 1, ((0,), (2,)): 1}):
+        with pytest.raises(PreconditionError, match="not in normal form"):
+            potential(1, 4, {((1,), (1,)): 1, **extra}, normalized=True)
 
 
 def test_psi_excluded_from_equality():
