@@ -37,7 +37,6 @@ from .cp1 import (
     RationalSymbol,
     ToeplitzMatrix,
     composition_residual,
-    cp1_gram,
     cp1_inner,
     cp1_toeplitz,
     fs_ratio_symbol,
@@ -85,7 +84,6 @@ __all__ = [
     "RationalSymbol",
     "ToeplitzMatrix",
     "cp1_inner",
-    "cp1_gram",
     "cp1_toeplitz",
     "fs_ratio_symbol",
     "symbol_jets",

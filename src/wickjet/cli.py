@@ -250,6 +250,28 @@ def _parse_out(data: dict) -> dict:
     return clean
 
 
+def _output_paths(out: dict, artifacts) -> dict:
+    """The path under ``--out`` of the report and of each named artifact."""
+    return {"report": out.get("report", "report.txt"),
+            **{name: out.get(name, name) for name in artifacts}}
+
+
+def _check_distinct_outputs(out: dict, artifacts) -> None:
+    """Reject a job two of whose outputs resolve to one path: the later
+    write would replace the earlier with no message."""
+    seen = {}
+    for name, value in _output_paths(out, artifacts).items():
+        path = Path(value)
+        if path in seen:
+            raise JobError(f"field \"out\": \"{seen[path]}\" and \"{name}\" "
+                           f"both write {str(path)!r}")
+        seen[path] = name
+
+
+def _composition_file(order: int) -> str:
+    return f"composition-order{order}.csv"
+
+
 def load_job(path) -> JobSpec:
     """Parse and validate one JSON job file into a JobSpec."""
     try:
@@ -307,6 +329,8 @@ def _load_job_data(data: dict) -> JobSpec:
         comp = _field(data, "composition", dict, required=False)
         if comp is not None:
             inputs["composition"] = _parse_composition(comp)
+            _check_distinct_outputs(out, map(_composition_file,
+                                             inputs["composition"]["orders"]))
         return JobSpec(mode, 1, trunc, inputs, out)
 
     dim = _field(data, "dim", int)
@@ -472,8 +496,7 @@ def _run_cp1_verify(job: JobSpec) -> tuple:
                     verdict = (f"slope {shown} vs bound {bound:.1f} "
                                f"{'ok' if good else 'FAILED'}")
                 lines.append(f"  order {order}, element ({p}, {q}): {verdict}")
-            files[f"composition-order{order}.csv"] = \
-                _composition_csv(per_element)
+            files[_composition_file(order)] = _composition_csv(per_element)
     return lines, files, accepted
 
 
@@ -517,13 +540,11 @@ def run(job: JobSpec) -> Report:
 def _write_artifacts(report: Report, job: JobSpec, out_dir) -> None:
     """Write the report, then each artifact, under ``out_dir``, making the
     directories each path needs."""
-    files = [(job.out.get("report", "report.txt"), report.text)]
-    files += [(job.out.get(name, name), content)
-              for name, content in sorted(report.files.items())]
-    for name, content in files:
-        target = Path(out_dir) / name
+    contents = {"report": report.text, **report.files}
+    for name, path in _output_paths(job.out, sorted(report.files)).items():
+        target = Path(out_dir) / path
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(content, encoding="utf-8")
+        target.write_text(contents[name], encoding="utf-8")
 
 
 # Built once, at import: a caller that runs several jobs through ``main`` in

@@ -33,7 +33,6 @@ __all__ = [
     "RationalSymbol",
     "ToeplitzMatrix",
     "cp1_inner",
-    "cp1_gram",
     "cp1_toeplitz",
     "mobius_pullback",
     "composition_residual",
@@ -100,18 +99,6 @@ class FactorialRational:
 
     __rmul__ = __mul__
 
-    def evaluate(self, m: int) -> ComplexRational:
-        """Exact value at a numeric tensor power."""
-        for s in self.den_shifts:
-            if m + s == 0:
-                raise PreconditionError(f"pole at m = {m}")
-        value = self.scalar
-        for s in self.num_shifts:
-            value = value * (m + s)
-        for s in self.den_shifts:
-            value = value * Fraction(1, m + s)
-        return value
-
     def expand_at_infinity(self, order: int) -> WickSeries:
         """Exact coefficients of the expansion in 1/m, with 1/m recorded as h.
 
@@ -155,15 +142,6 @@ def cp1_inner(p: int, q: int) -> FactorialRational:
     if p != q:
         return FactorialRational(0)
     return FactorialRational(math.factorial(p), (0,), range(1 - p, 2))
-
-
-def cp1_gram(m: int, p: int) -> Fraction:
-    """Numeric Gram diagonal; zero beyond the section space."""
-    if m < 1:
-        raise PreconditionError("tensor power must be at least 1")
-    if p > m:
-        return Fraction(0)
-    return cp1_inner(p, p).evaluate(m).re
 
 
 class RationalSymbol:
@@ -234,8 +212,8 @@ class ToeplitzMatrix:
     cell is stored: a term c z^a zbar^b of the symbol fills only the diagonal
     q - p = a - b, and each entry there is its Beta-integral pairing of
     f z^p against z^q divided by the Gram diagonal, formed from consecutive
-    products, never raw factorials.  The Gram-weighted pairing
-    ``entry(q, p) * cp1_gram(m, q)`` is Hermitian for real symbols.
+    products, never raw factorials.  The Gram-weighted pairing, ``entry(q,
+    p)`` times the Gram norm of z^q, is Hermitian for real symbols.
     """
 
     __slots__ = ("m", "symbol")

@@ -29,7 +29,7 @@ only the left factor's y, keep it.  Hence:
 from __future__ import annotations
 
 from .errors import PreconditionError, SolveError
-from .series import WickSeries, bilinear_terms, linear_combination, mi_factorial, unpack
+from .series import WickSeries, bilinear_terms, linear_combination, mi_factorial
 from .wick import classical_exp, wick_star
 
 __all__ = [
@@ -72,8 +72,7 @@ class WeightSeries:
         object.__setattr__(self, "is_real", body.conjugate() == body)
         object.__setattr__(self, "toeplitz_admissible", not body.holomorphic_part())
         object.__setattr__(self, "refined", all(
-            sum(I) != 1 and sum(J) != 1
-            for k2, I, J in (unpack(body.dim, key) for key in body.num) if not k2))
+            i != 1 and j != 1 for k2, i, j in body.bidegrees().values() if not k2))
         object.__setattr__(self, "_exponentials", {})
         object.__setattr__(self, "_symbols", {})
 

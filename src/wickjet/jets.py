@@ -24,15 +24,14 @@ from __future__ import annotations
 import random as _random
 from fractions import Fraction
 from functools import cache
-from math import isqrt, lcm
-from operator import mul
+from itertools import combinations
+from math import factorial, isqrt, lcm
 
 from .coefficients import ComplexRational, random_coefficient, random_rational
 from .errors import PreconditionError, SolveError
 from .integrals import WeightSeries
-from .series import (WickSeries, accumulate, linear_combination, mi_zero, pack,
-                     read_records, total_degree, unpack)
-from .wick import log_series
+from .series import (WickSeries, accumulate, linear_combination, mi_factorial, mi_zero,
+                     pack, read_records, total_degree, unpack)
 
 __all__ = [
     "PotentialJets",
@@ -155,10 +154,8 @@ def _substitute(series: list, subs: list) -> list:
 def _is_normal_form(varphi: WickSeries) -> bool:
     """|z|^2 plus jets of bidegree at least (2, 2): the (1,1) block is the
     identity and every other term has |I| >= 2 and |J| >= 2."""
-    bidegrees = {(sum(I), sum(J)) for _, I, J in
-                 (unpack(varphi.dim, key) for key in varphi.num)}
     return _has_identity_metric(varphi) and all(
-        i >= 2 and j >= 2 or i == j == 1 for i, j in bidegrees)
+        i >= 2 and j >= 2 or i == j == 1 for _, i, j in varphi.bidegrees().values())
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +169,15 @@ class PotentialJets:
     With ``normalized=True`` the normal form is verified at construction, so
     the flag can be trusted downstream.  ``psi`` is then the volume-log jets
     (``trunc = max(order - 2, 0)``), computed on the first read and kept, and
-    None otherwise; it is derived data and is excluded from equality.
+    None otherwise; it is derived data and is excluded from equality.  A
+    generator that knows them in closed form passes them as ``psi``, which
+    is trusted.
     """
 
     __slots__ = ("varphi", "normalized", "_psi")
 
-    def __init__(self, varphi: WickSeries, normalized: bool = False):
+    def __init__(self, varphi: WickSeries, normalized: bool = False,
+                 psi: WickSeries | None = None):
         if not _is_classical(varphi):
             raise PreconditionError(
                 "potential jets must be a WickSeries without h-powers")
@@ -189,7 +189,7 @@ class PotentialJets:
                 "normalized flag set, but the jets are not in normal form")
         object.__setattr__(self, "varphi", varphi)
         object.__setattr__(self, "normalized", bool(normalized))
-        object.__setattr__(self, "_psi", None)
+        object.__setattr__(self, "_psi", psi)
 
     @classmethod
     def from_records(cls, dim: int, order: int, records) -> "PotentialJets":
@@ -322,9 +322,10 @@ def k_normalize(raw: PotentialJets):
             # the terms y^I yb_j of degree d, as -y^I (current is classical)
             part = current.degree_slice(d)
             rows = [{} for _ in range(dim)]
-            for key, (a, b) in part.num.items():
-                k2, I, J = unpack(dim, key)
-                if sum(J) == 1:
+            for key, (_, _, j) in part.bidegrees().items():
+                if j == 1:
+                    k2, I, J = unpack(dim, key)
+                    a, b = part.num[key]
                     rows[J.index(1)][pack(dim, k2, I, zero)] = (-a, -b)
             hs = [part._build(row, part.den) for row in rows]
             subs = [unit + h for unit, h in zip(identity, hs)] \
@@ -458,10 +459,27 @@ def flat_potential(dim: int, order: int) -> PotentialJets:
 
 
 def fubini_study_potential(dim: int, order: int) -> PotentialJets:
-    """Jets of log(1 + |z|^2); already in normal form."""
+    """Jets of log(1 + |z|^2); already in normal form.
+
+    Written from the closed form: log(1 + |y|^2) is the sum over 0 < |I| <=
+    order/2 of (-1)^(|I|+1) (|I|-1)!/I! y^I yb^I, the I enumerated by total
+    degree.  The metric is Kahler-Einstein, so the volume-log jets are
+    -(dim+1) times the potential, attached at construction.
+    """
     if order < 2:
         raise PreconditionError("the Fubini-Study potential needs order >= 2")
-    return PotentialJets(log_series(_norm_squared(dim, order), mul), normalized=True)
+    top = order // 2
+    den = lcm(*range(1, top + 1))
+    num = {}
+    for n in range(1, top + 1):
+        # (n-1)!/I! is the multinomial n!/I! over n
+        weight = (den // n) * (1 if n % 2 else -1) * factorial(n)
+        for bars in combinations(range(n + dim - 1), dim - 1):  # stars and bars
+            index = tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, n + dim - 1)))
+            num[pack(dim, 0, index, index)] = (weight // mi_factorial(index), 0)
+    varphi = WickSeries.zero(dim, order)._build(num, den)
+    return PotentialJets(varphi, normalized=True,
+                         psi=varphi.retruncate(order - 2).scale(-(dim + 1)))
 
 
 def random_real_analytic_potential(seed: int, dim: int,

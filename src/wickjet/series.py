@@ -39,7 +39,8 @@ is k2 itself.
 
 Every sum of several series, ``+`` and ``-`` included, is one
 ``linear_combination`` call, built once; besides it only ``accumulate``
-(record input) and the kernel ``bilinear_terms`` add coefficients by key.
+(record input), the kernel ``bilinear_terms`` and the pointwise
+``exponential`` add coefficients by key.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ __all__ = [
     "accumulate",
     "linear_combination",
     "power_terms",
+    "exponential",
     "bilinear_terms",
     "read_records",
     "WickSeries",
@@ -145,6 +147,13 @@ def linear_combination(parts: list, den: int = 1) -> "WickSeries":
     return first._build(sums, den * common)
 
 
+def _check_positive_degrees(x: "WickSeries") -> None:
+    low = x.min_degree()
+    if low is not None and low < 1:
+        raise PreconditionError(
+            f"a power series needs every term of degree >= 1, found {low}")
+
+
 def power_terms(first, x, product) -> Iterator:
     """``first``, ``first x``, ``first x x``, ... under ``product``, up to the first zero.
 
@@ -153,16 +162,73 @@ def power_terms(first, x, product) -> Iterator:
     past the truncation within ``trunc - min_degree(first) + 1`` steps.  A
     zero x ends the run after ``first`` without forming a product.
     """
-    low = x.min_degree()
-    if low is not None and low < 1:
-        raise PreconditionError(
-            f"a power series needs every term of degree >= 1, found {low}")
+    _check_positive_degrees(x)
     term = first
     while term:
         yield term
         if not x:
             return
         term = product(term, x)
+
+
+def exponential(x: "WickSeries") -> "WickSeries":
+    """``e^x`` under the pointwise product, built one degree slice at a time.
+
+    The degree operator theta (a term of degree d times d) is a derivation
+    of the pointwise product, because keys add, so theta e^x = (theta x) e^x
+    and the slices of e^x are E_0 = 1 and E_d = (1/d) sum_(k=1..d) k x_k
+    E_(d-k), x_k being the degree-k slice of x.  That visits one product's worth of
+    term pairs, where summing powers forms one product per power.  Each
+    slice is kept as integer pairs over its own reduced denominator.  Every
+    term of x must have positive degree (see ``power_terms``), and an output
+    exponent at the limit raises as in ``bilinear_terms``.
+    """
+    _check_positive_degrees(x)
+    top, den = 16 * x.dim, x.den
+    guard = int.from_bytes(b"\x80" * (2 * x.dim), "big")
+    by_degree: dict = {}
+    for row in x._sorted_rows():
+        by_degree.setdefault(row[0] >> top, []).append(row)
+    slices = {0: ([(0, 1, 0)], 1)}  # degree -> (rows, den); key 0 is the term 1
+    for d in range(1, x.trunc + 1):
+        parts = [(k, rows, slices[d - k]) for k, rows in by_degree.items()
+                 if d - k in slices]
+        if not parts:
+            continue
+        common = lcm(*(den_e for _, _, (_, den_e) in parts))
+        sums: dict = {}
+        get = sums.get
+        for k, rows_x, (rows_e, den_e) in parts:
+            scale = k * (common // den_e)
+            for key_x, a, b in rows_x:
+                a, b = a * scale, b * scale
+                for key_e, c, e in rows_e:
+                    key = key_x + key_e
+                    re, im = a * c - b * e, a * e + b * c
+                    acc = get(key)
+                    if acc is None:
+                        sums[key] = [re, im]
+                    else:
+                        acc[0] += re
+                        acc[1] += im
+        if reduce(or_, sums, 0) & guard:
+            raise PreconditionError(
+                f"a product reaches the exponent limit {EXPONENT_LIMIT}")
+        g = d * den * common
+        for a, b in sums.values():
+            if g == 1:
+                break
+            g = gcd(g, a, b)
+        rows = [(key, a // g, b // g) for key, (a, b) in sums.items() if a or b]
+        if rows:
+            slices[d] = (rows, d * den * common // g)
+    # over the lcm of reduced slices the gcd is 1, so the sum is canonical
+    common = lcm(*(den_e for _, den_e in slices.values()))
+    num = {key: (a * (common // den_e), b * (common // den_e))
+           for rows, den_e in slices.values() for key, a, b in rows}
+    series = object.__new__(WickSeries)
+    series._store(x.dim, x.trunc, common, num)
+    return series
 
 
 # The exact kernel.  Every bilinear operation (the pointwise product,
@@ -468,6 +534,26 @@ class WickSeries:
         low, high = degree << top, (degree + 1) << top
         picked = {k: v for k, v in self.num.items() if low <= k < high}
         return self._build(picked, self.den)
+
+    def bidegrees(self) -> dict:
+        """``{key: (k2, |I|, |J|)}``: each term's doubled h-exponent and its
+        degrees in y and in yb.  The byte sum of each key half is taken once
+        per distinct half, which terms share."""
+        dim = self.dim
+        half = 8 * dim
+        low = (1 << half) - 1
+        sums: dict = {}
+        get = sums.get
+        out = {}
+        for key in self.num:
+            i = get(upper := key >> half & low)
+            if i is None:
+                i = sums[upper] = sum(upper.to_bytes(dim, "big"))
+            j = get(lower := key & low)
+            if j is None:
+                j = sums[lower] = sum(lower.to_bytes(dim, "big"))
+            out[key] = ((key >> 2 * half) - i - j, i, j)
+        return out
 
     def h_powers(self) -> set:
         """The doubled h-exponents k2 of the terms: degree minus byte sum."""

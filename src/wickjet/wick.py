@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from itertools import product as _cartesian
 from math import comb, factorial, lcm
-from operator import mul
 
 from .errors import PreconditionError
-from .series import WickSeries, bilinear_terms, linear_combination, power_terms
+from .series import WickSeries, bilinear_terms, exponential, linear_combination, power_terms
 
 __all__ = [
     "wick_star",
@@ -87,18 +86,19 @@ def classical_exp(x: WickSeries) -> WickSeries:
     """Pointwise exponential series of x; needs min degree >= 1.
 
     e^(w/h) is ``classical_exp(w.hbar_shift(-2))`` for w of degree >= 3.
+    One pass over the degree slices (``series.exponential``) forms no power.
     """
-    return _exp_series(x, mul)
+    return exponential(x)
 
 
 def star_exp(x: WickSeries) -> WickSeries:
-    """Exponential with respect to the star product; needs min degree >= 1."""
-    return _exp_series(x, wick_star)
+    """Exponential with respect to the star product; needs min degree >= 1.
 
-
-def _exp_series(x: WickSeries, product) -> WickSeries:
-    """``sum_j x^j / j!``: weights n!/j! over n!, for the n nonzero powers."""
-    powers = [WickSeries.unit(x.dim, x.trunc), *power_terms(x, x, product)]
+    ``sum_j x^j / j!``: weights n!/j! over n!, for the n nonzero powers.  The
+    degree recurrence of ``classical_exp`` does not carry over: x and its
+    degree derivative do not star-commute.
+    """
+    powers = [WickSeries.unit(x.dim, x.trunc), *power_terms(x, x, wick_star)]
     top = factorial(len(powers) - 1)
     return linear_combination([(power, (top // factorial(j), 0))
                                for j, power in enumerate(powers)], top)

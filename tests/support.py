@@ -26,7 +26,7 @@ import numpy as np
 import sympy as sp
 
 from wickjet.coefficients import ComplexRational, format_complex
-from wickjet.cp1 import RationalSymbol
+from wickjet.cp1 import FactorialRational, RationalSymbol, cp1_inner
 from wickjet.errors import PreconditionError
 from wickjet.integrals import WeightSeries, formal_integral
 from wickjet.jets import PotentialJets, _diagonalizing_change, _one_one_matrix
@@ -382,6 +382,29 @@ def oracle_fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
 
 # ---------------------------------------------------------------------------
 # dense CP^1 Toeplitz oracle
+
+
+def evaluate_factorial(x: FactorialRational, m: int) -> ComplexRational:
+    """Exact value of a ``FactorialRational`` at a numeric tensor power."""
+    for s in x.den_shifts:
+        if m + s == 0:
+            raise PreconditionError(f"pole at m = {m}")
+    value = x.scalar
+    for s in x.num_shifts:
+        value = value * (m + s)
+    for s in x.den_shifts:
+        value = value * Fraction(1, m + s)
+    return value
+
+
+def cp1_gram(m: int, p: int) -> Fraction:
+    """Numeric Gram diagonal <z^p, z^p> at tensor power m; zero beyond the
+    section space."""
+    if m < 1:
+        raise PreconditionError("tensor power must be at least 1")
+    if p > m:
+        return Fraction(0)
+    return evaluate_factorial(cp1_inner(p, p), m).re
 
 
 def dense_cp1_toeplitz(m: int, symbol) -> list:

@@ -10,7 +10,7 @@ import inspect
 import time
 from fractions import Fraction
 
-from wickjet.cp1 import cp1_gram, cp1_toeplitz, fs_ratio_symbol
+from wickjet.cp1 import cp1_toeplitz, fs_ratio_symbol
 from wickjet.suites import (
     SUITES,
     composition_decay_suite,
@@ -24,6 +24,8 @@ from wickjet.suites import (
     single_operator_suite,
     wick_core_suite,
 )
+
+from support import cp1_gram
 
 SEED = 20260825
 

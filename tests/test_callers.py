@@ -11,8 +11,6 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # definitions kept without a caller, each for a stated reason
 ALLOWED = {
-    # the closed-form Gram reference of the CP^1 acceptance tests
-    "cp1_gram",
     # the base-point oracle of ROADMAP items 1 and 3 pulls symbols through it
     "mobius_pullback",
 }
@@ -57,8 +55,7 @@ def uncalled(package: list, callers: list, tracer: ast.AST) -> list:
     own names too.  The scan matches names, not objects, and any read
     counts, even one inside a definition nothing calls.  So a shared name
     hides an unused method: the weight attribute ``is_real`` that ``btrep``
-    reads would hide an unused ``is_real`` method on any class, and
-    ``FactorialRational.evaluate`` passes because ``cp1_gram`` reads it.
+    reads would hide an unused ``is_real`` method on any class.
     Operators call dunders, which the scan leaves out.
     """
     read = _tracer_targets(tracer)

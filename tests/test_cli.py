@@ -302,6 +302,28 @@ def test_main_rejects_an_out_path_that_names_no_file(tmp_path, capsys, name):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("orders, names, clash", [
+    ([0], {"report": "composition-order0.csv"}, "composition-order0.csv"),
+    ([0], {"report": "./composition-order0.csv"}, "composition-order0.csv"),
+    ([0], {"composition-order0.csv": "report.txt"}, "report.txt"),
+    ([0, 1], {"composition-order0.csv": "a/x.csv",
+              "composition-order1.csv": "a//./x.csv"}, "a/x.csv"),
+    ([0, 1], {"composition-order0.csv": "composition-order1.csv"},
+     "composition-order1.csv"),
+])
+def test_main_rejects_two_outputs_on_one_path(tmp_path, capsys, monkeypatch,
+                                              orders, names, clash):
+    ran = count_calls(monkeypatch, cli, "run")
+    path = write_job(tmp_path, {
+        "mode": "cp1-verify", "max_p": 0, "max_order": 1, "out": names,
+        "composition": {"orders": orders, "ms": [8, 16], "elements": [[0, 0]]}})
+    code, out, err = run_main(capsys, "--job", path, "--out", str(tmp_path / "o"))
+    assert code == PARSE_EXIT and not out and not ran
+    assert err.count("\n") == 1 and 'field "out": ' in err
+    assert f"both write {clash!r}" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_main_reports_an_unwritable_out_directory(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("a file, not a directory")

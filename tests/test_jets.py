@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -97,7 +98,7 @@ def test_psi_is_computed_on_first_read_and_kept(monkeypatch):
     calls = count_calls(monkeypatch, jets_module, "volume_log_jets")
     raw = random_real_analytic_potential(3, 2, 6)
     normalized, coords, frame = k_normalize(raw)
-    cases = [fubini_study_potential(3, 6),
+    cases = [PotentialJets(fubini_study_potential(3, 6).varphi, normalized=True),
              apply_normalization(raw, coords, frame),
              PotentialJets(normalized.varphi, normalized=True),
              normalized]
@@ -121,6 +122,28 @@ def test_fubini_study_frozen_jets():
                                     ((2,), (2,)): Fraction(-1, 2),
                                     ((3,), (3,)): Fraction(1, 3)})
     assert fs.psi == jets(1, 4, {((1,), (1,)): -2, ((2,), (2,)): 1})
+
+
+@pytest.mark.parametrize("dim, top", [(1, 12), (2, 12), (3, 8), (4, 8)])
+def test_fubini_study_is_kahler_einstein(dim, top):
+    """log det g = -(n+1) varphi on CP^n: the attached psi and the trace-log
+    of the same jets both give it, at every order through ``top``."""
+    for order in range(2, top + 1):
+        fs = fubini_study_potential(dim, order)
+        expected = fs.varphi.retruncate(order - 2).scale(-(dim + 1))
+        assert fs.psi == expected
+        assert volume_log_jets(PotentialJets(fs.varphi, normalized=True)) == expected
+
+
+def test_fubini_study_jets_are_written_by_total_degree():
+    """dim 8, order 16 has 12869 jets; the box of exponents up to order/2
+    has 9^8 = 43M points."""
+    start = time.perf_counter()
+    fs = fubini_study_potential(8, 16)
+    assert time.perf_counter() - start < 2
+    assert len(fs.varphi) == 12869 and len(fs.psi) == 6434
+    assert fs.varphi.coefficient(0, (2, 1, 0, 0, 0, 0, 0, 1), (2, 1, 0, 0, 0, 0, 0, 1)) \
+        == -3  # (-1)^(4+1) 3!/(2! 1! 1!)
 
 
 def test_flat_potential_volume_log_is_zero():

@@ -1,10 +1,14 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
+from wickjet import series
 from wickjet.coefficients import ComplexRational
 from wickjet.errors import PreconditionError
+from wickjet.jets import (fubini_study_potential, k_normalize,
+                          random_real_analytic_potential, weight_series)
 from wickjet.series import WickSeries, total_degree
 from wickjet.wick import (
     classical_exp,
@@ -16,12 +20,15 @@ from wickjet.wick import (
 )
 
 from support import (
+    hseries,
     oracle_fock_act,
     oracle_star,
+    random_coefficient,
     random_holomorphic,
     random_monomial,
     random_series,
     random_weight_body,
+    reference_exp_series,
 )
 
 
@@ -229,6 +236,71 @@ def test_classical_exp_degree_guard():
         classical_exp(mono(1, 4, 1, 0, (1,), (1,)).hbar_shift(-2))
     with pytest.raises(PreconditionError):
         classical_exp(WickSeries.unit(1, 4))
+
+
+def _exponent_inputs(dim: int) -> list:
+    """Seeded inputs of positive degree: complex coefficients, negative k2
+    at degree >= 1, a single term and zero."""
+    rng = random.Random(131 + dim)
+    if dim == 0:
+        cases = [hseries(6, {k2: random_coefficient(rng) for k2 in rng.sample(range(1, 7), 3)})
+                 for _ in range(6)]
+    else:
+        cases = [random_series(rng, dim, trunc, n_terms=rng.randint(2, 5), min_degree=1,
+                               even_k2_only=False, k2_min=-4)
+                 for trunc in (4, 6, 8) for _ in range(4)]
+        assert any(k2 < 0 for x in cases for k2, _, _ in x.terms)
+        cases.append(random_series(rng, dim, 6, n_terms=1, min_degree=1))
+        assert len(cases[-1]) == 1
+    assert any(c.im for x in cases for c in x.terms.values())
+    return cases + [WickSeries.zero(dim, 6)]
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 3])
+def test_classical_exp_equals_the_power_series(dim):
+    for x in _exponent_inputs(dim):
+        assert classical_exp(x) == reference_exp_series(x, operator.mul)
+    assert classical_exp(WickSeries.zero(dim, 6)) == WickSeries.unit(dim, 6)
+
+
+def _weights() -> list:
+    potentials = [fubini_study_potential(1, 12), fubini_study_potential(2, 8),
+                  fubini_study_potential(3, 6)]
+    potentials += [k_normalize(random_real_analytic_potential(seed, dim, 6))[0]
+                   for seed, dim in ((1, 1), (2, 2), (3, 3))]
+    return [weight_series(p, p.order) for p in potentials]
+
+
+def test_classical_exp_of_weights_equals_the_power_series():
+    for w in _weights():
+        for sign in (1, -1):
+            x = w.body.scale(sign).hbar_shift(-2)
+            assert classical_exp(x) == reference_exp_series(x, operator.mul)
+
+
+def test_classical_exp_forms_no_product(monkeypatch):
+    inputs = [x for dim in range(4) for x in _exponent_inputs(dim)]
+    inputs += [w.body.hbar_shift(-2) for w in _weights()]
+    expected = [reference_exp_series(x, operator.mul) for x in inputs]
+
+    def refuse(*args):
+        raise AssertionError("classical_exp formed a product")
+    monkeypatch.setattr(series, "bilinear_terms", refuse)
+    monkeypatch.setattr(WickSeries, "__mul__", refuse)
+    assert [classical_exp(x) for x in inputs] == expected
+
+
+def test_classical_exp_raises_at_the_exponent_limit_as_the_kernel_does():
+    # h^(-63/2) y^64 has degree 1; its square reaches y^128 at degree 2
+    x = mono(1, 2, 1, -63, (64,), (0,))
+    with pytest.raises(PreconditionError, match="exponent limit 128") as kernel:
+        x * x
+    with pytest.raises(PreconditionError) as exponential:
+        classical_exp(x)
+    assert str(exponential.value) == str(kernel.value)
+    # one step below the limit: y^126 is kept
+    below = mono(1, 2, 1, -62, (63,), (0,))
+    assert classical_exp(below) == reference_exp_series(below, operator.mul)
 
 
 def test_star_log_of_central_series():
