@@ -97,8 +97,8 @@ class ComplexRational:
     def __init__(self, re=0, im=0):
         # A part that is exactly a Fraction is kept as it is; any other
         # value goes through Fraction().
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        _SET_RE(self, re if type(re) is Fraction else Fraction(re))
+        _SET_IM(self, im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("ComplexRational is immutable")
@@ -187,6 +187,9 @@ class ComplexRational:
 
     def __str__(self) -> str:
         return format_complex(format_rational(self.re), format_rational(self.im))
+
+
+_SET_RE, _SET_IM = ComplexRational.re.__set__, ComplexRational.im.__set__  # past the guard
 
 
 def random_rational(rng, bound: int = 6, max_den: int = 4) -> Fraction:

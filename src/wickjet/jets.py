@@ -295,43 +295,39 @@ def k_normalize(raw: PotentialJets):
     """Normal-form coordinates and frame at the marked point.
 
     Returns ``(normalized, coord_change, frame_change)``: the normalized
-    potential (volume-log jets attached), a tuple of holomorphic series
-    expressing the original coordinates in the new ones, and the holomorphic
-    frame series G with ``raw o coord_change - G - conj(G) == normalized``.
-    The coordinate change is found degree by degree from the mixed terms.
-    A holomorphic change keeps pure (anti)holomorphic terms pure, so G is
-    read off once at the end: the holomorphic part of the substituted
-    potential, with its real constant halved.
+    potential, a tuple of holomorphic series expressing the original
+    coordinates in the new ones, and the holomorphic frame series G with
+    ``raw o coord_change - G - conj(G) == normalized``.  The coordinate
+    change is found degree by degree from the mixed terms; a degree without
+    them builds none.  A holomorphic change keeps pure (anti)holomorphic
+    terms pure, so G is read off once at the end: the holomorphic part of
+    the substituted potential, with its real constant halved.  A potential
+    left unchanged keeps its attached volume-log jets, which depend on it alone.
     """
     if raw.order < 2:
         raise PreconditionError("normalization needs jets at least to order 2")
     dim, order = raw.dim, raw.order
     zero = mi_zero(dim)
     current = raw.varphi
-    identity = _identity_coords(dim, order)
-    coords = identity
-    for d in range(2, order + 1):
-        if d == 2:
-            change = None if _has_identity_metric(current) else \
-                _diagonalizing_change(_one_one_matrix(current, dim), dim)
-            subs = None if change is None else [
-                WickSeries(dim, order, {(0, _unit(dim, j), zero): change[i][j]
-                                        for j in range(dim)})
-                for i in range(dim)]
-        else:
-            # the terms y^I yb_j of degree d, as -y^I (current is classical)
-            part = current.degree_slice(d)
-            rows = [{} for _ in range(dim)]
-            for key, (_, _, j) in part.bidegrees().items():
-                if j == 1:
-                    k2, I, J = unpack(dim, key)
-                    a, b = part.num[key]
-                    rows[J.index(1)][pack(dim, k2, I, zero)] = (-a, -b)
-            hs = [part._build(row, part.den) for row in rows]
-            subs = [unit + h for unit, h in zip(identity, hs)] \
-                if any(hs) else None
-        if subs is not None:
-            current, *coords = _substitute([current, *coords], subs)
+    identity = coords = _identity_coords(dim, order)
+    if not _has_identity_metric(current):
+        change = _diagonalizing_change(_one_one_matrix(current, dim), dim)
+        current, *coords = _substitute([current, *coords], [
+            WickSeries(dim, order, {(0, _unit(dim, j), zero): change[i][j] for j in range(dim)})
+            for i in range(dim)])
+    for d in range(3, order + 1):
+        # the terms y^I yb_j of degree d, as -y^I (current is classical)
+        part = current.degree_slice(d)
+        rows = [{} for _ in range(dim)]
+        for key, (_, _, j) in part.bidegrees().items():
+            if j == 1:
+                k2, I, J = unpack(dim, key)
+                a, b = part.num[key]
+                rows[J.index(1)][pack(dim, k2, I, zero)] = (-a, -b)
+        if any(rows):
+            current, *coords = _substitute([current, *coords], [
+                unit + part._build(row, part.den) if row else unit
+                for unit, row in zip(identity, rows)])
     # later changes are the identity to first order, so the (1,1) block
     # stays as the degree-2 round left it
     if not _has_identity_metric(current):
@@ -340,7 +336,8 @@ def k_normalize(raw: PotentialJets):
     frame = holomorphic - holomorphic.coefficient(0) / 2
     normalized = linear_combination(
         [(current, (1, 0)), (frame, (-1, 0)), (frame.conjugate(), (-1, 0))])
-    return PotentialJets(normalized, normalized=True), tuple(coords), frame
+    psi = raw._psi if normalized == raw.varphi else None
+    return PotentialJets(normalized, normalized=True, psi=psi), tuple(coords), frame
 
 
 def apply_normalization(raw: PotentialJets, coord_change, frame_change) -> PotentialJets:
@@ -397,32 +394,34 @@ def volume_log_jets(p: PotentialJets) -> WickSeries:
                         scalar = I[i] * J[j]
                         rest[i][j][key - step] = (a * scalar, b * scalar)
     zero = WickSeries.zero(dim, r2)
-    x = [[zero._build(terms, varphi.den) for terms in row] for row in rest]
+    # X and its powers as rows {l: entry} that hold only the nonzero entries
+    x = [{j: zero._build(terms, varphi.den) for j, terms in enumerate(row) if terms}
+         for row in rest]
 
-    def products(row: list, right: list, j: int) -> list:
+    def products(row: dict, right: list, j: int) -> list:
         """The nonzero products whose sum is entry j of ``row`` times ``right``."""
-        return [row[l] * right[l][j] for l in range(dim) if row[l] and right[l][j]]
+        return [s * right[l][j] for l, s in row.items() if j in right[l]]
 
-    def entry(row: list, right: list, j: int) -> WickSeries:
-        parts = [(s, (1, 0)) for s in products(row, right, j)]
-        return linear_combination(parts) if parts else zero
+    def entry(row: dict, j: int) -> WickSeries | None:  # None if no product reaches it
+        parts = [(s, (1, 0)) for s in products(row, x, j)]
+        return linear_combination(parts) if parts else None
 
     # X^k has degree at least k times the least degree of X
-    lowest = min((s.min_degree() for row in x for s in row if s), default=r2 + 1)
+    lowest = min((s.min_degree() for row in x for s in row.values()), default=r2 + 1)
     last = r2 // lowest
     # full powers up to X^half; tr(X^k) = tr(X^half X^(k - half)) beyond
     half = (last + 1) // 2
     powers = [x]
     while len(powers) < half:
-        powers.append([[entry(row, x, j) for j in range(dim)]
+        powers.append([{j: s for j in range(dim) if (s := entry(row, j))}
                        for row in powers[-1]])
     den = lcm(*range(1, last + 1))
     parts = []  # the series summing to each tr(X^k), weighted by (-1)^(k+1) / k
     for k in range(1, last + 1):
-        trace = [powers[k - 1][i][i] for i in range(dim)] if k <= half else [
+        trace = [row.get(i) for i, row in enumerate(powers[k - 1])] if k <= half else [
             s for i in range(dim)
             for s in products(powers[half - 1][i], powers[k - half - 1], i)]
-        parts += [(s, ((-1) ** (k + 1) * den // k, 0)) for s in trace]
+        parts += [(s, ((-1) ** (k + 1) * den // k, 0)) for s in trace if s]
     return linear_combination(parts, den) if parts else zero
 
 

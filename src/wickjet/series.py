@@ -226,9 +226,7 @@ def exponential(x: "WickSeries") -> "WickSeries":
     common = lcm(*(den_e for _, den_e in slices.values()))
     num = {key: (a * (common // den_e), b * (common // den_e))
            for rows, den_e in slices.values() for key, a, b in rows}
-    series = object.__new__(WickSeries)
-    series._store(x.dim, x.trunc, common, num)
-    return series
+    return object.__new__(WickSeries)._store(x.dim, x.trunc, common, num)
 
 
 # The exact kernel.  Every bilinear operation (the pointwise product,
@@ -409,8 +407,8 @@ class WickSeries:
                                       c.im.numerator * (den // c.im.denominator))
                                 for key, c in zip(keys, coeffs.values())}, den)
 
-    def _fill(self, dim: int, trunc: int, num: Mapping, den: int) -> None:
-        """Store ``num`` over ``den`` canonically, dropping terms past ``trunc``.
+    def _fill(self, dim: int, trunc: int, num: Mapping, den: int) -> "WickSeries":
+        """Store ``num`` over ``den`` canonically, dropping terms past ``trunc``; return self.
 
         The keys are trusted: ``__init__`` and ``read_records`` check the
         multi-indices of outside input, and the kernel checks its outputs
@@ -430,21 +428,23 @@ class WickSeries:
         if common != 1:
             den //= common
             kept = {key: (a // common, b // common) for key, (a, b) in kept.items()}
-        self._store(dim, trunc, den, kept)
+        return self._store(dim, trunc, den, kept)
 
-    def _store(self, dim: int, trunc: int, den: int, num: dict) -> None:
-        """Set the slots from ``num`` over ``den``, already canonical."""
-        for name, value in zip(self.__slots__,
-                               (dim, trunc, den, num, None, None)):
-            object.__setattr__(self, name, value)
+    def _store(self, dim: int, trunc: int, den: int, num: dict) -> "WickSeries":
+        """Set the slots from ``num`` over ``den``, already canonical; return self."""
+        _SET_DIM(self, dim)
+        _SET_TRUNC(self, trunc)
+        _SET_DEN(self, den)
+        _SET_NUM(self, num)
+        _SET_ROWS(self, None)
+        _SET_TERMS(self, None)
+        return self
 
     def _build(self, num: Mapping, den: int, dim: int | None = None,
                trunc: int | None = None) -> "WickSeries":
         """A series through ``_fill``, of this one's dim and trunc unless given."""
-        series = object.__new__(WickSeries)
-        series._fill(self.dim if dim is None else dim,
-                     self.trunc if trunc is None else trunc, num, den)
-        return series
+        return object.__new__(WickSeries)._fill(self.dim if dim is None else dim,
+                                                self.trunc if trunc is None else trunc, num, den)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("WickSeries is immutable")
@@ -484,7 +484,7 @@ class WickSeries:
         """
         if self._terms is None:
             dim, den = self.dim, self.den
-            object.__setattr__(self, "_terms", MappingProxyType(dict(sorted(
+            _SET_TERMS(self, MappingProxyType(dict(sorted(
                 (unpack(dim, key), ComplexRational(Fraction(a, den),
                                                    Fraction(b, den) if b else _ZERO))
                 for key, (a, b) in self.num.items()))))
@@ -493,8 +493,7 @@ class WickSeries:
     def _sorted_rows(self) -> list:
         """``(key, a, b)`` per term by key, so by degree; kept for the next product."""
         if self._rows is None:
-            object.__setattr__(self, "_rows", [
-                (key, a, b) for key, (a, b) in sorted(self.num.items())])
+            _SET_ROWS(self, [(key, a, b) for key, (a, b) in sorted(self.num.items())])
         return self._rows
 
     def coefficient(self, k2: int, I: MultiIndex | None = None,
@@ -646,9 +645,7 @@ class WickSeries:
         for key, (a, b) in self.num.items():
             both = key & fields
             flipped[key ^ both ^ ((both & low) << half | both >> half)] = (a, -b)
-        series = object.__new__(WickSeries)
-        series._store(self.dim, self.trunc, self.den, flipped)
-        return series
+        return object.__new__(WickSeries)._store(self.dim, self.trunc, self.den, flipped)
 
     def hbar_shift(self, dk2: int) -> "WickSeries":
         """Multiply by h^(dk2/2); dk2 may be negative or odd."""
@@ -743,8 +740,7 @@ class WickSeries:
         """Read term records (see ``read_records``); a key that does not fit
         ``dim`` raises, and so does a kept term of degree below ``lower_bound``."""
         num, den = read_records(records, dim)
-        series = object.__new__(cls)
-        series._fill(dim, trunc, num, den)
+        series = object.__new__(cls)._fill(dim, trunc, num, den)
         top = 16 * dim
         for key in series.num:
             if key >> top < lower_bound:
@@ -752,6 +748,10 @@ class WickSeries:
                     f"term {unpack(dim, key)} has degree {key >> top} "
                     f"< lower bound {lower_bound}")
         return series
+
+
+_SET_DIM, _SET_TRUNC, _SET_DEN, _SET_NUM, _SET_ROWS, _SET_TERMS = (  # past the guard
+    WickSeries.__dict__[name].__set__ for name in WickSeries.__slots__)
 
 
 def _text(dim: int, items: list) -> str:

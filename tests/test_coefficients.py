@@ -29,6 +29,16 @@ def test_construction_and_equality():
     assert ComplexRational(1, 1) != 1
 
 
+def test_every_slot_is_guarded():
+    a = ComplexRational(Fraction(1, 2), -3)
+    for name in ComplexRational.__slots__:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(a, name, Fraction(5))
+    with pytest.raises(AttributeError, match="immutable"):
+        a.extra = 1
+    assert (a.re, a.im) == (Fraction(1, 2), -3)
+
+
 def test_exact_fraction_parts_are_kept_and_others_converted():
     third = Fraction(1, 3)
     a = ComplexRational(third, third)

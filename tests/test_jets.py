@@ -111,6 +111,31 @@ def test_psi_is_computed_on_first_read_and_kept(monkeypatch):
         assert psi == permutation_volume_log(p.varphi)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_k_normalize_keeps_the_psi_of_a_potential_it_leaves_unchanged(dim):
+    fs = fubini_study_potential(dim, 6)
+    normalized = k_normalize(fs)[0]
+    assert normalized.varphi == fs.varphi and normalized.psi is fs.psi
+    assert normalized.psi == volume_log_jets(PotentialJets(fs.varphi, normalized=True))
+
+
+def test_k_normalize_computes_a_psi_it_was_not_given(monkeypatch):
+    """A raw potential, one that normalization changes though it carries
+    jets as psi, and normal-form jets read without their psi."""
+    fs = fubini_study_potential(2, 6)
+    raw = random_real_analytic_potential(3, 2, 6)
+    cases = [raw, PotentialJets(raw.varphi, psi=fs.psi),
+             PotentialJets.from_records(2, 6, written_records(fs.varphi, "k2"))]
+    assert cases[2].varphi == fs.varphi and not cases[2].normalized
+    calls = count_calls(monkeypatch, jets_module, "volume_log_jets")
+    for count, raw in enumerate(cases, start=1):
+        normalized = k_normalize(raw)[0]
+        assert len(calls) == count - 1
+        assert normalized.psi == permutation_volume_log(normalized.varphi)
+        assert len(calls) == count
+    assert normalized.psi == fs.psi
+
+
 # ---------------------------------------------------------------------------
 # built-in potentials
 
@@ -149,6 +174,29 @@ def test_fubini_study_jets_are_written_by_total_degree():
 def test_flat_potential_volume_log_is_zero():
     assert volume_log_jets(flat_potential(2, 6)) == WickSeries.zero(2, 4)
     assert flat_potential(2, 6).psi == WickSeries.zero(2, 4)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_flat_potential_volume_log_is_exactly_zero_at_every_order(dim):
+    for order in range(2, 9):
+        assert volume_log_jets(flat_potential(dim, order)) == WickSeries.zero(dim, order - 2)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_volume_log_of_a_product_with_a_flat_factor(seed):
+    """varphi1(y1) + |y2|^2 at order 10: X has an empty row and column, and
+    the traces of X^k past X^half come from products of two powers.  psi is
+    the factor's, embedded in dim 2."""
+    factor = k_normalize(random_real_analytic_potential(seed, 1, 10))[0]
+
+    def embedded(s):
+        return WickSeries(2, s.trunc, {(k2, (*I, 0), (*J, 0)): c
+                                       for (k2, I, J), c in s.terms.items()})
+    product = PotentialJets(embedded(factor.varphi) + jets(2, 10, {((0, 1), (0, 1)): 1}),
+                            normalized=True)
+    psi = volume_log_jets(product)
+    assert psi and psi == embedded(factor.psi)
+    assert factor.psi == permutation_volume_log(factor.varphi)
 
 
 def test_fubini_study_n2_volume_log():

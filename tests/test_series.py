@@ -16,7 +16,8 @@ from wickjet.errors import (
     PreconditionError,
     TruncationMismatch,
 )
-from wickjet.series import WickSeries, mi_factorial, pack, power_terms, total_degree, unpack
+from wickjet.series import (WickSeries, exponential, linear_combination, mi_factorial, pack,
+                            power_terms, total_degree, unpack)
 
 from support import hseries, iter_multi_indices, random_series, written_records
 
@@ -102,6 +103,31 @@ def test_terms_is_a_read_only_view():
     assert len(view) == 2 and sorted(view) == [key, (2, (0,), (0,))]
     assert frozenset(view.items()) == frozenset(dict(view).items())
     assert s.coefficient(*key) == Fraction(1, 2)
+
+
+def test_every_slot_is_guarded_on_every_construction_path():
+    """However a series is built, assigning a slot raises, and the cached
+    rows and ``terms`` view are filled once and kept."""
+    x = random_series(random.Random(32), 2, 6, n_terms=5, min_degree=1)
+    assert x and x.min_degree() >= 1
+    built = {
+        "__init__": WickSeries(2, 6, {(0, (1, 0), (0, 1)): ComplexRational(1, 2)}),
+        "_build": x._build({pack(2, 0, (1, 1), (0, 0)): (3, 1)}, 2),
+        "linear_combination": linear_combination([(x, (1, 0)), (x.conjugate(), (2, 0))]),
+        "conjugate": x.conjugate(),
+        "exponential": exponential(x),
+    }
+    for path, s in built.items():
+        assert s._rows is None and s._terms is None, path
+        rows, terms = s._sorted_rows(), s.terms
+        assert s._sorted_rows() is rows and s.terms is terms, path
+        for name in WickSeries.__slots__:
+            before = getattr(s, name)
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(s, name, None)
+            assert getattr(s, name) is before, (path, name)
+        with pytest.raises(AttributeError, match="immutable"):
+            s.extra = 1
 
 
 def test_every_exported_name_exists():
