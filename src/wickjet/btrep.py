@@ -23,6 +23,7 @@ from .errors import (
     PreconditionError,
     SolveError,
     TruncationMismatch,
+    Value,
 )
 from .integrals import (WeightSeries, antiholomorphic_symbol, holomorphic_symbol,
                         toeplitz_symbol)
@@ -38,7 +39,7 @@ __all__ = [
 ]
 
 
-class BTContext:
+class BTContext(Value):
     """Immutable evaluation context: a verified weight plus its window."""
 
     __slots__ = ("weight", "dim", "trunc")
@@ -47,24 +48,14 @@ class BTContext:
         if not (weight.is_real and weight.toeplitz_admissible and weight.refined):
             raise PreconditionError(
                 "context weight must be real, admissible and refined")
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "dim", weight.dim)
-        object.__setattr__(self, "trunc", weight.trunc)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("BTContext is immutable")
+        self._init(weight=weight, dim=weight.dim, trunc=weight.trunc)
 
     @classmethod
     def from_potential(cls, p, trunc: int) -> "BTContext":
         return cls(weight_series(p, trunc))
 
-    def __eq__(self, other):
-        if not isinstance(other, BTContext):
-            return NotImplemented
-        return self.weight == other.weight
-
-    def __hash__(self):
-        return hash(self.weight)
+    def _key(self):
+        return self.weight
 
     def __repr__(self):
         return f"BTContext(dim={self.dim}, trunc={self.trunc})"

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from math import gcd
 
-from .errors import WickjetError
+from .errors import Value, WickjetError
 
 __all__ = ["ComplexRational", "parse_rational", "format_rational",
            "format_complex", "LITERAL_DIGITS", "literal_digits",
@@ -81,7 +81,7 @@ def format_complex(re: str, im: str) -> str:
     return f"{re}{im}i" if im[0] == "-" else f"{re}+{im}i"
 
 
-class ComplexRational:
+class ComplexRational(Value):
     """An exact complex number with rational real and imaginary parts.
 
     Immutable; supports the arithmetic the series kernel needs (ring
@@ -99,9 +99,6 @@ class ComplexRational:
         # value goes through Fraction().
         _SET_RE(self, re if type(re) is Fraction else Fraction(re))
         _SET_IM(self, im if type(im) is Fraction else Fraction(im))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("ComplexRational is immutable")
 
     # -- constructors -------------------------------------------------
 

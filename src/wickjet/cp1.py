@@ -25,7 +25,7 @@ import statistics
 from fractions import Fraction
 
 from .coefficients import ComplexRational
-from .errors import PreconditionError
+from .errors import PreconditionError, Value
 from .series import WickSeries, linear_combination, unpack
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
 _ZERO = ComplexRational(0)
 
 
-class FactorialRational:
+class FactorialRational(Value):
     """scalar * prod(m + a_i) / prod(m + b_j): an exact rational function of m.
 
     The shift multisets stay cancelled against each other, so equality of the
@@ -68,24 +68,13 @@ class FactorialRational:
             num, den = keep_num, keep_den
         else:
             num, den = [], []
-        object.__setattr__(self, "scalar", scalar)
-        object.__setattr__(self, "num_shifts", tuple(num))
-        object.__setattr__(self, "den_shifts", tuple(sorted(den)))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("FactorialRational is immutable")
+        self._init(scalar=scalar, num_shifts=tuple(num), den_shifts=tuple(sorted(den)))
 
     def __bool__(self) -> bool:
         return bool(self.scalar)
 
-    def __eq__(self, other):
-        if not isinstance(other, FactorialRational):
-            return NotImplemented
-        return (self.scalar, self.num_shifts, self.den_shifts) == \
-            (other.scalar, other.num_shifts, other.den_shifts)
-
-    def __hash__(self):
-        return hash((self.scalar, self.num_shifts, self.den_shifts))
+    def _key(self):
+        return self.scalar, self.num_shifts, self.den_shifts
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ComplexRational)):
@@ -144,7 +133,7 @@ def cp1_inner(p: int, q: int) -> FactorialRational:
     return FactorialRational(math.factorial(p), (0,), range(1 - p, 2))
 
 
-class RationalSymbol:
+class RationalSymbol(Value):
     """Function on the line: num terms c_ab z^a zbar^b over (1+|z|^2)^d.
 
     ``num`` is a classical dim-1 series of trunc 2d whose term y^a yb^b
@@ -168,19 +157,10 @@ class RationalSymbol:
                 raise PreconditionError(
                     f"term z^{a} zbar^{b} needs denominator power >= {max(a, b)}")
             terms[(0, (a,), (b,))] = coeff
-        object.__setattr__(self, "num", WickSeries(1, 2 * d, terms))
-        object.__setattr__(self, "denom_power", d)
+        self._init(num=WickSeries(1, 2 * d, terms), denom_power=d)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("RationalSymbol is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalSymbol):
-            return NotImplemented
-        return (self.num, self.denom_power) == (other.num, other.denom_power)
-
-    def __hash__(self):
-        return hash((self.num, self.denom_power))
+    def _key(self):
+        return self.num, self.denom_power
 
     def __repr__(self):
         return (f"RationalSymbol(terms={len(self.num)}, "
@@ -205,7 +185,7 @@ def symbol_jets(f: RationalSymbol, order: int) -> WickSeries:
     return f.num.retruncate(order) * inverse
 
 
-class ToeplitzMatrix:
+class ToeplitzMatrix(Value):
     """Exact operator matrix in the monomial basis at a numeric tensor power.
 
     Entry (q, p) is the z^q coefficient of the operator applied to z^p.  No
@@ -222,11 +202,10 @@ class ToeplitzMatrix:
         m = int(m)
         if m < 1:
             raise PreconditionError("tensor power must be at least 1")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "symbol", symbol)
+        self._init(m=m, symbol=symbol)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("ToeplitzMatrix is immutable")
+    def _key(self):
+        return self.m, self.symbol
 
     def _shifts(self) -> set:
         """Diagonals q - p that the symbol's terms fill."""

@@ -28,7 +28,7 @@ only the left factor's y, keep it.  Hence:
 
 from __future__ import annotations
 
-from .errors import PreconditionError, SolveError
+from .errors import PreconditionError, SolveError, Value
 from .series import WickSeries, bilinear_terms, linear_combination, mi_factorial
 from .wick import classical_exp, wick_star
 
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-class WeightSeries:
+class WeightSeries(Value):
     """Weight data for the deformed Gaussian measure.
 
     The body is a series whose terms all have total degree >= 3 (h-dependent
@@ -68,16 +68,11 @@ class WeightSeries:
         if min_deg is not None and min_deg < 3:
             raise PreconditionError(
                 f"weight terms must have degree >= 3, found {min_deg}")
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "is_real", body.conjugate() == body)
-        object.__setattr__(self, "toeplitz_admissible", not body.holomorphic_part())
-        object.__setattr__(self, "refined", all(
-            i != 1 and j != 1 for k2, i, j in body.bidegrees().values() if not k2))
-        object.__setattr__(self, "_exponentials", {})
-        object.__setattr__(self, "_symbols", {})
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("WeightSeries is immutable")
+        self._init(body=body, is_real=body.conjugate() == body,
+                   toeplitz_admissible=not body.holomorphic_part(),
+                   refined=all(i != 1 and j != 1
+                               for k2, i, j in body.bidegrees().values() if not k2),
+                   _exponentials={}, _symbols={})
 
     @property
     def dim(self) -> int:
@@ -97,13 +92,8 @@ class WeightSeries:
             cache[sign] = classical_exp(self.body.scale(sign).hbar_shift(-2))
         return cache[sign]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeightSeries):
-            return NotImplemented
-        return self.body == other.body
-
-    def __hash__(self) -> int:
-        return hash(("WeightSeries", self.body))
+    def _key(self):
+        return self.body
 
     def __repr__(self) -> str:
         flags = []

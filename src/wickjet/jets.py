@@ -28,7 +28,7 @@ from itertools import combinations
 from math import factorial, isqrt, lcm
 
 from .coefficients import ComplexRational, random_coefficient, random_rational
-from .errors import PreconditionError, SolveError
+from .errors import PreconditionError, SolveError, Value
 from .integrals import WeightSeries
 from .series import (WickSeries, accumulate, linear_combination, mi_factorial, mi_zero,
                      pack, read_records, total_degree, unpack)
@@ -162,7 +162,7 @@ def _is_normal_form(varphi: WickSeries) -> bool:
 # domain types
 
 
-class PotentialJets:
+class PotentialJets(Value):
     """Real potential jets at a marked point.
 
     ``varphi`` is a classical ``WickSeries`` whose ``trunc`` is the jet order.
@@ -187,9 +187,7 @@ class PotentialJets:
         if normalized and not _is_normal_form(varphi):
             raise PreconditionError(
                 "normalized flag set, but the jets are not in normal form")
-        object.__setattr__(self, "varphi", varphi)
-        object.__setattr__(self, "normalized", bool(normalized))
-        object.__setattr__(self, "_psi", psi)
+        self._init(varphi=varphi, normalized=bool(normalized), _psi=psi)
 
     @classmethod
     def from_records(cls, dim: int, order: int, records) -> "PotentialJets":
@@ -212,7 +210,7 @@ class PotentialJets:
     @property
     def psi(self) -> WickSeries | None:
         if self._psi is None and self.normalized:
-            object.__setattr__(self, "_psi", volume_log_jets(self))
+            self._init(_psi=volume_log_jets(self))
         return self._psi
 
     @property
@@ -223,16 +221,8 @@ class PotentialJets:
     def order(self) -> int:
         return self.varphi.trunc
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("PotentialJets is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PotentialJets):
-            return NotImplemented
-        return (self.varphi, self.normalized) == (other.varphi, other.normalized)
-
-    def __hash__(self) -> int:
-        return hash((self.varphi, self.normalized))
+    def _key(self):
+        return self.varphi, self.normalized
 
     def __repr__(self) -> str:
         return (f"PotentialJets(dim={self.dim}, order={self.order}, "
@@ -399,8 +389,10 @@ def volume_log_jets(p: PotentialJets) -> WickSeries:
          for row in rest]
 
     def products(row: dict, right: list, j: int) -> list:
-        """The nonzero products whose sum is entry j of ``row`` times ``right``."""
-        return [s * right[l][j] for l, s in row.items() if j in right[l]]
+        """The products whose sum is entry j of ``row`` times ``right``, each
+        of a pair whose least degrees the truncation leaves room for."""
+        return [s * t for l, s in row.items()
+                if (t := right[l].get(j)) and s.min_degree() + t.min_degree() <= r2]
 
     def entry(row: dict, j: int) -> WickSeries | None:  # None if no product reaches it
         parts = [(s, (1, 0)) for s in products(row, x, j)]

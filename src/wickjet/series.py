@@ -54,7 +54,8 @@ from typing import Iterable, Iterator, Mapping
 
 from .coefficients import (LITERAL_DIGITS, ComplexRational, format_complex,
                            format_rational, literal_digits, parse_rational)
-from .errors import DegreeWindowError, DimensionMismatch, PreconditionError, TruncationMismatch
+from .errors import (DegreeWindowError, DimensionMismatch, PreconditionError, TruncationMismatch,
+                     Value)
 
 __all__ = [
     "MultiIndex",
@@ -154,20 +155,18 @@ def _check_positive_degrees(x: "WickSeries") -> None:
             f"a power series needs every term of degree >= 1, found {low}")
 
 
-def power_terms(first, x, product) -> Iterator:
-    """``first``, ``first x``, ``first x x``, ... under ``product``, up to the first zero.
+def power_terms(x, product) -> Iterator:
+    """``x``, ``x x``, ``x x x``, ... under ``product``, up to the first zero.
 
     Every term of x must have positive degree, so each factor of a graded
-    product raises the least degree by at least one and the terms vanish
-    past the truncation within ``trunc - min_degree(first) + 1`` steps.  A
-    zero x ends the run after ``first`` without forming a product.
+    product raises the least degree by at least one and the powers vanish
+    past the truncation within ``trunc - min_degree(x) + 1`` steps.  A zero
+    x yields nothing.
     """
     _check_positive_degrees(x)
-    term = first
+    term = x
     while term:
         yield term
-        if not x:
-            return
         term = product(term, x)
 
 
@@ -387,7 +386,7 @@ def _pack_checked(dim: int, keys: Iterable) -> list:
     return packed
 
 
-class WickSeries:
+class WickSeries(Value):
     """A sparse, truncated element of the (extended) Wick algebra.
 
     The coefficient of the term with key ``key`` (see ``pack``) is
@@ -396,7 +395,7 @@ class WickSeries:
     ``num`` must not be mutated.
     """
 
-    __slots__ = ("dim", "trunc", "den", "num", "_rows", "_terms")
+    __slots__ = ("dim", "trunc", "den", "num", "_rows")
 
     def __init__(self, dim: int, trunc: int, terms: Mapping | None = None):
         coeffs = {(k2, tuple(I), tuple(J)): ComplexRational.coerce(c)
@@ -437,7 +436,6 @@ class WickSeries:
         _SET_DEN(self, den)
         _SET_NUM(self, num)
         _SET_ROWS(self, None)
-        _SET_TERMS(self, None)
         return self
 
     def _build(self, num: Mapping, den: int, dim: int | None = None,
@@ -445,9 +443,6 @@ class WickSeries:
         """A series through ``_fill``, of this one's dim and trunc unless given."""
         return object.__new__(WickSeries)._fill(self.dim if dim is None else dim,
                                                 self.trunc if trunc is None else trunc, num, den)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("WickSeries is immutable")
 
     # -- constructors ---------------------------------------------------
 
@@ -477,18 +472,15 @@ class WickSeries:
 
     @property
     def terms(self) -> MappingProxyType:
-        """Read-only ``{(k2, I, J): ComplexRational}`` view in (k2, I, J) order, built on first use.
+        """Read-only ``{(k2, I, J): ComplexRational}`` view in (k2, I, J) order, built on each read.
 
         Only tests and the benchmark tracer read it; the engine works on
         ``num`` and ``den``, or on ``coefficient()``.
         """
-        if self._terms is None:
-            dim, den = self.dim, self.den
-            _SET_TERMS(self, MappingProxyType(dict(sorted(
-                (unpack(dim, key), ComplexRational(Fraction(a, den),
-                                                   Fraction(b, den) if b else _ZERO))
-                for key, (a, b) in self.num.items()))))
-        return self._terms
+        dim, den = self.dim, self.den
+        return MappingProxyType(dict(sorted(
+            (unpack(dim, key), ComplexRational(Fraction(a, den), Fraction(b, den) if b else _ZERO))
+            for key, (a, b) in self.num.items())))
 
     def _sorted_rows(self) -> list:
         """``(key, a, b)`` per term by key, so by degree; kept for the next product."""
@@ -667,7 +659,7 @@ class WickSeries:
         inverse = 1 / lead
         unit = (WickSeries.unit(self.dim, self.trunc), (1, 0))
         ratio = linear_combination([unit, (self.hbar_shift(-low).scale(-inverse), (1, 0))])
-        powers = [(power, (1, 0)) for power in power_terms(ratio, ratio, mul)]
+        powers = [(power, (1, 0)) for power in power_terms(ratio, mul)]
         return (linear_combination([unit, *powers]) * inverse).hbar_shift(-low)
 
     # -- slices -------------------------------------------------------------
@@ -750,7 +742,7 @@ class WickSeries:
         return series
 
 
-_SET_DIM, _SET_TRUNC, _SET_DEN, _SET_NUM, _SET_ROWS, _SET_TERMS = (  # past the guard
+_SET_DIM, _SET_TRUNC, _SET_DEN, _SET_NUM, _SET_ROWS = (  # past the guard
     WickSeries.__dict__[name].__set__ for name in WickSeries.__slots__)
 
 

@@ -98,7 +98,7 @@ def star_exp(x: WickSeries) -> WickSeries:
     degree recurrence of ``classical_exp`` does not carry over: x and its
     degree derivative do not star-commute.
     """
-    powers = [WickSeries.unit(x.dim, x.trunc), *power_terms(x, x, wick_star)]
+    powers = [WickSeries.unit(x.dim, x.trunc), *power_terms(x, wick_star)]
     top = factorial(len(powers) - 1)
     return linear_combination([(power, (top // factorial(j), 0))
                                for j, power in enumerate(powers)], top)
@@ -109,7 +109,7 @@ def log_series(a: WickSeries, product) -> WickSeries:
 
     Every term of a must have positive degree (see ``power_terms``).
     """
-    powers = list(power_terms(a, a, product))
+    powers = list(power_terms(a, product))
     den = lcm(*range(1, len(powers) + 1))
     return linear_combination([(power, ((-1) ** (k + 1) * den // k, 0))
                                for k, power in enumerate(powers, 1)], den) if powers else a
@@ -136,5 +136,5 @@ def star_inverse(u: WickSeries) -> WickSeries:
     """
     a = _check_unital(u, "star_inverse")
     parts = [(power, ((-1) ** k, 0))
-             for k, power in enumerate(power_terms(a, a, wick_star), 1)]
+             for k, power in enumerate(power_terms(a, wick_star), 1)]
     return linear_combination([(WickSeries.unit(u.dim, u.trunc), (1, 0)), *parts])

@@ -164,3 +164,43 @@ def test_the_layout_scan_flags_bit_operations():
         "    return a | b + c * d - e\n")
     assert layout_decodes({"m.py": tree}) == \
         ["m.py:2", "m.py:2", "m.py:3", "m.py:4", "m.py:4", "m.py:5", "m.py:6", "m.py:7"]
+
+
+def setattr_sites(trees: dict) -> list:
+    """``file:line`` of every ``__setattr__`` read or definition outside ``Value``.
+
+    ``errors.Value`` is the one place that sets a slot past the immutability
+    guard (``_init``) and the one guard; every value type inherits both.
+    The slot setters that ``series`` and ``coefficients`` bind are
+    ``__set__``, which the scan leaves alone.
+    """
+    def sites(node: ast.AST, name: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and child.name == "Value":
+                continue
+            if (isinstance(child, ast.FunctionDef) and child.name == "__setattr__"
+                    or isinstance(child, ast.Attribute) and child.attr == "__setattr__"):
+                yield f"{name}:{child.lineno}"
+            yield from sites(child, name)
+    return [site for name, tree in trees.items() for site in sites(tree, name)]
+
+
+def test_only_value_sets_slots_past_the_guard():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert setattr_sites(dict(zip((p.name for p in paths), _parse(paths)))) == []
+
+
+def test_the_setattr_scan_flags_guards_and_direct_sets():
+    tree = ast.parse(
+        "class Value:\n"
+        "    def _init(self, **slots):\n"
+        "        object.__setattr__(self, 'a', 1)\n"
+        "    def __setattr__(self, name, value): pass\n"
+        "class Box(Value):\n"
+        "    def __init__(self):\n"
+        "        object.__setattr__(self, 'a', 1)\n"
+        "    def __setattr__(self, name, value):\n"
+        "        super().__setattr__(name, value)\n"
+        "_SET_A = Box.a.__set__\n"
+        "setattr(Box(), 'a', 2)\n")
+    assert setattr_sites({"m.py": tree}) == ["m.py:7", "m.py:8", "m.py:9"]

@@ -199,6 +199,25 @@ def test_volume_log_of_a_product_with_a_flat_factor(seed):
     assert factor.psi == permutation_volume_log(factor.varphi)
 
 
+def test_volume_log_forms_no_product_its_truncation_empties(monkeypatch):
+    """A pair of entries whose least degrees sum past order - 2 is skipped,
+    not multiplied into the zero series."""
+    cases = [k_normalize(random_real_analytic_potential(8, 3, 8))[0],
+             PotentialJets(fubini_study_potential(2, 10).varphi, normalized=True)]
+    multiply, products = WickSeries.__mul__, []
+
+    def recorded(a, b):
+        products.append(multiply(a, b))
+        return products[-1]
+    for p in cases:
+        products.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(WickSeries, "__mul__", recorded)
+            psi = volume_log_jets(p)
+        assert products and all(products)
+        assert psi == permutation_volume_log(p.varphi)
+
+
 def test_fubini_study_n2_volume_log():
     psi = volume_log_jets(fubini_study_potential(2, 6))
     assert psi == jets(2, 4, {(e(2, 0), e(2, 0)): -3,
