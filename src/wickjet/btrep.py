@@ -54,12 +54,6 @@ class BTContext(Value):
     def from_potential(cls, p, trunc: int) -> "BTContext":
         return cls(weight_series(p, trunc))
 
-    def _key(self):
-        return self.weight
-
-    def __repr__(self):
-        return f"BTContext(dim={self.dim}, trunc={self.trunc})"
-
 
 def _to_algebra(f: WickSeries, ctx: BTContext) -> WickSeries:
     """Move jets into the context window; data beyond it is irrelevant."""

@@ -21,6 +21,7 @@ matrix data is exact.
 from __future__ import annotations
 
 import math
+import operator
 import statistics
 from fractions import Fraction
 
@@ -56,8 +57,8 @@ class FactorialRational(Value):
 
     def __init__(self, scalar=1, num_shifts=(), den_shifts=()):
         scalar = ComplexRational.coerce(scalar)
-        num = sorted(int(s) for s in num_shifts)
-        den = sorted(int(s) for s in den_shifts)
+        num = sorted(map(operator.index, num_shifts))
+        den = sorted(map(operator.index, den_shifts))
         if scalar:
             keep_num, keep_den = [], list(den)
             for s in num:
@@ -72,9 +73,6 @@ class FactorialRational(Value):
 
     def __bool__(self) -> bool:
         return bool(self.scalar)
-
-    def _key(self):
-        return self.scalar, self.num_shifts, self.den_shifts
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ComplexRational)):
@@ -108,16 +106,8 @@ class FactorialRational(Value):
                 c[k] -= b * c[k - 1]
         den = math.lcm(self.scalar.re.denominator, self.scalar.im.denominator)
         x, y = int(self.scalar.re * den), int(self.scalar.im * den)
-        return WickSeries.zero(0, 2 * order)._build(  # a dim-0 key is its k2
-            {2 * (k - net): (x * ck, y * ck) for k, ck in enumerate(c)}, den)
-
-    def __repr__(self):
-        def block(shifts):
-            return "".join(f"(m{s:+d})" if s else "(m)" for s in shifts)
-        num = block(self.num_shifts) or "1"
-        den = block(self.den_shifts)
-        text = f"{self.scalar}*{num}"
-        return text + (f"/{den}" if den else "")
+        return WickSeries._of(0, 2 * order,  # a dim-0 key is its k2
+                              {2 * (k - net): (x * ck, y * ck) for k, ck in enumerate(c)}, den)
 
 
 def cp1_inner(p: int, q: int) -> FactorialRational:
@@ -145,12 +135,12 @@ class RationalSymbol(Value):
     __slots__ = ("num", "denom_power")
 
     def __init__(self, num, denom_power: int = 0):
-        d = int(denom_power)
+        d = operator.index(denom_power)
         if d < 0:
             raise PreconditionError("denominator power must be non-negative")
         terms = {}
         for key, coeff in dict(num).items():
-            a, b = (int(v) for v in key)
+            a, b = map(operator.index, key)
             if a < 0 or b < 0:
                 raise PreconditionError(f"negative exponent in term {key!r}")
             if max(a, b) > d:
@@ -158,13 +148,6 @@ class RationalSymbol(Value):
                     f"term z^{a} zbar^{b} needs denominator power >= {max(a, b)}")
             terms[(0, (a,), (b,))] = coeff
         self._init(num=WickSeries(1, 2 * d, terms), denom_power=d)
-
-    def _key(self):
-        return self.num, self.denom_power
-
-    def __repr__(self):
-        return (f"RationalSymbol(terms={len(self.num)}, "
-                f"denom_power={self.denom_power})")
 
 
 def fs_ratio_symbol() -> RationalSymbol:
@@ -199,13 +182,10 @@ class ToeplitzMatrix(Value):
     __slots__ = ("m", "symbol")
 
     def __init__(self, m: int, symbol: RationalSymbol):
-        m = int(m)
+        m = operator.index(m)
         if m < 1:
             raise PreconditionError("tensor power must be at least 1")
         self._init(m=m, symbol=symbol)
-
-    def _key(self):
-        return self.m, self.symbol
 
     def _shifts(self) -> set:
         """Diagonals q - p that the symbol's terms fill."""
@@ -305,10 +285,10 @@ def composition_residual(f: RationalSymbol, g: RationalSymbol, ms, orders,
     result maps order -> (p, q) -> fit.  Identically-zero residuals are
     reported with ``fitted = None`` and ``exact = True``.
     """
-    ms = sorted(set(int(m) for m in ms))
+    ms = sorted(set(map(operator.index, ms)))
     if not ms:
         raise PreconditionError("need at least one tensor power")
-    orders = tuple(dict.fromkeys(int(n) for n in orders))
+    orders = tuple(dict.fromkeys(map(operator.index, orders)))
     if any(n < 0 for n in orders):
         raise PreconditionError("partial-sum orders must be non-negative")
     rows = {order: {} for order in orders}

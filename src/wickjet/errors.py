@@ -42,9 +42,11 @@ class SolveError(WickjetError):
 class Value:
     """An immutable value: its slots are set by ``_init`` and never assigned.
 
-    Two values of the same type are equal when their ``_key()`` is, and hash
-    by it; a value of another type is left to that type's ``__eq__``.  A
-    subclass with its own equality overrides ``__eq__`` and ``__hash__``.
+    A value is its public slots, the ``__slots__`` names without a leading
+    underscore: ``_key()`` is their tuple, equality and hash follow it, and
+    ``repr`` is ``Type(name=value, ...)``.  A private slot, such as a cache,
+    takes part in none.  A value of another type is left to that type's
+    ``__eq__``; a type with its own equality writes its own hash and repr.
     """
 
     __slots__ = ()
@@ -56,6 +58,13 @@ class Value:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def _public(self) -> list:
+        """``(name, value)`` of each public slot, in declaration order."""
+        return [(name, getattr(self, name)) for name in self.__slots__ if name[0] != "_"]
+
+    def _key(self) -> tuple:
+        return tuple(value for _, value in self._public())
+
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -63,3 +72,6 @@ class Value:
 
     def __hash__(self) -> int:
         return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in self._public())})"

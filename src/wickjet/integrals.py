@@ -58,6 +58,7 @@ class WeightSeries(Value):
     built once, on first use, by :meth:`exponential`; ``e^(-w/h)`` is built
     separately, only if asked for.  Toeplitz symbols are remembered per
     weight, keyed by the input series, so they live as long as the weight.
+    Both caches are private slots, which equality, hash and repr leave out.
     """
 
     __slots__ = ("body", "is_real", "toeplitz_admissible", "refined",
@@ -91,19 +92,6 @@ class WeightSeries(Value):
         if sign not in cache:
             cache[sign] = classical_exp(self.body.scale(sign).hbar_shift(-2))
         return cache[sign]
-
-    def _key(self):
-        return self.body
-
-    def __repr__(self) -> str:
-        flags = []
-        if self.is_real:
-            flags.append("real")
-        if self.toeplitz_admissible:
-            flags.append("admissible")
-        if self.refined:
-            flags.append("refined")
-        return f"WeightSeries({self.body!r}, flags={'|'.join(flags) or '-'})"
 
 
 def _moment(I: tuple, J: tuple) -> tuple:

@@ -69,14 +69,12 @@ def _generator_keys(dim: int) -> tuple:
 
 def _norm_squared(dim: int, trunc: int) -> WickSeries:
     """The flat potential |z|^2 = sum_i y_i yb_i."""
-    return WickSeries.zero(dim, trunc)._build(
-        {y + yb: (1, 0) for y, yb in zip(*_generator_keys(dim))}, 1)
+    return WickSeries._of(dim, trunc, {y + yb: (1, 0) for y, yb in zip(*_generator_keys(dim))}, 1)
 
 
 def _identity_coords(dim: int, trunc: int) -> list:
     """The coordinates y_i, one series each."""
-    zero = WickSeries.zero(dim, trunc)
-    return [zero._build({y: (1, 0)}, 1) for y in _generator_keys(dim)[0]]
+    return [WickSeries._of(dim, trunc, {y: (1, 0)}, 1) for y in _generator_keys(dim)[0]]
 
 
 def _is_identity_change(subs: list, dim: int, trunc: int) -> bool:
@@ -169,9 +167,9 @@ class PotentialJets(Value):
     With ``normalized=True`` the normal form is verified at construction, so
     the flag can be trusted downstream.  ``psi`` is then the volume-log jets
     (``trunc = max(order - 2, 0)``), computed on the first read and kept, and
-    None otherwise; it is derived data and is excluded from equality.  A
-    generator that knows them in closed form passes them as ``psi``, which
-    is trusted.
+    None otherwise; being derived, it sits in a private slot that equality,
+    hash and repr leave out.  A generator that knows them in closed form
+    passes them as ``psi``, which is trusted.
     """
 
     __slots__ = ("varphi", "normalized", "_psi")
@@ -205,7 +203,7 @@ class PotentialJets(Value):
             if sum(I) + sum(J) > order:
                 raise PreconditionError(
                     f"potential jet {(I, J)!r} exceeds the order-{order} window")
-        return cls(WickSeries(dim, order)._build(num, den))
+        return cls(WickSeries._of(dim, order, num, den))
 
     @property
     def psi(self) -> WickSeries | None:
@@ -220,13 +218,6 @@ class PotentialJets(Value):
     @property
     def order(self) -> int:
         return self.varphi.trunc
-
-    def _key(self):
-        return self.varphi, self.normalized
-
-    def __repr__(self) -> str:
-        return (f"PotentialJets(dim={self.dim}, order={self.order}, "
-                f"terms={len(self.varphi)}, normalized={self.normalized})")
 
 
 # ---------------------------------------------------------------------------
@@ -305,26 +296,28 @@ def k_normalize(raw: PotentialJets):
         current, *coords = _substitute([current, *coords], [
             WickSeries(dim, order, {(0, _unit(dim, j), zero): change[i][j] for j in range(dim)})
             for i in range(dim)])
+    bidegrees = current.bidegrees()
     for d in range(3, order + 1):
         # the terms y^I yb_j of degree d, as -y^I (current is classical)
-        part = current.degree_slice(d)
         rows = [{} for _ in range(dim)]
-        for key, (_, _, j) in part.bidegrees().items():
-            if j == 1:
+        for key, (_, i, j) in bidegrees.items():
+            if j == 1 and i == d - 1:
                 k2, I, J = unpack(dim, key)
-                a, b = part.num[key]
+                a, b = current.num[key]
                 rows[J.index(1)][pack(dim, k2, I, zero)] = (-a, -b)
         if any(rows):
             current, *coords = _substitute([current, *coords], [
-                unit + part._build(row, part.den) if row else unit
+                unit + current._build(row, current.den) if row else unit
                 for unit, row in zip(identity, rows)])
+            bidegrees = current.bidegrees()
     # later changes are the identity to first order, so the (1,1) block
     # stays as the degree-2 round left it
     if not _has_identity_metric(current):
         raise SolveError("quadratic diagonalization failed")
-    holomorphic = current.holomorphic_part()
-    frame = holomorphic - holomorphic.coefficient(0) / 2
-    normalized = linear_combination(
+    frame = current.holomorphic_part()
+    if constant := frame.coefficient(0):
+        frame = frame - constant / 2
+    normalized = current if not frame else linear_combination(
         [(current, (1, 0)), (frame, (-1, 0)), (frame.conjugate(), (-1, 0))])
     psi = raw._psi if normalized == raw.varphi else None
     return PotentialJets(normalized, normalized=True, psi=psi), tuple(coords), frame
@@ -341,8 +334,10 @@ def apply_normalization(raw: PotentialJets, coord_change, frame_change) -> Poten
             raise PreconditionError(
                 "coordinate and frame changes must be holomorphic series "
                 f"without h-powers, of dim {dim} and trunc {order}")
-    result = linear_combination([(_substitute([raw.varphi], coord_change)[0], (1, 0)),
-                                 (frame_change, (-1, 0)), (frame_change.conjugate(), (-1, 0))])
+    result = _substitute([raw.varphi], coord_change)[0]
+    if frame_change:  # a zero frame leaves the result as it is
+        result = linear_combination([(result, (1, 0)), (frame_change, (-1, 0)),
+                                     (frame_change.conjugate(), (-1, 0))])
     return PotentialJets(result, normalized=_is_normal_form(result))
 
 
@@ -383,9 +378,8 @@ def volume_log_jets(p: PotentialJets) -> WickSeries:
                     if J[j]:
                         scalar = I[i] * J[j]
                         rest[i][j][key - step] = (a * scalar, b * scalar)
-    zero = WickSeries.zero(dim, r2)
     # X and its powers as rows {l: entry} that hold only the nonzero entries
-    x = [{j: zero._build(terms, varphi.den) for j, terms in enumerate(row) if terms}
+    x = [{j: WickSeries._of(dim, r2, terms, varphi.den) for j, terms in enumerate(row) if terms}
          for row in rest]
 
     def products(row: dict, right: list, j: int) -> list:
@@ -414,7 +408,7 @@ def volume_log_jets(p: PotentialJets) -> WickSeries:
             s for i in range(dim)
             for s in products(powers[half - 1][i], powers[k - half - 1], i)]
         parts += [(s, ((-1) ** (k + 1) * den // k, 0)) for s in trace if s]
-    return linear_combination(parts, den) if parts else zero
+    return linear_combination(parts, den) if parts else WickSeries.zero(dim, r2)
 
 
 def weight_series(p: PotentialJets, trunc: int) -> WeightSeries:
@@ -468,7 +462,7 @@ def fubini_study_potential(dim: int, order: int) -> PotentialJets:
         for bars in combinations(range(n + dim - 1), dim - 1):  # stars and bars
             index = tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, n + dim - 1)))
             num[pack(dim, 0, index, index)] = (weight // mi_factorial(index), 0)
-    varphi = WickSeries.zero(dim, order)._build(num, den)
+    varphi = WickSeries._of(dim, order, num, den)
     return PotentialJets(varphi, normalized=True,
                          psi=varphi.retruncate(order - 2).scale(-(dim + 1)))
 

@@ -225,7 +225,7 @@ def exponential(x: "WickSeries") -> "WickSeries":
     common = lcm(*(den_e for _, den_e in slices.values()))
     num = {key: (a * (common // den_e), b * (common // den_e))
            for rows, den_e in slices.values() for key, a, b in rows}
-    return object.__new__(WickSeries)._store(x.dim, x.trunc, common, num)
+    return WickSeries._of(x.dim, x.trunc, num, common, canonical=True)
 
 
 # The exact kernel.  Every bilinear operation (the pointwise product,
@@ -427,9 +427,9 @@ class WickSeries(Value):
         if common != 1:
             den //= common
             kept = {key: (a // common, b // common) for key, (a, b) in kept.items()}
-        return self._store(dim, trunc, den, kept)
+        return self._store(dim, trunc, kept, den)
 
-    def _store(self, dim: int, trunc: int, den: int, num: dict) -> "WickSeries":
+    def _store(self, dim: int, trunc: int, num: dict, den: int) -> "WickSeries":
         """Set the slots from ``num`` over ``den``, already canonical; return self."""
         _SET_DIM(self, dim)
         _SET_TRUNC(self, trunc)
@@ -438,11 +438,16 @@ class WickSeries(Value):
         _SET_ROWS(self, None)
         return self
 
-    def _build(self, num: Mapping, den: int, dim: int | None = None,
-               trunc: int | None = None) -> "WickSeries":
-        """A series through ``_fill``, of this one's dim and trunc unless given."""
-        return object.__new__(WickSeries)._fill(self.dim if dim is None else dim,
-                                                self.trunc if trunc is None else trunc, num, den)
+    @classmethod
+    def _of(cls, dim: int, trunc: int, num: Mapping, den: int,
+            canonical: bool = False) -> "WickSeries":
+        """A series of ``num`` over ``den``, stored as it stands if ``canonical``."""
+        series = object.__new__(cls)
+        return (series._store if canonical else series._fill)(dim, trunc, num, den)
+
+    def _build(self, num: Mapping, den: int) -> "WickSeries":
+        """A series of this one's dim and trunc, through ``_fill``."""
+        return WickSeries._of(self.dim, self.trunc, num, den)
 
     # -- constructors ---------------------------------------------------
 
@@ -452,7 +457,7 @@ class WickSeries(Value):
 
     @classmethod
     def unit(cls, dim: int, trunc: int) -> "WickSeries":
-        return cls.zero(dim, trunc)._build({0: (1, 0)}, 1)  # key 0 is the term 1
+        return cls._of(dim, trunc, {0: (1, 0)}, 1)  # key 0 is the term 1
 
     @classmethod
     def monomial(cls, dim: int, trunc: int, coeff, k2: int = 0,
@@ -567,7 +572,7 @@ class WickSeries(Value):
 
     def retruncate(self, trunc: int) -> "WickSeries":
         """Explicitly move to a different truncation degree (never implicit)."""
-        return self._build(self.num, self.den, trunc=trunc)
+        return WickSeries._of(self.dim, trunc, self.num, self.den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -637,7 +642,7 @@ class WickSeries(Value):
         for key, (a, b) in self.num.items():
             both = key & fields
             flipped[key ^ both ^ ((both & low) << half | both >> half)] = (a, -b)
-        return object.__new__(WickSeries)._store(self.dim, self.trunc, self.den, flipped)
+        return WickSeries._of(self.dim, self.trunc, flipped, self.den, canonical=True)
 
     def hbar_shift(self, dk2: int) -> "WickSeries":
         """Multiply by h^(dk2/2); dk2 may be negative or odd."""
@@ -670,7 +675,7 @@ class WickSeries(Value):
         fields = (1 << top) - 1
         picked = {key >> top: pair for key, pair in self.num.items()
                   if not key & fields}
-        return self._build(picked, self.den, dim=0)
+        return WickSeries._of(0, self.trunc, picked, self.den)
 
     def holomorphic_part(self) -> "WickSeries":
         low = (1 << 8 * self.dim) - 1
@@ -732,7 +737,7 @@ class WickSeries(Value):
         """Read term records (see ``read_records``); a key that does not fit
         ``dim`` raises, and so does a kept term of degree below ``lower_bound``."""
         num, den = read_records(records, dim)
-        series = object.__new__(cls)._fill(dim, trunc, num, den)
+        series = cls._of(dim, trunc, num, den)
         top = 16 * dim
         for key in series.num:
             if key >> top < lower_bound:

@@ -45,6 +45,20 @@ def count_calls(monkeypatch, owner, name: str) -> list:
     return calls
 
 
+def record_empty_series(monkeypatch) -> list:
+    """Wrap ``WickSeries._store``, which every construction ends in; the
+    returned list gets each empty series built."""
+    store, empty = WickSeries._store, []
+
+    def recorded(self, *args):
+        series = store(self, *args)
+        if not series.num:
+            empty.append(series)
+        return series
+    monkeypatch.setattr(WickSeries, "_store", recorded)
+    return empty
+
+
 def hseries(trunc: int, terms: dict | None = None) -> WickSeries:
     """A series in h alone (dim 0) from ``{k2: coefficient}``."""
     return WickSeries(0, trunc, {(k2, (), ()): c for k2, c in (terms or {}).items()})

@@ -204,3 +204,64 @@ def test_the_setattr_scan_flags_guards_and_direct_sets():
         "_SET_A = Box.a.__set__\n"
         "setattr(Box(), 'a', 2)\n")
     assert setattr_sites({"m.py": tree}) == ["m.py:7", "m.py:8", "m.py:9"]
+
+
+# the value types that keep their own equality (structural on ``num``, and
+# equal to ints) and their own repr
+OWN_EQUALITY = {"WickSeries", "ComplexRational"}
+_VALUE_METHODS = {"_key", "__repr__", "__eq__", "__hash__"}
+
+
+def value_overrides(trees: dict) -> list:
+    """``file:line`` of every ``_key``, ``__repr__``, ``__eq__`` or ``__hash__``
+    that a class derived from ``Value`` defines or assigns, outside ``OWN_EQUALITY``.
+
+    ``errors.Value`` derives the key and the repr from the public slots, and
+    equality and hash from the key, once for every value type.  A class is
+    derived when a base names ``Value`` or a class already found derived.
+    """
+    classes = [(name, node) for name, tree in trees.items()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    derived, grown = {"Value"}, True
+    while grown:
+        grown = False
+        for _, node in classes:
+            if node.name not in derived and any(
+                    isinstance(base, ast.Name) and base.id in derived for base in node.bases):
+                derived.add(node.name)
+                grown = True
+    found = []
+    for name, node in classes:
+        if node.name in derived - {"Value"} - OWN_EQUALITY:
+            for item in node.body:
+                names = [item.name] if isinstance(item, ast.FunctionDef) else [
+                    target.id for target in getattr(item, "targets", ())
+                    if isinstance(target, ast.Name)]
+                if _VALUE_METHODS & set(names):
+                    found.append(f"{name}:{item.lineno}")
+    return found
+
+
+def test_only_the_own_equality_types_override_the_value_key():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert value_overrides(dict(zip((p.name for p in paths), _parse(paths)))) == []
+
+
+def test_the_value_scan_flags_keys_reprs_and_equality():
+    tree = ast.parse(
+        "class Value:\n"
+        "    def _key(self): pass\n"
+        "    def __repr__(self): pass\n"
+        "class Box(Value):\n"
+        "    def _key(self): pass\n"
+        "    def __repr__(self): pass\n"
+        "    def size(self): pass\n"
+        "class Crate(Box):\n"
+        "    def __eq__(self, other): pass\n"
+        "    __hash__ = None\n"
+        "class Plain:\n"
+        "    def __repr__(self): pass\n"
+        "class WickSeries(Value):\n"
+        "    def __eq__(self, other): pass\n"
+        "    def __repr__(self): pass\n")
+    assert value_overrides({"m.py": tree}) == ["m.py:5", "m.py:6", "m.py:9", "m.py:10"]

@@ -264,6 +264,27 @@ def test_toeplitz_matrix_validation():
         cp1_toeplitz(3, fs_ratio_symbol()).entry(4, 0)
 
 
+@pytest.mark.parametrize("build, refused, accepted, expected", [
+    (lambda m: ToeplitzMatrix(m, fs_ratio_symbol()).m, 4.7, 4, 4),
+    (lambda s: FactorialRational(1, (s,)).num_shifts, 1.5, 1, (1,)),
+    (lambda a: RationalSymbol({(a, 1): 1}, 2).num, 1.9, 1,
+     WickSeries(1, 4, {(0, (1,), (1,)): 1})),
+    (lambda d: RationalSymbol({(1, 1): 1}, d).denom_power, Fraction(2), 2, 2),
+    (lambda m: composition_residual(fs_ratio_symbol(), fs_ratio_symbol(), [m], [0], {}),
+     32.9, 32, {0: {}}),
+    (lambda n: composition_residual(fs_ratio_symbol(), fs_ratio_symbol(), [32], [n], {}),
+     0.5, 0, {0: {}}),
+    (lambda n: composition_residual(fs_ratio_symbol(), fs_ratio_symbol(), [32], [n], {}),
+     Fraction(1, 2), 0, {0: {}}),
+], ids=["tensor-power", "shift", "symbol-exponent", "denominator-power", "fit-power",
+        "fit-order", "fit-order-fraction"])
+def test_the_oracle_refuses_non_integers(build, refused, accepted, expected):
+    """A float or a Fraction is refused, never truncated to an integer."""
+    with pytest.raises(TypeError):
+        build(refused)
+    assert build(accepted) == expected
+
+
 def test_toeplitz_entries_far_past_any_dense_size():
     m = 10 ** 9  # a stored diagonal alone would hold 10^9 cells
     T = cp1_toeplitz(m, fs_ratio_symbol())

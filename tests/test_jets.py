@@ -26,6 +26,7 @@ from support import (
     count_calls,
     permutation_volume_log,
     random_coefficient,
+    record_empty_series,
     random_multi_index,
     reference_k_normalize,
     reference_substitute,
@@ -359,6 +360,25 @@ def test_normalize_random_round_trips():
         # the weight assembled from the result is admissible by construction
         w = weight_series(normalized, order)
         assert w.is_real and w.toeplitz_admissible and w.refined
+
+
+@pytest.mark.parametrize("case", ["fubini-study", "cubic", "linear", "random"])
+def test_normalization_builds_no_empty_series_but_a_zero_frame(monkeypatch, case):
+    """A degree without mixed terms builds no slice, and a zero frame is the
+    frame change itself, neither shifted nor conjugated: nothing else that
+    the normalization or its replay builds is empty."""
+    raw = {"fubini-study": lambda: PotentialJets(fubini_study_potential(2, 6).varphi),
+           "cubic": lambda: potential(1, 5, {((1,), (1,)): 1, ((2,), (1,)): 1,
+                                             ((1,), (2,)): 1}),
+           "linear": lambda: potential(1, 4, {((1,), (1,)): 1, ((1,), (0,)): 1,
+                                              ((0,), (1,)): 1}),
+           "random": lambda: random_real_analytic_potential(5, 2, 6)}[case]()
+    expected = reference_k_normalize(raw)
+    empty = record_empty_series(monkeypatch)
+    normalized, coords, frame = k_normalize(raw)
+    replayed = apply_normalization(raw, coords, frame)
+    assert [s is frame for s in empty] == ([] if frame else [True])
+    assert (normalized, coords, frame) == expected and replayed == normalized
 
 
 def test_normalized_volume_log_never_purely_holomorphic():

@@ -17,10 +17,10 @@ import pytest
 from wickjet import jets
 from wickjet.cli import COMPUTE_EXIT, PARSE_EXIT, TRUNC_CEILING, main
 from wickjet.coefficients import ComplexRational
-from wickjet.cp1 import fs_ratio_symbol, mobius_pullback
+from wickjet.cp1 import FactorialRational, fs_ratio_symbol, mobius_pullback
 from wickjet.errors import PreconditionError
 from wickjet.integrals import _moments
-from wickjet.jets import (fubini_study_potential, k_normalize,
+from wickjet.jets import (PotentialJets, fubini_study_potential, k_normalize,
                           random_real_analytic_potential, volume_log_jets, weight_series)
 from wickjet.series import EXPONENT_LIMIT, WickSeries, pack, unpack
 from wickjet.wick import (classical_exp, fock_act, log_series, star_exp, star_inverse,
@@ -31,6 +31,7 @@ from support import (
     hseries,
     random_coefficient,
     random_series,
+    record_empty_series,
     reference_exp_series,
     reference_log_series,
     reference_substitute,
@@ -294,6 +295,21 @@ def test_sums_of_several_series_are_built_once(monkeypatch, name):
     run = _one_sum_cases()[name]
     added = count_calls(monkeypatch, WickSeries, "__add__")
     assert run() and not added
+
+
+def test_constructors_build_no_throwaway_series(monkeypatch):
+    """A series of a given dim, trunc and terms is built directly, not from
+    an empty series made first to copy the dim and trunc from."""
+    fs = fubini_study_potential(2, 6)
+    records = written_records(fs.varphi, "k2")
+    empty = record_empty_series(monkeypatch)
+    built = [WickSeries.unit(2, 4), jets._norm_squared(2, 4), *jets._identity_coords(2, 4),
+             fubini_study_potential(3, 6).varphi,
+             PotentialJets.from_records(2, 6, records).varphi,
+             volume_log_jets(PotentialJets(fs.varphi, normalized=True)),
+             FactorialRational(1, (1,), (2, 3)).expand_at_infinity(3),
+             fs.varphi.retruncate(3), (fs.varphi + 1).constant_part()]
+    assert all(built) and not empty
 
 
 def test_k_normalize_builds_the_identity_coordinates_once(monkeypatch):

@@ -2,6 +2,8 @@
 
 The cases are the subclasses of ``Value`` that ``import wickjet`` defines,
 so a new value type is collected here; it fails until ``SAMPLES`` can build it.
+A value is its public slots: they make its key and its repr, and a private
+slot, such as a cache, takes part in neither.
 """
 
 from fractions import Fraction
@@ -11,6 +13,7 @@ import pytest
 from wickjet import (BTContext, ComplexRational, FactorialRational, PotentialJets,
                      RationalSymbol, ToeplitzMatrix, WeightSeries, WickSeries)
 from wickjet.errors import Value
+from wickjet.integrals import toeplitz_symbol
 
 
 def _quartic(c) -> WickSeries:
@@ -61,3 +64,22 @@ def test_every_value_is_immutable_and_compares_by_value(cls):
     for kind, (build_kind, _) in SAMPLES.items():
         if kind is not cls:
             assert value != build_kind() and not value == build_kind(), kind.__name__
+    text = repr(value)
+    assert text.startswith(f"{cls.__name__}(") and text == repr(same)
+    public = [name for name in cls.__slots__ if not name.startswith("_")]
+    assert not any(f"{name}=" in text for name in cls.__slots__ if name not in public)
+    if cls.__repr__ is Value.__repr__:
+        assert text == f"{cls.__name__}(" + ", ".join(
+            f"{name}={getattr(value, name)!r}" for name in public) + ")"
+
+
+def test_derived_caches_stay_out_of_equality_hash_and_repr():
+    """A read ``psi``, a built ``e^(w/h)`` and a solved symbol change nothing
+    that equality, hash or repr see."""
+    used, fresh = (PotentialJets(_quartic(-1) + _norm(), normalized=True) for _ in range(2))
+    assert used.psi and fresh._psi is None
+    weight, fresh_weight = WeightSeries(_quartic(1)), WeightSeries(_quartic(1))
+    assert weight.exponential() and toeplitz_symbol(_norm(), weight)
+    assert weight._exponentials and weight._symbols and not fresh_weight._exponentials
+    for value, other in ((used, fresh), (weight, fresh_weight)):
+        assert value == other and hash(value) == hash(other) and repr(value) == repr(other)
