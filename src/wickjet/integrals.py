@@ -105,7 +105,8 @@ def _moment(I: tuple, J: tuple) -> tuple:
 
 def _moments(h: WickSeries, e: WickSeries) -> WickSeries:
     """The Gaussian moments of the pointwise product h e, as a series in h (dim 0)."""
-    return h._build(*bilinear_terms(h, e, ("IJ", "IJ", _moment))).constant_part()
+    sums, den = bilinear_terms(h, e, ("IJ", "IJ", _moment))
+    return WickSeries._of(h.dim, h.trunc, sums, den).constant_part()
 
 
 def formal_integral(h: WickSeries, w: WeightSeries) -> WickSeries:

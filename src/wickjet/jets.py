@@ -22,6 +22,7 @@ bundled random generator only produces such inputs.
 from __future__ import annotations
 
 import random as _random
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -30,8 +31,8 @@ from math import factorial, isqrt, lcm
 from .coefficients import ComplexRational, random_coefficient, random_rational
 from .errors import PreconditionError, SolveError, Value
 from .integrals import WeightSeries
-from .series import (WickSeries, accumulate, linear_combination, mi_factorial, mi_zero,
-                     pack, read_records, total_degree, unpack)
+from .series import (WickSeries, linear_combination, mi_factorial, mi_zero, pack, read_records,
+                     total_degree, unpack)
 
 __all__ = [
     "PotentialJets",
@@ -191,9 +192,12 @@ class PotentialJets(Value):
     def from_records(cls, dim: int, order: int, records) -> "PotentialJets":
         """Raw jets from ``{"I", "J", "re", "im"}`` records; duplicates add up.
 
-        A jet above the order window raises instead of being truncated away,
-        and so does a jet with a nonzero ``"k2"``: potentials carry no h.
+        An order below 2 raises, as for the generators; a jet above the
+        order window raises instead of being truncated away, and so does a
+        jet with a nonzero ``"k2"``: potentials carry no h.
         """
+        if order < 2:
+            raise PreconditionError(f"a potential needs order >= 2, got order {order}")
         num, den = read_records(({"k2": 0, **rec} for rec in records), dim)
         for key in num:
             k2, I, J = unpack(dim, key)
@@ -307,7 +311,7 @@ def k_normalize(raw: PotentialJets):
                 rows[J.index(1)][pack(dim, k2, I, zero)] = (-a, -b)
         if any(rows):
             current, *coords = _substitute([current, *coords], [
-                unit + current._build(row, current.den) if row else unit
+                unit + WickSeries._of(dim, order, row, current.den) if row else unit
                 for unit, row in zip(identity, rows)])
             bidegrees = current.bidegrees()
     # later changes are the identity to first order, so the (1,1) block
@@ -479,7 +483,7 @@ def random_real_analytic_potential(seed: int, dim: int,
     if order < 2:
         raise PreconditionError("random potentials need order >= 2")
     rng = _random.Random(seed)
-    jets = []  # ((0, I, J), coefficient) pairs, summed at the end
+    jets = Counter()  # {(0, I, J): coefficient}; 0 + c is c
     lower = [[ComplexRational(1 if i == j else 0) for j in range(dim)]
              for i in range(dim)]
     for i in range(dim):
@@ -494,15 +498,16 @@ def random_real_analytic_potential(seed: int, dim: int,
             for k in range(dim):
                 acc = acc + lower[i][k] * lower[j][k].conjugate() * (roots[k] ** 2)
             if acc:
-                jets.append(((0, _unit(dim, j), _unit(dim, i)), acc))
+                jets[0, _unit(dim, j), _unit(dim, i)] += acc
 
     zero = mi_zero(dim)
-    jets.append(((0, zero, zero), random_rational(rng, 4, 3)))
+    jets[0, zero, zero] += random_rational(rng, 4, 3)
     for i in range(dim):
         if rng.random() < 0.8:
             c = random_coefficient(rng, 4, 3, 0.6)
             ei = _unit(dim, i)
-            jets += [((0, ei, zero), c), ((0, zero, ei), c.conjugate())]
+            jets[0, ei, zero] += c
+            jets[0, zero, ei] += c.conjugate()
 
     half = ComplexRational(Fraction(1, 2))
     for _ in range(6):
@@ -513,8 +518,9 @@ def random_real_analytic_potential(seed: int, dim: int,
             if total < 2 or total > order or (sum(I) == 1 and sum(J) == 1):
                 continue
             c = random_coefficient(rng, 4, 3, 0.6) * half
-            jets += [((0, I, J), c), ((0, J, I), c.conjugate())]
+            jets[0, I, J] += c
+            jets[0, J, I] += c.conjugate()
             break
 
-    return PotentialJets(WickSeries(dim, order, accumulate(jets)))
+    return PotentialJets(WickSeries(dim, order, jets))
 

@@ -37,10 +37,10 @@ A series of dim 0 has no generators: it is a series in h alone, the scalar
 ring in which pairings, values at a point and 1/m expansions live.  Its key
 is k2 itself.
 
-Every sum of several series, ``+`` and ``-`` included, is one
-``linear_combination`` call, built once; besides it only ``accumulate``
-(record input), the kernel ``bilinear_terms`` and the pointwise
-``exponential`` add coefficients by key.
+Every series is built by ``WickSeries._of``.  Every sum of several series,
+``+`` and ``-`` included, is one ``linear_combination`` call, built once;
+besides it only ``read_records``, the kernel ``bilinear_terms`` and the
+pointwise ``exponential`` add coefficients by key.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ __all__ = [
     "total_degree",
     "pack",
     "unpack",
-    "accumulate",
     "linear_combination",
     "power_terms",
     "exponential",
@@ -113,18 +112,15 @@ def unpack(dim: int, key: int) -> tuple:
     return (key >> top) - sum(raw), tuple(raw[:dim]), tuple(raw[dim:])
 
 
-def accumulate(pairs: Iterable) -> dict:
-    """Sum ``(key, coefficient)`` pairs by key into a new dict.
+def _guard_bits(dim: int) -> int:
+    """The top bit of each exponent byte: one is set at or past the limit."""
+    return int.from_bytes(b"\x80" * (2 * dim), "big")
 
-    Sums that cancel stay in place as zero entries; the series constructors
-    drop them, so no zero test runs per pair.
-    """
-    out: dict = {}
-    get = out.get
-    for key, value in pairs:
-        prev = get(key)
-        out[key] = value if prev is None else prev + value
-    return out
+
+def _check_exponent_limit(dim: int, keys: Iterable) -> None:
+    """Raise if one of a product's output ``keys`` reaches the exponent limit."""
+    if reduce(or_, keys, 0) & _guard_bits(dim):
+        raise PreconditionError(f"a product reaches the exponent limit {EXPONENT_LIMIT}")
 
 
 def linear_combination(parts: list, den: int = 1) -> "WickSeries":
@@ -145,7 +141,7 @@ def linear_combination(parts: list, den: int = 1) -> "WickSeries":
             re, im = a * c - b * d, a * d + b * c
             prev = get(key)
             sums[key] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
-    return first._build(sums, den * common)
+    return WickSeries._of(first.dim, first.trunc, sums, den * common)
 
 
 def _check_positive_degrees(x: "WickSeries") -> None:
@@ -184,7 +180,6 @@ def exponential(x: "WickSeries") -> "WickSeries":
     """
     _check_positive_degrees(x)
     top, den = 16 * x.dim, x.den
-    guard = int.from_bytes(b"\x80" * (2 * x.dim), "big")
     by_degree: dict = {}
     for row in x._sorted_rows():
         by_degree.setdefault(row[0] >> top, []).append(row)
@@ -210,9 +205,7 @@ def exponential(x: "WickSeries") -> "WickSeries":
                     else:
                         acc[0] += re
                         acc[1] += im
-        if reduce(or_, sums, 0) & guard:
-            raise PreconditionError(
-                f"a product reaches the exponent limit {EXPONENT_LIMIT}")
+        _check_exponent_limit(x.dim, sums)
         g = d * den * common
         for a, b in sums.values():
             if g == 1:
@@ -316,9 +309,7 @@ def bilinear_terms(f: "WickSeries", g: "WickSeries", rule: tuple) -> tuple:
                 else:
                     acc[0] += re * scalar
                     acc[1] += im * scalar
-    if reduce(or_, sums, 0) & int.from_bytes(b"\x80" * (2 * f.dim), "big"):
-        raise PreconditionError(
-            f"a product reaches the exponent limit {EXPONENT_LIMIT}")
+    _check_exponent_limit(f.dim, sums)
     return sums, f.den * g.den
 
 
@@ -337,9 +328,9 @@ def read_records(records: Iterable[dict], dim: int) -> tuple:
     any other malformed record (KeyError, TypeError or ValueError) and any
     key that does not fit ``dim`` (see ``_pack_checked``).  Each coefficient
     is (a + bi) / den, with den the lcm of the literals' denominators as
-    written; the series constructors reduce it.  Keys are packed here, once.
-    Duplicate keys add up; sums that cancel stay as (0, 0), so the caller
-    checks every key it was given.
+    written; ``WickSeries._of`` reduces it.  Keys are packed here, once.
+    Duplicate keys add up in one pass; sums that cancel stay as (0, 0), so
+    the caller checks every key it was given.
     """
     keys, parts = [], []
     for rec in records:
@@ -352,10 +343,14 @@ def read_records(records: Iterable[dict], dim: int) -> tuple:
             parts.append(parse_rational(text))
     keys = _pack_checked(dim, keys)
     den = lcm(*(q for _, q in parts))
-    ints = [p * (den // q) for p, q in parts]
-    re_sums = accumulate(zip(keys, ints[::2]))
-    im_sums = accumulate(zip(keys, ints[1::2]))
-    return {key: (a, im_sums[key]) for key, a in re_sums.items()}, den
+    sums: dict = {}
+    get = sums.get
+    pairs = iter(parts)
+    for key, (p, q), (r, s) in zip(keys, pairs, pairs):
+        a, b = p * (den // q), r * (den // s)
+        prev = get(key)
+        sums[key] = (a, b) if prev is None else (prev[0] + a, prev[1] + b)
+    return sums, den
 
 
 def _pack_checked(dim: int, keys: Iterable) -> list:
@@ -365,7 +360,7 @@ def _pack_checked(dim: int, keys: Iterable) -> list:
     if dim < 0:
         raise DimensionMismatch(f"dim must be >= 0, got {dim}")
     top = 16 * dim
-    guard = int.from_bytes(b"\x80" * (2 * dim), "big")
+    guard = _guard_bits(dim)
     packed = []
     for key in keys:
         k2, I, J = key
@@ -397,57 +392,45 @@ class WickSeries(Value):
 
     __slots__ = ("dim", "trunc", "den", "num", "_rows")
 
-    def __init__(self, dim: int, trunc: int, terms: Mapping | None = None):
+    def __new__(cls, dim: int, trunc: int, terms: Mapping | None = None):
         coeffs = {(k2, tuple(I), tuple(J)): ComplexRational.coerce(c)
                   for (k2, I, J), c in (terms or {}).items()}
         keys = _pack_checked(dim, coeffs)
         den = lcm(*(x.denominator for c in coeffs.values() for x in (c.re, c.im)))
-        self._fill(dim, trunc, {key: (c.re.numerator * (den // c.re.denominator),
-                                      c.im.numerator * (den // c.im.denominator))
-                                for key, c in zip(keys, coeffs.values())}, den)
-
-    def _fill(self, dim: int, trunc: int, num: Mapping, den: int) -> "WickSeries":
-        """Store ``num`` over ``den`` canonically, dropping terms past ``trunc``; return self.
-
-        The keys are trusted: ``__init__`` and ``read_records`` check the
-        multi-indices of outside input, and the kernel checks its outputs
-        against the exponent limit.
-        """
-        if trunc < 0:
-            raise ValueError(f"trunc must be >= 0, got {trunc}")
-        bound = (trunc + 1) << 16 * dim
-        kept: dict = {}
-        common = den
-        for key, (a, b) in num.items():
-            if key >= bound or not (a or b):
-                continue
-            if common != 1:
-                common = gcd(common, a, b)
-            kept[key] = (a, b)
-        if common != 1:
-            den //= common
-            kept = {key: (a // common, b // common) for key, (a, b) in kept.items()}
-        return self._store(dim, trunc, kept, den)
-
-    def _store(self, dim: int, trunc: int, num: dict, den: int) -> "WickSeries":
-        """Set the slots from ``num`` over ``den``, already canonical; return self."""
-        _SET_DIM(self, dim)
-        _SET_TRUNC(self, trunc)
-        _SET_DEN(self, den)
-        _SET_NUM(self, num)
-        _SET_ROWS(self, None)
-        return self
+        return cls._of(dim, trunc, {key: (c.re.numerator * (den // c.re.denominator),
+                                         c.im.numerator * (den // c.im.denominator))
+                                   for key, c in zip(keys, coeffs.values())}, den)
 
     @classmethod
     def _of(cls, dim: int, trunc: int, num: Mapping, den: int,
             canonical: bool = False) -> "WickSeries":
-        """A series of ``num`` over ``den``, stored as it stands if ``canonical``."""
+        """The series of ``num`` over ``den``, the one constructor: unless
+        ``canonical``, it drops the (0, 0) pairs and the terms past ``trunc``
+        and divides out the gcd.  The keys are trusted: ``__new__`` and
+        ``read_records`` check outside input, the kernel its outputs."""
+        if not canonical:
+            if trunc < 0:
+                raise ValueError(f"trunc must be >= 0, got {trunc}")
+            bound = (trunc + 1) << 16 * dim
+            kept: dict = {}
+            common = den
+            for key, (a, b) in num.items():
+                if key >= bound or not (a or b):
+                    continue
+                if common != 1:
+                    common = gcd(common, a, b)
+                kept[key] = (a, b)
+            if common != 1:
+                den //= common
+                kept = {key: (a // common, b // common) for key, (a, b) in kept.items()}
+            num = kept
         series = object.__new__(cls)
-        return (series._store if canonical else series._fill)(dim, trunc, num, den)
-
-    def _build(self, num: Mapping, den: int) -> "WickSeries":
-        """A series of this one's dim and trunc, through ``_fill``."""
-        return WickSeries._of(self.dim, self.trunc, num, den)
+        _SET_DIM(series, dim)
+        _SET_TRUNC(series, trunc)
+        _SET_DEN(series, den)
+        _SET_NUM(series, num)
+        _SET_ROWS(series, None)
+        return series
 
     # -- constructors ---------------------------------------------------
 
@@ -529,7 +512,7 @@ class WickSeries(Value):
         top = 16 * self.dim
         low, high = degree << top, (degree + 1) << top
         picked = {k: v for k, v in self.num.items() if low <= k < high}
-        return self._build(picked, self.den)
+        return WickSeries._of(self.dim, self.trunc, picked, self.den)
 
     def bidegrees(self) -> dict:
         """``{key: (k2, |I|, |J|)}``: each term's doubled h-exponent and its
@@ -618,7 +601,7 @@ class WickSeries(Value):
         if not isinstance(other, WickSeries):
             return NotImplemented
         self._check_compatible(other)
-        return self._build(*bilinear_terms(self, other, _POINTWISE))
+        return WickSeries._of(self.dim, self.trunc, *bilinear_terms(self, other, _POINTWISE))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, ComplexRational)):
@@ -634,7 +617,7 @@ class WickSeries(Value):
         """Swap y^I yb^J -> y^J yb^I and conjugate coefficients (h is real).
 
         Every key keeps its degree and den and the gcd stay, so the result
-        is canonical as it stands and skips ``_fill``'s scan.
+        is canonical as it stands and skips ``_of``'s scan.
         """
         half = 8 * self.dim
         low, fields = (1 << half) - 1, (1 << 2 * half) - 1
@@ -648,7 +631,7 @@ class WickSeries(Value):
         """Multiply by h^(dk2/2); dk2 may be negative or odd."""
         step = dk2 << 16 * self.dim
         shifted = {key + step: pair for key, pair in self.num.items()}
-        return self._build(shifted, self.den)
+        return WickSeries._of(self.dim, self.trunc, shifted, self.den)
 
     def reciprocal(self) -> "WickSeries":
         """Multiplicative inverse; the least-degree part must be one power of h.
@@ -680,13 +663,13 @@ class WickSeries(Value):
     def holomorphic_part(self) -> "WickSeries":
         low = (1 << 8 * self.dim) - 1
         picked = {key: v for key, v in self.num.items() if not key & low}
-        return self._build(picked, self.den)
+        return WickSeries._of(self.dim, self.trunc, picked, self.den)
 
     def antiholomorphic_part(self) -> "WickSeries":
         half = 8 * self.dim
         high = ((1 << half) - 1) << half
         picked = {key: v for key, v in self.num.items() if not key & high}
-        return self._build(picked, self.den)
+        return WickSeries._of(self.dim, self.trunc, picked, self.den)
 
     # -- equality / display ---------------------------------------------------
 
@@ -732,18 +715,14 @@ class WickSeries(Value):
         return (_text(self.dim, items), *_json_lines(self.dim, items, ()))
 
     @classmethod
-    def from_records(cls, dim: int, trunc: int, records: Iterable[dict],
-                     lower_bound: int = 0) -> "WickSeries":
+    def from_records(cls, dim: int, trunc: int, records: Iterable[dict]) -> "WickSeries":
         """Read term records (see ``read_records``); a key that does not fit
-        ``dim`` raises, and so does a kept term of degree below ``lower_bound``."""
-        num, den = read_records(records, dim)
-        series = cls._of(dim, trunc, num, den)
-        top = 16 * dim
+        ``dim`` raises, and so does a kept term of negative degree."""
+        series = cls._of(dim, trunc, *read_records(records, dim))
         for key in series.num:
-            if key >> top < lower_bound:
+            if key < 0:  # the degree is the key's top field
                 raise DegreeWindowError(
-                    f"term {unpack(dim, key)} has degree {key >> top} "
-                    f"< lower bound {lower_bound}")
+                    f"term {unpack(dim, key)} has degree {key >> 16 * dim} < lower bound 0")
         return series
 
 

@@ -41,7 +41,7 @@ def _falling(n: int, k: int) -> int:
 def wick_star(f: WickSeries, g: WickSeries) -> WickSeries:
     """The associative Wick product of two series (same dim and trunc)."""
     f._check_compatible(g)
-    return f._build(*bilinear_terms(f, g, ("I", "J", _contractions)))
+    return WickSeries._of(f.dim, f.trunc, *bilinear_terms(f, g, ("I", "J", _contractions)))
 
 
 def _contractions(I: tuple, J: tuple) -> tuple:
@@ -66,7 +66,7 @@ def fock_act(f: WickSeries, s: WickSeries) -> WickSeries:
     f._check_compatible(s)
     if not s.is_holomorphic():
         raise PreconditionError("fock_act target must be holomorphic (J = 0)")
-    return f._build(*bilinear_terms(f, s, ("IJ", "IJ", _fock)))
+    return WickSeries._of(f.dim, f.trunc, *bilinear_terms(f, s, ("IJ", "IJ", _fock)))
 
 
 def _fock(T: tuple, J: tuple) -> tuple:

@@ -30,7 +30,7 @@ from wickjet.cp1 import FactorialRational, RationalSymbol, cp1_inner
 from wickjet.errors import PreconditionError
 from wickjet.integrals import WeightSeries, formal_integral
 from wickjet.jets import PotentialJets, _diagonalizing_change, _one_one_matrix
-from wickjet.series import WickSeries, accumulate, mi_factorial, mi_zero
+from wickjet.series import WickSeries, mi_factorial, mi_zero, read_records
 
 
 def count_calls(monkeypatch, owner, name: str) -> list:
@@ -46,17 +46,31 @@ def count_calls(monkeypatch, owner, name: str) -> list:
 
 
 def record_empty_series(monkeypatch) -> list:
-    """Wrap ``WickSeries._store``, which every construction ends in; the
-    returned list gets each empty series built."""
-    store, empty = WickSeries._store, []
+    """Wrap ``WickSeries._of``, which builds every series; the returned list
+    gets each empty series built."""
+    of, empty = WickSeries._of, []
 
-    def recorded(self, *args):
-        series = store(self, *args)
+    def recorded(cls, *args, **kwargs):
+        series = of(*args, **kwargs)
         if not series.num:
             empty.append(series)
         return series
-    monkeypatch.setattr(WickSeries, "_store", recorded)
+    monkeypatch.setattr(WickSeries, "_of", classmethod(recorded))
     return empty
+
+
+def read_back(dim: int, trunc: int, records) -> WickSeries:
+    """The series of term records with no degree check: ``from_records``
+    refuses a term of negative degree, which extended series carry."""
+    return WickSeries._of(dim, trunc, *read_records(records, dim))
+
+
+def accumulate(pairs) -> dict:
+    """Sum ``(key, coefficient)`` pairs by key; sums that cancel stay as zeros."""
+    out: dict = {}
+    for key, value in pairs:
+        out[key] = out[key] + value if key in out else value
+    return out
 
 
 def hseries(trunc: int, terms: dict | None = None) -> WickSeries:

@@ -265,3 +265,62 @@ def test_the_value_scan_flags_keys_reprs_and_equality():
         "    def __eq__(self, other): pass\n"
         "    def __repr__(self): pass\n")
     assert value_overrides({"m.py": tree}) == ["m.py:5", "m.py:6", "m.py:9", "m.py:10"]
+
+
+# the scopes that may create an object past its constructor, and those that
+# may set a slot through a bound ``_SET_*`` setter
+NEW_SCOPES = {"WickSeries._of"}
+SETTER_SCOPES = {"WickSeries._of", "WickSeries._sorted_rows", "ComplexRational.__init__"}
+
+
+def construction_sites(trees: dict) -> list:
+    """``file:line`` of every ``object.__new__`` read outside ``NEW_SCOPES``
+    and every ``_SET_*`` slot-setter call outside ``SETTER_SCOPES``.
+
+    ``WickSeries._of`` is the one constructor of a series: it creates the
+    object and sets its slots.  Besides it only the row cache of
+    ``_sorted_rows`` and ``ComplexRational.__init__`` set a slot; the lines
+    that bind the setters call none.  A scope is the dotted name of the
+    enclosing classes and functions.
+    """
+    def sites(node: ast.AST, name: str, scope: str):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            new = (isinstance(child, ast.Attribute) and child.attr == "__new__"
+                   and isinstance(child.value, ast.Name) and child.value.id == "object")
+            setter = (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                      and child.func.id.startswith("_SET_"))
+            if new and scope not in NEW_SCOPES or setter and scope not in SETTER_SCOPES:
+                yield f"{name}:{child.lineno}"
+            yield from sites(child, name, inner)
+    return [site for name, tree in trees.items() for site in sites(tree, name, "")]
+
+
+def test_only_the_constructor_creates_a_series():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert construction_sites(dict(zip((p.name for p in paths), _parse(paths)))) == []
+
+
+def test_the_construction_scan_flags_new_objects_and_slot_sets():
+    tree = ast.parse(
+        "class WickSeries:\n"
+        "    @classmethod\n"
+        "    def _of(cls, num):\n"
+        "        series = object.__new__(cls)\n"
+        "        _SET_NUM(series, num)\n"
+        "        return series\n"
+        "    def _sorted_rows(self):\n"
+        "        _SET_ROWS(self, [])\n"
+        "    def conjugate(self):\n"
+        "        flipped = object.__new__(WickSeries)\n"
+        "        _SET_NUM(flipped, {})\n"
+        "class ComplexRational:\n"
+        "    def __init__(self, re):\n"
+        "        _SET_RE(self, re)\n"
+        "    def conjugate(self):\n"
+        "        _SET_RE(self, -self.re)\n"
+        "_SET_NUM, _SET_ROWS = WickSeries.num.__set__, WickSeries._rows.__set__\n"
+        "new = object.__new__\n")
+    assert construction_sites({"m.py": tree}) == ["m.py:10", "m.py:11", "m.py:16", "m.py:18"]

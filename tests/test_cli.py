@@ -20,7 +20,7 @@ from wickjet.jets import PotentialJets
 from wickjet.series import WickSeries
 from wickjet.wick import wick_star
 
-from support import count_calls, iter_multi_indices, written_records
+from support import count_calls, iter_multi_indices, read_back, written_records
 
 
 def write_job(tmp_path, payload, name="job.json"):
@@ -758,6 +758,19 @@ def test_inputs_below_the_job_trunc_are_malformed(tmp_path, mode, field):
     assert load_job(write_job(tmp_path, job)).trunc == 6
 
 
+@pytest.mark.parametrize("job, order", [
+    ({"mode": "k-normalize", "dim": 1, "potential": {"order": 1, "jets": []}}, 1),
+    ({"mode": "bt-eval", "dim": 1, "trunc": 1, "potential": {"jets": []},
+      "lhs": [Y_RECORD], "rhs": [YB_RECORD]}, 1),
+    ({"mode": "rep-act", "dim": 1, "trunc": 0, "potential": {"jets": []},
+      "function": [], "element": []}, 0),
+], ids=["k-normalize", "bt-eval", "rep-act"])
+def test_a_jets_potential_below_order_2_is_malformed(tmp_path, job, order):
+    # as a generated potential is: the jets are refused at load, not in the run
+    _assert_one_line_rejection(
+        tmp_path, job, f"field \"potential\": a potential needs order >= 2, got order {order}")
+
+
 def test_the_truncation_ceiling_is_no_flag(tmp_path):
     job = {"mode": "wick-star", "dim": 1, "trunc": cli.TRUNC_CEILING + 1,
            "lhs": [], "rhs": []}
@@ -900,8 +913,7 @@ def test_bt_eval_jets_with_inverse_h_powers(tmp_path, capsys, side):
     job[side] = inverse
     code, out, _ = run_main(capsys, "--job", write_job(tmp_path, job))
     assert code == 0
-    lhs, rhs = (WickSeries.from_records(1, 6, job[name], lower_bound=-1)
-                for name in ("lhs", "rhs"))
+    lhs, rhs = (read_back(1, 6, job[name]) for name in ("lhs", "rhs"))
     weight = jets.weight_series(jets.fubini_study_potential(1, 6), 6)
     value = wick_star(integrals.toeplitz_symbol(lhs, weight).holomorphic_part(),
                       integrals.toeplitz_symbol(rhs, weight).antiholomorphic_part()

@@ -26,6 +26,7 @@ from support import (
     count_calls,
     permutation_volume_log,
     random_coefficient,
+    read_back,
     record_empty_series,
     random_multi_index,
     reference_k_normalize,
@@ -556,7 +557,7 @@ def test_function_jets_extended_round_trip():
     f = WickSeries(1, 4, {(-2, (1,), (0,)): 3, (0, (1,), (1,)): 1})
     records = written_records(f)
     assert records[0] == {"k2": -2, "I": [1], "J": [0], "re": "3", "im": "0"}
-    back = WickSeries.from_records(1, 4, records, lower_bound=-2)
+    back = read_back(1, 4, records)
     assert back == f and back.min_degree() == -1 and not back.is_plain()
     with pytest.raises(DegreeWindowError):
         WickSeries.from_records(1, 4, records)

@@ -20,11 +20,12 @@ import pytest
 
 from wickjet.coefficients import ComplexRational
 from wickjet.integrals import _moments
-from wickjet.series import (EXPONENT_LIMIT, WickSeries, accumulate, linear_combination,
-                            pack, total_degree, unpack)
+from wickjet.series import (EXPONENT_LIMIT, WickSeries, linear_combination, pack, total_degree,
+                            unpack)
 from wickjet.wick import fock_act, wick_star
 
 from support import (
+    accumulate,
     mi_add,
     random_multi_index,
     reference_fock_act,

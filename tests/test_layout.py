@@ -31,6 +31,7 @@ from support import (
     hseries,
     random_coefficient,
     random_series,
+    read_back,
     record_empty_series,
     reference_exp_series,
     reference_log_series,
@@ -122,9 +123,8 @@ def test_writers_keep_the_tuple_order(dim, terms):
     assert records == reference_records(s)
     keys = [(r["k2"], tuple(r.get("I", ())), tuple(r.get("J", ()))) for r in records]
     assert keys == sorted(terms) == list(s.terms)
-    back = WickSeries.from_records(dim, TRUNC, [dict(r, I=list(k[1]), J=list(k[2]))
-                                                for r, k in zip(records, keys)],
-                                   lower_bound=-100)
+    back = read_back(dim, TRUNC, [dict(r, I=list(k[1]), J=list(k[2]))
+                                  for r, k in zip(records, keys)])
     assert back == s
 
 

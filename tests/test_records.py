@@ -13,11 +13,12 @@ from fractions import Fraction
 import pytest
 
 from wickjet.coefficients import LITERAL_DIGITS, ComplexRational
+from wickjet.errors import DegreeWindowError
 from wickjet.jets import PotentialJets, fubini_study_potential, k_normalize, \
     random_real_analytic_potential
 from wickjet.series import WickSeries, pack
 
-from support import count_calls, random_coefficient, random_multi_index, \
+from support import count_calls, random_coefficient, random_multi_index, read_back, \
     reference_records, reference_str, written_records
 
 SPECIAL = [ComplexRational(1), ComplexRational(-1), ComplexRational(0, 1),
@@ -107,9 +108,7 @@ def test_reader_reads_back_what_the_writer_wrote(series):
     records = json.loads(json.dumps(written_records(series)))
     if not series.dim:
         records = [dict(rec, I=[], J=[]) for rec in records]
-    low = min(0, series.min_degree() or 0)
-    assert WickSeries.from_records(series.dim, series.trunc, records,
-                                   lower_bound=low) == series
+    assert read_back(series.dim, series.trunc, records) == series
 
 
 def test_duplicate_records_that_cancel_leave_no_term():
@@ -128,7 +127,7 @@ def test_writer_and_reader_build_no_complex_rationals(monkeypatch):
                {"k2": 0, "I": [0, 0], "J": [0, 0], "re": "1"},
                {"k2": -1, "I": [2, 1], "J": [0, 0], "im": "-1"}]
     calls = count_calls(monkeypatch, ComplexRational, "__init__")
-    series = WickSeries.from_records(2, 6, records, lower_bound=-1)
+    series = read_back(2, 6, records)
     text, written = str(series), written_records(series)
     assert calls == []
     assert text == "(-1i) h^(-1/2) y1^2 y2 + 1 + (-2/3+1/5i) h y1 yb2"
@@ -195,6 +194,46 @@ def test_integer_pair_reader_matches_the_fraction_path():
                            if name in rec}
                 records.append(dict(rec, **negated))
                 cancelled += 1
-        series = WickSeries.from_records(dim, 6, records, lower_bound=-2)
+        series = read_back(dim, 6, records)
         assert (series.den, series.num) == _fraction_reference(dim, 6, records)
     assert cancelled > 20
+
+
+def test_the_first_negative_degree_record_written_is_named():
+    low = {"k2": -4, "I": [1, 0], "J": [0, 0], "re": "1"}  # degree -3
+    first = {"k2": -2, "I": [0, 1], "J": [0, 0], "im": "2"}  # degree -1
+    kept = {"k2": 0, "I": [0, 0], "J": [1, 0], "re": "1/2"}
+    for records, named in (([kept, first, low], "(-2, (0, 1), (0, 0)) has degree -1"),
+                           ([low, kept, first], "(-4, (1, 0), (0, 0)) has degree -3")):
+        with pytest.raises(DegreeWindowError) as info:
+            WickSeries.from_records(2, 6, records)
+        assert str(info.value) == f"term {named} < lower bound 0"
+
+
+def test_negative_degree_records_that_cancel_are_accepted():
+    rec = {"k2": -2, "I": [0], "J": [0], "re": "3/4", "im": "-1"}
+    kept = {"k2": 2, "I": [1], "J": [0], "re": "5"}
+    # the sums are taken and the zeros dropped before the degree check
+    s = WickSeries.from_records(1, 6, [rec, kept, dict(rec, re="-6/8", im="1")])
+    assert s == WickSeries.from_records(1, 6, [kept])
+    assert not WickSeries.from_records(1, 6, [rec, {**rec, "re": "-3/4", "im": "1"}])
+    with pytest.raises(DegreeWindowError):
+        WickSeries.from_records(1, 6, [rec, dict(rec, re="-3/4")])
+
+
+def test_duplicates_sum_their_parts_separately_in_one_pass():
+    """Duplicates that carry only one part each, or both, add up part by
+    part; the reader takes the records as a one-shot iterator."""
+    rng = random.Random(4051)
+    for case in range(80):
+        dim = case % 4
+        keys = [{"k2": rng.randint(0, 2), **{name: list(random_multi_index(rng, dim, 2))
+                                              if dim else [] for name in "IJ"}}
+                for _ in range(3)]
+        records = []
+        for _ in range(rng.randint(2, 9)):
+            parts = rng.choice((("re",), ("im",), ("re", "im")))
+            records.append(dict(rng.choice(keys), **{name: rng.choice(LITERALS)
+                                                      for name in parts}))
+        series = WickSeries.from_records(dim, 6, iter(records))
+        assert (series.den, series.num) == _fraction_reference(dim, 6, records)
